@@ -12,8 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -35,6 +40,9 @@ MAX_SPLIT_ATTEMPTS = 20
 CURVE_GRID = np.linspace(0.0, 1.0, 101)
 
 ALL_METHODS = tuple(TrainMethod)
+
+# Read by the BLAS libraries numpy may load, once, when it is first imported.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class BenchmarkError(RuntimeError):
@@ -196,11 +204,11 @@ def _metric_pair(params, examples) -> tuple[float, float]:
 def _run_repeat(
     corpus: Corpus,
     methods: Sequence[TrainMethod],
-    repeat: int,
     base_seed: int,
     fractions: tuple[float, float, float],
     base_config: TrainConfig,
     collect_curves: bool,
+    repeat: int,
 ) -> tuple[list[RepeatRow], dict[str, dict[str, np.ndarray]]]:
     need_c = any(
         any(spec.loss_kind == CORRECTED for spec in plan_epochs(m, base_config.n_epochs))
@@ -238,29 +246,39 @@ def _run_repeat(
     return rows, curves
 
 
-_POOL_STATE: dict = {}
+@contextmanager
+def _single_blas_thread_env():
+    """Give worker processes started inside the block one BLAS thread each.
+    Workers already run one per core; BLAS threads on top of them contend
+    for the same cores, and the network's larger products then wait on
+    descheduled threads. Only freshly started (spawned) interpreters read
+    these variables; this process's BLAS is left as it is."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
-def _pool_init(corpus, methods, base_seed, fractions, base_config, collect_curves) -> None:
-    _POOL_STATE.update(
-        corpus=corpus,
-        methods=methods,
-        base_seed=base_seed,
-        fractions=fractions,
-        base_config=base_config,
-        collect_curves=collect_curves,
-    )
+def _corpus_digest(corpus: Corpus) -> str:
+    """Content digest of the corpus: the vocabulary, then every example's
+    id, labels and visit codes, set by set."""
+    h = hashlib.sha256("\n".join(corpus.vocab).encode("utf-8"))
+    for part in (corpus.d_star, corpus.d_tilde, corpus.d_prime):
+        h.update(b"\x00")
+        for ex in part:
+            labels = tuple(None if label is None else int(label) for label in (ex.clean_label, ex.noisy_label))
+            visits = tuple(tuple(sorted(v.codes)) for v in ex.record.visits)
+            h.update(repr((ex.patient_id, labels, visits)).encode("utf-8"))
+    return h.hexdigest()
 
 
-def _pool_run(repeat: int):
-    s = _POOL_STATE
-    return _run_repeat(
-        s["corpus"], s["methods"], repeat, s["base_seed"], s["fractions"],
-        s["base_config"], s["collect_curves"],
-    )
-
-
-def _fingerprint(corpus: Corpus, methods, repeats, fractions, base_config) -> str:
+def _fingerprint(corpus: Corpus, methods, repeats, fractions, base_config, base_seed: int) -> str:
     payload = repr(
         (
             asdict(corpus.config),
@@ -268,8 +286,8 @@ def _fingerprint(corpus: Corpus, methods, repeats, fractions, base_config) -> st
             repeats,
             tuple(fractions),
             asdict(base_config) if not isinstance(base_config, dict) else base_config,
-            len(corpus.d_star),
-            len(corpus.d_tilde),
+            base_seed,
+            _corpus_digest(corpus),
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
@@ -297,19 +315,18 @@ def repeated_benchmark(
     base_config = train_config or TrainConfig()
     methods = list(methods)
 
-    results = []
+    run = partial(_run_repeat, corpus, methods, base_seed, split_fractions, base_config, collect_curves)
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(corpus, methods, base_seed, split_fractions, base_config, collect_curves),
+        # One chunk of repeats per worker, so the corpus is pickled once per
+        # worker. It travels with the task, not with the start-up arguments:
+        # a worker that dies while starting then breaks the pool instead of
+        # leaving this process blocked on the start-up pipe.
+        with _single_blas_thread_env(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
-            results = list(pool.map(_pool_run, range(repeats)))
+            results = list(pool.map(run, range(repeats), chunksize=math.ceil(repeats / workers)))
     else:
-        for r in range(repeats):
-            results.append(
-                _run_repeat(corpus, methods, r, base_seed, split_fractions, base_config, collect_curves)
-            )
+        results = [run(r) for r in range(repeats)]
 
     rows: list[RepeatRow] = []
     per_method_curves: dict[str, list[dict[str, np.ndarray]]] = {m.value: [] for m in methods}
@@ -346,7 +363,7 @@ def repeated_benchmark(
         repeats=repeats,
         rows=rows,
         summaries=summaries,
-        fingerprint=_fingerprint(corpus, methods, repeats, split_fractions, base_config),
+        fingerprint=_fingerprint(corpus, methods, repeats, split_fractions, base_config, base_seed),
         curves=curves,
     )
 

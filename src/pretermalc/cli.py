@@ -540,9 +540,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PipelineStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - uniform runtime failure surface
         print(f"error: {exc}", file=sys.stderr)
         return 1

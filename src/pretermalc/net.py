@@ -6,14 +6,22 @@ weighted sum of visit embeddings, mapped to two-class probabilities.
 All forward math and the full reverse-mode gradient are written out by hand
 in float64 numpy; correctness is pinned by central finite differences in the
 test suite rather than by an autodiff framework.
+
+The recurrences run on packed rows: a batch is ordered longest first, so at
+each step the sequences that still have a visit are a leading slice of the
+running state, and padding costs nothing. Each cell keeps its three gates
+fused into one input matrix, and every parameter lives in one flat buffer.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import chain
+from math import prod
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -21,22 +29,23 @@ from .noise import CorruptionMatrix
 from .records import LabeledExample
 
 LOSS_EPS = 1e-7  # floor added to the picked probability before log
-CHECKPOINT_MAGIC = "pretermalc-checkpoint 1"
+CHECKPOINT_MAGIC = "pretermalc-checkpoint 2"
+CHECKPOINT_FAMILY = "pretermalc-checkpoint "
 
 PLAIN = "plain"
 CORRECTED = "corrected"
 
 VisitCodes = tuple[int, ...]
-Sequences = "list[list[VisitCodes]]"
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid_(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid in place, as 0.5·(1 + tanh(x/2)): one transcendental
+    call and no overflow for any sign of x."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
+    return x
 
 
 @dataclass(frozen=True)
@@ -51,74 +60,90 @@ class NetDims:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GruCellParams:
-    w_z: np.ndarray
-    u_z: np.ndarray
-    b_z: np.ndarray
-    w_r: np.ndarray
-    u_r: np.ndarray
-    b_r: np.ndarray
-    w_h: np.ndarray
-    u_h: np.ndarray
-    b_h: np.ndarray
+    """One gated recurrent cell. The update (z), reset (r) and candidate (h)
+    gates sit side by side, in that order, along the last axis."""
 
-    _FIELDS = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+    w: np.ndarray  # (d_emb, 3·d_h) input weights of z, r, h
+    u_zr: np.ndarray  # (d_h, 2·d_h) recurrent weights of z, r
+    u_h: np.ndarray  # (d_h, d_h) recurrent weights of the candidate
+    b: np.ndarray  # (3·d_h,)
 
-    def named(self, prefix: str) -> Iterator[tuple[str, np.ndarray]]:
-        for name in self._FIELDS:
-            yield f"{prefix}.{name}", getattr(self, name)
-
-    def copy(self) -> "GruCellParams":
-        return GruCellParams(*(getattr(self, f).copy() for f in self._FIELDS))
+    FIELDS = ("w", "u_zr", "u_h", "b")
 
 
-@dataclass
-class ModelParams:
-    dims: NetDims
-    emb: np.ndarray  # (vocab, d_emb)
-    alpha_cell: GruCellParams
-    beta_cell: GruCellParams
-    att_w: np.ndarray  # (d_h,)
-    att_b: np.ndarray  # (1,)
-    proj_w: np.ndarray  # (d_emb, d_h)
-    proj_b: np.ndarray  # (d_emb,)
-    out_w: np.ndarray  # (2, d_emb)
-    out_b: np.ndarray  # (2,)
+def _layout(dims: NetDims) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every tensor, in buffer (and checkpoint) order."""
+    e, h = dims.d_emb, dims.d_h
+    cell = {"w": (e, 3 * h), "u_zr": (h, 2 * h), "u_h": (h, h), "b": (3 * h,)}
+    return [
+        ("emb", (dims.vocab_size, e)),
+        *((f"{prefix}.{f}", cell[f]) for prefix in ("alpha", "beta") for f in GruCellParams.FIELDS),
+        ("att_w", (h,)),
+        ("att_b", (1,)),
+        ("proj_w", (e, h)),
+        ("proj_b", (e,)),
+        ("out_w", (2, e)),
+        ("out_b", (2,)),
+    ]
+
+
+class ModelParams(Mapping):
+    """Every tensor of the network as a named view into one contiguous
+    float64 buffer, ``flat``. Gradients use the same class and layout, so an
+    optimizer step is one vectorised update of ``flat``; writing through a
+    view writes the buffer."""
+
+    def __init__(self, dims: NetDims, flat: np.ndarray | None = None):
+        layout = _layout(dims)
+        sizes = [prod(shape) for _, shape in layout]
+        self.dims = dims
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self._views = {
+            name: self.flat[start : start + size].reshape(shape)
+            for (name, shape), start, size in zip(layout, self._starts, sizes)
+        }
+        v = self._views
+        self.emb = v["emb"]  # (vocab, d_emb)
+        self.alpha_cell = GruCellParams(*(v[f"alpha.{f}"] for f in GruCellParams.FIELDS))
+        self.beta_cell = GruCellParams(*(v[f"beta.{f}"] for f in GruCellParams.FIELDS))
+        self.att_w = v["att_w"]  # (d_h,)
+        self.att_b = v["att_b"]  # (1,)
+        self.proj_w = v["proj_w"]  # (d_emb, d_h)
+        self.proj_b = v["proj_b"]  # (d_emb,)
+        self.out_w = v["out_w"]  # (2, d_emb)
+        self.out_b = v["out_b"]  # (2,)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
 
     def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        yield "emb", self.emb
-        yield from self.alpha_cell.named("alpha")
-        yield from self.beta_cell.named("beta")
-        yield "att_w", self.att_w
-        yield "att_b", self.att_b
-        yield "proj_w", self.proj_w
-        yield "proj_b", self.proj_b
-        yield "out_w", self.out_w
-        yield "out_b", self.out_b
+        return iter(self._views.items())
 
     def tensor(self, name: str) -> np.ndarray:
-        for n, t in self.named_tensors():
-            if n == name:
-                return t
-        raise KeyError(name)
+        return self._views[name]
+
+    def first_non_finite(self, values: np.ndarray) -> str | None:
+        """Name of the first tensor whose slice of the flat ``values`` holds
+        a non-finite number, or None when all are finite."""
+        finite = np.isfinite(values)
+        if finite.all():
+            return None
+        return list(self._views)[int(np.searchsorted(self._starts, np.argmin(finite), side="right")) - 1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            dims=self.dims,
-            emb=self.emb.copy(),
-            alpha_cell=self.alpha_cell.copy(),
-            beta_cell=self.beta_cell.copy(),
-            att_w=self.att_w.copy(),
-            att_b=self.att_b.copy(),
-            proj_w=self.proj_w.copy(),
-            proj_b=self.proj_b.copy(),
-            out_w=self.out_w.copy(),
-            out_b=self.out_b.copy(),
-        )
+        return ModelParams(self.dims, self.flat.copy())
 
-    def zeros_like_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(t) for name, t in self.named_tensors()}
+    def zeros_like_grads(self) -> "ModelParams":
+        return ModelParams(self.dims)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -126,47 +151,37 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_o
     return rng.uniform(-s, s, size=shape)
 
 
-def _init_cell(rng: np.random.Generator, d_in: int, d_h: int) -> GruCellParams:
-    def gate():
-        w = _glorot(rng, (d_in, d_h), d_in, d_h)
-        u = _glorot(rng, (d_h, d_h), d_h, d_h)
-        return w, u, np.zeros(d_h)
-
-    w_z, u_z, b_z = gate()
-    w_r, u_r, b_r = gate()
-    w_h, u_h, b_h = gate()
-    return GruCellParams(w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
-
-
 def init_params(dims: NetDims, seed: int) -> ModelParams:
     """Scaled-uniform weights, zero biases; draw order is fixed so a seed
-    pins every tensor bit-for-bit."""
+    pins every tensor bit-for-bit. Each cell draws its gates z, r, h in turn,
+    input weights before recurrent ones, into the fused matrices."""
     rng = np.random.default_rng(seed)
-    emb = _glorot(rng, (dims.vocab_size, dims.d_emb), dims.vocab_size, dims.d_emb)
-    alpha_cell = _init_cell(rng, dims.d_emb, dims.d_h)
-    beta_cell = _init_cell(rng, dims.d_emb, dims.d_h)
-    att_w = _glorot(rng, (dims.d_h,), dims.d_h, 1)
-    proj_w = _glorot(rng, (dims.d_emb, dims.d_h), dims.d_h, dims.d_emb)
-    out_w = _glorot(rng, (2, dims.d_emb), dims.d_emb, 2)
-    return ModelParams(
-        dims=dims,
-        emb=emb,
-        alpha_cell=alpha_cell,
-        beta_cell=beta_cell,
-        att_w=att_w,
-        att_b=np.zeros(1),
-        proj_w=proj_w,
-        proj_b=np.zeros(dims.d_emb),
-        out_w=out_w,
-        out_b=np.zeros(2),
-    )
+    e, h = dims.d_emb, dims.d_h
+    params = ModelParams(dims)
+    params.emb[...] = _glorot(rng, (dims.vocab_size, e), dims.vocab_size, e)
+    for cell in (params.alpha_cell, params.beta_cell):
+        for gate in range(3):
+            cols = slice(gate * h, (gate + 1) * h)
+            cell.w[:, cols] = _glorot(rng, (e, h), e, h)
+            recurrent = cell.u_zr[:, cols] if gate < 2 else cell.u_h
+            recurrent[...] = _glorot(rng, (h, h), h, h)
+    params.att_w[...] = _glorot(rng, (h,), h, 1)
+    params.proj_w[...] = _glorot(rng, (e, h), h, e)
+    params.out_w[...] = _glorot(rng, (2, e), e, 2)
+    return params
 
 
 @dataclass
 class Batch:
-    """Padded visit-code sequences. Padded slots carry an empty code tuple and
-    mask 0; anything placed under mask 0 is structurally cut off from the
-    loss (and therefore from gradients)."""
+    """Padded visit-code sequences. Each mask row is a prefix of ones: real
+    visits first, then padding with an empty code tuple and mask 0. Anything
+    placed under mask 0 is never read, so it cannot reach the loss.
+
+    The network reads the packed form. Rows are ordered longest first
+    (stable), so the ``steps[t]`` sequences that have a visit at step t are
+    the leading rows of that order. The real visits are stacked step by
+    step: step t holds packed rows ``offsets[t]:offsets[t + 1]``, and packed
+    row p is visit ``times[p]`` of input row ``rows[p]``."""
 
     codes: list  # list[list[VisitCodes]], every inner list has length T
     mask: np.ndarray  # (B, T) float64
@@ -177,20 +192,25 @@ class Batch:
         self.mask = np.asarray(self.mask, dtype=np.float64)
         if self.mask.ndim != 2 or len(self.codes) != self.mask.shape[0]:
             raise ValueError("mask shape does not match sequences")
-        if any(len(row) != self.mask.shape[1] for row in self.codes):
+        B, T = self.mask.shape
+        if any(len(row) != T for row in self.codes):
             raise ValueError("sequences not padded to a common length")
-        flat_b: list[int] = []
-        flat_t: list[int] = []
-        flat_c: list[int] = []
-        for b, row in enumerate(self.codes):
-            for t, visit in enumerate(row):
-                for c in visit:
-                    flat_b.append(b)
-                    flat_t.append(t)
-                    flat_c.append(c)
-        self._flat_b = np.array(flat_b, dtype=np.intp)
-        self._flat_t = np.array(flat_t, dtype=np.intp)
-        self._flat_c = np.array(flat_c, dtype=np.intp)
+        real = np.arange(T) < self.mask.sum(axis=1)[:, None]
+        bad = np.flatnonzero(np.any(self.mask != real, axis=1))
+        if bad.size:
+            raise ValueError(f"mask row {bad[0]} is not a prefix of ones")
+        self.lengths = real.sum(axis=1)
+        order = np.argsort(-self.lengths, kind="stable")
+        self.steps = real.sum(axis=0)
+        self.offsets = np.concatenate(([0], np.cumsum(self.steps)))
+        self.times, slot = np.nonzero(real[order].T)
+        self.rows = order[slot]
+        self.segments = np.zeros((B, self.rows.size))  # (B, N): 1 where packed row p belongs to input row b
+        self.segments[self.rows, np.arange(self.rows.size)] = 1.0
+        visits = [self.codes[b][t] for b, t in zip(self.rows.tolist(), self.times.tolist())]
+        sizes = [len(v) for v in visits]
+        self.code_index = np.fromiter(chain.from_iterable(visits), dtype=np.intp, count=sum(sizes))
+        self.code_visit = np.repeat(np.arange(len(visits)), sizes)
 
     @property
     def size(self) -> int:
@@ -199,6 +219,23 @@ class Batch:
     @property
     def n_steps(self) -> int:
         return self.mask.shape[1]
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Packed rows (N, ...) as a padded (B, T, ...) array in input
+        order, zero on padding."""
+        out = np.zeros(self.mask.shape + packed.shape[1:])
+        out[self.rows, self.times] = packed
+        return out
+
+    def count_matrix(self, vocab_size: int) -> np.ndarray:
+        """(N, vocab) float64: how often each code occurs in each packed visit."""
+        codes = self.code_index
+        if codes.size and (codes.min() < 0 or codes.max() >= vocab_size):
+            bad = codes.max() if codes.max() >= vocab_size else codes.min()
+            raise ValueError(f"code index {bad} out of range for vocabulary of {vocab_size}")
+        n = self.rows.size
+        counts = np.bincount(self.code_visit * vocab_size + codes, minlength=n * vocab_size)
+        return counts.reshape(n, vocab_size).astype(np.float64)
 
     @classmethod
     def from_sequences(
@@ -238,139 +275,130 @@ def sequence_of(example: LabeledExample) -> list[VisitCodes]:
 
 
 @dataclass
-class ForwardTrace:
-    """Everything the backward pass and the tests need to see."""
+class ScanCache:
+    """Per packed visit: what the backward pass of one recurrence reads."""
 
-    V: np.ndarray  # (B, T, d_emb) visit embeddings
-    G: np.ndarray  # (B, T, d_h) states of the scalar-attention recurrence
-    H: np.ndarray  # (B, T, d_h) states of the gate-attention recurrence
-    alpha: np.ndarray  # (B, T)
-    beta: np.ndarray  # (B, T, d_emb)
+    zr: np.ndarray  # (N, 2·d_h) update and reset gates
+    hc: np.ndarray  # (N, d_h) candidate state
+    hp: np.ndarray  # (N, d_h) previous state; zero at a sequence's last visit, where the scan starts
+    rhp: np.ndarray  # (N, d_h) reset gate times previous state
+
+
+@dataclass
+class ForwardTrace:
+    """Everything the backward pass and the tests need to see. Per-visit
+    arrays are kept packed: one row per real visit, in the batch's packed
+    order. ``batch.unpack`` pads one to (B, T, ...) in input order, as
+    ``V`` does for the visit embeddings."""
+
+    batch: Batch
+    counts: np.ndarray  # (N, vocab) visit-by-code counts
+    v_packed: np.ndarray  # (N, d_emb) visit embeddings
+    g_packed: np.ndarray  # (N, d_h) states of the scalar-attention recurrence
+    h_packed: np.ndarray  # (N, d_h) states of the gate-attention recurrence
+    alpha_packed: np.ndarray  # (N,)
+    beta_packed: np.ndarray  # (N, d_emb)
+    alpha: np.ndarray  # (B, T), zero on padding
     context: np.ndarray  # (B, d_emb)
     logits: np.ndarray  # (B, 2)
     probs: np.ndarray  # (B, 2)
-    alpha_cache: dict
-    beta_cache: dict
+    alpha_cache: ScanCache
+    beta_cache: ScanCache
+
+    @property
+    def V(self) -> np.ndarray:
+        return self.batch.unpack(self.v_packed)
 
 
-def embed_visit(params: ModelParams, codes: Iterable[int]) -> np.ndarray:
-    """Sum of embedding rows; the empty code set embeds to zeros."""
-    out = np.zeros(params.dims.d_emb)
-    for c in codes:
-        if not 0 <= c < params.dims.vocab_size:
-            raise ValueError(f"code index {c} out of range for vocabulary of {params.dims.vocab_size}")
-        out += params.emb[c]
-    return out
-
-
-def _gru_scan(cell: GruCellParams, V: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run the gated cell over positions T-1 .. 0. Masked positions leave the
-    state untouched, so trailing padding never contaminates real visits."""
-    B, T, _ = V.shape
-    d_h = cell.b_z.shape[0]
-    h = np.zeros((B, d_h))
-    states = np.empty((B, T, d_h))
-    Z = np.empty((B, T, d_h))
-    R = np.empty((B, T, d_h))
-    HC = np.empty((B, T, d_h))
-    HP = np.empty((B, T, d_h))
-    for t in range(T - 1, -1, -1):
-        x = V[:, t]
-        m = mask[:, t][:, None]
-        hp = h
-        z = _sigmoid(x @ cell.w_z + hp @ cell.u_z + cell.b_z)
-        r = _sigmoid(x @ cell.w_r + hp @ cell.u_r + cell.b_r)
-        hc = np.tanh(x @ cell.w_h + (r * hp) @ cell.u_h + cell.b_h)
-        h = m * ((1.0 - z) * hp + z * hc) + (1.0 - m) * hp
-        states[:, t] = h
-        Z[:, t] = z
-        R[:, t] = r
-        HC[:, t] = hc
-        HP[:, t] = hp
-    return states, {"z": Z, "r": R, "hc": HC, "hp": HP}
+def _gru_scan(cell: GruCellParams, V: np.ndarray, batch: Batch) -> tuple[np.ndarray, ScanCache]:
+    """Run the cell over steps T-1 .. 0 of the packed visits. Step t updates
+    only the leading ``steps[t]`` rows of the running state; a row whose
+    sequence has no visit after t still holds the zero initial state."""
+    d_h = cell.u_h.shape[0]
+    n_rows = V.shape[0]
+    xw = V @ cell.w + cell.b  # (N, 3·d_h): the input part of every gate at once
+    state = np.zeros((batch.size, d_h))
+    states = np.empty((n_rows, d_h))
+    cache = ScanCache(*(np.empty((n_rows, k * d_h)) for k in (2, 1, 1, 1)))
+    offsets = batch.offsets.tolist()
+    for t in range(batch.n_steps - 1, -1, -1):
+        lo, hi = offsets[t], offsets[t + 1]
+        hp = state[: hi - lo]
+        cache.hp[lo:hi] = hp
+        zr = cache.zr[lo:hi]
+        np.matmul(hp, cell.u_zr, out=zr)
+        zr += xw[lo:hi, : 2 * d_h]
+        _sigmoid_(zr)
+        rhp = np.multiply(zr[:, d_h:], hp, out=cache.rhp[lo:hi])
+        hc = cache.hc[lo:hi]
+        np.matmul(rhp, cell.u_h, out=hc)
+        hc += xw[lo:hi, 2 * d_h :]
+        np.tanh(hc, out=hc)
+        h = states[lo:hi]  # (1 - z)·hp + z·hc
+        np.subtract(hc, hp, out=h)
+        h *= zr[:, :d_h]
+        h += hp
+        state[: hi - lo] = h
+    return states, cache
 
 
 def _gru_backward(
-    cell: GruCellParams,
-    V: np.ndarray,
-    mask: np.ndarray,
-    cache: dict,
-    dstates: np.ndarray,
-    prefix: str,
-    grads: dict[str, np.ndarray],
+    cell: GruCellParams, grads: GruCellParams, V: np.ndarray, batch: Batch, cache: ScanCache, dstates: np.ndarray
 ) -> np.ndarray:
-    """Backpropagate through the reverse-time scan. The scan consumed
-    positions T-1..0, so gradients walk 0..T-1, carrying the running
-    gradient of each step's previous state."""
-    B, T, _ = V.shape
-    dV = np.zeros_like(V)
-    carry = np.zeros((B, cell.b_z.shape[0]))
-    Z, R, HC, HP = cache["z"], cache["r"], cache["hc"], cache["hp"]
-    for t in range(T):
-        dh = dstates[:, t] + carry
-        m = mask[:, t][:, None]
-        x = V[:, t]
-        z, r, hc, hp = Z[:, t], R[:, t], HC[:, t], HP[:, t]
-        dh_new = m * dh
-        carry = (1.0 - m) * dh
-        dz = dh_new * (hc - hp)
-        dhc = dh_new * z
-        dhp = dh_new * (1.0 - z)
-
-        dah = dhc * (1.0 - hc * hc)
-        grads[f"{prefix}.w_h"] += x.T @ dah
-        grads[f"{prefix}.u_h"] += (r * hp).T @ dah
-        grads[f"{prefix}.b_h"] += dah.sum(axis=0)
-        dx = dah @ cell.w_h.T
-        tmp = dah @ cell.u_h.T
-        dr = tmp * hp
-        dhp += tmp * r
-
-        daz = dz * z * (1.0 - z)
-        grads[f"{prefix}.w_z"] += x.T @ daz
-        grads[f"{prefix}.u_z"] += hp.T @ daz
-        grads[f"{prefix}.b_z"] += daz.sum(axis=0)
-        dx += daz @ cell.w_z.T
-        dhp += daz @ cell.u_z.T
-
-        dar = dr * r * (1.0 - r)
-        grads[f"{prefix}.w_r"] += x.T @ dar
-        grads[f"{prefix}.u_r"] += hp.T @ dar
-        grads[f"{prefix}.b_r"] += dar.sum(axis=0)
-        dx += dar @ cell.w_r.T
-        dhp += dar @ cell.u_r.T
-
-        carry = carry + dhp
-        dV[:, t] = dx
-    return dV
+    """Backpropagate through the reverse-time scan. The scan consumed steps
+    T-1..0, so gradients walk 0..T-1, carrying the gradient of each row's
+    previous state. The loop keeps only the two recurrent products; it
+    stores every step's gate pre-activation gradients, and the weight, bias
+    and input gradients are one product each afterwards. Returns the
+    gradient of the cell input."""
+    d_h = cell.u_h.shape[0]
+    z, r = cache.zr[:, :d_h], cache.zr[:, d_h:]
+    # Per-visit factors that do not depend on the carried gradient.
+    to_z = (cache.hc - cache.hp) * z * (1.0 - z)
+    to_h = z * (1.0 - cache.hc * cache.hc)
+    to_r = cache.hp * r * (1.0 - r)
+    keep = 1.0 - z
+    da = np.empty((cache.hc.shape[0], 3 * d_h))  # pre-activation gradients of z, r, h
+    carry = np.zeros((batch.size, d_h))
+    u_zr_t, u_h_t = cell.u_zr.T, cell.u_h.T
+    offsets = batch.offsets.tolist()
+    for t in range(batch.n_steps):
+        lo, hi = offsets[t], offsets[t + 1]
+        dh = dstates[lo:hi] + carry[: hi - lo]
+        np.multiply(dh, to_z[lo:hi], out=da[lo:hi, :d_h])
+        dah = np.multiply(dh, to_h[lo:hi], out=da[lo:hi, 2 * d_h :])
+        d_rhp = dah @ u_h_t
+        np.multiply(d_rhp, to_r[lo:hi], out=da[lo:hi, d_h : 2 * d_h])
+        dh *= keep[lo:hi]
+        d_rhp *= r[lo:hi]
+        dh += d_rhp
+        dh += da[lo:hi, : 2 * d_h] @ u_zr_t
+        carry[: hi - lo] = dh
+    grads.w[...] = V.T @ da
+    grads.b[...] = da.sum(axis=0)
+    grads.u_zr[...] = cache.hp.T @ da[:, : 2 * d_h]
+    grads.u_h[...] = cache.rhp.T @ da[:, 2 * d_h :]
+    return da @ cell.w.T
 
 
 def forward(params: ModelParams, batch: Batch) -> ForwardTrace:
     """Full forward pass over a padded batch."""
-    B, T = batch.mask.shape
-    valid = batch.mask.sum(axis=1)
-    if np.any(valid < 1):
-        bad = int(np.argmin(valid))
-        raise ValueError(f"sequence {bad} has no valid visits")
-    if batch._flat_c.size and (batch._flat_c.max() >= params.dims.vocab_size or batch._flat_c.min() < 0):
-        bad_code = int(batch._flat_c.max() if batch._flat_c.max() >= params.dims.vocab_size else batch._flat_c.min())
-        raise ValueError(f"code index {bad_code} out of range for vocabulary of {params.dims.vocab_size}")
+    if np.any(batch.lengths < 1):
+        raise ValueError(f"sequence {int(np.argmin(batch.lengths))} has no valid visits")
+    counts = batch.count_matrix(params.dims.vocab_size)
+    V = counts @ params.emb
 
-    V = np.zeros((B, T, params.dims.d_emb))
-    if batch._flat_c.size:
-        np.add.at(V, (batch._flat_b, batch._flat_t), params.emb[batch._flat_c])
+    G, alpha_cache = _gru_scan(params.alpha_cell, V, batch)
+    H, beta_cache = _gru_scan(params.beta_cell, V, batch)
 
-    G, alpha_cache = _gru_scan(params.alpha_cell, V, batch.mask)
-    H, beta_cache = _gru_scan(params.beta_cell, V, batch.mask)
-
-    e = G @ params.att_w + params.att_b[0]
-    e_masked = np.where(batch.mask > 0, e, -np.inf)
-    e_max = e_masked.max(axis=1, keepdims=True)
-    ex = np.exp(e_masked - e_max)
+    scores = np.full(batch.mask.shape, -np.inf)
+    scores[batch.rows, batch.times] = G @ params.att_w + params.att_b[0]
+    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = ex / ex.sum(axis=1, keepdims=True)
+    alpha_packed = alpha[batch.rows, batch.times]
 
     beta = np.tanh(H @ params.proj_w.T + params.proj_b)
-    context = np.einsum("bt,btd->bd", alpha, beta * V)
+    context = batch.segments @ (alpha_packed[:, None] * beta * V)
 
     logits = context @ params.out_w.T + params.out_b
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -378,11 +406,14 @@ def forward(params: ModelParams, batch: Batch) -> ForwardTrace:
     probs = pe / pe.sum(axis=1, keepdims=True)
 
     return ForwardTrace(
-        V=V,
-        G=G,
-        H=H,
+        batch=batch,
+        counts=counts,
+        v_packed=V,
+        g_packed=G,
+        h_packed=H,
+        alpha_packed=alpha_packed,
+        beta_packed=beta,
         alpha=alpha,
-        beta=beta,
         context=context,
         logits=logits,
         probs=probs,
@@ -423,8 +454,8 @@ def backward(
     labels: np.ndarray,
     loss_kind: str,
     c: CorruptionMatrix | None = None,
-) -> dict[str, np.ndarray]:
-    """Exact gradient of the mean batch loss for every parameter tensor."""
+) -> ModelParams:
+    """Exact gradient of the mean batch loss, in the layout of ``params``."""
     B = trace.probs.shape[0]
     labels = _check_labels(labels, B)
     rows = np.arange(B)
@@ -449,37 +480,34 @@ def backward(
     d_logits = trace.probs * (d_p - inner)
 
     grads = params.zeros_like_grads()
-    grads["out_w"] += d_logits.T @ trace.context
-    grads["out_b"] += d_logits.sum(axis=0)
-    d_context = d_logits @ params.out_w
+    grads.out_w[...] = d_logits.T @ trace.context
+    grads.out_b[...] = d_logits.sum(axis=0)
+    d_context = (d_logits @ params.out_w)[batch.rows]  # (N, d_emb): each visit's sequence
 
-    weighted = trace.beta * trace.V
-    d_alpha = np.einsum("bd,btd->bt", d_context, weighted)
-    d_beta = trace.alpha[:, :, None] * d_context[:, None, :] * trace.V
-    dV = trace.alpha[:, :, None] * d_context[:, None, :] * trace.beta
+    V, alpha, beta = trace.v_packed, trace.alpha_packed, trace.beta_packed
+    d_alpha = (d_context * beta * V).sum(axis=1)
+    d_context *= alpha[:, None]
+    d_beta = d_context * V
+    dV = d_context * beta
 
-    # masked softmax over visit scores
-    s = (d_alpha * trace.alpha).sum(axis=1, keepdims=True)
-    d_e = trace.alpha * (d_alpha - s)
-    dG = d_e[:, :, None] * params.att_w[None, None, :]
-    grads["att_w"] += np.einsum("bt,btd->d", d_e, trace.G)
-    grads["att_b"] += np.array([d_e.sum()])
+    # softmax over each sequence's visit scores
+    s = batch.segments @ (d_alpha * alpha)
+    d_e = alpha * (d_alpha - s[batch.rows])
+    grads.att_w[...] = d_e @ trace.g_packed
+    grads.att_b[0] = d_e.sum()
 
     # per-dimension gates
-    d_a = d_beta * (1.0 - trace.beta**2)
-    grads["proj_w"] += np.einsum("btd,bth->dh", d_a, trace.H)
-    grads["proj_b"] += d_a.sum(axis=(0, 1))
-    dH = d_a @ params.proj_w
+    d_a = d_beta * (1.0 - beta * beta)
+    grads.proj_w[...] = d_a.T @ trace.h_packed
+    grads.proj_b[...] = d_a.sum(axis=0)
 
-    dV += _gru_backward(params.alpha_cell, trace.V, batch.mask, trace.alpha_cache, dG, "alpha", grads)
-    dV += _gru_backward(params.beta_cell, trace.V, batch.mask, trace.beta_cache, dH, "beta", grads)
+    dV += _gru_backward(params.alpha_cell, grads.alpha_cell, V, batch, trace.alpha_cache, np.outer(d_e, params.att_w))
+    dV += _gru_backward(params.beta_cell, grads.beta_cell, V, batch, trace.beta_cache, d_a @ params.proj_w)
+    grads.emb[...] = trace.counts.T @ dV
 
-    if batch._flat_c.size:
-        np.add.at(grads["emb"], batch._flat_c, dV[batch._flat_b, batch._flat_t])
-
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in tensor {name}")
+    bad = grads.first_non_finite(grads.flat)
+    if bad is not None:
+        raise FloatingPointError(f"non-finite gradient in tensor {bad}")
     return grads
 
 
@@ -494,58 +522,55 @@ def predict_probs(params: ModelParams, seqs: Sequence[Sequence[VisitCodes]], bat
 
 
 def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Versioned container: magic line, JSON dims/tensor header, then raw
-    little-endian float64 dumps in header order. Round-trips bit-exactly."""
-    names = []
-    shapes = []
-    blobs = []
-    for name, tensor in params.named_tensors():
-        names.append(name)
-        shapes.append(list(tensor.shape))
-        blobs.append(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    """Versioned container: magic line, JSON dims/tensor header, then the
+    flat parameter buffer as little-endian float64, which holds the tensors
+    in header order. Round-trips bit-exactly."""
     header = {
         "vocab_size": params.dims.vocab_size,
         "d_emb": params.dims.d_emb,
         "d_h": params.dims.d_h,
-        "tensors": [[n, s] for n, s in zip(names, shapes)],
+        "tensors": [[name, list(tensor.shape)] for name, tensor in params.named_tensors()],
     }
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
         fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:
+    """Read a checkpoint written by ``save_checkpoint``. The header must
+    list exactly the tensors, with exactly the shapes, that its dims imply."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
         if magic != CHECKPOINT_MAGIC:
+            if magic.startswith(CHECKPOINT_FAMILY):
+                raise ValueError(
+                    f"{path}: checkpoint format version {magic[len(CHECKPOINT_FAMILY):]!r} is not "
+                    f"supported; this build reads {CHECKPOINT_MAGIC!r}"
+                )
             raise ValueError(f"{path}: not a recognized checkpoint (magic {magic!r})")
-        header = json.loads(fh.readline().decode("ascii"))
-        dims = NetDims(header["vocab_size"], header["d_emb"], header["d_h"])
-        tensors: dict[str, np.ndarray] = {}
-        for name, shape in header["tensors"]:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
+        try:
+            header = json.loads(fh.readline().decode("ascii"))
+            params = ModelParams(NetDims(header["vocab_size"], header["d_emb"], header["d_h"]))
+            listed = [(str(name), [int(n) for n in shape]) for name, shape in header["tensors"]]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed checkpoint header ({exc})") from None
+        for name, shape in listed:
+            if name not in params:
+                raise ValueError(f"{path}: unexpected tensor {name}")
+            if tuple(shape) != params[name].shape:
+                raise ValueError(
+                    f"{path}: tensor {name} has shape {shape}, expected {list(params[name].shape)}"
+                )
+        missing = [name for name in params if name not in dict(listed)]
+        if missing:
+            raise ValueError(f"{path}: missing tensor {missing[0]}")
+        for name, _ in listed:
+            tensor = params[name]
+            raw = fh.read(tensor.size * 8)
+            if len(raw) != tensor.size * 8:
                 raise ValueError(f"{path}: truncated tensor {name}")
-            tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        trailing = fh.read(1)
-        if trailing:
+            tensor[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
+        if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last tensor")
-
-    def cell(prefix: str) -> GruCellParams:
-        return GruCellParams(*(tensors[f"{prefix}.{f}"] for f in GruCellParams._FIELDS))
-
-    return ModelParams(
-        dims=dims,
-        emb=tensors["emb"],
-        alpha_cell=cell("alpha"),
-        beta_cell=cell("beta"),
-        att_w=tensors["att_w"],
-        att_b=tensors["att_b"],
-        proj_w=tensors["proj_w"],
-        proj_b=tensors["proj_b"],
-        out_w=tensors["out_w"],
-        out_b=tensors["out_b"],
-    )
+    return params

@@ -64,18 +64,6 @@ class RecordFileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DiagnosisCode:
-    code: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if not self.code:
-            raise ValueError("empty diagnosis code string")
-        if self.index < 0:
-            raise ValueError(f"negative vocabulary index for code {self.code!r}")
-
-
 class CodeVocabulary:
     """Immutable code-string <-> index mapping. Index i is line i of the
     vocabulary file."""
@@ -117,9 +105,6 @@ class CodeVocabulary:
 
     def encode(self, codes: Iterable[str]) -> frozenset[int]:
         return frozenset(self.index_of(c) for c in codes)
-
-    def entries(self) -> list[DiagnosisCode]:
-        return [DiagnosisCode(c, i) for i, c in enumerate(self._codes)]
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("".join(c + "\n" for c in self._codes), encoding="utf-8")

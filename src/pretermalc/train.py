@@ -109,47 +109,37 @@ class TrainConfig:
 
 @dataclass
 class OptState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # first moments, in the flat parameter layout
+    v: np.ndarray  # second moments
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptState":
-        return cls(
-            m={name: np.zeros_like(t) for name, t in params.named_tensors()},
-            v={name: np.zeros_like(t) for name, t in params.named_tensors()},
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def optimizer_step(
-    params: ModelParams, grads: dict[str, np.ndarray], state: OptState, config: TrainConfig
-) -> None:
-    """One in-place update. Adam keeps per-tensor first and second moments
-    with bias correction; sgd is the plain scaled step."""
-    lr = config.learning_rate
+def optimizer_step(params: ModelParams, grads: ModelParams, state: OptState, config: TrainConfig) -> None:
+    """One in-place update of the whole flat parameter buffer. Adam keeps
+    per-coordinate first and second moments with bias correction; sgd is
+    the plain scaled step."""
+    g = grads.flat
     if config.optimizer == "sgd":
-        for name, tensor in params.named_tensors():
-            update = lr * grads[name]
-            if not np.all(np.isfinite(update)):
-                raise FloatingPointError(f"non-finite update for tensor {name}")
-            tensor -= update
-        return
-    state.step += 1
-    t = state.step
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    for name, tensor in params.named_tensors():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
+        update = config.learning_rate * g
+    else:
+        state.step += 1
+        t = state.step
+        bc1 = 1.0 - ADAM_BETA1**t
+        bc2 = 1.0 - ADAM_BETA2**t
+        m, v = state.m, state.v
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        update = lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        if not np.all(np.isfinite(update)):
-            raise FloatingPointError(f"non-finite update for tensor {name}")
-        tensor -= update
+        update = config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    bad = params.first_non_finite(update)
+    if bad is not None:
+        raise FloatingPointError(f"non-finite update for tensor {bad}")
+    params.flat -= update
 
 
 @dataclass(frozen=True)

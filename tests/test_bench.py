@@ -1,10 +1,17 @@
 """Repeated benchmark, seed derivation, splits, noise calibration, and the
 SVG report helpers."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import pretermalc
 
 from pretermalc.bench import (
     BenchmarkReport,
@@ -100,12 +107,38 @@ def test_benchmark_report_is_reproducible(corpus):
     assert a.fingerprint == b.fingerprint
 
 
+def test_fingerprint_covers_base_seed_and_corpus_content(corpus):
+    kwargs = dict(methods=[TrainMethod.NOLC_CLEAN], repeats=1, train_config=replace(FAST, n_epochs=1))
+    first = repeated_benchmark(corpus, base_seed=0, **kwargs).fingerprint
+    assert repeated_benchmark(corpus, base_seed=0, **kwargs).fingerprint == first
+    assert repeated_benchmark(corpus, base_seed=1, **kwargs).fingerprint != first
+    reordered = replace(corpus, d_star=corpus.d_star[::-1])
+    assert repeated_benchmark(reordered, base_seed=0, **kwargs).fingerprint != first
+
+
 def test_benchmark_is_independent_of_worker_count(corpus):
     methods = [TrainMethod.ALC, TrainMethod.NOLC_CLEAN]
     serial = repeated_benchmark(corpus, methods=methods, repeats=2, base_seed=4, train_config=FAST, workers=1)
     pooled = repeated_benchmark(corpus, methods=methods, repeats=2, base_seed=4, train_config=FAST, workers=2)
     assert serial.raw_csv() == pooled.raw_csv()
     assert serial.report_csv() == pooled.report_csv()
+
+
+def test_pooled_run_from_an_unguarded_script_fails_instead_of_hanging(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(textwrap.dedent("""
+        from pretermalc.bench import build_corpus, repeated_benchmark
+        from pretermalc.synth import SynthConfig
+        from pretermalc.train import TrainConfig, TrainMethod
+
+        corpus, _, _ = build_corpus(SynthConfig(n_mothers=200, n_hospitals=3, seed=11))
+        repeated_benchmark(corpus, methods=[TrainMethod.NOLC_CLEAN], repeats=2,
+                           train_config=TrainConfig(n_epochs=1), workers=2)
+    """))
+    env = {**os.environ, "PYTHONPATH": str(Path(pretermalc.__file__).parents[1])}
+    done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode != 0
+    assert "__main__" in done.stderr
 
 
 def test_single_repeat_reports_zero_spread(corpus):

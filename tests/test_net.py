@@ -1,10 +1,13 @@
 """Attention-based visit-sequence classifier: forward pass, losses,
 reverse-mode gradients, and checkpoint persistence."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import max_gradient_rel_error, random_small_setup, reference_matrix
 from pretermalc.net import (
@@ -15,7 +18,6 @@ from pretermalc.net import (
     Batch,
     NetDims,
     backward,
-    embed_visit,
     forward,
     init_params,
     load_checkpoint,
@@ -48,26 +50,22 @@ def confident_params(dims=TINY):
 # --- visit embedding ----------------------------------------------------------
 
 
-def test_embed_visit_empty_is_zero_vector():
+def test_forward_embeds_empty_visit_as_zero_vector():
     params = init_params(TINY, seed=3)
-    assert np.array_equal(embed_visit(params, ()), np.zeros(TINY.d_emb))
+    trace = forward(params, Batch.from_sequences([[(), (7,)]]))
+    assert np.array_equal(trace.V[0, 0], np.zeros(TINY.d_emb))
 
 
-def test_embed_visit_single_code_is_its_row():
+def test_forward_embeds_single_code_as_its_row():
     params = init_params(TINY, seed=3)
-    assert np.array_equal(embed_visit(params, (7,)), params.emb[7])
+    trace = forward(params, Batch.from_sequences([[(7,)]]))
+    assert np.array_equal(trace.V[0, 0], params.emb[7])
 
 
-def test_embed_visit_sums_code_rows():
+def test_forward_embeds_visit_as_sum_of_code_rows():
     params = init_params(TINY, seed=3)
-    got = embed_visit(params, (2, 7))
-    assert np.array_equal(got, params.emb[2] + params.emb[7])
-
-
-def test_embed_visit_rejects_out_of_range_code():
-    params = init_params(TINY, seed=3)
-    with pytest.raises(ValueError, match="out of range"):
-        embed_visit(params, (TINY.vocab_size,))
+    trace = forward(params, Batch.from_sequences([[(2, 7)]]))
+    assert np.array_equal(trace.V[0, 0], params.emb[2] + params.emb[7])
 
 
 def test_sequence_of_orders_codes_within_visit():
@@ -95,6 +93,14 @@ def test_batch_pads_to_longest_sequence():
     assert batch.n_steps == 2
     assert batch.codes[1] == [(3,), ()]
     assert np.array_equal(batch.mask, [[1.0, 1.0], [1.0, 0.0]])
+
+
+def test_batch_rejects_mask_row_that_is_not_a_prefix_of_ones():
+    codes = [[(1,), (2,), (3,)], [(4,), (), (5,)]]
+    with pytest.raises(ValueError, match="mask row 1 is not a prefix of ones"):
+        Batch(codes=codes, mask=np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+    with pytest.raises(ValueError, match="mask row 0 is not a prefix of ones"):
+        Batch(codes=codes, mask=np.array([[1.0, 0.5, 0.0], [1.0, 0.0, 0.0]]))
 
 
 # --- forward pass -------------------------------------------------------------
@@ -235,6 +241,21 @@ def test_gradients_match_central_differences(seed):
     assert max_gradient_rel_error(params, batch, labels, CORRECTED, c=reference_matrix()) < 1e-4
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_permuting_batch_rows_permutes_outputs_and_keeps_gradients(seed):
+    params, batch, labels = random_small_setup(seed)
+    perm = np.random.default_rng(seed).permutation(batch.size)
+    shuffled = Batch(codes=[batch.codes[i] for i in perm], mask=batch.mask[perm])
+    t_plain, t_shuffled = forward(params, batch), forward(params, shuffled)
+    assert np.max(np.abs(t_shuffled.probs - t_plain.probs[perm])) < 1e-12
+    assert np.max(np.abs(t_shuffled.alpha - t_plain.alpha[perm])) < 1e-12
+    c = reference_matrix()
+    g_plain = backward(params, batch, t_plain, labels, CORRECTED, c)
+    g_shuffled = backward(params, shuffled, t_shuffled, labels[perm], CORRECTED, c)
+    assert np.max(np.abs(g_plain.flat - g_shuffled.flat)) < 1e-12
+
+
 def test_unused_embedding_rows_get_zero_gradient():
     params = init_params(TINY, seed=7)
     batch = Batch.from_sequences([[(0,), (1,)], [(1,)]])
@@ -267,7 +288,7 @@ def test_init_is_seed_deterministic():
 def test_init_zero_biases_and_weight_bounds():
     params = init_params(TINY, seed=9)
     for name, tensor in params.named_tensors():
-        if name.endswith(("b_z", "b_r", "b_h", "att_b", "proj_b", "out_b")):
+        if name.endswith((".b", "att_b", "proj_b", "out_b")):
             assert np.all(tensor == 0.0), name
     bound = math.sqrt(6.0 / (TINY.vocab_size + TINY.d_emb))
     assert np.max(np.abs(params.emb)) <= bound
@@ -325,3 +346,42 @@ def test_checkpoint_starts_with_named_version_line(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(params, path)
     assert path.read_bytes().split(b"\n", 1)[0].decode("ascii") == CHECKPOINT_MAGIC
+
+
+def _rewrite_header(path, edit):
+    magic, line, body = path.read_bytes().split(b"\n", 2)
+    header = json.loads(line)
+    edit(header)
+    path.write_bytes(magic + b"\n" + json.dumps(header).encode("ascii") + b"\n" + body)
+
+
+def test_checkpoint_rejects_format_version_1(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY, seed=1), path)
+    path.write_bytes(path.read_bytes().replace(CHECKPOINT_MAGIC.encode("ascii"), b"pretermalc-checkpoint 1", 1))
+    with pytest.raises(ValueError, match=r"model\.ckpt: checkpoint format version '1' is not supported"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_missing_tensor(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY, seed=1), path)
+    _rewrite_header(path, lambda h: h["tensors"].pop(3))
+    with pytest.raises(ValueError, match=r"model\.ckpt: missing tensor alpha\.u_h"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_extra_tensor(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY, seed=1), path)
+    _rewrite_header(path, lambda h: h["tensors"].append(["alpha.w_z", [8, 8]]))
+    with pytest.raises(ValueError, match=r"model\.ckpt: unexpected tensor alpha\.w_z"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_misshapen_tensor(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY, seed=1), path)
+    _rewrite_header(path, lambda h: h["tensors"][1].__setitem__(1, [8, 8]))
+    with pytest.raises(ValueError, match=r"model\.ckpt: tensor alpha\.w has shape \[8, 8\], expected \[8, 24\]"):
+        load_checkpoint(path)

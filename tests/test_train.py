@@ -123,7 +123,9 @@ def test_adam_matches_reference_formula():
     state = OptState.for_params(params)
     rng = np.random.default_rng(7)
     for step in range(1, 4):
-        grads = {name: rng.normal(size=t.shape) for name, t in reference.items()}
+        grads = params.zeros_like_grads()
+        for g in grads.values():
+            g[...] = rng.normal(size=g.shape)
         optimizer_step(params, grads, state, config)
         for name, g in grads.items():
             m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
@@ -139,7 +141,9 @@ def test_adam_first_step_size_is_bounded_by_learning_rate():
     params = init_params(TINY, seed=3)
     before = params.copy()
     rng = np.random.default_rng(8)
-    grads = {name: rng.normal(scale=100.0, size=t.shape) for name, t in params.named_tensors()}
+    grads = params.zeros_like_grads()
+    for g in grads.values():
+        g[...] = rng.normal(scale=100.0, size=g.shape)
     config = TrainConfig(optimizer="adam", learning_rate=1e-3)
     optimizer_step(params, grads, OptState.for_params(params), config)
     for name, tensor in params.named_tensors():
