@@ -145,6 +145,22 @@ class MethodSummary:
     prauc_std: float
 
 
+def summarize(rows: Iterable[RepeatRow]) -> dict[str, MethodSummary]:
+    """Mean and population std (a single repeat reports 0) of the test AUC
+    and PR-AUC of each method, in the order the methods first appear."""
+    by_method: dict[str, list[RepeatRow]] = {}
+    for row in rows:
+        by_method.setdefault(row.method, []).append(row)
+    summaries = {}
+    for method, m_rows in by_method.items():
+        aucs = np.array([row.auc for row in m_rows])
+        prs = np.array([row.pr_auc for row in m_rows])
+        summaries[method] = MethodSummary(
+            float(aucs.mean()), float(aucs.std()), float(prs.mean()), float(prs.std())
+        )
+    return summaries
+
+
 @dataclass
 class BenchmarkReport:
     methods: list[str]
@@ -336,17 +352,6 @@ def repeated_benchmark(
             per_method_curves[name].append(c)
 
     rows.sort(key=lambda row: (methods.index(TrainMethod(row.method)), row.repeat))
-    summaries: dict[str, MethodSummary] = {}
-    for m in methods:
-        m_rows = [row for row in rows if row.method == m.value]
-        aucs = np.array([row.auc for row in m_rows])
-        prs = np.array([row.pr_auc for row in m_rows])
-        summaries[m.value] = MethodSummary(
-            auc_mean=float(aucs.mean()),
-            auc_std=float(aucs.std()),  # population std: a single repeat reports 0
-            prauc_mean=float(prs.mean()),
-            prauc_std=float(prs.std()),
-        )
 
     curves: dict[str, dict[str, np.ndarray]] = {}
     if collect_curves:
@@ -362,7 +367,7 @@ def repeated_benchmark(
         methods=[m.value for m in methods],
         repeats=repeats,
         rows=rows,
-        summaries=summaries,
+        summaries=summarize(rows),
         fingerprint=_fingerprint(corpus, methods, repeats, split_fractions, base_config, base_seed),
         curves=curves,
     )

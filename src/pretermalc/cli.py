@@ -13,21 +13,22 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import __version__
 from .bench import (
     BenchmarkReport,
     Corpus,
-    build_corpus,
+    RepeatRow,
     calibrate_noise,
     curve_svg,
     derive_seed,
     repeated_benchmark,
+    summarize,
     summary_svg,
 )
-from .linkage import link_accuracy, load_links, match_newborns, save_links
+from .linkage import link_accuracy, match_newborns, save_links
 from .net import CHECKPOINT_MAGIC, NetDims, init_params, save_checkpoint
 from .noise import estimate_corruption_matrix, load_matrix_csv, save_matrix_csv
 from .records import CodeVocabulary, load_examples, load_records, save_examples, save_records
@@ -44,6 +45,11 @@ from .train import TrainConfig, TrainMethod, save_loss_log, train
 
 CONFIG_SCHEMA_VERSION = 1
 
+# Keys of the config file's train section. Each repeat of a benchmark sets
+# the method and the seed of its own training runs.
+TRAIN_KEYS = ("n_epochs", "batch_size", "learning_rate", "optimizer")
+BENCHMARK_KEYS = ("repeats", "methods", "base_seed")
+
 
 class PipelineStageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
@@ -52,20 +58,80 @@ class PipelineStageError(RuntimeError):
         self.cause = cause
 
 
-# --- config file --------------------------------------------------------------
+# --- run settings --------------------------------------------------------------
 
 
-def _from_mapping(cls, data: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+def _check_keys(data, known, where: str) -> None:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where}: expected an object, got {data!r}")
+    unknown = sorted(set(data) - set(known))
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
-    return data
+        raise ConfigError(f"{where}: unknown key(s) {unknown}")
+
+
+def _typed(value, expected: type, where: str):
+    """`value` if it has type `expected`; an int also stands for a float."""
+    if expected is float and type(value) is int:
+        return float(value)
+    if type(value) is not expected:
+        raise ConfigError(f"{where}: expected {expected.__name__}, got {value!r}")
+    return value
+
+
+def _build(cls, data, where: str, keys=None):
+    """Dataclass `cls` from its defaults and the config values in `data`,
+    restricted to `keys` if given. Each value must have the type of its
+    field's default; a field whose default is a dataclass takes an object."""
+    fields = {f.name: f for f in dataclasses.fields(cls) if keys is None or f.name in keys}
+    _check_keys(data, fields, where)
+    values = {}
+    for key, value in data.items():
+        f = fields[key]
+        if f.default is dataclasses.MISSING:
+            values[key] = _build(f.default_factory, value, f"{where}.{key}")
+        else:
+            values[key] = _typed(value, type(f.default), f"{where}.{key}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _positive(value: int, where: str) -> int:
+    if value < 1:
+        raise ConfigError(f"{where} must be >= 1, got {value}")
+    return value
+
+
+def _methods(names: list[str], where: str) -> tuple[TrainMethod, ...]:
+    valid = {m.value: m for m in TrainMethod}
+    for name in names:
+        if name not in valid:
+            raise ConfigError(f"{where}: unknown method {name!r}; valid: {', '.join(valid)}")
+    if not names:
+        raise ConfigError(f"{where}: no methods given")
+    return tuple(valid[name] for name in names)
+
+
+def _benchmark_section(data, where: str) -> dict:
+    _check_keys(data, BENCHMARK_KEYS, where)
+    out = {key: _typed(data[key], int, f"{where}.{key}") for key in ("repeats", "base_seed") if key in data}
+    if "repeats" in out:
+        _positive(out["repeats"], f"{where}.repeats")
+    if "methods" in data:
+        names = data["methods"]
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise ConfigError(f"{where}.methods: expected a list of method names, got {names!r}")
+        out["methods"] = _methods(names, f"{where}.methods")
+    return out
 
 
 def load_run_config(path: str | Path) -> dict:
-    """JSON config with a checked version tag and strict key validation.
-    Returns {'synth': SynthConfig, 'train': dict, 'benchmark': dict}."""
+    """JSON config with a checked version tag, keys and value types.
+    Returns {'synth': SynthConfig, 'train': TrainConfig, 'benchmark': dict}:
+    the two dataclasses hold their defaults overlaid with the file's values,
+    the dict holds the benchmark keys the file sets. Any fault raises
+    ConfigError naming the file and the section and key."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -79,102 +145,73 @@ def load_run_config(path: str | Path) -> dict:
     unknown = set(data) - known_sections
     if unknown:
         raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
-
-    synth_data = dict(data.get("synth", {}))
-    noise_data = synth_data.pop("clerical_noise", None)
-    _from_mapping(SynthConfig, synth_data, f"{path}: synth")
-    if noise_data is not None:
-        _from_mapping(ClericalNoiseModel, noise_data, f"{path}: synth.clerical_noise")
-        synth_data["clerical_noise"] = ClericalNoiseModel(**noise_data)
-    synth = SynthConfig(**synth_data)
-
-    train_data = dict(data.get("train", {}))
-    _from_mapping(TrainConfig, train_data, f"{path}: train")
-    bench_data = dict(data.get("benchmark", {}))
-    for key in bench_data:
-        if key not in ("repeats", "split_fractions", "methods", "base_seed"):
-            raise ConfigError(f"{path}: benchmark: unknown key {key!r}")
-    return {"synth": synth, "train": train_data, "benchmark": bench_data}
+    return {
+        "synth": _build(SynthConfig, data.get("synth", {}), f"{path}: synth"),
+        "train": _build(TrainConfig, data.get("train", {}), f"{path}: train", TRAIN_KEYS),
+        "benchmark": _benchmark_section(data.get("benchmark", {}), f"{path}: benchmark"),
+    }
 
 
-_SYNTH_FLAG_FIELDS = {
-    "seed": "seed",
-    "mothers": "n_mothers",
-    "hospitals": "n_hospitals",
-    "preterm_prevalence": "preterm_prevalence",
-    "vocab_size": "vocab_size",
-    "risk_codes": "n_risk_codes",
-    "risk_lift": "risk_lift",
-    "visits_per_mother": "visits_per_mother",
-    "history_span_days": "history_span_days",
-    "prediction_period_days": "prediction_period_days",
-    "clean_code_rate": "clean_code_rate",
-    "newborn_coded_rate": "newborn_coded_rate",
-}
-_NOISE_FLAG_FIELDS = {
-    "time_jitter_sd": "time_jitter_sd",
-    "missing_newborn_rate": "missing_newborn_rate",
-    "swap_window_minutes": "swap_window_minutes",
-    "misclassified_newborn_rate": "misclassified_newborn_rate",
-}
+def _flag_fields(cls) -> dict:
+    """Name and default of each field of config dataclass `cls` that has a
+    flag: those with a plain default."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+def _flags(args: argparse.Namespace, names) -> dict:
+    """The flags among argparse destinations `names` that were given."""
+    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
 
 
 def add_synth_flags(parser: argparse.ArgumentParser) -> None:
+    """--config, then one flag per SynthConfig and ClericalNoiseModel field:
+    the field name without a leading 'n_', dashed, typed as its default."""
     parser.add_argument("--config", type=Path, help="JSON run config (flags override it)")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--mothers", type=int)
-    parser.add_argument("--hospitals", type=int)
-    parser.add_argument("--preterm-prevalence", type=float)
-    parser.add_argument("--vocab-size", type=int)
-    parser.add_argument("--risk-codes", type=int)
-    parser.add_argument("--risk-lift", type=float)
-    parser.add_argument("--visits-per-mother", type=float)
-    parser.add_argument("--history-span-days", type=int)
-    parser.add_argument("--prediction-period-days", type=int)
-    parser.add_argument("--clean-code-rate", type=float)
-    parser.add_argument("--newborn-coded-rate", type=float)
-    parser.add_argument("--time-jitter-sd", type=float)
-    parser.add_argument("--missing-newborn-rate", type=float)
-    parser.add_argument("--swap-window-minutes", type=int)
-    parser.add_argument("--misclassified-newborn-rate", type=float)
+    for cls in (SynthConfig, ClericalNoiseModel):
+        for name, default in _flag_fields(cls).items():
+            flag = name.removeprefix("n_").replace("_", "-")
+            parser.add_argument(f"--{flag}", dest=name, type=type(default))
 
 
-def resolve_synth_config(args: argparse.Namespace) -> SynthConfig:
-    base = SynthConfig()
-    run_cfg = None
-    if getattr(args, "config", None):
+def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--epochs", dest="n_epochs", type=int)
+    parser.add_argument("--batch-size", type=int)
+    parser.add_argument("--lr", dest="learning_rate", type=float)
+    parser.add_argument("--optimizer", choices=["adam", "sgd"])
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    synth: SynthConfig
+    train: TrainConfig
+    benchmark: dict  # repeated_benchmark keywords: base_seed, and repeats and methods where set
+
+
+def resolve_run_settings(args: argparse.Namespace) -> RunSettings:
+    """The settings of a synth, benchmark or pipeline run. Each value is the
+    dataclass (or repeated_benchmark) default, overridden by the --config
+    file, overridden by a flag. base_seed defaults to the synth seed."""
+    if args.config:
         run_cfg = load_run_config(args.config)
-        base = run_cfg["synth"]
-    overrides = {}
-    for flag, fieldname in _SYNTH_FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[fieldname] = value
-    noise_overrides = {}
-    for flag, fieldname in _NOISE_FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            noise_overrides[fieldname] = value
-    if noise_overrides:
-        overrides["clerical_noise"] = replace(base.clerical_noise, **noise_overrides)
-    return replace(base, **overrides) if overrides else base
-
-
-def _parse_methods(spec: str) -> list[TrainMethod]:
-    out = []
-    valid = {m.value: m for m in TrainMethod}
-    for name in spec.split(","):
-        name = name.strip()
-        if name not in valid:
-            raise ConfigError(f"unknown method {name!r}; valid: {', '.join(valid)}")
-        out.append(valid[name])
-    return out
+    else:
+        run_cfg = {"synth": SynthConfig(), "train": TrainConfig(), "benchmark": {}}
+    synth = run_cfg["synth"]
+    noise = replace(synth.clerical_noise, **_flags(args, _flag_fields(ClericalNoiseModel)))
+    synth = replace(synth, clerical_noise=noise, **_flags(args, _flag_fields(SynthConfig)))
+    try:
+        train_config = replace(run_cfg["train"], **_flags(args, TRAIN_KEYS))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    bench = {"base_seed": synth.seed, **run_cfg["benchmark"]}
+    if getattr(args, "repeats", None) is not None:
+        bench["repeats"] = _positive(args.repeats, "--repeats")
+    if getattr(args, "methods", None) is not None:
+        bench["methods"] = _methods([name.strip() for name in args.methods.split(",")], "--methods")
+    return RunSettings(synth, train_config, bench)
 
 
 def _threads(value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"--threads must be >= 1, got {value}")
-    return min(value, os.cpu_count() or 1)
+    return min(_positive(value, "--threads"), os.cpu_count() or 1)
 
 
 # --- output helpers ------------------------------------------------------------
@@ -215,7 +252,7 @@ def _write_report_files(report: BenchmarkReport, out_dir: Path, curves: bool) ->
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = resolve_synth_config(args)
+    config = resolve_run_settings(args).synth
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = generate_cohort(config)
@@ -266,52 +303,43 @@ def cmd_train(args: argparse.Namespace) -> int:
     d_star = load_examples(args.clean, vocab) if args.clean else []
     d_tilde = load_examples(args.noisy, vocab) if args.noisy else []
     c = load_matrix_csv(args.c_matrix) if args.c_matrix else None
-    method = TrainMethod(args.method)
+    overrides = _flags(args, (*TRAIN_KEYS, "seed"))
+    if args.method is not None:
+        overrides["method"] = TrainMethod(args.method)
     try:
-        config = TrainConfig(
-            method=method,
-            n_epochs=args.epochs,
-            batch_size=args.batch_size,
-            learning_rate=args.lr,
-            optimizer=args.optimizer,
-            seed=args.seed,
-        )
-        dims = NetDims(vocab_size=len(vocab), d_emb=args.d_emb, d_h=args.d_h)
+        config = TrainConfig(**overrides)
+        dims = NetDims(vocab_size=len(vocab), **_flags(args, ("d_emb", "d_h")))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    params = init_params(dims, derive_seed(args.seed, "init"))
+    params = init_params(dims, derive_seed(config.seed, "init"))
     model, log = train(params, d_star, d_tilde, c, config)
     save_checkpoint(model, args.out_checkpoint)
     if args.out_log:
         save_loss_log(log, args.out_log)
-    print(f"trained {method.value} for {config.n_epochs} epochs -> {args.out_checkpoint}")
+    print(f"trained {config.method.value} for {config.n_epochs} epochs -> {args.out_checkpoint}")
     print(f"final epoch loss: {log[-1].mean_loss:.6f} ({log[-1].dataset}, {log[-1].loss_kind})")
     return 0
 
 
-def cmd_benchmark(args: argparse.Namespace) -> int:
-    synth_config = resolve_synth_config(args)
-    corpus = Corpus.from_files(args.clean, args.noisy, args.vocab, synth_config)
-    try:
-        train_config = TrainConfig(
-            n_epochs=args.epochs, batch_size=args.batch_size,
-            learning_rate=args.lr, optimizer=args.optimizer,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _benchmark(
+    corpus: Corpus, settings: RunSettings, workers: int, curves: bool, out_dir: Path
+) -> BenchmarkReport:
+    """Run the repeated benchmark, write its report files and print its summary."""
     report = repeated_benchmark(
-        corpus,
-        methods=_parse_methods(args.methods),
-        repeats=args.repeats,
-        base_seed=args.seed if args.seed is not None else 0,
-        train_config=train_config,
-        workers=_threads(args.threads),
-        collect_curves=args.curves,
+        corpus, train_config=settings.train, workers=workers, collect_curves=curves, **settings.benchmark
     )
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report_files(report, out_dir, args.curves)
+    _write_report_files(report, out_dir, curves)
     print(format_summary_table(report.methods, report.summaries))
+    return report
+
+
+def cmd_benchmark(args: argparse.Namespace) -> int:
+    settings = resolve_run_settings(args)
+    workers = _threads(args.threads)
+    corpus = Corpus.from_files(args.clean, args.noisy, args.vocab, settings.synth)
+    out_dir = Path(args.out)
+    report = _benchmark(corpus, settings, workers, args.curves, out_dir)
     print(f"report -> {out_dir / 'report.csv'} (fingerprint {report.fingerprint})")
     return 0
 
@@ -325,13 +353,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except Exception as exc:
             raise PipelineStageError(name, exc) from exc
 
-    config = stage("config", lambda: resolve_synth_config(args))
-    run_cfg = load_run_config(args.config) if args.config else None
+    settings = stage("config", lambda: resolve_run_settings(args))
+    workers = _threads(args.threads)
+    config = settings.synth
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if not args.no_calibrate:
-        noise = stage("calibrate", lambda: calibrate_noise(args.target_accuracy, config))
+        noise = stage("calibrate", lambda: calibrate_noise(config=config, **_flags(args, ["target"])))
         config = replace(config, clerical_noise=noise)
         print(f"calibrated misclassified_newborn_rate={noise.misclassified_newborn_rate:.6f}")
 
@@ -359,42 +388,17 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     save_matrix_csv(c, out_dir / "c_matrix.csv")
 
     corpus = Corpus(cohort.vocab, tuple(d_star), tuple(d_tilde), tuple(d_prime), config)
-    train_kwargs = dict(run_cfg["train"]) if run_cfg else {}
-    if args.epochs is not None:
-        train_kwargs["n_epochs"] = args.epochs
-    try:
-        train_config = TrainConfig(**train_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train config: {exc}") from None
-    bench_kwargs = dict(run_cfg["benchmark"]) if run_cfg else {}
-    repeats = args.repeats if args.repeats is not None else bench_kwargs.get("repeats", 20)
-    methods = _parse_methods(args.methods) if args.methods else [
-        TrainMethod(v) for v in bench_kwargs.get("methods", [m.value for m in TrainMethod])
-    ]
-    base_seed = bench_kwargs.get("base_seed", config.seed)
-    report = stage(
-        "benchmark",
-        lambda: repeated_benchmark(
-            corpus,
-            methods=methods,
-            repeats=repeats,
-            base_seed=base_seed,
-            train_config=train_config,
-            workers=_threads(args.threads),
-            collect_curves=args.curves,
-        ),
-    )
-    _write_report_files(report, out_dir, args.curves)
-    print(format_summary_table(report.methods, report.summaries))
+    stage("benchmark", lambda: _benchmark(corpus, settings, workers, args.curves, out_dir))
     print(f"pipeline complete -> {out_dir}")
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    columns = [f.name for f in dataclasses.fields(RepeatRow)]
     rows = []
     with open(args.raw, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        if header[:4] != ["method", "repeat", "auc", "pr_auc"]:
+        if header != columns:
             raise ValueError(f"{args.raw}: unexpected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -403,27 +407,14 @@ def cmd_report(args: argparse.Namespace) -> int:
             if len(parts) != len(header):
                 raise ValueError(f"{args.raw}: row {lineno}: expected {len(header)} fields")
             try:
-                rows.append((parts[0], int(parts[1]), float(parts[2]), float(parts[3])))
+                rows.append(RepeatRow(parts[0], int(parts[1]), *map(float, parts[2:])))
             except ValueError:
                 raise ValueError(f"{args.raw}: row {lineno}: malformed numeric field") from None
     if not rows:
         raise ValueError(f"{args.raw}: no data rows")
 
-    methods = []
-    for method, _, _, _ in rows:
-        if method not in methods:
-            methods.append(method)
-    import numpy as np
-
-    from .bench import MethodSummary
-
-    summaries = {}
-    for m in methods:
-        aucs = np.array([r[2] for r in rows if r[0] == m])
-        prs = np.array([r[3] for r in rows if r[0] == m])
-        summaries[m] = MethodSummary(
-            float(aucs.mean()), float(aucs.std()), float(prs.mean()), float(prs.std())
-        )
+    summaries = summarize(rows)
+    methods = list(summaries)
     print(format_summary_table(methods, summaries))
     if args.out:
         out_dir = Path(args.out)
@@ -483,15 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", help="clean-labeled examples (JSONL)")
     p.add_argument("--noisy", help="noisy-labeled examples (JSONL)")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--method", default="ALC", choices=[m.value for m in TrainMethod])
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--optimizer", default="adam", choices=["adam", "sgd"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--method", choices=[m.value for m in TrainMethod])
+    _add_train_flags(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--c-matrix", help="corruption matrix CSV (needed for corrected loss)")
-    p.add_argument("--d-emb", type=int, default=64)
-    p.add_argument("--d-h", type=int, default=64)
+    p.add_argument("--d-emb", type=int)
+    p.add_argument("--d-h", type=int)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-log", help="per-epoch loss CSV")
     p.set_defaults(func=cmd_train)
@@ -501,12 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", required=True)
     p.add_argument("--noisy", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--methods", default=",".join(m.value for m in TrainMethod))
-    p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--optimizer", default="adam", choices=["adam", "sgd"])
+    p.add_argument("--methods")
+    p.add_argument("--repeats", type=int)
+    _add_train_flags(p)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--curves", action="store_true", help="write mean ROC/PR SVGs per method")
     p.add_argument("--out", required=True)
@@ -516,12 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_synth_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--repeats", type=int)
-    p.add_argument("--epochs", type=int)
+    p.add_argument("--epochs", dest="n_epochs", type=int)
     p.add_argument("--methods")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--curves", action="store_true")
     p.add_argument("--no-calibrate", action="store_true", help="skip noise calibration")
-    p.add_argument("--target-accuracy", type=float, default=0.72)
+    p.add_argument("--target-accuracy", dest="target", type=float)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("report", help="summarize a per-repeat raw CSV")

@@ -1,6 +1,7 @@
-"""Ranking metrics computed directly from scores: AUC via the rank-sum
-statistic with half credit for ties, and PR-AUC as average precision with
-tied scores collapsed into one threshold step.
+"""Ranking metrics computed directly from scores: AUC as the pair count
+of the rank-sum statistic with half credit for ties, and PR-AUC as average
+precision with tied scores collapsed into one threshold step. All of them
+read one sweep over the distinct thresholds.
 
 The positive class throughout is preterm; scores are predicted preterm
 probabilities (any monotone transform gives identical AUC).
@@ -35,20 +36,15 @@ def _require_both_classes(pos: np.ndarray) -> tuple[int, int]:
     return n_pos, n_neg
 
 
-def _midranks(s: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the average rank of their block."""
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        # positions i..j (0-based) share ranks i+1..j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _sweep(s: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative true- and false-positive counts (int64) at each distinct
+    threshold, scores descending: entry k counts every example scoring at
+    least the k-th highest distinct score."""
+    order = np.argsort(-s, kind="stable")
+    s_desc = s[order]
+    last = np.append(np.flatnonzero(s_desc[1:] != s_desc[:-1]), s.size - 1)
+    tp = np.cumsum(pos[order], dtype=np.int64)[last]
+    return tp, last + 1 - tp
 
 
 def auc(scores: Sequence[float], labels: Sequence[Label]) -> float:
@@ -56,9 +52,12 @@ def auc(scores: Sequence[float], labels: Sequence[Label]) -> float:
     one half. Equals exhaustive pair counting."""
     s, pos = _as_arrays(scores, labels)
     n_pos, n_neg = _require_both_classes(pos)
-    ranks = _midranks(s)
-    rank_sum = float(ranks[pos].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    tp, fp = _sweep(s, pos)
+    # Each positive at a threshold counts the negatives below it, plus half
+    # of those tied with it: twice the pair count is an integer.
+    fp_before = np.append(0, fp[:-1])
+    twice_pairs = int(np.dot(np.diff(tp, prepend=0), 2 * n_neg - fp - fp_before))
+    return twice_pairs / (2 * n_pos * n_neg)
 
 
 def _require_positives(pos: np.ndarray) -> int:
@@ -73,26 +72,10 @@ def pr_auc(scores: Sequence[float], labels: Sequence[Label]) -> float:
     precision * recall increment."""
     s, pos = _as_arrays(scores, labels)
     n_pos = _require_positives(pos)
-    order = np.argsort(-s, kind="stable")
-    s_desc = s[order]
-    pos_desc = pos[order]
-    tp = 0
-    seen = 0
-    prev_tp = 0
-    total = 0.0  # sum of precision * true-positive increment; divide once
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j + 1 < n and s_desc[j + 1] == s_desc[i]:
-            j += 1
-        tp += int(pos_desc[i : j + 1].sum())
-        seen += j - i + 1
-        if tp > prev_tp:
-            total += (tp / seen) * (tp - prev_tp)
-            prev_tp = tp
-        i = j + 1
-    return total / n_pos
+    tp, fp = _sweep(s, pos)
+    # Summed left to right, in threshold order, then divided once.
+    total = np.cumsum(tp / (tp + fp) * np.diff(tp, prepend=0))[-1]
+    return float(total) / n_pos
 
 
 def roc_points(scores: Sequence[float], labels: Sequence[Label]) -> tuple[np.ndarray, np.ndarray]:
@@ -100,50 +83,16 @@ def roc_points(scores: Sequence[float], labels: Sequence[Label]) -> tuple[np.nda
     starting at (0, 0) and ending at (1, 1)."""
     s, pos = _as_arrays(scores, labels)
     n_pos, n_neg = _require_both_classes(pos)
-    order = np.argsort(-s, kind="stable")
-    s_desc = s[order]
-    pos_desc = pos[order]
-    fpr = [0.0]
-    tpr = [0.0]
-    tp = fp = 0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j + 1 < n and s_desc[j + 1] == s_desc[i]:
-            j += 1
-        block_pos = int(pos_desc[i : j + 1].sum())
-        tp += block_pos
-        fp += (j - i + 1) - block_pos
-        fpr.append(fp / n_neg)
-        tpr.append(tp / n_pos)
-        i = j + 1
-    return np.array(fpr), np.array(tpr)
+    tp, fp = _sweep(s, pos)
+    return np.append(0.0, fp / n_neg), np.append(0.0, tp / n_pos)
 
 
 def pr_points(scores: Sequence[float], labels: Sequence[Label]) -> tuple[np.ndarray, np.ndarray]:
     """Precision-recall vertices per distinct threshold, recall ascending."""
     s, pos = _as_arrays(scores, labels)
     n_pos = _require_positives(pos)
-    order = np.argsort(-s, kind="stable")
-    s_desc = s[order]
-    pos_desc = pos[order]
-    recall = []
-    precision = []
-    tp = 0
-    seen = 0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j + 1 < n and s_desc[j + 1] == s_desc[i]:
-            j += 1
-        tp += int(pos_desc[i : j + 1].sum())
-        seen += j - i + 1
-        recall.append(tp / n_pos)
-        precision.append(tp / seen)
-        i = j + 1
-    return np.array(recall), np.array(precision)
+    tp, fp = _sweep(s, pos)
+    return tp / n_pos, tp / (tp + fp)
 
 
 def interp_roc(fpr: np.ndarray, tpr: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -153,9 +102,9 @@ def interp_roc(fpr: np.ndarray, tpr: np.ndarray, grid: np.ndarray) -> np.ndarray
 
 def interp_pr(recall: np.ndarray, precision: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Precision sampled at fixed recall grid points (step-wise from the
-    right, matching the average-precision convention)."""
-    out = np.empty(grid.size, dtype=np.float64)
-    for k, r in enumerate(grid):
-        mask = recall >= r
-        out[k] = float(precision[mask].max()) if mask.any() else float(precision[-1])
-    return out
+    right, matching the average-precision convention): the highest
+    precision at any recall >= r, or the last precision past the end.
+    ``recall`` must be ascending, as ``pr_points`` returns it."""
+    best_from = np.maximum.accumulate(precision[::-1])[::-1]
+    first = np.searchsorted(recall, grid, side="left")
+    return np.append(best_from, precision[-1])[first]

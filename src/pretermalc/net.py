@@ -185,8 +185,6 @@ class Batch:
 
     codes: list  # list[list[VisitCodes]], every inner list has length T
     mask: np.ndarray  # (B, T) float64
-    clean: np.ndarray | None = None  # (B,) int64, -1 where absent
-    noisy: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.mask = np.asarray(self.mask, dtype=np.float64)
@@ -238,12 +236,7 @@ class Batch:
         return counts.reshape(n, vocab_size).astype(np.float64)
 
     @classmethod
-    def from_sequences(
-        cls,
-        seqs: Sequence[Sequence[VisitCodes]],
-        clean: Sequence[int] | None = None,
-        noisy: Sequence[int] | None = None,
-    ) -> "Batch":
+    def from_sequences(cls, seqs: Sequence[Sequence[VisitCodes]]) -> "Batch":
         if not seqs:
             raise ValueError("empty batch")
         t_max = max(len(s) for s in seqs)
@@ -253,19 +246,7 @@ class Batch:
         mask = np.zeros((len(seqs), t_max))
         for b, s in enumerate(seqs):
             mask[b, : len(s)] = 1.0
-        return cls(
-            codes=codes,
-            mask=mask,
-            clean=None if clean is None else np.asarray(clean, dtype=np.int64),
-            noisy=None if noisy is None else np.asarray(noisy, dtype=np.int64),
-        )
-
-    @classmethod
-    def from_examples(cls, examples: Sequence[LabeledExample]) -> "Batch":
-        seqs = [sequence_of(ex) for ex in examples]
-        clean = [-1 if ex.clean_label is None else int(ex.clean_label) for ex in examples]
-        noisy = [-1 if ex.noisy_label is None else int(ex.noisy_label) for ex in examples]
-        return cls.from_sequences(seqs, clean=clean, noisy=noisy)
+        return cls(codes=codes, mask=mask)
 
 
 def sequence_of(example: LabeledExample) -> list[VisitCodes]:

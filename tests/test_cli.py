@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, config handling, file outputs, and
 byte-level reproducibility."""
 
+import argparse
 import json
 
 import pytest
 
 from pretermalc.bench import MethodSummary
-from pretermalc.cli import format_summary_table, load_run_config, main
+from pretermalc.cli import build_parser, format_summary_table, load_run_config, main
 from pretermalc.synth import ConfigError
 
 PIPELINE_FLAGS = [
@@ -135,6 +136,37 @@ def test_config_file_builds_nested_noise_model(tmp_path):
     assert loaded["synth"].clerical_noise.missing_newborn_rate == 0.15
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("benchmark", "split_fractions", [0.7, 0.15, 0.15]),
+    ("train", "method", "ALC"),
+    ("train", "seed", 3),
+])
+def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path / "run.json", {"version": 1, section: {key: value}})
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert f"{section}: unknown key(s) ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body,expected", [
+    ({"synth": {"n_mothers": "200"}}, "synth.n_mothers: expected int, got '200'"),
+    ({"synth": {"clerical_noise": {"time_jitter_sd": -1.0}}}, "synth.clerical_noise: time_jitter_sd must be >= 0"),
+    ({"synth": {"risk_lift": True}}, "synth.risk_lift: expected float"),
+    ({"train": {"n_epochs": 0}}, "train: n_epochs must be >= 1"),
+    ({"train": {"learning_rate": "fast"}}, "train.learning_rate: expected float"),
+    ({"benchmark": {"repeats": 0}}, "benchmark.repeats must be >= 1"),
+    ({"benchmark": {"methods": ["NoLC_clean", "Magic"]}}, "benchmark.methods: unknown method 'Magic'"),
+    ({"benchmark": {"methods": "ALC"}}, "benchmark.methods: expected a list of method names"),
+    ({"benchmark": []}, "benchmark: expected an object"),
+])
+def test_bad_config_values_exit_2_before_the_pipeline_writes(tmp_path, capsys, body, expected):
+    cfg = write_config(tmp_path / "run.json", {"version": 1, **body})
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", cfg, "--mothers", "200", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: {expected}" in err, err
+    assert not out.exists()
+
+
 # --- pipeline and downstream commands ---------------------------------------------------
 
 
@@ -238,6 +270,45 @@ def test_benchmark_command_is_deterministic(pipeline_dir, tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def fingerprint_of(capsys) -> str:
+    return capsys.readouterr().out.rsplit("(fingerprint ", 1)[1].rstrip(")\n")
+
+
+def test_benchmark_takes_settings_from_the_config_file(pipeline_dir, tmp_path, capsys):
+    base = [
+        "benchmark",
+        "--clean", str(pipeline_dir / "d_star.jsonl"),
+        "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"),
+    ]
+    flags = ["--methods", "NoLC_clean", "--repeats", "1", "--epochs", "1", "--seed", "6"]
+    assert main([*base, *flags, "--out", str(tmp_path / "flags")]) == 0
+    from_flags = fingerprint_of(capsys)
+
+    cfg = write_config(tmp_path / "run.json", {
+        "version": 1,
+        "synth": {"seed": 6},
+        "train": {"n_epochs": 1},
+        "benchmark": {"repeats": 1, "methods": ["NoLC_clean"]},
+    })
+    assert main([*base, "--config", cfg, "--out", str(tmp_path / "config")]) == 0
+    assert fingerprint_of(capsys) == from_flags
+    raw = (tmp_path / "config" / "report_raw.csv").read_text(encoding="utf-8").splitlines()
+    assert len(raw) == 2 and raw[1].startswith("NoLC_clean,0,")
+
+    overridden = write_config(tmp_path / "other.json", {
+        "version": 1,
+        "synth": {"seed": 5},
+        "train": {"n_epochs": 3},
+        "benchmark": {"repeats": 4, "methods": ["ALC"]},
+    })
+    assert main([*base, "--config", overridden, *flags, "--out", str(tmp_path / "overridden")]) == 0
+    assert fingerprint_of(capsys) == from_flags
+    for name in ("report.csv", "report_raw.csv"):
+        blobs = {(tmp_path / sub / name).read_bytes() for sub in ("flags", "config", "overridden")}
+        assert len(blobs) == 1, name
+
+
 def test_benchmark_rejects_unknown_methods(pipeline_dir, tmp_path, capsys):
     code = main([
         "benchmark",
@@ -266,6 +337,59 @@ def test_report_command_rejects_malformed_input(tmp_path, capsys):
     bad.write_text("wrong,header\n1,2\n", encoding="utf-8")
     assert main(["report", "--raw", str(bad)]) == 1
     assert "unexpected header" in capsys.readouterr().err
+
+
+# --- parser ----------------------------------------------------------------------------
+
+SYNTH_FLAGS = [
+    "--clean-code-rate", "--config", "--history-span-days", "--hospitals",
+    "--misclassified-newborn-rate", "--missing-newborn-rate", "--mothers", "--newborn-coded-rate",
+    "--prediction-period-days", "--preterm-prevalence", "--risk-codes", "--risk-lift", "--seed",
+    "--swap-window-minutes", "--time-jitter-sd", "--visits-per-mother", "--vocab-size",
+]
+OPTION_STRINGS = {
+    "synth": ["--out", *SYNTH_FLAGS],
+    "link": ["--max-l1-hours", "--max-per-mother", "--mothers", "--newborns", "--out", "--truth", "--vocab"],
+    "estimate-c": ["--examples", "--out", "--vocab"],
+    "train": [
+        "--batch-size", "--c-matrix", "--clean", "--d-emb", "--d-h", "--epochs", "--lr", "--method",
+        "--noisy", "--optimizer", "--out-checkpoint", "--out-log", "--seed", "--vocab",
+    ],
+    "benchmark": [
+        "--batch-size", "--clean", "--curves", "--epochs", "--lr", "--methods", "--noisy",
+        "--optimizer", "--out", "--repeats", "--threads", "--vocab", *SYNTH_FLAGS,
+    ],
+    "pipeline": [
+        "--curves", "--epochs", "--methods", "--no-calibrate", "--out", "--repeats",
+        "--target-accuracy", "--threads", *SYNTH_FLAGS,
+    ],
+    "report": ["--out", "--raw"],
+}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_subcommand_keeps_its_flags():
+    found = {
+        name: sorted(opt for action in p._actions for opt in action.option_strings if opt not in ("-h", "--help"))
+        for name, p in subparsers().items()
+    }
+    assert found == {name: sorted(opts) for name, opts in OPTION_STRINGS.items()}
+
+
+def test_synth_flags_take_the_type_of_their_field():
+    types = {a.option_strings[0]: a.type for a in subparsers()["synth"]._actions if a.option_strings}
+    ints = ["--seed", "--mothers", "--hospitals", "--vocab-size", "--risk-codes", "--history-span-days",
+            "--prediction-period-days", "--swap-window-minutes"]
+    floats = ["--preterm-prevalence", "--risk-lift", "--visits-per-mother", "--clean-code-rate",
+              "--newborn-coded-rate", "--time-jitter-sd", "--missing-newborn-rate",
+              "--misclassified-newborn-rate"]
+    assert {flag: types[flag] for flag in ints + floats} == {
+        **dict.fromkeys(ints, int), **dict.fromkeys(floats, float)
+    }
 
 
 # --- table formatting -------------------------------------------------------------------

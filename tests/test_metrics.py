@@ -42,6 +42,28 @@ def threshold_enumeration_pr_auc(scores, labels):
     return ap
 
 
+def threshold_enumeration_curves(scores, labels):
+    """Oracle: ROC and PR vertices recounted from scratch at each distinct
+    threshold, descending."""
+    n_pos = sum(1 for y in labels if y is P)
+    n_neg = len(labels) - n_pos
+    fpr, tpr, recall, precision = [0.0], [0.0], [], []
+    for t in sorted(set(scores), reverse=True):
+        tp = sum(1 for s, y in zip(scores, labels) if s >= t and y is P)
+        predicted = sum(1 for s in scores if s >= t)
+        fpr.append((predicted - tp) / n_neg)
+        tpr.append(tp / n_pos)
+        recall.append(tp / n_pos)
+        precision.append(tp / predicted)
+    return fpr, tpr, recall, precision
+
+
+def scanned_interp_pr(recall, precision, grid):
+    """Reference: for each grid point, scan for the best precision at any
+    recall at or above it."""
+    return [max((p for rec, p in zip(recall, precision) if rec >= r), default=precision[-1]) for r in grid]
+
+
 def random_instance(rng, n_max=200, tie_heavy=False):
     n = int(rng.integers(2, n_max + 1))
     labels = [Label(int(v)) for v in rng.integers(0, 2, size=n)]
@@ -166,6 +188,19 @@ def test_pr_points_recall_ascending():
     assert np.all(np.diff(recall) >= 0)
     assert recall[-1] == 1.0
     assert np.all((precision >= 0) & (precision <= 1))
+
+
+def test_curves_match_threshold_enumeration_100_instances():
+    rng = np.random.default_rng(44)
+    grid = np.linspace(0.0, 1.0, 101)
+    for k in range(100):
+        scores, labels = random_instance(rng, n_max=80, tie_heavy=(k % 3 == 0))
+        fpr, tpr, recall, precision = threshold_enumeration_curves(list(scores), labels)
+        roc = roc_points(scores, labels)
+        assert roc[0].tolist() == fpr and roc[1].tolist() == tpr
+        rec, prec = pr_points(scores, labels)
+        assert rec.tolist() == recall and prec.tolist() == precision
+        assert interp_pr(rec, prec, grid).tolist() == scanned_interp_pr(recall, precision, grid)
 
 
 def test_interpolators_hit_known_points():
