@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .linkage import LinkSet, link_accuracy, match_newborns
+from .linkage import DEFAULT_MAX_L1_MINUTES, DEFAULT_MAX_PER_MOTHER, LinkSet, link_accuracy, match_newborns
 from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
 from .noise import CorruptionMatrix, estimate_corruption_matrix
 from .records import CodeVocabulary, DatasetSplit, Label, LabeledExample, load_examples
@@ -83,8 +83,8 @@ class Corpus:
 
 def build_corpus(
     config: SynthConfig,
-    max_per_mother: int = 3,
-    max_l1_minutes: int = 1440,
+    max_per_mother: int = DEFAULT_MAX_PER_MOTHER,
+    max_l1_minutes: int = DEFAULT_MAX_L1_MINUTES,
 ) -> tuple[Corpus, Cohort, LinkSet]:
     """Generate, link, and assemble the three datasets for one config."""
     cohort = generate_cohort(config)
@@ -326,10 +326,13 @@ def repeated_benchmark(
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    methods = list(methods)
     if not methods:
         raise ValueError("no methods requested")
+    repeated = sorted({m.value for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"method(s) requested more than once: {', '.join(repeated)}")
     base_config = train_config or TrainConfig()
-    methods = list(methods)
 
     run = partial(_run_repeat, corpus, methods, base_seed, split_fractions, base_config, collect_curves)
     if workers > 1:

@@ -110,6 +110,9 @@ def _methods(names: list[str], where: str) -> tuple[TrainMethod, ...]:
             raise ConfigError(f"{where}: unknown method {name!r}; valid: {', '.join(valid)}")
     if not names:
         raise ConfigError(f"{where}: no methods given")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"{where}: method(s) given more than once: {', '.join(repeated)}")
     return tuple(valid[name] for name in names)
 
 

@@ -23,7 +23,7 @@ from .records import (
     PatientRecord,
     Role,
     Visit,
-    classify_newborn,
+    newborn_classifier,
 )
 
 DEFAULT_MAX_L1_MINUTES = 24 * 60
@@ -159,13 +159,14 @@ def match_newborns(
         raise LinkageError(f"max_l1_minutes must be >= 0, got {max_l1_minutes}")
     by_hospital = _eligible_mothers(mothers)
     adms_by_hospital = {h: [p.t_adm for p in pts] for h, pts in by_hospital.items()}
+    classify = newborn_classifier(vocab)
 
     # stage 1: nearest mother per classifiable newborn
     assigned: list[MatchCandidate] = []
     for baby in newborns:
         if baby.role is not Role.NEWBORN:
             continue
-        if classify_newborn(vocab.decode(baby.visits[0].codes)) is NewbornClass.UNKNOWN:
+        if classify(baby.visits[0].codes) is NewbornClass.UNKNOWN:
             continue
         points = by_hospital.get(baby.hospital_id)
         if not points:
@@ -202,12 +203,13 @@ def derive_noisy_labels(
     classifies preterm, else full-term. Every linked baby must classify."""
     link_map = links.as_map() if isinstance(links, LinkSet) else dict(links)
     babies_by_id = {b.patient_id: b for b in newborns}
+    classify = newborn_classifier(vocab)
     out: dict[str, Label] = {}
     for newborn_id, mother_id in link_map.items():
         baby = babies_by_id.get(newborn_id)
         if baby is None:
             raise LinkageError(f"linked newborn {newborn_id} not present in records")
-        cls = classify_newborn(vocab.decode(baby.visits[0].codes))
+        cls = classify(baby.visits[0].codes)
         if cls is NewbornClass.UNKNOWN:
             raise LinkageError(f"linked newborn {newborn_id} has no classifiable outcome codes")
         label = Label.PRETERM if cls is NewbornClass.PRETERM else Label.FULL_TERM

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 MINUTES_PER_DAY = 1440
 
@@ -242,32 +242,61 @@ def classify_newborn(codes: Iterable[str]) -> NewbornClass:
     return NewbornClass.UNKNOWN
 
 
+def newborn_classifier(vocab: CodeVocabulary) -> Callable[[Collection[int]], NewbornClass]:
+    """classify_newborn over code indices of vocab. Each vocabulary code is
+    classified once; a visit's class then follows from its index set, with
+    the same precedence (any preterm code, else the full-term code)."""
+    by_index = [classify_newborn((code,)) for code in vocab]
+    preterm = frozenset(i for i, cls in enumerate(by_index) if cls is NewbornClass.PRETERM)
+    fullterm = frozenset(i for i, cls in enumerate(by_index) if cls is NewbornClass.FULL_TERM)
+    size = len(by_index)
+
+    def classify(codes: Collection[int]) -> NewbornClass:
+        bad = [i for i in codes if not 0 <= i < size]
+        if bad:
+            raise VocabularyError(f"vocabulary index {bad[0]} out of range")
+        if not preterm.isdisjoint(codes):
+            return NewbornClass.PRETERM
+        if not fullterm.isdisjoint(codes):
+            return NewbornClass.FULL_TERM
+        return NewbornClass.UNKNOWN
+
+    return classify
+
+
 # --- record transforms ------------------------------------------------------
+
+
+def merge_stays(stays: Iterable[tuple[int, int, int, AbstractSet[int]]]) -> tuple[Visit, ...]:
+    """Visits from (day, t_adm, t_dis, codes) stays, one per calendar day in
+    day order: union of codes, earliest admission, latest discharge."""
+    by_day: dict[int, list] = {}
+    for day, t_adm, t_dis, codes in stays:
+        stay = by_day.get(day)
+        if stay is None:
+            by_day[day] = [t_adm, t_dis, codes]
+        else:
+            stay[0] = min(stay[0], t_adm)
+            stay[1] = max(stay[1], t_dis)
+            stay[2] = stay[2] | codes  # a new set; the caller's sets stay as they are
+    return tuple(
+        Visit(day=day, codes=frozenset(codes), t_adm=t_adm, t_dis=t_dis)
+        for day, (t_adm, t_dis, codes) in sorted(by_day.items())
+    )
 
 
 def merge_same_day(record: PatientRecord) -> PatientRecord:
     """Collapse visits sharing a calendar day into one encounter: union of
-    codes, earliest admission, latest discharge. Idempotent."""
-    by_day: dict[int, list[Visit]] = {}
-    for v in record.visits:
-        by_day.setdefault(v.day, []).append(v)
-    merged = []
-    for day in sorted(by_day):
-        group = by_day[day]
-        codes = frozenset().union(*(v.codes for v in group))
-        merged.append(
-            Visit(
-                day=day,
-                codes=codes,
-                t_adm=min(v.t_adm for v in group),
-                t_dis=max(v.t_dis for v in group),
-            )
-        )
+    codes, earliest admission, latest discharge. Idempotent; a record with
+    no two visits on one day is returned as it is."""
+    visits = record.visits
+    if all(a.day != b.day for a, b in zip(visits, visits[1:])):
+        return record
     return PatientRecord(
         patient_id=record.patient_id,
         hospital_id=record.hospital_id,
         role=record.role,
-        visits=tuple(merged),
+        visits=merge_stays((v.day, v.t_adm, v.t_dis, v.codes) for v in visits),
         delivery_day=record.delivery_day,
     )
 

@@ -33,6 +33,7 @@ from .records import (
     apply_min_visit_filter,
     classify_delivery,
     merge_same_day,
+    merge_stays,
     truncate_at_prediction_point,
 )
 
@@ -256,15 +257,16 @@ def _visit_codes(
         odds = config.risk_lift * p / (1.0 - p)
         p = odds / (1.0 + odds)
     risk_hits = rng.random((n_visits, config.n_risk_codes)) < p
-    n_bg = 1 + rng.poisson(BACKGROUND_CODES_MEAN, size=n_visits)
-    bg = rng.integers(bg_lo, bg_hi, size=int(n_bg.sum()))
+    n_bg = (1 + rng.poisson(BACKGROUND_CODES_MEAN, size=n_visits)).tolist()
+    bg = rng.integers(bg_lo, bg_hi, size=sum(n_bg)).tolist()
     sets: list[set[int]] = []
     start = 0
-    for v in range(n_visits):
-        codes = set(int(c) for c in bg[start : start + int(n_bg[v])])
-        start += int(n_bg[v])
-        codes.update(int(risk_lo + r) for r in np.nonzero(risk_hits[v])[0])
-        sets.append(codes)
+    for n in n_bg:
+        sets.append(set(bg[start : start + n]))
+        start += n
+    for hit in np.flatnonzero(risk_hits).tolist():
+        v, r = divmod(hit, config.n_risk_codes)
+        sets[v].add(risk_lo + r)
     return sets
 
 
@@ -297,63 +299,48 @@ def generate_cohort(config: SynthConfig) -> Cohort:
         hospital_id = f"h{h:02d}"
         adm = _place_deliveries(rng, n_m, delivery_window, noise.swap_window_minutes)
         los = rng.integers(DELIVERY_LOS_RANGE[0], DELIVERY_LOS_RANGE[1] + 1, size=n_m)
-        dis = adm + los
-        is_preterm = rng.random(n_m) < config.preterm_prevalence
+        dis = (adm + los).tolist()
+        adm = adm.tolist()
+        is_preterm = (rng.random(n_m) < config.preterm_prevalence).tolist()
         # One uniform drives both coding decisions, maximally anti-correlated,
         # so the dual-labeled overlap is only the excess of the two rates over 1.
         code_u = rng.random(n_m)
-        clean_coded = code_u < config.clean_code_rate
-        baby_coded = code_u >= 1.0 - config.newborn_coded_rate
+        clean_coded = (code_u < config.clean_code_rate).tolist()
+        baby_coded = (code_u >= 1.0 - config.newborn_coded_rate).tolist()
 
         for i in range(n_m):
             mother_id = f"m{h:02d}x{i:04d}"
             label = Label.PRETERM if is_preterm[i] else Label.FULL_TERM
             labels[mother_id] = label
-            delivery_day = int(adm[i]) // MINUTES_PER_DAY
+            delivery_day = adm[i] // MINUTES_PER_DAY
 
             n_vis = int(rng.poisson(config.visits_per_mother))
             days = delivery_day - rng.integers(1, span_days + 1, size=n_vis)
-            adm_offsets = rng.integers(VISIT_ADM_HOUR_RANGE[0], VISIT_ADM_HOUR_RANGE[1] + 1, size=n_vis)
-            stay = rng.integers(VISIT_LOS_RANGE[0], VISIT_LOS_RANGE[1] + 1, size=n_vis)
-            code_sets = _visit_codes(rng, n_vis + 1, bool(is_preterm[i]), config, risk_lo, bg_lo, bg_hi)
-
-            visits = []
-            for v in range(n_vis):
-                t_adm = int(days[v]) * MINUTES_PER_DAY + int(adm_offsets[v])
-                visits.append(
-                    Visit(
-                        day=int(days[v]),
-                        codes=frozenset(code_sets[v]),
-                        t_adm=t_adm,
-                        t_dis=t_adm + int(stay[v]),
-                    )
-                )
+            t_adm = days * MINUTES_PER_DAY + rng.integers(
+                VISIT_ADM_HOUR_RANGE[0], VISIT_ADM_HOUR_RANGE[1] + 1, size=n_vis
+            )
+            t_dis = t_adm + rng.integers(VISIT_LOS_RANGE[0], VISIT_LOS_RANGE[1] + 1, size=n_vis)
+            code_sets = _visit_codes(rng, n_vis + 1, is_preterm[i], config, risk_lo, bg_lo, bg_hi)
             if clean_coded[i]:
                 pool = pt_pool if is_preterm[i] else ft_pool
                 outcome = pool[int(rng.integers(0, len(pool)))]
             else:
                 outcome = ambiguous
                 rng.integers(0, 4)  # keep the stream aligned across coding choices
-            delivery_codes = set(code_sets[n_vis])
-            delivery_codes.add(outcome)
-            visits.append(
-                Visit(
-                    day=delivery_day,
-                    codes=frozenset(delivery_codes),
-                    t_adm=int(adm[i]),
-                    t_dis=int(dis[i]),
-                )
+            code_sets[n_vis].add(outcome)
+            stays = zip(
+                days.tolist() + [delivery_day],
+                t_adm.tolist() + [adm[i]],
+                t_dis.tolist() + [dis[i]],
+                code_sets,
             )
-            visits.sort(key=lambda v: (v.day, v.t_adm))
             mothers.append(
-                merge_same_day(
-                    PatientRecord(
-                        patient_id=mother_id,
-                        hospital_id=hospital_id,
-                        role=Role.MOTHER,
-                        visits=tuple(visits),
-                        delivery_day=delivery_day,
-                    )
+                PatientRecord(
+                    patient_id=mother_id,
+                    hospital_id=hospital_id,
+                    role=Role.MOTHER,
+                    visits=merge_stays(stays),
+                    delivery_day=delivery_day,
                 )
             )
 
@@ -362,9 +349,9 @@ def generate_cohort(config: SynthConfig) -> Cohort:
             for b in range(n_babies):
                 # Fixed draw count per baby keeps hospital streams aligned
                 # when only noise thresholds change between configs.
-                u_missing, u_flip = rng.random(2)
+                u_missing, u_flip = rng.random(2).tolist()
                 pick = int(rng.integers(0, len(baby_pt_pool)))
-                jitter = rng.normal(0.0, 1.0, size=2)
+                jitter_adm, jitter_dis = rng.normal(0.0, 1.0, size=2).tolist()
                 if u_missing < noise.missing_newborn_rate:
                     continue
                 newborn_id = f"n{h:02d}x{i:04d}{b}"
@@ -374,9 +361,8 @@ def generate_cohort(config: SynthConfig) -> Cohort:
                 codes = {baby_birth}
                 if baby_coded[i]:
                     codes.add(baby_pt_pool[pick] if baby_label is Label.PRETERM else baby_ft)
-                t_adm_b = max(0, int(adm[i]) + int(round(jitter[0] * noise.time_jitter_sd)))
-                t_dis_b = int(dis[i]) + int(round(jitter[1] * noise.time_jitter_sd))
-                t_dis_b = max(t_dis_b, t_adm_b)
+                t_adm_b = max(0, adm[i] + round(jitter_adm * noise.time_jitter_sd))
+                t_dis_b = max(dis[i] + round(jitter_dis * noise.time_jitter_sd), t_adm_b)
                 newborns.append(
                     PatientRecord(
                         patient_id=newborn_id,

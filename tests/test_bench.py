@@ -192,6 +192,12 @@ def test_benchmark_rejects_bad_requests(corpus):
         repeated_benchmark(corpus, methods=[], repeats=1)
 
 
+def test_benchmark_rejects_repeated_methods(corpus):
+    methods = [TrainMethod.NOLC_CLEAN, TrainMethod.ALC, TrainMethod.NOLC_CLEAN]
+    with pytest.raises(ValueError, match="more than once: NoLC_clean"):
+        repeated_benchmark(corpus, methods=methods, repeats=1, train_config=FAST)
+
+
 # --- noise calibration ------------------------------------------------------------
 
 

@@ -322,6 +322,29 @@ def test_benchmark_rejects_unknown_methods(pipeline_dir, tmp_path, capsys):
     assert "unknown method 'Magic'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_benchmark_rejects_repeated_methods(pipeline_dir, tmp_path, capsys, source):
+    if source == "flag":
+        given, where = ["--methods", "NoLC_clean,ALC,NoLC_clean"], "--methods"
+    else:
+        cfg = write_config(tmp_path / "run.json", {
+            "version": 1, "benchmark": {"methods": ["NoLC_clean", "ALC", "NoLC_clean"]},
+        })
+        given, where = ["--config", cfg], f"{cfg}: benchmark.methods"
+    out = tmp_path / "x"
+    code = main([
+        "benchmark",
+        "--clean", str(pipeline_dir / "d_star.jsonl"),
+        "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"),
+        *given,
+        "--repeats", "1", "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{where}: method(s) given more than once: NoLC_clean" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_report_command_summarizes_and_draws(pipeline_dir, tmp_path, capsys):
     code = main(["report", "--raw", str(pipeline_dir / "report_raw.csv"), "--out", str(tmp_path / "svg")])
     assert code == 0

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pretermalc.records import (
@@ -21,10 +21,12 @@ from pretermalc.records import (
     load_examples,
     load_records,
     merge_same_day,
+    newborn_classifier,
     save_examples,
     save_records,
     truncate_at_prediction_point,
 )
+from pretermalc.synth import SynthConfig, build_vocabulary
 
 MIN_DAY = 1440
 
@@ -159,6 +161,34 @@ def test_classifiers_pure_and_order_insensitive(codes):
     assert classify_newborn(codes) is classify_newborn(sorted(codes))
 
 
+_SYNTH_VOCAB = build_vocabulary(SynthConfig())
+_NEWBORN_INDICES = [i for i, code in enumerate(_SYNTH_VOCAB) if code.startswith(("765", "V30"))]
+
+
+# Subsets of the default vocabulary, with newborn codes drawn more often
+# than chance would, so subsets of every class come up.
+@given(
+    st.sets(st.sampled_from(_NEWBORN_INDICES), max_size=2),
+    st.sets(st.integers(0, len(_SYNTH_VOCAB) - 1), max_size=6),
+)
+@example({_SYNTH_VOCAB.index_of("765.29"), _SYNTH_VOCAB.index_of("V30.00")}, set())
+@example({_SYNTH_VOCAB.index_of("V30.00")}, set())
+@example(set(), set())
+def test_newborn_classifier_by_index_matches_code_rules(newborn_part, other):
+    indices = frozenset(newborn_part | other)
+    classify = newborn_classifier(_SYNTH_VOCAB)
+    assert classify(indices) is classify_newborn(_SYNTH_VOCAB.decode(indices))
+
+
+def test_newborn_classifier_rejects_out_of_range_index():
+    classify = newborn_classifier(CodeVocabulary(["765.29", "V30.00"]))
+    assert classify(frozenset({0, 1})) is NewbornClass.FULL_TERM
+    with pytest.raises(VocabularyError, match="index 2 out of range"):
+        classify(frozenset({1, 2}))
+    with pytest.raises(VocabularyError, match="index -1 out of range"):
+        classify(frozenset({-1}))
+
+
 # --- record transforms ----------------------------------------------------------
 
 
@@ -178,6 +208,11 @@ def test_merge_same_day_example():
 def test_merge_single_visit_identity():
     rec = mk_record([mk_visit(3, {0})])
     assert merge_same_day(rec) == rec
+
+
+def test_merge_returns_record_without_same_day_visits_unchanged():
+    rec = mk_record([mk_visit(3, {0}), mk_visit(4, {1, 2}), mk_visit(9, {2})])
+    assert merge_same_day(rec) is rec
 
 
 def test_merge_duplicate_codes():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,60 @@ def test_generation_is_byte_deterministic(tmp_path, small_cohort):
     save_records(again.newborns, b, again.vocab)
     assert a.read_bytes() == b.read_bytes()
     assert small_cohort.truth == again.truth
+
+
+# sha256 of the mothers file, the newborns file and the truth file written
+# for each config. A change to the generator that moves any record, code,
+# timestamp or link changes a digest.
+PINNED_COHORTS = {
+    "default": (
+        SynthConfig(),
+        (
+            "1810a6656fee4a3cf566165d6df037b6cc5fe99f0c61515b2696bae6c4abe629",
+            "f7b89daf6b10b8d56922636a5d19c0f426b3a14da06098e337543838ddebe199",
+            "b34a96da34f7282a79de68f8d65d75fe5108e4a9e60bd6adcb33de0d03ebcaaf",
+        ),
+    ),
+    "two_hospitals": (
+        SynthConfig(seed=3, n_mothers=500, n_hospitals=2),
+        (
+            "db155440ce375adbf1cb4b5c1bbf4720046008a47631b95d837c69c0a58b1c30",
+            "f66309c5b297745e006c92b6bc195cbf6adafd9f6c39816f01768d12cdb54165",
+            "182b367f3dd0981182c548947344a484aad45bc746e7f5c687c9fbf50355b1a8",
+        ),
+    ),
+    "no_clerical_noise": (
+        SynthConfig(seed=11, clerical_noise=ClericalNoiseModel.none()),
+        (
+            "8982e05e459b02cdee5b5fccfb5189b8140d35372111cc9bcd7367bccdf441dd",
+            "06e4b0583bd6e50c564d854348b9905cb28d48e0cd703c3f8268b70e9adbdd1b",
+            "a654caff4b24709624a63a1a998a14c3b111e52d697bfac07af80d6c009d38e3",
+        ),
+    ),
+    # Many visits in a 10-day history: most prenatal days hold several stays.
+    "merge_heavy": (
+        SynthConfig(
+            seed=5, n_mothers=300, visits_per_mother=40.0,
+            history_span_days=10, prediction_period_days=2,
+        ),
+        (
+            "19fca48e4cb3d2060adad106fd82a0b5a5d633b08239111c22fbec4b5aecb601",
+            "080f917fb5a7bacd3284c345c30cdb134eaf38d72dc3a91de5be6482e03ffb73",
+            "5a11393cfb62412a15147bad074422b74cfa37a8b2c3db486dcd47d0583581d3",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_COHORTS)
+def test_generated_files_match_pinned_digests(tmp_path, name):
+    config, expected = PINNED_COHORTS[name]
+    cohort = generate_cohort(config)
+    paths = [tmp_path / f for f in ("mothers.jsonl", "newborns.jsonl", "truth.tsv")]
+    save_records(cohort.mothers, paths[0], cohort.vocab)
+    save_records(cohort.newborns, paths[1], cohort.vocab)
+    save_truth(cohort.truth, paths[2])
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == expected
 
 
 def test_different_seeds_differ():
