@@ -1,11 +1,13 @@
 """Repeated train/test benchmark over the synthetic corpus, plus the
 bisection that calibrates clerical noise to a target noisy-label accuracy.
 
-Each repeat draws a fresh 70/15/15 split of the clean set; the noisy set
-stays wholly in the training pool, and the corruption matrix is re-estimated
-per repeat from the dual-labeled examples that landed on the training side.
-Every random choice is derived from (base_seed, repeat), so the report is
-reproducible run to run and independent of the worker count.
+Each repeat draws a fresh 70/15/15 split of the clean set and scores every
+trained model once, on the test part; the validation part is held out
+unread. The noisy set stays wholly in the training pool, and the corruption
+matrix is re-estimated per repeat from the dual-labeled examples that
+landed on the training side. Every random choice is derived from
+(base_seed, repeat), so the report is reproducible run to run and
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .linkage import DEFAULT_MAX_L1_MINUTES, DEFAULT_MAX_PER_MOTHER, LinkSet, link_accuracy, match_newborns
+from .linkage import LinkSet, link_accuracy, match_newborns
 from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
 from .noise import CorruptionMatrix, estimate_corruption_matrix
 from .records import CodeVocabulary, DatasetSplit, Label, LabeledExample, load_examples
@@ -81,17 +83,10 @@ class Corpus:
         return cls(vocab, tuple(d_star), tuple(d_tilde), tuple(d_prime), config)
 
 
-def build_corpus(
-    config: SynthConfig,
-    max_per_mother: int = DEFAULT_MAX_PER_MOTHER,
-    max_l1_minutes: int = DEFAULT_MAX_L1_MINUTES,
-) -> tuple[Corpus, Cohort, LinkSet]:
+def build_corpus(config: SynthConfig) -> tuple[Corpus, Cohort, LinkSet]:
     """Generate, link, and assemble the three datasets for one config."""
     cohort = generate_cohort(config)
-    links = match_newborns(
-        cohort.mothers, cohort.newborns, cohort.vocab,
-        max_per_mother=max_per_mother, max_l1_minutes=max_l1_minutes,
-    )
+    links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
     d_star, d_tilde, d_prime = build_datasets(
         cohort.mothers, cohort.newborns, links, cohort.vocab, config
     )
@@ -133,8 +128,6 @@ class RepeatRow:
     repeat: int
     auc: float
     pr_auc: float
-    val_auc: float
-    val_pr_auc: float
 
 
 @dataclass
@@ -180,12 +173,9 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
     def raw_csv(self) -> str:
-        lines = ["method,repeat,auc,pr_auc,val_auc,val_pr_auc"]
+        lines = ["method,repeat,auc,pr_auc"]
         for row in self.rows:
-            lines.append(
-                f"{row.method},{row.repeat},{row.auc:.6f},{row.pr_auc:.6f},"
-                f"{row.val_auc:.6f},{row.val_pr_auc:.6f}"
-            )
+            lines.append(f"{row.method},{row.repeat},{row.auc:.6f},{row.pr_auc:.6f}")
         return "\n".join(lines) + "\n"
 
 
@@ -209,12 +199,6 @@ def _split_for_repeat(
         f"repeat {repeat}: could not draw a split with both classes in every part "
         f"after {MAX_SPLIT_ATTEMPTS} attempts"
     )
-
-
-def _metric_pair(params, examples) -> tuple[float, float]:
-    scores = score_examples(params, examples)
-    labels = [ex.clean_label for ex in examples]
-    return auc(scores, labels), pr_auc(scores, labels)
 
 
 def _run_repeat(
@@ -242,17 +226,15 @@ def _run_repeat(
     init = init_params(dims, derive_seed(base_seed, "init", repeat))
     train_seed = derive_seed(base_seed, "train", repeat)
 
+    labels = [ex.clean_label for ex in split.test]
     rows: list[RepeatRow] = []
     curves: dict[str, dict[str, np.ndarray]] = {}
     for method in methods:
         cfg = replace(base_config, method=method, seed=train_seed)
         model, _ = train(init, split.train, corpus.d_tilde, c_hat, cfg)
-        test_auc, test_pr = _metric_pair(model, split.test)
-        val_auc, val_pr = _metric_pair(model, split.validation)
-        rows.append(RepeatRow(method.value, repeat, test_auc, test_pr, val_auc, val_pr))
+        scores = score_examples(model, split.test)
+        rows.append(RepeatRow(method.value, repeat, auc(scores, labels), pr_auc(scores, labels)))
         if collect_curves:
-            scores = score_examples(model, split.test)
-            labels = [ex.clean_label for ex in split.test]
             fpr, tpr = roc_points(scores, labels)
             rec, prec = pr_points(scores, labels)
             curves[method.value] = {

@@ -28,7 +28,7 @@ from .bench import (
     summarize,
     summary_svg,
 )
-from .linkage import link_accuracy, match_newborns, save_links
+from .linkage import DEFAULT_MAX_L1_MINUTES, DEFAULT_MAX_PER_MOTHER, link_accuracy, match_newborns, save_links
 from .net import CHECKPOINT_MAGIC, NetDims, init_params, save_checkpoint
 from .noise import estimate_corruption_matrix, load_matrix_csv, save_matrix_csv
 from .records import CodeVocabulary, load_examples, load_records, save_examples, save_records
@@ -463,8 +463,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", help="ground-truth TSV for accuracy reporting")
-    p.add_argument("--max-per-mother", type=int, default=3)
-    p.add_argument("--max-l1-hours", type=int, default=24)
+    p.add_argument("--max-per-mother", type=int, default=DEFAULT_MAX_PER_MOTHER)
+    p.add_argument("--max-l1-hours", type=int, default=DEFAULT_MAX_L1_MINUTES // 60)
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("estimate-c", help="estimate the label corruption matrix")

@@ -87,14 +87,12 @@ def time_distance(mother: PatientRecord, newborn: PatientRecord) -> int:
     return abs(mv.t_adm - bv.t_adm) + abs(mv.t_dis - bv.t_dis)
 
 
-@dataclass(frozen=True)
-class _MotherPoint:
-    t_adm: int
-    t_dis: int
-    mother_id: str
+_MotherPoint = tuple[int, str, int]  # (t_adm, mother_id, t_dis) of a delivery encounter
 
 
 def _eligible_mothers(mothers: Iterable[PatientRecord]) -> dict[str, list[_MotherPoint]]:
+    """Delivery encounters per hospital, sorted by admission time, then by
+    mother id (unique, so the sort never compares further)."""
     by_hospital: dict[str, list[_MotherPoint]] = {}
     for m in mothers:
         if m.role is not Role.MOTHER or m.delivery_day is None:
@@ -102,11 +100,9 @@ def _eligible_mothers(mothers: Iterable[PatientRecord]) -> dict[str, list[_Mothe
         visit = m.visit_on(m.delivery_day)
         if visit is None:
             continue
-        by_hospital.setdefault(m.hospital_id, []).append(
-            _MotherPoint(visit.t_adm, visit.t_dis, m.patient_id)
-        )
+        by_hospital.setdefault(m.hospital_id, []).append((visit.t_adm, m.patient_id, visit.t_dis))
     for points in by_hospital.values():
-        points.sort(key=lambda p: (p.t_adm, p.mother_id))
+        points.sort()
     return by_hospital
 
 
@@ -132,10 +128,10 @@ def _nearest_mother(points: list[_MotherPoint], adms: list[int], b_adm: int, b_d
             right += 1
         if best_l1 is not None and gap > best_l1:
             break
-        p = points[idx]
-        l1 = abs(p.t_adm - b_adm) + abs(p.t_dis - b_dis)
-        if best_l1 is None or l1 < best_l1 or (l1 == best_l1 and p.mother_id < best_id):
-            best_l1, best_id = l1, p.mother_id
+        t_adm, mother_id, t_dis = points[idx]
+        l1 = abs(t_adm - b_adm) + abs(t_dis - b_dis)
+        if best_l1 is None or l1 < best_l1 or (l1 == best_l1 and mother_id < best_id):
+            best_l1, best_id = l1, mother_id
     assert best_l1 is not None and best_id is not None
     return best_l1, best_id
 
@@ -158,7 +154,7 @@ def match_newborns(
     if max_l1_minutes < 0:
         raise LinkageError(f"max_l1_minutes must be >= 0, got {max_l1_minutes}")
     by_hospital = _eligible_mothers(mothers)
-    adms_by_hospital = {h: [p.t_adm for p in pts] for h, pts in by_hospital.items()}
+    adms_by_hospital = {h: [t_adm for t_adm, _, _ in pts] for h, pts in by_hospital.items()}
     classify = newborn_classifier(vocab)
 
     # stage 1: nearest mother per classifiable newborn

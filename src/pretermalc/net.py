@@ -16,7 +16,7 @@ fused into one input matrix, and every parameter lives in one flat buffer.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
@@ -35,7 +35,7 @@ CHECKPOINT_FAMILY = "pretermalc-checkpoint "
 PLAIN = "plain"
 CORRECTED = "corrected"
 
-VisitCodes = tuple[int, ...]
+VisitCodes = Collection[int]  # one visit's code indices, in any order
 
 
 def _sigmoid_(x: np.ndarray) -> np.ndarray:
@@ -171,48 +171,56 @@ def init_params(dims: NetDims, seed: int) -> ModelParams:
     return params
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Batch:
-    """Padded visit-code sequences. Each mask row is a prefix of ones: real
-    visits first, then padding with an empty code tuple and mask 0. Anything
-    placed under mask 0 is never read, so it cannot reach the loss.
+    """Visit-code sequences in the packed form the network reads. Rows are
+    ordered longest first (stable), so the ``steps[t]`` sequences that have
+    a visit at step t are the leading rows of that order. The visits are
+    stacked step by step: step t holds packed rows ``offsets[t]:offsets[t + 1]``,
+    and packed row p is visit ``times[p]`` of input row ``rows[p]``. Build
+    one with ``from_sequences``."""
 
-    The network reads the packed form. Rows are ordered longest first
-    (stable), so the ``steps[t]`` sequences that have a visit at step t are
-    the leading rows of that order. The real visits are stacked step by
-    step: step t holds packed rows ``offsets[t]:offsets[t + 1]``, and packed
-    row p is visit ``times[p]`` of input row ``rows[p]``."""
+    mask: np.ndarray  # (B, T) float64: 1 on each sequence's visits, 0 on padding
+    lengths: np.ndarray  # (B,) visits per sequence
+    steps: np.ndarray  # (T,) sequences with a visit at each step
+    offsets: np.ndarray  # (T + 1,) first packed row of each step
+    rows: np.ndarray  # (N,) input row of each packed visit
+    times: np.ndarray  # (N,) step of each packed visit
+    segments: np.ndarray  # (B, N) 1 where packed row p belongs to input row b
+    code_index: np.ndarray  # every code of every packed visit, visit after visit
+    code_visit: np.ndarray  # packed visit of each entry of code_index
 
-    codes: list  # list[list[VisitCodes]], every inner list has length T
-    mask: np.ndarray  # (B, T) float64
-
-    def __post_init__(self) -> None:
-        self.mask = np.asarray(self.mask, dtype=np.float64)
-        if self.mask.ndim != 2 or len(self.codes) != self.mask.shape[0]:
-            raise ValueError("mask shape does not match sequences")
-        B, T = self.mask.shape
-        if any(len(row) != T for row in self.codes):
-            raise ValueError("sequences not padded to a common length")
-        real = np.arange(T) < self.mask.sum(axis=1)[:, None]
-        bad = np.flatnonzero(np.any(self.mask != real, axis=1))
-        if bad.size:
-            raise ValueError(f"mask row {bad[0]} is not a prefix of ones")
-        self.lengths = real.sum(axis=1)
-        order = np.argsort(-self.lengths, kind="stable")
-        self.steps = real.sum(axis=0)
-        self.offsets = np.concatenate(([0], np.cumsum(self.steps)))
-        self.times, slot = np.nonzero(real[order].T)
-        self.rows = order[slot]
-        self.segments = np.zeros((B, self.rows.size))  # (B, N): 1 where packed row p belongs to input row b
-        self.segments[self.rows, np.arange(self.rows.size)] = 1.0
-        visits = [self.codes[b][t] for b, t in zip(self.rows.tolist(), self.times.tolist())]
+    @classmethod
+    def from_sequences(cls, seqs: Sequence[Sequence[VisitCodes]]) -> "Batch":
+        if not seqs:
+            raise ValueError("empty batch")
+        lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+        if lengths.max() == 0:
+            raise ValueError("batch contains only empty sequences")
+        real = np.arange(lengths.max()) < lengths[:, None]
+        order = np.argsort(-lengths, kind="stable")
+        steps = real.sum(axis=0)
+        times, slot = np.nonzero(real[order].T)
+        rows = order[slot]
+        segments = np.zeros((len(seqs), rows.size))
+        segments[rows, np.arange(rows.size)] = 1.0
+        visits = [seqs[b][t] for b, t in zip(rows.tolist(), times.tolist())]
         sizes = [len(v) for v in visits]
-        self.code_index = np.fromiter(chain.from_iterable(visits), dtype=np.intp, count=sum(sizes))
-        self.code_visit = np.repeat(np.arange(len(visits)), sizes)
+        return cls(
+            mask=real.astype(np.float64),
+            lengths=lengths,
+            steps=steps,
+            offsets=np.concatenate(([0], np.cumsum(steps))),
+            rows=rows,
+            times=times,
+            segments=segments,
+            code_index=np.fromiter(chain.from_iterable(visits), dtype=np.intp, count=sum(sizes)),
+            code_visit=np.repeat(np.arange(len(visits)), sizes),
+        )
 
     @property
     def size(self) -> int:
-        return len(self.codes)
+        return self.mask.shape[0]
 
     @property
     def n_steps(self) -> int:
@@ -235,24 +243,11 @@ class Batch:
         counts = np.bincount(self.code_visit * vocab_size + codes, minlength=n * vocab_size)
         return counts.reshape(n, vocab_size).astype(np.float64)
 
-    @classmethod
-    def from_sequences(cls, seqs: Sequence[Sequence[VisitCodes]]) -> "Batch":
-        if not seqs:
-            raise ValueError("empty batch")
-        t_max = max(len(s) for s in seqs)
-        if t_max == 0:
-            raise ValueError("batch contains only empty sequences")
-        codes = [list(s) + [()] * (t_max - len(s)) for s in seqs]
-        mask = np.zeros((len(seqs), t_max))
-        for b, s in enumerate(seqs):
-            mask[b, : len(s)] = 1.0
-        return cls(codes=codes, mask=mask)
-
 
 def sequence_of(example: LabeledExample) -> list[VisitCodes]:
-    """Visit-code index tuples in time order, each sorted for a fixed
-    summation order."""
-    return [tuple(sorted(v.codes)) for v in example.record.visits]
+    """Each visit's code set, in time order. The embedding counts codes, so
+    their order within a visit does not matter."""
+    return [v.codes for v in example.record.visits]
 
 
 @dataclass
@@ -281,7 +276,6 @@ class ForwardTrace:
     beta_packed: np.ndarray  # (N, d_emb)
     alpha: np.ndarray  # (B, T), zero on padding
     context: np.ndarray  # (B, d_emb)
-    logits: np.ndarray  # (B, 2)
     probs: np.ndarray  # (B, 2)
     alpha_cache: ScanCache
     beta_cache: ScanCache
@@ -363,7 +357,7 @@ def _gru_backward(
 
 
 def forward(params: ModelParams, batch: Batch) -> ForwardTrace:
-    """Full forward pass over a padded batch."""
+    """Full forward pass over a batch."""
     if np.any(batch.lengths < 1):
         raise ValueError(f"sequence {int(np.argmin(batch.lengths))} has no valid visits")
     counts = batch.count_matrix(params.dims.vocab_size)
@@ -396,7 +390,6 @@ def forward(params: ModelParams, batch: Batch) -> ForwardTrace:
         beta_packed=beta,
         alpha=alpha,
         context=context,
-        logits=logits,
         probs=probs,
         alpha_cache=alpha_cache,
         beta_cache=beta_cache,

@@ -26,14 +26,14 @@ def reference_matrix() -> CorruptionMatrix:
     return CorruptionMatrix(REFERENCE_ENTRIES.copy())
 
 
-def random_small_setup(
+def random_small_sequences(
     seed: int, vocab_size: int = 20, d: int = 8
-) -> tuple[ModelParams, Batch, np.ndarray]:
-    """A small random model plus a batch of variable-length sequences.
+) -> tuple[ModelParams, list[list[tuple[int, ...]]], np.ndarray]:
+    """A small random model plus variable-length visit-code sequences.
 
-    Batch size 2..4, one to five visits each, one to four codes per visit,
-    random binary labels. Small enough that checking every parameter
-    coordinate stays fast.
+    Two to four sequences, one to five visits each, one to four distinct
+    codes per visit as a sorted tuple, random binary labels. Small enough
+    that checking every parameter coordinate stays fast.
     """
     rng = np.random.default_rng(seed)
     params = init_params(NetDims(vocab_size, d_emb=d, d_h=d), seed=int(rng.integers(2**31)))
@@ -47,6 +47,14 @@ def random_small_setup(
             ]
         )
     labels = rng.integers(0, 2, size=len(seqs))
+    return params, seqs, labels
+
+
+def random_small_setup(
+    seed: int, vocab_size: int = 20, d: int = 8
+) -> tuple[ModelParams, Batch, np.ndarray]:
+    """``random_small_sequences`` with the sequences as one batch."""
+    params, seqs, labels = random_small_sequences(seed, vocab_size, d)
     return params, Batch.from_sequences(seqs), labels
 
 

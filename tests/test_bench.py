@@ -160,7 +160,7 @@ def test_report_layout(corpus):
     methods = [TrainMethod.NOLC_CLEAN, TrainMethod.NOLC_NOISY]
     report = repeated_benchmark(corpus, methods=methods, repeats=2, base_seed=4, train_config=FAST)
     raw = report.raw_csv().splitlines()
-    assert raw[0] == "method,repeat,auc,pr_auc,val_auc,val_pr_auc"
+    assert raw[0] == "method,repeat,auc,pr_auc"
     assert len(raw) == 1 + 2 * 2
     assert [line.split(",")[:2] for line in raw[1:]] == [
         ["NoLC_clean", "0"], ["NoLC_clean", "1"], ["NoLC_noisy", "0"], ["NoLC_noisy", "1"],

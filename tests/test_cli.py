@@ -8,6 +8,7 @@ import pytest
 
 from pretermalc.bench import MethodSummary
 from pretermalc.cli import build_parser, format_summary_table, load_run_config, main
+from pretermalc.linkage import DEFAULT_MAX_L1_MINUTES, DEFAULT_MAX_PER_MOTHER
 from pretermalc.synth import ConfigError
 
 PIPELINE_FLAGS = [
@@ -401,6 +402,12 @@ def test_every_subcommand_keeps_its_flags():
         for name, p in subparsers().items()
     }
     assert found == {name: sorted(opts) for name, opts in OPTION_STRINGS.items()}
+
+
+def test_link_flags_default_to_the_linkage_defaults():
+    args = subparsers()["link"].parse_args(["--mothers", "m", "--newborns", "n", "--vocab", "v", "--out", "o"])
+    assert args.max_per_mother == DEFAULT_MAX_PER_MOTHER == 3
+    assert args.max_l1_hours * 60 == DEFAULT_MAX_L1_MINUTES == 24 * 60
 
 
 def test_synth_flags_take_the_type_of_their_field():

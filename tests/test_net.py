@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import max_gradient_rel_error, random_small_setup, reference_matrix
+from helpers import max_gradient_rel_error, random_small_sequences, random_small_setup, reference_matrix
 from pretermalc.net import (
     CHECKPOINT_MAGIC,
     CORRECTED,
@@ -25,10 +25,8 @@ from pretermalc.net import (
     loss_corrected,
     predict_probs,
     save_checkpoint,
-    sequence_of,
 )
 from pretermalc.noise import CorruptionMatrix
-from pretermalc.records import LabeledExample, PatientRecord, Role, Visit
 
 TINY = NetDims(vocab_size=20, d_emb=8, d_h=8)
 
@@ -68,13 +66,24 @@ def test_forward_embeds_visit_as_sum_of_code_rows():
     assert np.array_equal(trace.V[0, 0], params.emb[2] + params.emb[7])
 
 
-def test_sequence_of_orders_codes_within_visit():
-    visits = (
-        Visit(day=0, codes=frozenset({5, 2}), t_adm=60, t_dis=120),
-        Visit(day=2, codes=frozenset({9, 0, 4}), t_adm=2940, t_dis=3000),
-    )
-    rec = PatientRecord(patient_id="p0", hospital_id="h00", role=Role.MOTHER, visits=visits)
-    assert sequence_of(LabeledExample(rec, clean_label=None, noisy_label=0)) == [(2, 5), (0, 4, 9)]
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_code_order_within_a_visit_changes_no_bit(seed):
+    params, seqs, labels = random_small_sequences(seed, vocab_size=300)
+    forms = [
+        seqs,
+        [[v[::-1] for v in seq] for seq in seqs],
+        [[frozenset(v) for v in seq] for seq in seqs],
+    ]
+    assert any(list(v) != sorted(v) for seq in forms[2] for v in seq)  # a set that iterates unsorted
+    c = reference_matrix()
+    results = []
+    for form in forms:
+        batch = Batch.from_sequences(form)
+        trace = forward(params, batch)
+        results.append((trace.probs, backward(params, batch, trace, labels, CORRECTED, c).flat))
+    for probs, grads in results[1:]:
+        assert np.array_equal(probs, results[0][0])
+        assert np.array_equal(grads, results[0][1])
 
 
 # --- batches ------------------------------------------------------------------
@@ -91,16 +100,35 @@ def test_batch_pads_to_longest_sequence():
     batch = Batch.from_sequences([[(1,), (2,)], [(3,)]])
     assert batch.size == 2
     assert batch.n_steps == 2
-    assert batch.codes[1] == [(3,), ()]
     assert np.array_equal(batch.mask, [[1.0, 1.0], [1.0, 0.0]])
+    grid = batch.unpack(batch.count_matrix(4))
+    assert np.array_equal(grid[:, :, 1:], [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 0]]])
 
 
-def test_batch_rejects_mask_row_that_is_not_a_prefix_of_ones():
-    codes = [[(1,), (2,), (3,)], [(4,), (), (5,)]]
-    with pytest.raises(ValueError, match="mask row 1 is not a prefix of ones"):
-        Batch(codes=codes, mask=np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
-    with pytest.raises(ValueError, match="mask row 0 is not a prefix of ones"):
-        Batch(codes=codes, mask=np.array([[1.0, 0.5, 0.0], [1.0, 0.0, 0.0]]))
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.lists(st.integers(0, 11), max_size=4).map(tuple), max_size=6),
+        min_size=1,
+        max_size=6,
+    ).filter(lambda seqs: any(seqs))
+)
+def test_packing_is_exact(seqs):
+    batch = Batch.from_sequences(seqs)
+    lengths = [len(seq) for seq in seqs]
+    assert np.array_equal(batch.mask.sum(axis=1), lengths)
+    order = np.argsort(-np.array(lengths), kind="stable")
+    for t in range(batch.n_steps):
+        assert np.array_equal(batch.rows[batch.offsets[t] : batch.offsets[t + 1]], order[: batch.steps[t]])
+    counts = batch.count_matrix(12)
+    ids = batch.unpack(np.arange(1.0, batch.rows.size + 1))  # packed row + 1 per visit, 0 on padding
+    for b, seq in enumerate(seqs):
+        visits = ids[b, : len(seq)].astype(int) - 1
+        assert np.all(visits >= 0) and np.all(ids[b, len(seq) :] == 0)
+        assert np.array_equal(batch.rows[visits], [b] * len(seq))
+        assert np.array_equal(batch.times[visits], range(len(seq)))
+        for p, visit in zip(visits, seq):
+            assert np.array_equal(counts[p], np.bincount(np.array(visit, dtype=int), minlength=12))
 
 
 # --- forward pass -------------------------------------------------------------
@@ -138,7 +166,7 @@ def test_forward_zero_params_answer_half_half():
 
 
 def test_forward_rejects_sequence_without_visits():
-    batch = Batch(codes=[[(1,)], [()]], mask=np.array([[1.0], [0.0]]))
+    batch = Batch.from_sequences([[(1,)], []])
     with pytest.raises(ValueError, match="sequence 1 has no valid visits"):
         forward(init_params(TINY, seed=5), batch)
 
@@ -149,32 +177,16 @@ def test_forward_rejects_out_of_range_code():
         forward(init_params(TINY, seed=5), batch)
 
 
-def test_forward_ignores_content_under_mask_zero():
-    params, _, _ = random_small_setup(12)
-    plain = Batch.from_sequences([[(0,), (1, 2)], [(3,)]])
-    tampered = Batch(codes=[plain.codes[0], [(3,), (7, 8, 9)]], mask=plain.mask.copy())
-    t_plain = forward(params, plain)
-    t_tampered = forward(params, tampered)
-    assert np.array_equal(t_plain.probs, t_tampered.probs)
-    labels = np.array([0, 1])
-    g_plain = backward(params, plain, t_plain, labels, PLAIN)
-    g_tampered = backward(params, tampered, t_tampered, labels, PLAIN)
-    for name, g in g_plain.items():
-        assert np.array_equal(g, g_tampered[name]), name
-
-
 def test_forward_batched_matches_solo_within_padding_tolerance():
-    params, batch, _ = random_small_setup(13)
-    batched = forward(params, batch).probs
-    for b, seq in enumerate(batch.codes):
-        valid = [v for t, v in enumerate(seq) if batch.mask[b, t] > 0]
-        solo = forward(params, Batch.from_sequences([valid])).probs[0]
+    params, seqs, _ = random_small_sequences(13)
+    batched = forward(params, Batch.from_sequences(seqs)).probs
+    for b, seq in enumerate(seqs):
+        solo = forward(params, Batch.from_sequences([seq])).probs[0]
         assert np.max(np.abs(batched[b] - solo)) < 1e-12
 
 
 def test_predict_probs_matches_forward_across_chunk_sizes():
-    params, batch, _ = random_small_setup(14)
-    seqs = [[v for t, v in enumerate(row) if batch.mask[b, t] > 0] for b, row in enumerate(batch.codes)]
+    params, seqs, _ = random_small_sequences(14)
     solo = np.stack([forward(params, Batch.from_sequences([s])).probs[0] for s in seqs])
     for chunk in (1, 2, 256):
         assert np.max(np.abs(predict_probs(params, seqs, batch_size=chunk) - solo)) < 1e-12
@@ -214,12 +226,11 @@ def test_loss_corrected_with_identity_matches_clean_exactly():
 
 
 def test_batch_loss_is_mean_of_single_losses():
-    params, batch, labels = random_small_setup(16)
-    whole = loss_clean(forward(params, batch), labels)
+    params, seqs, labels = random_small_sequences(16)
+    whole = loss_clean(forward(params, Batch.from_sequences(seqs)), labels)
     singles = []
-    for b, row in enumerate(batch.codes):
-        valid = [v for t, v in enumerate(row) if batch.mask[b, t] > 0]
-        singles.append(loss_clean(forward(params, Batch.from_sequences([valid])), labels[b : b + 1]))
+    for b, seq in enumerate(seqs):
+        singles.append(loss_clean(forward(params, Batch.from_sequences([seq])), labels[b : b + 1]))
     assert abs(whole - float(np.mean(singles))) < 1e-12
 
 
@@ -244,9 +255,9 @@ def test_gradients_match_central_differences(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_permuting_batch_rows_permutes_outputs_and_keeps_gradients(seed):
-    params, batch, labels = random_small_setup(seed)
-    perm = np.random.default_rng(seed).permutation(batch.size)
-    shuffled = Batch(codes=[batch.codes[i] for i in perm], mask=batch.mask[perm])
+    params, seqs, labels = random_small_sequences(seed)
+    perm = np.random.default_rng(seed).permutation(len(seqs))
+    batch, shuffled = Batch.from_sequences(seqs), Batch.from_sequences([seqs[i] for i in perm])
     t_plain, t_shuffled = forward(params, batch), forward(params, shuffled)
     assert np.max(np.abs(t_shuffled.probs - t_plain.probs[perm])) < 1e-12
     assert np.max(np.abs(t_shuffled.alpha - t_plain.alpha[perm])) < 1e-12
