@@ -21,15 +21,14 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .linkage import LinkSet, link_accuracy, match_newborns
 from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
 from .noise import CorruptionMatrix, estimate_corruption_matrix
-from .records import CodeVocabulary, DatasetSplit, Label, LabeledExample, load_examples
+from .records import CodeVocabulary, DatasetSplit, LabeledExample, load_examples
 from .synth import ClericalNoiseModel, Cohort, SynthConfig, build_datasets, generate_cohort
 from .net import CORRECTED, NetDims, init_params
 from .train import TrainConfig, TrainMethod, plan_epochs, score_examples, train
@@ -63,6 +62,9 @@ def derive_seed(*parts) -> int:
 
 @dataclass(frozen=True)
 class Corpus:
+    """The example sets of one cohort. `d_prime`, the dual-labeled set, is
+    the `d_star` examples that also carry a noisy label."""
+
     vocab: CodeVocabulary
     d_star: tuple[LabeledExample, ...]
     d_tilde: tuple[LabeledExample, ...]
@@ -79,8 +81,7 @@ class Corpus:
         vocab = CodeVocabulary.load(vocab_path)
         d_star = load_examples(clean_path, vocab)
         d_tilde = load_examples(noisy_path, vocab)
-        d_prime = [ex for ex in d_star if ex.noisy_label is not None]
-        return cls(vocab, tuple(d_star), tuple(d_tilde), tuple(d_prime), config)
+        return cls(vocab, d_star, d_tilde, [ex for ex in d_star if ex.noisy_label is not None], config)
 
 
 def build_corpus(config: SynthConfig) -> tuple[Corpus, Cohort, LinkSet]:
@@ -90,8 +91,7 @@ def build_corpus(config: SynthConfig) -> tuple[Corpus, Cohort, LinkSet]:
     d_star, d_tilde, d_prime = build_datasets(
         cohort.mothers, cohort.newborns, links, cohort.vocab, config
     )
-    corpus = Corpus(cohort.vocab, tuple(d_star), tuple(d_tilde), tuple(d_prime), config)
-    return corpus, cohort, links
+    return Corpus(cohort.vocab, d_star, d_tilde, d_prime, config), cohort, links
 
 
 def split_examples(
@@ -427,61 +427,3 @@ def calibrate_noise(
         f"no convergence in {max_steps} steps: bracket [{lo:.4f}, {hi:.4f}] "
         f"with accuracies [{f_lo:.4f}, {f_hi:.4f}] around target {target}"
     )
-
-
-# --- plain SVG output --------------------------------------------------------
-
-_SVG_W, _SVG_H, _SVG_M = 480, 360, 56
-
-
-def _svg_open(title: str) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
-        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_SVG_W / 2:.0f}" y="24" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title}</text>',
-    ]
-
-
-def _svg_axes(xlabel: str, ylabel: str) -> list[str]:
-    x0, y0, x1, y1 = _SVG_M, _SVG_H - _SVG_M, _SVG_W - 16, 40
-    return [
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
-        f'<text x="{(x0 + x1) / 2:.0f}" y="{_SVG_H - 16}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">{xlabel}</text>',
-        f'<text x="16" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" font-size="12" '
-        f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) / 2:.0f})">{ylabel}</text>',
-    ]
-
-
-def _to_px(x: float, y: float) -> tuple[float, float]:
-    x0, y0, x1, y1 = _SVG_M, _SVG_H - _SVG_M, _SVG_W - 16, 40
-    return x0 + x * (x1 - x0), y0 - y * (y0 - y1)
-
-
-def curve_svg(xs: np.ndarray, ys: np.ndarray, title: str, xlabel: str, ylabel: str) -> str:
-    parts = _svg_open(title) + _svg_axes(xlabel, ylabel)
-    pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in (_to_px(float(x), float(y)) for x, y in zip(xs, ys)))
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def summary_svg(names: Sequence[str], means: Sequence[float], stds: Sequence[float], title: str) -> str:
-    parts = _svg_open(title) + _svg_axes("method", "score")
-    n = len(names)
-    for k, (name, mean, std) in enumerate(zip(names, means, stds)):
-        x = (k + 0.5) / max(n, 1)
-        cx, cy = _to_px(x, float(mean))
-        _, y_hi = _to_px(x, min(1.0, float(mean + std)))
-        _, y_lo = _to_px(x, max(0.0, float(mean - std)))
-        parts.append(f'<line x1="{cx:.2f}" y1="{y_lo:.2f}" x2="{cx:.2f}" y2="{y_hi:.2f}" stroke="#444"/>')
-        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#1f6fb2"/>')
-        parts.append(
-            f'<text x="{cx:.2f}" y="{_SVG_H - _SVG_M + 16}" text-anchor="middle" font-size="9" '
-            f'font-family="sans-serif">{name}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"

@@ -1,9 +1,13 @@
 """Command-line front end.
 
 One executable, subcommands for each pipeline stage plus an end-to-end
-`pipeline` runner. Exit codes: 0 success, 1 runtime failure, 2 usage or
-config validation error. All file outputs are bit-reproducible for identical
-flags and inputs; `--threads` only caps worker processes.
+`pipeline` runner. Each stage is one function: it takes the stage's inputs in
+memory, writes the stage's files, prints its summary and returns its outputs.
+A staged subcommand reads its input files and calls its stage; `pipeline`
+calls every stage in order, so both paths write the same bytes. Exit codes:
+0 success, 1 runtime failure, 2 usage or config validation error. All file
+outputs are bit-reproducible for identical flags and inputs; `--threads` only
+caps worker processes.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 from . import __version__
 from .bench import (
@@ -22,19 +27,27 @@ from .bench import (
     Corpus,
     RepeatRow,
     calibrate_noise,
-    curve_svg,
     derive_seed,
     repeated_benchmark,
     summarize,
-    summary_svg,
 )
-from .linkage import DEFAULT_MAX_L1_MINUTES, DEFAULT_MAX_PER_MOTHER, link_accuracy, match_newborns, save_links
+from .linkage import (
+    DEFAULT_MAX_L1_MINUTES,
+    DEFAULT_MAX_PER_MOTHER,
+    LinkSet,
+    link_accuracy,
+    load_links,
+    match_newborns,
+    save_links,
+)
 from .net import CHECKPOINT_MAGIC, NetDims, init_params, save_checkpoint
-from .noise import estimate_corruption_matrix, load_matrix_csv, save_matrix_csv
+from .noise import CorruptionMatrix, estimate_corruption_matrix, load_matrix_csv, save_matrix_csv
 from .records import CodeVocabulary, load_examples, load_records, save_examples, save_records
 from .synth import (
     ClericalNoiseModel,
+    Cohort,
     ConfigError,
+    GroundTruth,
     SynthConfig,
     build_datasets,
     generate_cohort,
@@ -49,13 +62,6 @@ CONFIG_SCHEMA_VERSION = 1
 # the method and the seed of its own training runs.
 TRAIN_KEYS = ("n_epochs", "batch_size", "learning_rate", "optimizer")
 BENCHMARK_KEYS = ("repeats", "methods", "base_seed")
-
-
-class PipelineStageError(RuntimeError):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"pipeline stage '{stage}' failed: {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 # --- run settings --------------------------------------------------------------
@@ -191,7 +197,7 @@ class RunSettings:
 
 
 def resolve_run_settings(args: argparse.Namespace) -> RunSettings:
-    """The settings of a synth, benchmark or pipeline run. Each value is the
+    """The settings of a synth, datasets, benchmark or pipeline run. Each value is the
     dataclass (or repeated_benchmark) default, overridden by the --config
     file, overridden by a flag. base_seed defaults to the synth seed."""
     if args.config:
@@ -232,31 +238,71 @@ def format_summary_table(methods, summaries) -> str:
     return "\n".join(lines)
 
 
-def _write_report_files(report: BenchmarkReport, out_dir: Path, curves: bool) -> None:
-    (out_dir / "report.csv").write_text(report.report_csv(), encoding="utf-8")
-    (out_dir / "report_raw.csv").write_text(report.raw_csv(), encoding="utf-8")
-    if curves and report.curves:
-        curve_dir = out_dir / "curves"
-        curve_dir.mkdir(exist_ok=True)
-        for method, data in report.curves.items():
-            (curve_dir / f"roc_{method}.svg").write_text(
-                curve_svg(data["grid"], data["tpr"], f"ROC {method} (mean over repeats)",
-                          "false positive rate", "true positive rate"),
-                encoding="utf-8",
-            )
-            (curve_dir / f"pr_{method}.svg").write_text(
-                curve_svg(data["grid"], data["precision"], f"PR {method} (mean over repeats)",
-                          "recall", "precision"),
-                encoding="utf-8",
-            )
+# --- plain SVG output ------------------------------------------------------------
+
+_SVG_W, _SVG_H, _SVG_M = 480, 360, 56
 
 
-# --- subcommands ---------------------------------------------------------------
+def _svg_open(title: str) -> list[str]:
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
+        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
+        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
+        f'<text x="{_SVG_W / 2:.0f}" y="24" text-anchor="middle" font-size="14" '
+        f'font-family="sans-serif">{title}</text>',
+    ]
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    config = resolve_run_settings(args).synth
-    out_dir = Path(args.out)
+def _svg_axes(xlabel: str, ylabel: str) -> list[str]:
+    x0, y0, x1, y1 = _SVG_M, _SVG_H - _SVG_M, _SVG_W - 16, 40
+    return [
+        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
+        f'<text x="{(x0 + x1) / 2:.0f}" y="{_SVG_H - 16}" text-anchor="middle" '
+        f'font-size="12" font-family="sans-serif">{xlabel}</text>',
+        f'<text x="16" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" font-size="12" '
+        f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) / 2:.0f})">{ylabel}</text>',
+    ]
+
+
+def _to_px(x: float, y: float) -> tuple[float, float]:
+    x0, y0, x1, y1 = _SVG_M, _SVG_H - _SVG_M, _SVG_W - 16, 40
+    return x0 + x * (x1 - x0), y0 - y * (y0 - y1)
+
+
+def curve_svg(xs: Sequence[float], ys: Sequence[float], title: str, xlabel: str, ylabel: str) -> str:
+    parts = _svg_open(title) + _svg_axes(xlabel, ylabel)
+    pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in (_to_px(float(x), float(y)) for x, y in zip(xs, ys)))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def summary_svg(names: Sequence[str], means: Sequence[float], stds: Sequence[float], title: str) -> str:
+    parts = _svg_open(title) + _svg_axes("method", "score")
+    n = len(names)
+    for k, (name, mean, std) in enumerate(zip(names, means, stds)):
+        x = (k + 0.5) / max(n, 1)
+        cx, cy = _to_px(x, float(mean))
+        _, y_hi = _to_px(x, min(1.0, float(mean + std)))
+        _, y_lo = _to_px(x, max(0.0, float(mean - std)))
+        parts.append(f'<line x1="{cx:.2f}" y1="{y_lo:.2f}" x2="{cx:.2f}" y2="{y_hi:.2f}" stroke="#444"/>')
+        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#1f6fb2"/>')
+        parts.append(
+            f'<text x="{cx:.2f}" y="{_SVG_H - _SVG_M + 16}" text-anchor="middle" font-size="9" '
+            f'font-family="sans-serif">{name}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# --- stages --------------------------------------------------------------------
+
+LINKS_FILE = "links.tsv"
+C_MATRIX_FILE = "c_matrix.csv"
+
+
+def synth_stage(config: SynthConfig, out_dir: Path) -> Cohort:
     out_dir.mkdir(parents=True, exist_ok=True)
     cohort = generate_cohort(config)
     cohort.vocab.save(out_dir / "vocabulary.txt")
@@ -268,6 +314,70 @@ def cmd_synth(args: argparse.Namespace) -> int:
         f"cohort: {len(cohort.mothers)} mothers ({n_preterm} preterm), "
         f"{len(cohort.newborns)} newborns, {config.n_hospitals} hospitals -> {out_dir}"
     )
+    return cohort
+
+
+def link_stage(
+    mothers, newborns, vocab: CodeVocabulary, out: Path, truth: GroundTruth | None = None,
+    max_per_mother: int = DEFAULT_MAX_PER_MOTHER, max_l1_minutes: int = DEFAULT_MAX_L1_MINUTES,
+) -> LinkSet:
+    """Link newborns to mothers; with `truth`, also print the link accuracy."""
+    links = match_newborns(mothers, newborns, vocab, max_per_mother=max_per_mother, max_l1_minutes=max_l1_minutes)
+    save_links(links, out)
+    print(f"linked {len(links)} newborns -> {out}")
+    if truth is not None:
+        pair_acc, label_acc = link_accuracy(links, truth, newborns, vocab)
+        print(f"pair_accuracy={pair_acc:.4f} label_accuracy={label_acc:.4f}")
+    return links
+
+
+def datasets_stage(mothers, newborns, links, vocab: CodeVocabulary, config: SynthConfig, out_dir: Path):
+    """The clean (d_star), noisy (d_tilde) and dual-labeled (d_prime) sets."""
+    d_star, d_tilde, d_prime = build_datasets(mothers, newborns, links, vocab, config)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_examples(d_star, out_dir / "d_star.jsonl", vocab)
+    save_examples(d_tilde, out_dir / "d_tilde.jsonl", vocab)
+    save_examples(d_prime, out_dir / "d_prime.jsonl", vocab)
+    print(f"datasets: clean={len(d_star)} noisy={len(d_tilde)} dual={len(d_prime)} -> {out_dir}")
+    return d_star, d_tilde, d_prime
+
+
+def estimate_c_stage(dual, out: Path) -> CorruptionMatrix:
+    c = estimate_corruption_matrix(dual)
+    save_matrix_csv(c, out)
+    print(f"estimated corruption matrix from {len(dual)} dual-labeled examples -> {out}")
+    for i in range(2):
+        print(f"  [{c.entries[i, 0]:.6f}, {c.entries[i, 1]:.6f}]  (n={c.counts[i].sum()})")
+    return c
+
+
+def benchmark_stage(
+    corpus: Corpus, settings: RunSettings, workers: int, curves: bool, out_dir: Path
+) -> BenchmarkReport:
+    report = repeated_benchmark(
+        corpus, train_config=settings.train, workers=workers, collect_curves=curves, **settings.benchmark
+    )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.csv").write_text(report.report_csv(), encoding="utf-8")
+    (out_dir / "report_raw.csv").write_text(report.raw_csv(), encoding="utf-8")
+    if curves and report.curves:
+        curve_dir = out_dir / "curves"
+        curve_dir.mkdir(exist_ok=True)
+        for method, data in report.curves.items():
+            for kind, ys, axes in (("roc", data["tpr"], ("false positive rate", "true positive rate")),
+                                   ("pr", data["precision"], ("recall", "precision"))):
+                svg = curve_svg(data["grid"], ys, f"{kind.upper()} {method} (mean over repeats)", *axes)
+                (curve_dir / f"{kind}_{method}.svg").write_text(svg, encoding="utf-8")
+    print(format_summary_table(report.methods, report.summaries))
+    print(f"report -> {out_dir / 'report.csv'} (fingerprint {report.fingerprint})")
+    return report
+
+
+# --- subcommands ---------------------------------------------------------------
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    synth_stage(resolve_run_settings(args).synth, Path(args.out))
     return 0
 
 
@@ -275,17 +385,17 @@ def cmd_link(args: argparse.Namespace) -> int:
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
-    links = match_newborns(
-        mothers, newborns, vocab,
-        max_per_mother=args.max_per_mother,
-        max_l1_minutes=args.max_l1_hours * 60,
-    )
-    save_links(links, args.out)
-    print(f"linked {len(links)} newborns -> {args.out}")
-    if args.truth:
-        truth = load_truth(args.truth)
-        pair_acc, label_acc = link_accuracy(links, truth, newborns, vocab)
-        print(f"pair_accuracy={pair_acc:.4f} label_accuracy={label_acc:.4f}")
+    truth = load_truth(args.truth) if args.truth else None
+    link_stage(mothers, newborns, vocab, Path(args.out), truth, args.max_per_mother, args.max_l1_hours * 60)
+    return 0
+
+
+def cmd_datasets(args: argparse.Namespace) -> int:
+    config = resolve_run_settings(args).synth
+    vocab = CodeVocabulary.load(args.vocab)
+    mothers = load_records(args.mothers, vocab)
+    newborns = load_records(args.newborns, vocab)
+    datasets_stage(mothers, newborns, load_links(args.links), vocab, config, Path(args.out))
     return 0
 
 
@@ -293,11 +403,7 @@ def cmd_estimate_c(args: argparse.Namespace) -> int:
     vocab = CodeVocabulary.load(args.vocab)
     examples = load_examples(args.examples, vocab)
     dual = [ex for ex in examples if ex.clean_label is not None and ex.noisy_label is not None]
-    c = estimate_corruption_matrix(dual)
-    save_matrix_csv(c, args.out)
-    print(f"estimated corruption matrix from {len(dual)} dual-labeled examples -> {args.out}")
-    for i in range(2):
-        print(f"  [{c.entries[i, 0]:.6f}, {c.entries[i, 1]:.6f}]  (n={c.counts[i].sum()})")
+    estimate_c_stage(dual, Path(args.out))
     return 0
 
 
@@ -324,74 +430,40 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _benchmark(
-    corpus: Corpus, settings: RunSettings, workers: int, curves: bool, out_dir: Path
-) -> BenchmarkReport:
-    """Run the repeated benchmark, write its report files and print its summary."""
-    report = repeated_benchmark(
-        corpus, train_config=settings.train, workers=workers, collect_curves=curves, **settings.benchmark
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report_files(report, out_dir, curves)
-    print(format_summary_table(report.methods, report.summaries))
-    return report
-
-
 def cmd_benchmark(args: argparse.Namespace) -> int:
     settings = resolve_run_settings(args)
     workers = _threads(args.threads)
     corpus = Corpus.from_files(args.clean, args.noisy, args.vocab, settings.synth)
-    out_dir = Path(args.out)
-    report = _benchmark(corpus, settings, workers, args.curves, out_dir)
-    print(f"report -> {out_dir / 'report.csv'} (fingerprint {report.fingerprint})")
+    benchmark_stage(corpus, settings, workers, args.curves, Path(args.out))
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    def stage(name, fn):
+    def stage(name, fn, *inputs, **options):
         try:
-            return fn()
+            return fn(*inputs, **options)
         except ConfigError:
             raise
         except Exception as exc:
-            raise PipelineStageError(name, exc) from exc
+            raise RuntimeError(f"pipeline stage '{name}' failed: {exc}") from exc
 
-    settings = stage("config", lambda: resolve_run_settings(args))
+    settings = stage("config", resolve_run_settings, args)
     workers = _threads(args.threads)
     config = settings.synth
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if not args.no_calibrate:
-        noise = stage("calibrate", lambda: calibrate_noise(config=config, **_flags(args, ["target"])))
+        noise = stage("calibrate", calibrate_noise, config=config, **_flags(args, ["target"]))
         config = replace(config, clerical_noise=noise)
         print(f"calibrated misclassified_newborn_rate={noise.misclassified_newborn_rate:.6f}")
 
-    cohort = stage("synth", lambda: generate_cohort(config))
-    cohort.vocab.save(out_dir / "vocabulary.txt")
-    save_records(cohort.mothers, out_dir / "mothers.jsonl", cohort.vocab)
-    save_records(cohort.newborns, out_dir / "newborns.jsonl", cohort.vocab)
-    save_truth(cohort.truth, out_dir / "truth.tsv")
-
-    links = stage("link", lambda: match_newborns(cohort.mothers, cohort.newborns, cohort.vocab))
-    save_links(links, out_dir / "links.tsv")
-    pair_acc, label_acc = link_accuracy(links, cohort.truth, cohort.newborns, cohort.vocab)
-    print(f"linked {len(links)} newborns: pair_accuracy={pair_acc:.4f} label_accuracy={label_acc:.4f}")
-
-    d_star, d_tilde, d_prime = stage(
-        "datasets",
-        lambda: build_datasets(cohort.mothers, cohort.newborns, links, cohort.vocab, config),
-    )
-    save_examples(d_star, out_dir / "d_star.jsonl", cohort.vocab)
-    save_examples(d_tilde, out_dir / "d_tilde.jsonl", cohort.vocab)
-    save_examples(d_prime, out_dir / "d_prime.jsonl", cohort.vocab)
-    print(f"datasets: clean={len(d_star)} noisy={len(d_tilde)} dual={len(d_prime)}")
-
-    c = stage("estimate-c", lambda: estimate_corruption_matrix(d_prime))
-    save_matrix_csv(c, out_dir / "c_matrix.csv")
-
-    corpus = Corpus(cohort.vocab, tuple(d_star), tuple(d_tilde), tuple(d_prime), config)
-    stage("benchmark", lambda: _benchmark(corpus, settings, workers, args.curves, out_dir))
+    cohort = stage("synth", synth_stage, config, out_dir)
+    mothers, newborns, vocab = cohort.mothers, cohort.newborns, cohort.vocab
+    links = stage("link", link_stage, mothers, newborns, vocab, out_dir / LINKS_FILE, cohort.truth)
+    d_star, d_tilde, d_prime = stage("datasets", datasets_stage, mothers, newborns, links, vocab, config, out_dir)
+    stage("estimate-c", estimate_c_stage, d_prime, out_dir / C_MATRIX_FILE)
+    corpus = Corpus(vocab, d_star, d_tilde, d_prime, config)
+    stage("benchmark", benchmark_stage, corpus, settings, workers, args.curves, out_dir)
     print(f"pipeline complete -> {out_dir}")
     return 0
 
@@ -422,16 +494,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "auc.svg").write_text(
-            summary_svg(methods, [summaries[m].auc_mean for m in methods],
-                        [summaries[m].auc_std for m in methods], "AUC by method"),
-            encoding="utf-8",
-        )
-        (out_dir / "pr_auc.svg").write_text(
-            summary_svg(methods, [summaries[m].prauc_mean for m in methods],
-                        [summaries[m].prauc_std for m in methods], "PR-AUC by method"),
-            encoding="utf-8",
-        )
+        s = [summaries[m] for m in methods]
+        for name, title, means, stds in (
+            ("auc", "AUC", [x.auc_mean for x in s], [x.auc_std for x in s]),
+            ("pr_auc", "PR-AUC", [x.prauc_mean for x in s], [x.prauc_std for x in s]),
+        ):
+            svg = summary_svg(methods, means, stds, f"{title} by method")
+            (out_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
     return 0
 
 
@@ -466,6 +535,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-per-mother", type=int, default=DEFAULT_MAX_PER_MOTHER)
     p.add_argument("--max-l1-hours", type=int, default=DEFAULT_MAX_L1_MINUTES // 60)
     p.set_defaults(func=cmd_link)
+
+    p = sub.add_parser("datasets", help="build the clean, noisy and dual-labeled example sets")
+    p.add_argument("--config", type=Path, help="JSON run config (flags override it)")
+    p.add_argument("--prediction-period-days", dest="prediction_period_days", type=int)
+    p.add_argument("--mothers", required=True)
+    p.add_argument("--newborns", required=True)
+    p.add_argument("--links", required=True)
+    p.add_argument("--vocab", required=True)
+    p.add_argument("--out", required=True, help="output directory")
+    p.set_defaults(func=cmd_datasets)
 
     p = sub.add_parser("estimate-c", help="estimate the label corruption matrix")
     p.add_argument("--examples", required=True, help="dual-labeled examples (JSONL)")

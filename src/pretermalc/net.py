@@ -125,12 +125,6 @@ class ModelParams(Mapping):
     def __len__(self) -> int:
         return len(self._views)
 
-    def named_tensors(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self._views.items())
-
-    def tensor(self, name: str) -> np.ndarray:
-        return self._views[name]
-
     def first_non_finite(self, values: np.ndarray) -> str | None:
         """Name of the first tensor whose slice of the flat ``values`` holds
         a non-finite number, or None when all are finite."""
@@ -240,8 +234,10 @@ class Batch:
             bad = codes.max() if codes.max() >= vocab_size else codes.min()
             raise ValueError(f"code index {bad} out of range for vocabulary of {vocab_size}")
         n = self.rows.size
-        counts = np.bincount(self.code_visit * vocab_size + codes, minlength=n * vocab_size)
-        return counts.reshape(n, vocab_size).astype(np.float64)
+        idx = self.code_visit * vocab_size + codes
+        counts = np.bincount(idx, weights=np.ones(idx.size), minlength=n * vocab_size)
+        # With no code at all, bincount returns int64 zeros despite the weights.
+        return counts.reshape(n, vocab_size).astype(np.float64, copy=False)
 
 
 def sequence_of(example: LabeledExample) -> list[VisitCodes]:
@@ -503,7 +499,7 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         "vocab_size": params.dims.vocab_size,
         "d_emb": params.dims.d_emb,
         "d_h": params.dims.d_h,
-        "tensors": [[name, list(tensor.shape)] for name, tensor in params.named_tensors()],
+        "tensors": [[name, list(tensor.shape)] for name, tensor in params.items()],
     }
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")

@@ -82,7 +82,7 @@ def max_gradient_rel_error(
 
     grads = backward(params, batch, forward(params, batch), labels, loss_kind, c)
     worst = 0.0
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.items():
         analytic = grads[name]
         it = np.nditer(tensor, flags=["multi_index"])
         for _ in it:

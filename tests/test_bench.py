@@ -16,14 +16,13 @@ import pretermalc
 from pretermalc.bench import (
     BenchmarkReport,
     calibrate_noise,
-    curve_svg,
     derive_seed,
     build_corpus,
     mean_label_accuracy,
     repeated_benchmark,
     split_examples,
-    summary_svg,
 )
+from pretermalc.cli import curve_svg, summary_svg
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
 from pretermalc.synth import ClericalNoiseModel, SynthConfig
 from pretermalc.train import TrainConfig, TrainMethod

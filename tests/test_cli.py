@@ -11,11 +11,9 @@ from pretermalc.cli import build_parser, format_summary_table, load_run_config, 
 from pretermalc.linkage import DEFAULT_MAX_L1_MINUTES, DEFAULT_MAX_PER_MOTHER
 from pretermalc.synth import ConfigError
 
-PIPELINE_FLAGS = [
-    "--mothers", "200", "--hospitals", "3", "--seed", "11",
-    "--no-calibrate", "--repeats", "1", "--epochs", "1",
-    "--methods", "NoLC_clean", "--curves",
-]
+COHORT_FLAGS = ["--mothers", "200", "--hospitals", "3", "--seed", "11"]
+BENCHMARK_FLAGS = ["--repeats", "1", "--epochs", "1", "--methods", "NoLC_clean", "--curves"]
+PIPELINE_FLAGS = [*COHORT_FLAGS, "--no-calibrate", *BENCHMARK_FLAGS]
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +177,41 @@ def test_pipeline_writes_every_artifact(pipeline_dir):
         "curves/roc_NoLC_clean.svg", "curves/pr_NoLC_clean.svg",
     ):
         assert (pipeline_dir / name).exists(), name
+
+
+def test_staged_commands_write_the_pipeline_files(pipeline_dir, tmp_path):
+    d = str(tmp_path)
+    cohort = ["--mothers", f"{d}/mothers.jsonl", "--newborns", f"{d}/newborns.jsonl", "--vocab", f"{d}/vocabulary.txt"]
+    for argv in (
+        ["synth", *COHORT_FLAGS, "--out", d],
+        ["link", *cohort, "--truth", f"{d}/truth.tsv", "--out", f"{d}/links.tsv"],
+        ["datasets", *cohort, "--links", f"{d}/links.tsv", "--out", d],
+        ["estimate-c", "--examples", f"{d}/d_prime.jsonl", "--vocab", f"{d}/vocabulary.txt",
+         "--out", f"{d}/c_matrix.csv"],
+        ["benchmark", *COHORT_FLAGS, *BENCHMARK_FLAGS, "--clean", f"{d}/d_star.jsonl",
+         "--noisy", f"{d}/d_tilde.jsonl", "--vocab", f"{d}/vocabulary.txt", "--out", d],
+    ):
+        assert main(argv) == 0, argv[0]
+    written = sorted(p.relative_to(pipeline_dir) for p in pipeline_dir.rglob("*") if p.is_file())
+    assert len(written) == 13
+    assert written == sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+
+
+def test_datasets_takes_the_prediction_period_from_config_or_flag(pipeline_dir, tmp_path):
+    inputs = [
+        "datasets", "--mothers", str(pipeline_dir / "mothers.jsonl"),
+        "--newborns", str(pipeline_dir / "newborns.jsonl"), "--links", str(pipeline_dir / "links.tsv"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"),
+    ]
+    cfg = write_config(tmp_path / "run.json", {"version": 1, "synth": {"prediction_period_days": 60}})
+    assert main([*inputs, "--config", cfg, "--out", str(tmp_path / "config")]) == 0
+    assert main([*inputs, "--prediction-period-days", "60", "--out", str(tmp_path / "flag")]) == 0
+    for name in ("d_star.jsonl", "d_tilde.jsonl", "d_prime.jsonl"):
+        a = (tmp_path / "config" / name).read_bytes()
+        assert a == (tmp_path / "flag" / name).read_bytes(), name
+        assert a != (pipeline_dir / name).read_bytes(), name
 
 
 def test_pipeline_report_is_thread_count_independent(tmp_path):
@@ -374,6 +407,7 @@ SYNTH_FLAGS = [
 OPTION_STRINGS = {
     "synth": ["--out", *SYNTH_FLAGS],
     "link": ["--max-l1-hours", "--max-per-mother", "--mothers", "--newborns", "--out", "--truth", "--vocab"],
+    "datasets": ["--config", "--links", "--mothers", "--newborns", "--out", "--prediction-period-days", "--vocab"],
     "estimate-c": ["--examples", "--out", "--vocab"],
     "train": [
         "--batch-size", "--c-matrix", "--clean", "--d-emb", "--d-h", "--epochs", "--lr", "--method",

@@ -33,7 +33,7 @@ TINY = NetDims(vocab_size=20, d_emb=8, d_h=8)
 
 def zeroed_params(dims=TINY):
     params = init_params(dims, seed=0)
-    for _, tensor in params.named_tensors():
+    for _, tensor in params.items():
         tensor[...] = 0.0
     return params
 
@@ -291,14 +291,14 @@ def test_init_is_seed_deterministic():
     a = init_params(TINY, seed=42)
     b = init_params(TINY, seed=42)
     other = init_params(TINY, seed=43)
-    for name, tensor in a.named_tensors():
-        assert np.array_equal(tensor, b.tensor(name)), name
+    for name, tensor in a.items():
+        assert np.array_equal(tensor, b[name]), name
     assert not np.array_equal(a.emb, other.emb)
 
 
 def test_init_zero_biases_and_weight_bounds():
     params = init_params(TINY, seed=9)
-    for name, tensor in params.named_tensors():
+    for name, tensor in params.items():
         if name.endswith((".b", "att_b", "proj_b", "out_b")):
             assert np.all(tensor == 0.0), name
     bound = math.sqrt(6.0 / (TINY.vocab_size + TINY.d_emb))
@@ -323,8 +323,8 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert loaded.dims == params.dims
-    for name, tensor in params.named_tensors():
-        assert np.array_equal(tensor, loaded.tensor(name)), name
+    for name, tensor in params.items():
+        assert np.array_equal(tensor, loaded[name]), name
 
 
 def test_checkpoint_rejects_wrong_magic(tmp_path):

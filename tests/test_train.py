@@ -116,7 +116,7 @@ def test_sgd_step_is_plain_scaled_descent():
 
 def test_adam_matches_reference_formula():
     params = init_params(TINY, seed=2)
-    reference = {name: t.copy() for name, t in params.named_tensors()}
+    reference = {name: t.copy() for name, t in params.items()}
     m = {name: np.zeros_like(t) for name, t in reference.items()}
     v = {name: np.zeros_like(t) for name, t in reference.items()}
     config = TrainConfig(optimizer="adam", learning_rate=1e-3)
@@ -133,7 +133,7 @@ def test_adam_matches_reference_formula():
             m_hat = m[name] / (1 - ADAM_BETA1**step)
             v_hat = v[name] / (1 - ADAM_BETA2**step)
             reference[name] = reference[name] - config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        for name, tensor in params.named_tensors():
+        for name, tensor in params.items():
             assert np.allclose(tensor, reference[name], rtol=1e-12, atol=0), (name, step)
 
 
@@ -146,8 +146,8 @@ def test_adam_first_step_size_is_bounded_by_learning_rate():
         g[...] = rng.normal(scale=100.0, size=g.shape)
     config = TrainConfig(optimizer="adam", learning_rate=1e-3)
     optimizer_step(params, grads, OptState.for_params(params), config)
-    for name, tensor in params.named_tensors():
-        assert np.max(np.abs(tensor - before.tensor(name))) <= config.learning_rate * 1.0001, name
+    for name, tensor in params.items():
+        assert np.max(np.abs(tensor - before[name])) <= config.learning_rate * 1.0001, name
 
 
 def test_optimizer_rejects_non_finite_gradients():
@@ -191,8 +191,8 @@ def test_training_is_bit_reproducible():
     init = init_params(TINY, seed=10)
     first, log_a = train(init, d_star, d_tilde, reference_matrix(), config)
     second, log_b = train(init, d_star, d_tilde, reference_matrix(), config)
-    for name, tensor in first.named_tensors():
-        assert np.array_equal(tensor, second.tensor(name)), name
+    for name, tensor in first.items():
+        assert np.array_equal(tensor, second[name]), name
     assert log_a == log_b
 
 
@@ -201,8 +201,8 @@ def test_training_does_not_mutate_the_given_parameters():
     init = init_params(TINY, seed=10)
     frozen = init.copy()
     train(init, d_star, d_tilde, None, TrainConfig(method=TrainMethod.NOLC_CLEAN, n_epochs=2))
-    for name, tensor in init.named_tensors():
-        assert np.array_equal(tensor, frozen.tensor(name)), name
+    for name, tensor in init.items():
+        assert np.array_equal(tensor, frozen[name]), name
 
 
 def test_shuffle_seed_changes_the_outcome():
@@ -212,7 +212,7 @@ def test_shuffle_seed_changes_the_outcome():
     config_b = TrainConfig(method=TrainMethod.NOLC_CLEAN, n_epochs=2, batch_size=8, seed=2)
     a, _ = train(init, d_star, d_tilde, None, config_a)
     b, _ = train(init, d_star, d_tilde, None, config_b)
-    assert any(not np.array_equal(t, b.tensor(name)) for name, t in a.named_tensors())
+    assert any(not np.array_equal(t, b[name]) for name, t in a.items())
 
 
 def test_phase_order_changes_the_outcome():
@@ -222,7 +222,7 @@ def test_phase_order_changes_the_outcome():
                    TrainConfig(method=TrainMethod.GLC_NOISY_THEN_CLEAN, n_epochs=4, batch_size=8))
     ctn, _ = train(init, d_star, d_tilde, reference_matrix(),
                    TrainConfig(method=TrainMethod.GLC_CLEAN_THEN_NOISY, n_epochs=4, batch_size=8))
-    assert any(not np.array_equal(t, ctn.tensor(name)) for name, t in ntc.named_tensors())
+    assert any(not np.array_equal(t, ctn[name]) for name, t in ntc.items())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
