@@ -30,8 +30,8 @@ from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
 from .noise import CorruptionMatrix, estimate_corruption_matrix
 from .records import CodeVocabulary, DatasetSplit, LabeledExample, load_examples
 from .synth import ClericalNoiseModel, Cohort, SynthConfig, build_datasets, generate_cohort
-from .net import CORRECTED, NetDims, init_params
-from .train import TrainConfig, TrainMethod, plan_epochs, score_examples, train
+from .net import NetDims, init_params
+from .train import CORRECTED, TrainConfig, TrainMethod, plan_epochs, score_examples, train
 
 logger = logging.getLogger(__name__)
 
@@ -179,13 +179,11 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def _split_for_repeat(
-    corpus: Corpus, repeat: int, base_seed: int, fractions: tuple[float, float, float], need_c: bool
-) -> DatasetSplit:
+def _split_for_repeat(corpus: Corpus, repeat: int, base_seed: int, need_c: bool) -> DatasetSplit:
     prime_ids = {ex.patient_id for ex in corpus.d_prime}
     for attempt in range(MAX_SPLIT_ATTEMPTS):
         split = split_examples(
-            corpus.d_star, fractions, derive_seed(base_seed, "split", repeat, attempt)
+            corpus.d_star, DEFAULT_SPLIT, derive_seed(base_seed, "split", repeat, attempt)
         )
         ok = _has_both_classes(split.validation) and _has_both_classes(split.test)
         if ok and need_c:
@@ -205,7 +203,6 @@ def _run_repeat(
     corpus: Corpus,
     methods: Sequence[TrainMethod],
     base_seed: int,
-    fractions: tuple[float, float, float],
     base_config: TrainConfig,
     collect_curves: bool,
     repeat: int,
@@ -214,7 +211,7 @@ def _run_repeat(
         any(spec.loss_kind == CORRECTED for spec in plan_epochs(m, base_config.n_epochs))
         for m in methods
     )
-    split = _split_for_repeat(corpus, repeat, base_seed, fractions, need_c)
+    split = _split_for_repeat(corpus, repeat, base_seed, need_c)
 
     c_hat: CorruptionMatrix | None = None
     if need_c:
@@ -276,14 +273,14 @@ def _corpus_digest(corpus: Corpus) -> str:
     return h.hexdigest()
 
 
-def _fingerprint(corpus: Corpus, methods, repeats, fractions, base_config, base_seed: int) -> str:
+def _fingerprint(corpus: Corpus, methods, repeats, base_config: TrainConfig, base_seed: int) -> str:
     payload = repr(
         (
             asdict(corpus.config),
             [m.value for m in methods],
             repeats,
-            tuple(fractions),
-            asdict(base_config) if not isinstance(base_config, dict) else base_config,
+            DEFAULT_SPLIT,
+            asdict(base_config),
             base_seed,
             _corpus_digest(corpus),
         )
@@ -295,7 +292,6 @@ def repeated_benchmark(
     corpus: Corpus,
     methods: Sequence[TrainMethod] = ALL_METHODS,
     repeats: int = DEFAULT_REPEATS,
-    split_fractions: tuple[float, float, float] = DEFAULT_SPLIT,
     base_seed: int = 0,
     train_config: TrainConfig | None = None,
     workers: int = 1,
@@ -316,7 +312,7 @@ def repeated_benchmark(
         raise ValueError(f"method(s) requested more than once: {', '.join(repeated)}")
     base_config = train_config or TrainConfig()
 
-    run = partial(_run_repeat, corpus, methods, base_seed, split_fractions, base_config, collect_curves)
+    run = partial(_run_repeat, corpus, methods, base_seed, base_config, collect_curves)
     if workers > 1:
         # One chunk of repeats per worker, so the corpus is pickled once per
         # worker. It travels with the task, not with the start-up arguments:
@@ -353,7 +349,7 @@ def repeated_benchmark(
         repeats=repeats,
         rows=rows,
         summaries=summarize(rows),
-        fingerprint=_fingerprint(corpus, methods, repeats, split_fractions, base_config, base_seed),
+        fingerprint=_fingerprint(corpus, methods, repeats, base_config, base_seed),
         curves=curves,
     )
 
@@ -361,23 +357,17 @@ def repeated_benchmark(
 # --- noise calibration -------------------------------------------------------
 
 
-def label_accuracy_for(config: SynthConfig) -> float:
-    """Noisy-label accuracy of the heuristic linkage on one generated cohort."""
-    cohort = generate_cohort(config)
-    links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
-    _, label_acc = link_accuracy(links, cohort.truth, cohort.newborns, cohort.vocab)
-    return label_acc
-
-
 def mean_label_accuracy(config: SynthConfig, n_seeds: int = 5) -> float:
-    """Average linkage label accuracy over seeds derived from config.seed.
-    Uses the same seed schedule as calibrate_noise, so a calibrated config
-    evaluates on exactly the cohorts the calibration saw."""
+    """Average noisy-label accuracy of the heuristic linkage over cohorts
+    generated with seeds derived from config.seed. Uses the same seed
+    schedule as calibrate_noise, so a calibrated config evaluates on exactly
+    the cohorts the calibration saw."""
     total = 0.0
     for i in range(n_seeds):
-        total += label_accuracy_for(
-            replace(config, seed=derive_seed(config.seed, "calibration", i))
-        )
+        cohort = generate_cohort(replace(config, seed=derive_seed(config.seed, "calibration", i)))
+        links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
+        total += link_accuracy(links, cohort.truth, cohort.newborns, cohort.vocab)[1]
+        del cohort, links  # else this cohort stays alive while the next one is generated
     return total / n_seeds
 
 

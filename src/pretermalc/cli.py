@@ -34,6 +34,7 @@ from .bench import (
 from .linkage import (
     DEFAULT_MAX_L1_MINUTES,
     DEFAULT_MAX_PER_MOTHER,
+    LinkageError,
     LinkSet,
     link_accuracy,
     load_links,
@@ -395,7 +396,11 @@ def cmd_datasets(args: argparse.Namespace) -> int:
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
-    datasets_stage(mothers, newborns, load_links(args.links), vocab, config, Path(args.out))
+    links = load_links(args.links)
+    try:
+        datasets_stage(mothers, newborns, links, vocab, config, Path(args.out))
+    except LinkageError as exc:
+        raise LinkageError(f"{args.links}: {exc}") from None
     return 0
 
 

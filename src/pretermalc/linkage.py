@@ -19,11 +19,10 @@ from typing import Iterable, Mapping, Sequence
 from .records import (
     CodeVocabulary,
     Label,
-    NewbornClass,
     PatientRecord,
     Role,
-    Visit,
-    newborn_classifier,
+    classify_newborn,
+    outcome_classifier,
 )
 
 DEFAULT_MAX_L1_MINUTES = 24 * 60
@@ -65,26 +64,6 @@ class LinkSet:
 
     def as_map(self) -> dict[str, str]:
         return {l.newborn_id: l.mother_id for l in self.links}
-
-
-def delivery_visit(mother: PatientRecord) -> Visit:
-    """The mother's encounter on her delivery day."""
-    if mother.delivery_day is None:
-        raise LinkageError(f"mother {mother.patient_id} has no delivery_day")
-    visit = mother.visit_on(mother.delivery_day)
-    if visit is None:
-        raise LinkageError(f"mother {mother.patient_id} has no visit on delivery day {mother.delivery_day}")
-    return visit
-
-
-def time_distance(mother: PatientRecord, newborn: PatientRecord) -> int:
-    """L1 distance in minutes between the mother's delivery encounter and the
-    newborn's birth encounter."""
-    mv = delivery_visit(mother)
-    if len(newborn.visits) != 1:
-        raise LinkageError(f"newborn {newborn.patient_id} must have exactly one visit")
-    bv = newborn.visits[0]
-    return abs(mv.t_adm - bv.t_adm) + abs(mv.t_dis - bv.t_dis)
 
 
 _MotherPoint = tuple[int, str, int]  # (t_adm, mother_id, t_dis) of a delivery encounter
@@ -155,14 +134,14 @@ def match_newborns(
         raise LinkageError(f"max_l1_minutes must be >= 0, got {max_l1_minutes}")
     by_hospital = _eligible_mothers(mothers)
     adms_by_hospital = {h: [t_adm for t_adm, _, _ in pts] for h, pts in by_hospital.items()}
-    classify = newborn_classifier(vocab)
+    classify = outcome_classifier(vocab, classify_newborn)
 
     # stage 1: nearest mother per classifiable newborn
     assigned: list[MatchCandidate] = []
     for baby in newborns:
         if baby.role is not Role.NEWBORN:
             continue
-        if classify(baby.visits[0].codes) is NewbornClass.UNKNOWN:
+        if classify(baby.visits[0].codes) is None:
             continue
         points = by_hospital.get(baby.hospital_id)
         if not points:
@@ -199,21 +178,17 @@ def derive_noisy_labels(
     classifies preterm, else full-term. Every linked baby must classify."""
     link_map = links.as_map() if isinstance(links, LinkSet) else dict(links)
     babies_by_id = {b.patient_id: b for b in newborns}
-    classify = newborn_classifier(vocab)
+    classify = outcome_classifier(vocab, classify_newborn)
     out: dict[str, Label] = {}
     for newborn_id, mother_id in link_map.items():
         baby = babies_by_id.get(newborn_id)
         if baby is None:
             raise LinkageError(f"linked newborn {newborn_id} not present in records")
-        cls = classify(baby.visits[0].codes)
-        if cls is NewbornClass.UNKNOWN:
+        label = classify(baby.visits[0].codes)
+        if label is None:
             raise LinkageError(f"linked newborn {newborn_id} has no classifiable outcome codes")
-        label = Label.PRETERM if cls is NewbornClass.PRETERM else Label.FULL_TERM
-        prev = out.get(mother_id)
-        if prev is None:
+        if label is Label.PRETERM or mother_id not in out:
             out[mother_id] = label
-        elif label is Label.PRETERM:
-            out[mother_id] = Label.PRETERM
     return out
 
 

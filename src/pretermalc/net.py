@@ -32,8 +32,8 @@ LOSS_EPS = 1e-7  # floor added to the picked probability before log
 CHECKPOINT_MAGIC = "pretermalc-checkpoint 2"
 CHECKPOINT_FAMILY = "pretermalc-checkpoint "
 
-PLAIN = "plain"
-CORRECTED = "corrected"
+# The corruption layer of plain cross-entropy: clean labels are not corrupted.
+IDENTITY = CorruptionMatrix.identity()
 
 VisitCodes = Collection[int]  # one visit's code indices, in any order
 
@@ -401,13 +401,6 @@ def _check_labels(labels: np.ndarray, n: int) -> np.ndarray:
     return labels
 
 
-def loss_clean(trace: ForwardTrace, labels: np.ndarray) -> float:
-    """Mean negative log of the picked clean-class probability."""
-    labels = _check_labels(labels, trace.probs.shape[0])
-    picked = trace.probs[np.arange(labels.size), labels]
-    return float(np.mean(-np.log(picked + LOSS_EPS)))
-
-
 def loss_corrected(trace: ForwardTrace, labels: np.ndarray, c: CorruptionMatrix) -> float:
     """Mean negative log of the picked noisy-class probability after pushing
     the model's clean distribution through the corruption matrix."""
@@ -417,33 +410,32 @@ def loss_corrected(trace: ForwardTrace, labels: np.ndarray, c: CorruptionMatrix)
     return float(np.mean(-np.log(picked + LOSS_EPS)))
 
 
+def loss_clean(trace: ForwardTrace, labels: np.ndarray) -> float:
+    """Plain cross-entropy: the corrected loss with C = I, which leaves the
+    clean distribution as it is."""
+    return loss_corrected(trace, labels, IDENTITY)
+
+
 def backward(
     params: ModelParams,
     batch: Batch,
     trace: ForwardTrace,
     labels: np.ndarray,
-    loss_kind: str,
-    c: CorruptionMatrix | None = None,
+    c: CorruptionMatrix,
 ) -> ModelParams:
-    """Exact gradient of the mean batch loss, in the layout of ``params``."""
+    """Exact gradient of the mean batch loss ``loss_corrected(trace, labels,
+    c)``, in the layout of ``params``. The corruption matrix acts as a fixed
+    dense layer q = p·C on top of the softmax; pass ``IDENTITY`` for plain
+    cross-entropy."""
     B = trace.probs.shape[0]
     labels = _check_labels(labels, B)
     rows = np.arange(B)
 
-    if loss_kind == PLAIN:
-        d_p = np.zeros_like(trace.probs)
-        picked = trace.probs[rows, labels]
-        d_p[rows, labels] = -1.0 / (B * (picked + LOSS_EPS))
-    elif loss_kind == CORRECTED:
-        if c is None:
-            raise ValueError("corrected loss requires a corruption matrix")
-        q = trace.probs @ c.entries
-        d_q = np.zeros_like(q)
-        picked = q[rows, labels]
-        d_q[rows, labels] = -1.0 / (B * (picked + LOSS_EPS))
-        d_p = d_q @ c.entries.T
-    else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
+    # corruption layer
+    q = trace.probs @ c.entries
+    d_q = np.zeros_like(q)
+    d_q[rows, labels] = -1.0 / (B * (q[rows, labels] + LOSS_EPS))
+    d_p = d_q @ c.entries.T
 
     # softmax over logits
     inner = (d_p * trace.probs).sum(axis=1, keepdims=True)

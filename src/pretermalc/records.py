@@ -1,5 +1,6 @@
 """Domain records: diagnosis vocabulary, visits, patients, labels, and the
-cohort rules that turn raw code sets into delivery / newborn classes.
+cohort rules that turn the codes of a delivery or birth encounter into a
+label.
 
 Timestamps are integer minutes since the cohort epoch; a visit's day is
 always floor(t_adm / 1440).
@@ -8,10 +9,10 @@ always floor(t_adm / 1440).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Sequence
 
 MINUTES_PER_DAY = 1440
 
@@ -33,22 +34,6 @@ class Label(IntEnum):
         if value == "fullterm":
             return cls.FULL_TERM
         raise ValueError(f"unknown label value {value!r}")
-
-
-class DeliveryClass(Enum):
-    """Outcome of classifying a mother's delivery-encounter codes."""
-
-    PRETERM = "preterm"
-    FULL_TERM = "fullterm"
-    AMBIGUOUS = "ambiguous"
-
-
-class NewbornClass(Enum):
-    """Outcome of classifying a newborn's birth-encounter codes."""
-
-    PRETERM = "preterm"
-    FULL_TERM = "fullterm"
-    UNKNOWN = "unknown"
 
 
 class Role(Enum):
@@ -218,50 +203,54 @@ def _matches_any(code: str, prefixes: tuple[str, ...], exact: frozenset[str]) ->
     return code in exact or any(code.startswith(p) for p in prefixes)
 
 
-def classify_delivery(codes: Iterable[str]) -> DeliveryClass:
-    """Classify a mother's delivery encounter from its code strings.
+def classify_delivery(codes: Iterable[str]) -> Label | None:
+    """Clean label of a mother's delivery encounter from its code strings.
 
     Preterm indicators take precedence over full-term ones; anything matching
-    neither list is Ambiguous.
+    neither list is ambiguous (None).
     """
     codes = set(codes)
     if any(_matches_any(c, PRETERM_DELIVERY_PREFIXES, PRETERM_DELIVERY_EXACT) for c in codes):
-        return DeliveryClass.PRETERM
+        return Label.PRETERM
     if any(_matches_any(c, FULLTERM_DELIVERY_PREFIXES, FULLTERM_DELIVERY_EXACT) for c in codes):
-        return DeliveryClass.FULL_TERM
-    return DeliveryClass.AMBIGUOUS
+        return Label.FULL_TERM
+    return None
 
 
-def classify_newborn(codes: Iterable[str]) -> NewbornClass:
-    """Classify a newborn's birth encounter from its code strings."""
+def classify_newborn(codes: Iterable[str]) -> Label | None:
+    """Label of a newborn's birth encounter from its code strings; None when
+    no prematurity code classifies it."""
     codes = set(codes)
     if any(_matches_any(c, NEWBORN_PRETERM_PREFIXES, NEWBORN_PRETERM_EXACT) for c in codes):
-        return NewbornClass.PRETERM
+        return Label.PRETERM
     if NEWBORN_FULLTERM_EXACT in codes:
-        return NewbornClass.FULL_TERM
-    return NewbornClass.UNKNOWN
+        return Label.FULL_TERM
+    return None
 
 
-def newborn_classifier(vocab: CodeVocabulary) -> Callable[[Collection[int]], NewbornClass]:
-    """classify_newborn over code indices of vocab. Each vocabulary code is
-    classified once; a visit's class then follows from its index set, with
-    the same precedence (any preterm code, else the full-term code)."""
-    by_index = [classify_newborn((code,)) for code in vocab]
-    preterm = frozenset(i for i, cls in enumerate(by_index) if cls is NewbornClass.PRETERM)
-    fullterm = frozenset(i for i, cls in enumerate(by_index) if cls is NewbornClass.FULL_TERM)
+def outcome_classifier(
+    vocab: CodeVocabulary, classify: Callable[[Iterable[str]], Label | None]
+) -> Callable[[Collection[int]], Label | None]:
+    """The code rule ``classify`` over code indices of vocab. Each vocabulary
+    code is classified once; a visit's label then follows from its index set
+    with the precedence both rules share: any preterm code, else any
+    full-term code, else None."""
+    by_index = [classify((code,)) for code in vocab]
+    preterm = frozenset(i for i, label in enumerate(by_index) if label is Label.PRETERM)
+    fullterm = frozenset(i for i, label in enumerate(by_index) if label is Label.FULL_TERM)
     size = len(by_index)
 
-    def classify(codes: Collection[int]) -> NewbornClass:
+    def classify_indices(codes: Collection[int]) -> Label | None:
         bad = [i for i in codes if not 0 <= i < size]
         if bad:
             raise VocabularyError(f"vocabulary index {bad[0]} out of range")
         if not preterm.isdisjoint(codes):
-            return NewbornClass.PRETERM
+            return Label.PRETERM
         if not fullterm.isdisjoint(codes):
-            return NewbornClass.FULL_TERM
-        return NewbornClass.UNKNOWN
+            return Label.FULL_TERM
+        return None
 
-    return classify
+    return classify_indices
 
 
 # --- record transforms ------------------------------------------------------

@@ -14,17 +14,16 @@ hospitals might be scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linkage import LinkSet, derive_noisy_labels
+from .linkage import LinkageError, LinkSet, derive_noisy_labels
 from .records import (
     MINUTES_PER_DAY,
     CodeVocabulary,
-    DeliveryClass,
     Label,
     LabeledExample,
     PatientRecord,
@@ -34,6 +33,7 @@ from .records import (
     classify_delivery,
     merge_same_day,
     merge_stays,
+    outcome_classifier,
     truncate_at_prediction_point,
 )
 
@@ -402,22 +402,21 @@ def build_datasets(
     period, and filtered to at least two remaining visits. A mother enters
     the clean set when her own delivery codes classify, the noisy set when
     the links gave her a newborn-derived label, and the dual set when both
-    hold; dual examples are shared objects across the three lists.
+    hold; dual examples are shared objects across the three lists. A link
+    to a mother who is not among ``mothers`` raises LinkageError.
     """
     noisy_by_mother = derive_noisy_labels(links, newborns, vocab)
+    unknown = noisy_by_mother.keys() - {record.patient_id for record in mothers}
+    if unknown:
+        raise LinkageError(f"linked mother {min(unknown)} not present in records")
+    classify = outcome_classifier(vocab, classify_delivery)
     examples: list[LabeledExample] = []
     for record in mothers:
         if record.role is not Role.MOTHER or record.delivery_day is None:
             continue
         merged = merge_same_day(record)
         dv = merged.visit_on(merged.delivery_day)
-        clean: Label | None = None
-        if dv is not None:
-            cls = classify_delivery(vocab.decode(dv.codes))
-            if cls is DeliveryClass.PRETERM:
-                clean = Label.PRETERM
-            elif cls is DeliveryClass.FULL_TERM:
-                clean = Label.FULL_TERM
+        clean = None if dv is None else classify(dv.codes)
         noisy = noisy_by_mother.get(record.patient_id)
         if clean is None and noisy is None:
             continue

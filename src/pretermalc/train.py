@@ -4,13 +4,14 @@ The alternating schedule interleaves corrected-loss epochs over the
 noisy-labeled set with plain cross-entropy epochs over the clean set,
 starting noisy at epoch 0. The sequential baselines run the same two phases
 back to back in either order; the no-correction baselines train plainly on
-one fixed set.
+one fixed set. Every epoch trains through the corruption layer: the
+estimated matrix on corrected epochs, the identity on plain ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -18,8 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .net import (
-    CORRECTED,
-    PLAIN,
+    IDENTITY,
     Batch,
     ModelParams,
     backward,
@@ -35,6 +35,9 @@ from .records import LabeledExample
 CLEAN = "clean"
 NOISY = "noisy"
 MIXED = "mixed"
+
+PLAIN = "plain"  # cross-entropy: the corruption layer is the identity
+CORRECTED = "corrected"  # the corruption layer is the estimated matrix
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -210,6 +213,7 @@ def train(
     log: list[EpochLog] = []
     for epoch, spec in enumerate(plan):
         seqs, labels = datasets[spec.dataset]
+        matrix = IDENTITY if spec.loss_kind == PLAIN else c
         rng = np.random.default_rng([config.seed, epoch])
         perm = rng.permutation(len(seqs))
         total = 0.0
@@ -221,8 +225,8 @@ def train(
             if spec.loss_kind == PLAIN:
                 loss = loss_clean(trace, chunk_labels)
             else:
-                loss = loss_corrected(trace, chunk_labels, c)
-            grads = backward(params, batch, trace, chunk_labels, spec.loss_kind, c)
+                loss = loss_corrected(trace, chunk_labels, matrix)
+            grads = backward(params, batch, trace, chunk_labels, matrix)
             optimizer_step(params, grads, state, config)
             total += loss * len(chunk)
         log.append(EpochLog(epoch, spec.dataset, spec.loss_kind, total / len(seqs)))

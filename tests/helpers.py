@@ -6,15 +6,12 @@ from __future__ import annotations
 import numpy as np
 
 from pretermalc.net import (
-    CORRECTED,
-    PLAIN,
     Batch,
     ModelParams,
     NetDims,
     backward,
     forward,
     init_params,
-    loss_clean,
     loss_corrected,
 )
 from pretermalc.noise import CorruptionMatrix
@@ -62,12 +59,12 @@ def max_gradient_rel_error(
     params: ModelParams,
     batch: Batch,
     labels: np.ndarray,
-    loss_kind: str,
-    c: CorruptionMatrix | None = None,
+    c: CorruptionMatrix,
     h: float = 1e-5,
 ) -> float:
     """Worst relative error between reverse-mode and central-difference
-    gradients over every coordinate of every parameter tensor.
+    gradients of ``loss_corrected`` with matrix ``c`` (``IDENTITY`` for
+    plain cross-entropy) over every coordinate of every parameter tensor.
 
     Relative error is |numeric - analytic| / max(|numeric|, |analytic|, 1e-6);
     the floor keeps finite-difference noise on dead coordinates from
@@ -75,12 +72,9 @@ def max_gradient_rel_error(
     """
 
     def loss() -> float:
-        trace = forward(params, batch)
-        if loss_kind == PLAIN:
-            return loss_clean(trace, labels)
-        return loss_corrected(trace, labels, c)
+        return loss_corrected(forward(params, batch), labels, c)
 
-    grads = backward(params, batch, forward(params, batch), labels, loss_kind, c)
+    grads = backward(params, batch, forward(params, batch), labels, c)
     worst = 0.0
     for name, tensor in params.items():
         analytic = grads[name]

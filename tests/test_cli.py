@@ -2,6 +2,7 @@
 byte-level reproducibility."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -212,6 +213,51 @@ def test_datasets_takes_the_prediction_period_from_config_or_flag(pipeline_dir, 
         a = (tmp_path / "config" / name).read_bytes()
         assert a == (tmp_path / "flag" / name).read_bytes(), name
         assert a != (pipeline_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("column, unknown", [(0, "n99x99990"), (1, "m99x9999")])
+def test_datasets_link_errors_name_the_links_file(pipeline_dir, tmp_path, capsys, column, unknown):
+    rows = [line.split("\t") for line in (pipeline_dir / "links.tsv").read_text().splitlines()]
+    rows[0][column] = unknown
+    links = tmp_path / "edited_links.tsv"
+    links.write_text("".join("\t".join(row) + "\n" for row in rows))
+    code = main([
+        "datasets", "--mothers", str(pipeline_dir / "mothers.jsonl"),
+        "--newborns", str(pipeline_dir / "newborns.jsonl"), "--links", str(links),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(links) in err and unknown in err
+    assert "not present in records" in err
+
+
+# sha256 of the checkpoint and of the loss log that a 2-epoch `train` writes
+# from the pipeline_dir files. Plain epochs train through the corruption
+# layer with C = I, which must give every byte that plain cross-entropy
+# gives. Floating-point results, so the digests hold for one numpy/BLAS
+# build: another BLAS kernel may round differently.
+PINNED_TRAIN_RUNS = {
+    "ALC": (
+        "6c84d71d69dff5aaa5cf337f1534896e78507452341247d6183d34754e3e9240",
+        "a00a6d3734468ba2c23750cb01698267544c4b529e6c874dbcf15bae605050df",
+    ),
+    "NoLC_clean": (
+        "b644255a26d08b5e63edbc6c91dad55d21ff71499a0a2a71494eccc97affb6cf",
+        "405f71028fb70c5ecf2cd0acfa697c541d55a3bc3a20a83fcc42c1eee65d5e85",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", PINNED_TRAIN_RUNS)
+def test_train_writes_the_pinned_checkpoint_and_loss_log(pipeline_dir, tmp_path, method):
+    paths = [tmp_path / "model.ckpt", tmp_path / "loss.csv"]
+    assert main([
+        "train", "--clean", str(pipeline_dir / "d_star.jsonl"), "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--c-matrix", str(pipeline_dir / "c_matrix.csv"),
+        "--method", method, "--epochs", "2", "--out-checkpoint", str(paths[0]), "--out-log", str(paths[1]),
+    ]) == 0
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == PINNED_TRAIN_RUNS[method]
 
 
 def test_pipeline_report_is_thread_count_independent(tmp_path):

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from helpers import max_gradient_rel_error, random_small_sequences, random_small_setup, reference_matrix
 from pretermalc.net import (
     CHECKPOINT_MAGIC,
-    CORRECTED,
+    IDENTITY,
     LOSS_EPS,
-    PLAIN,
     Batch,
     NetDims,
     backward,
@@ -80,7 +79,7 @@ def test_code_order_within_a_visit_changes_no_bit(seed):
     for form in forms:
         batch = Batch.from_sequences(form)
         trace = forward(params, batch)
-        results.append((trace.probs, backward(params, batch, trace, labels, CORRECTED, c).flat))
+        results.append((trace.probs, backward(params, batch, trace, labels, c).flat))
     for probs, grads in results[1:]:
         assert np.array_equal(probs, results[0][0])
         assert np.array_equal(grads, results[0][1])
@@ -212,6 +211,14 @@ def test_loss_clean_confident_wrong_is_floored_not_infinite():
     assert abs(loss - (-math.log(LOSS_EPS))) < 1e-3
 
 
+@pytest.mark.parametrize("seed", [12, 13, 14])
+def test_loss_clean_is_plain_cross_entropy_bit_for_bit(seed):
+    params, batch, labels = random_small_setup(seed)
+    trace = forward(params, batch)
+    picked = trace.probs[np.arange(labels.size), labels]
+    assert loss_clean(trace, labels) == -float(np.mean(np.log(picked + LOSS_EPS)))
+
+
 def test_loss_corrected_pushes_probs_through_matrix():
     c = reference_matrix()
     trace = forward(confident_params(), Batch.from_sequences([[(1,)]]))
@@ -248,8 +255,8 @@ def test_loss_rejects_bad_labels():
 @pytest.mark.parametrize("seed", [21, 22])
 def test_gradients_match_central_differences(seed):
     params, batch, labels = random_small_setup(seed)
-    assert max_gradient_rel_error(params, batch, labels, PLAIN) < 1e-4
-    assert max_gradient_rel_error(params, batch, labels, CORRECTED, c=reference_matrix()) < 1e-4
+    assert max_gradient_rel_error(params, batch, labels, IDENTITY) < 1e-4
+    assert max_gradient_rel_error(params, batch, labels, reference_matrix()) < 1e-4
 
 
 @settings(max_examples=25, deadline=None)
@@ -262,26 +269,17 @@ def test_permuting_batch_rows_permutes_outputs_and_keeps_gradients(seed):
     assert np.max(np.abs(t_shuffled.probs - t_plain.probs[perm])) < 1e-12
     assert np.max(np.abs(t_shuffled.alpha - t_plain.alpha[perm])) < 1e-12
     c = reference_matrix()
-    g_plain = backward(params, batch, t_plain, labels, CORRECTED, c)
-    g_shuffled = backward(params, shuffled, t_shuffled, labels[perm], CORRECTED, c)
+    g_plain = backward(params, batch, t_plain, labels, c)
+    g_shuffled = backward(params, shuffled, t_shuffled, labels[perm], c)
     assert np.max(np.abs(g_plain.flat - g_shuffled.flat)) < 1e-12
 
 
 def test_unused_embedding_rows_get_zero_gradient():
     params = init_params(TINY, seed=7)
     batch = Batch.from_sequences([[(0,), (1,)], [(1,)]])
-    grads = backward(params, batch, forward(params, batch), np.array([0, 1]), PLAIN)
+    grads = backward(params, batch, forward(params, batch), np.array([0, 1]), IDENTITY)
     assert np.all(grads["emb"][2:] == 0.0)
     assert np.any(grads["emb"][:2] != 0.0)
-
-
-def test_backward_requires_matrix_for_corrected_loss():
-    params, batch, labels = random_small_setup(23)
-    trace = forward(params, batch)
-    with pytest.raises(ValueError, match="requires a corruption matrix"):
-        backward(params, batch, trace, labels, CORRECTED)
-    with pytest.raises(ValueError, match="unknown loss kind"):
-        backward(params, batch, trace, labels, "fancy")
 
 
 # --- initialization -----------------------------------------------------------

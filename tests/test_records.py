@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 
 from pretermalc.records import (
     CodeVocabulary,
-    DeliveryClass,
     Label,
     LabeledExample,
-    NewbornClass,
     PatientRecord,
     RecordFileError,
     Role,
@@ -21,12 +19,18 @@ from pretermalc.records import (
     load_examples,
     load_records,
     merge_same_day,
-    newborn_classifier,
+    outcome_classifier,
     save_examples,
     save_records,
     truncate_at_prediction_point,
 )
-from pretermalc.synth import SynthConfig, build_vocabulary
+from pretermalc.synth import (
+    MOTHER_AMBIGUOUS_CODE,
+    MOTHER_FULLTERM_CODES,
+    MOTHER_PRETERM_CODES,
+    SynthConfig,
+    build_vocabulary,
+)
 
 MIN_DAY = 1440
 
@@ -118,38 +122,38 @@ def test_labeled_example_requires_some_label():
 
 
 def test_classify_delivery_examples():
-    assert classify_delivery({"650"}) is DeliveryClass.FULL_TERM
-    assert classify_delivery({"644.21"}) is DeliveryClass.PRETERM
-    assert classify_delivery({"V27.0"}) is DeliveryClass.AMBIGUOUS
+    assert classify_delivery({"650"}) is Label.FULL_TERM
+    assert classify_delivery({"644.21"}) is Label.PRETERM
+    assert classify_delivery({"V27.0"}) is None
 
 
 def test_classify_delivery_rules():
-    assert classify_delivery({"640.01"}) is DeliveryClass.PRETERM
-    assert classify_delivery({"645.11"}) is DeliveryClass.FULL_TERM
-    assert classify_delivery({"649.8"}) is DeliveryClass.FULL_TERM
-    assert classify_delivery({"652.5"}) is DeliveryClass.FULL_TERM
+    assert classify_delivery({"640.01"}) is Label.PRETERM
+    assert classify_delivery({"645.11"}) is Label.FULL_TERM
+    assert classify_delivery({"649.8"}) is Label.FULL_TERM
+    assert classify_delivery({"652.5"}) is Label.FULL_TERM
     # preterm indicators win when both classes appear
-    assert classify_delivery({"650", "644.20"}) is DeliveryClass.PRETERM
-    assert classify_delivery(set()) is DeliveryClass.AMBIGUOUS
+    assert classify_delivery({"650", "644.20"}) is Label.PRETERM
+    assert classify_delivery(set()) is None
     # prefix matching is literal: 640.01 exact only
-    assert classify_delivery({"640.02"}) is DeliveryClass.AMBIGUOUS
+    assert classify_delivery({"640.02"}) is None
 
 
 def test_classify_newborn_examples():
-    assert classify_newborn({"765.24"}) is NewbornClass.PRETERM
-    assert classify_newborn({"765.29"}) is NewbornClass.FULL_TERM
-    assert classify_newborn({"V30.00"}) is NewbornClass.UNKNOWN
+    assert classify_newborn({"765.24"}) is Label.PRETERM
+    assert classify_newborn({"765.29"}) is Label.FULL_TERM
+    assert classify_newborn({"V30.00"}) is None
 
 
 def test_classify_newborn_rules():
-    assert classify_newborn({"765.01"}) is NewbornClass.PRETERM
-    assert classify_newborn({"765.19"}) is NewbornClass.PRETERM
+    assert classify_newborn({"765.01"}) is Label.PRETERM
+    assert classify_newborn({"765.19"}) is Label.PRETERM
     for d in range(1, 9):
-        assert classify_newborn({f"765.2{d}"}) is NewbornClass.PRETERM
+        assert classify_newborn({f"765.2{d}"}) is Label.PRETERM
     # unspecified gestational weeks stays unknown
-    assert classify_newborn({"765.20"}) is NewbornClass.UNKNOWN
+    assert classify_newborn({"765.20"}) is None
     # preterm code beats the full-term code
-    assert classify_newborn({"765.29", "765.11"}) is NewbornClass.PRETERM
+    assert classify_newborn({"765.29", "765.11"}) is Label.PRETERM
 
 
 @given(st.sets(st.sampled_from(
@@ -162,27 +166,48 @@ def test_classifiers_pure_and_order_insensitive(codes):
 
 
 _SYNTH_VOCAB = build_vocabulary(SynthConfig())
-_NEWBORN_INDICES = [i for i, code in enumerate(_SYNTH_VOCAB) if code.startswith(("765", "V30"))]
+# Each rule set with the vocabulary codes it is about.
+_RULE_CODES = {
+    classify_newborn: [i for i, code in enumerate(_SYNTH_VOCAB) if code.startswith(("765", "V30"))],
+    classify_delivery: [
+        _SYNTH_VOCAB.index_of(code)
+        for code in (*MOTHER_FULLTERM_CODES, *MOTHER_PRETERM_CODES, MOTHER_AMBIGUOUS_CODE)
+    ],
+}
 
 
-# Subsets of the default vocabulary, with newborn codes drawn more often
-# than chance would, so subsets of every class come up.
-@given(
-    st.sets(st.sampled_from(_NEWBORN_INDICES), max_size=2),
-    st.sets(st.integers(0, len(_SYNTH_VOCAB) - 1), max_size=6),
-)
-@example({_SYNTH_VOCAB.index_of("765.29"), _SYNTH_VOCAB.index_of("V30.00")}, set())
-@example({_SYNTH_VOCAB.index_of("V30.00")}, set())
-@example(set(), set())
-def test_newborn_classifier_by_index_matches_code_rules(newborn_part, other):
-    indices = frozenset(newborn_part | other)
-    classify = newborn_classifier(_SYNTH_VOCAB)
-    assert classify(indices) is classify_newborn(_SYNTH_VOCAB.decode(indices))
+def _code_subsets(rule):
+    """(rule, outcome codes, other codes): subsets of the default vocabulary,
+    with the rule's own outcome codes drawn more often than chance would,
+    so subsets of every class come up."""
+    return st.tuples(
+        st.just(rule),
+        st.sets(st.sampled_from(_RULE_CODES[rule]), max_size=2),
+        st.sets(st.integers(0, len(_SYNTH_VOCAB) - 1), max_size=6),
+    )
+
+
+def _indices(*codes):
+    return {_SYNTH_VOCAB.index_of(code) for code in codes}
+
+
+@given(st.sampled_from(list(_RULE_CODES)).flatmap(_code_subsets))
+@example((classify_newborn, _indices("765.29", "V30.00"), set()))
+@example((classify_newborn, _indices("V30.00"), set()))
+@example((classify_newborn, set(), set()))
+@example((classify_delivery, _indices("650", "644.21"), set()))
+@example((classify_delivery, _indices("V27.0"), set()))
+@example((classify_delivery, set(), set()))
+def test_newborn_classifier_by_index_matches_code_rules(case):
+    rule, outcome_part, other = case
+    indices = frozenset(outcome_part | other)
+    classify = outcome_classifier(_SYNTH_VOCAB, rule)
+    assert classify(indices) is rule(_SYNTH_VOCAB.decode(indices))
 
 
 def test_newborn_classifier_rejects_out_of_range_index():
-    classify = newborn_classifier(CodeVocabulary(["765.29", "V30.00"]))
-    assert classify(frozenset({0, 1})) is NewbornClass.FULL_TERM
+    classify = outcome_classifier(CodeVocabulary(["765.29", "V30.00"]), classify_newborn)
+    assert classify(frozenset({0, 1})) is Label.FULL_TERM
     with pytest.raises(VocabularyError, match="index 2 out of range"):
         classify(frozenset({1, 2}))
     with pytest.raises(VocabularyError, match="index -1 out of range"):

@@ -3,10 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from pretermalc.linkage import match_newborns, link_accuracy
+from pretermalc.linkage import LinkageError, link_accuracy, match_newborns
 from pretermalc.noise import estimate_corruption_matrix
 from pretermalc.records import (
-    DeliveryClass,
     Label,
     Role,
     classify_delivery,
@@ -184,15 +183,10 @@ def test_preterm_mothers_have_preterm_codes_when_coded(small_cohort):
     checked = 0
     for m in small_cohort.mothers:
         visit = m.visit_on(m.delivery_day)
-        cls = classify_delivery(vocab.decode(visit.codes))
-        if cls is DeliveryClass.AMBIGUOUS:
+        label = classify_delivery(vocab.decode(visit.codes))
+        if label is None:
             continue
-        expected = (
-            DeliveryClass.PRETERM
-            if small_cohort.truth.labels[m.patient_id] is Label.PRETERM
-            else DeliveryClass.FULL_TERM
-        )
-        assert cls is expected
+        assert label is small_cohort.truth.labels[m.patient_id]
         checked += 1
     assert checked > 0
 
@@ -283,12 +277,20 @@ def test_build_datasets_noisy_label_matches_linked_baby(small_cohort):
     for l in links:
         linked_by_mother.setdefault(l.mother_id, []).append(babies_by_id[l.newborn_id])
     for ex in d_tilde:
-        classes = {
-            classify_newborn(vocab.decode(b.visits[0].codes)).value
+        labels = {
+            classify_newborn(vocab.decode(b.visits[0].codes))
             for b in linked_by_mother[ex.patient_id]
         }
-        expected = Label.PRETERM if "preterm" in classes else Label.FULL_TERM
+        expected = Label.PRETERM if Label.PRETERM in labels else Label.FULL_TERM
         assert ex.noisy_label is expected
+
+
+def test_build_datasets_rejects_a_link_to_an_unknown_mother(small_cohort):
+    links = match_newborns(small_cohort.mothers, small_cohort.newborns, small_cohort.vocab).as_map()
+    newborn_id = next(iter(links))
+    links[newborn_id] = "m99x9999"
+    with pytest.raises(LinkageError, match="linked mother m99x9999 not present in records"):
+        build_datasets(small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL)
 
 
 def test_build_datasets_rejects_empty_overlap(small_cohort):

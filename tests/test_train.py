@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from helpers import reference_matrix
-from pretermalc.net import CORRECTED, PLAIN, NetDims, init_params, predict_probs, sequence_of
+from pretermalc.net import NetDims, init_params, predict_probs, sequence_of
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
 from pretermalc.train import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
     CLEAN,
+    CORRECTED,
     MIXED,
     NOISY,
+    PLAIN,
     EpochSpec,
     OptState,
     TrainConfig,
