@@ -21,6 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .linkage import LinkSet, link_accuracy, match_newborns
 from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
 from .noise import CorruptionMatrix, estimate_corruption_matrix
-from .records import CodeVocabulary, DatasetSplit, LabeledExample, load_examples
+from .records import CodeVocabulary, DatasetSplit, LabeledExample, load_examples, read_lines
 from .synth import ClericalNoiseModel, Cohort, SynthConfig, build_datasets, generate_cohort
 from .net import NetDims, init_params
 from .train import CORRECTED, TrainConfig, TrainMethod, plan_epochs, score_examples, train
@@ -39,6 +40,7 @@ DEFAULT_SPLIT = (0.7, 0.15, 0.15)
 DEFAULT_REPEATS = 20
 MAX_SPLIT_ATTEMPTS = 20
 CURVE_GRID = np.linspace(0.0, 1.0, 101)
+RAW_CSV_HEADER = "method,repeat,auc,pr_auc"
 
 ALL_METHODS = tuple(TrainMethod)
 
@@ -173,10 +175,25 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
     def raw_csv(self) -> str:
-        lines = ["method,repeat,auc,pr_auc"]
+        lines = [RAW_CSV_HEADER]
         for row in self.rows:
             lines.append(f"{row.method},{row.repeat},{row.auc:.6f},{row.pr_auc:.6f}")
         return "\n".join(lines) + "\n"
+
+
+def load_raw_csv(path: str | Path) -> list[RepeatRow]:
+    """The rows of a file written from `BenchmarkReport.raw_csv`."""
+    header = [RAW_CSV_HEADER]  # popped by the first line, which must equal it
+
+    def parse(line: str) -> RepeatRow | None:
+        if header:
+            if line != header.pop():
+                raise ValueError(f"unexpected header {line!r}, expected {RAW_CSV_HEADER!r}")
+            return None
+        method, repeat, auc_, pr_auc_ = line.split(",")
+        return RepeatRow(method, int(repeat), float(auc_), float(pr_auc_))
+
+    return read_lines(path, parse, lambda rows: rows[1:])
 
 
 def _split_for_repeat(corpus: Corpus, repeat: int, base_seed: int, need_c: bool) -> DatasetSplit:

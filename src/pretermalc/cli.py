@@ -25,9 +25,9 @@ from . import __version__
 from .bench import (
     BenchmarkReport,
     Corpus,
-    RepeatRow,
     calibrate_noise,
     derive_seed,
+    load_raw_csv,
     repeated_benchmark,
     summarize,
 )
@@ -43,7 +43,15 @@ from .linkage import (
 )
 from .net import CHECKPOINT_MAGIC, NetDims, init_params, save_checkpoint
 from .noise import CorruptionMatrix, estimate_corruption_matrix, load_matrix_csv, save_matrix_csv
-from .records import CodeVocabulary, load_examples, load_records, save_examples, save_records
+from .records import (
+    CodeVocabulary,
+    LabeledExample,
+    RecordFileError,
+    load_examples,
+    load_records,
+    save_examples,
+    save_records,
+)
 from .synth import (
     ClericalNoiseModel,
     Cohort,
@@ -412,10 +420,20 @@ def cmd_estimate_c(args: argparse.Namespace) -> int:
     return 0
 
 
+def _examples_with(path: str | None, vocab: CodeVocabulary, kind: str) -> list[LabeledExample]:
+    """The examples of the `--clean` or `--noisy` file `path`, each of which
+    must carry that `kind` of label; none when the flag is not given."""
+    examples = load_examples(path, vocab) if path else []
+    for ex in examples:
+        if getattr(ex, f"{kind}_label") is None:
+            raise RecordFileError(f"{path}: example {ex.patient_id} lacks the {kind} label that --{kind} needs")
+    return examples
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     vocab = CodeVocabulary.load(args.vocab)
-    d_star = load_examples(args.clean, vocab) if args.clean else []
-    d_tilde = load_examples(args.noisy, vocab) if args.noisy else []
+    d_star = _examples_with(args.clean, vocab, "clean")
+    d_tilde = _examples_with(args.noisy, vocab, "noisy")
     c = load_matrix_csv(args.c_matrix) if args.c_matrix else None
     overrides = _flags(args, (*TRAIN_KEYS, "seed"))
     if args.method is not None:
@@ -474,25 +492,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    columns = [f.name for f in dataclasses.fields(RepeatRow)]
-    rows = []
-    with open(args.raw, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header != columns:
-            raise ValueError(f"{args.raw}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"{args.raw}: row {lineno}: expected {len(header)} fields")
-            try:
-                rows.append(RepeatRow(parts[0], int(parts[1]), *map(float, parts[2:])))
-            except ValueError:
-                raise ValueError(f"{args.raw}: row {lineno}: malformed numeric field") from None
+    rows = load_raw_csv(args.raw)
     if not rows:
-        raise ValueError(f"{args.raw}: no data rows")
-
+        raise RecordFileError(f"{args.raw}: no data rows")
     summaries = summarize(rows)
     methods = list(summaries)
     print(format_summary_table(methods, summaries))

@@ -23,6 +23,7 @@ from .records import (
     Role,
     classify_newborn,
     outcome_classifier,
+    read_lines,
 )
 
 DEFAULT_MAX_L1_MINUTES = 24 * 60
@@ -227,14 +228,10 @@ def save_links(links: LinkSet, path: str | Path) -> None:
             fh.write(f"{l.newborn_id}\t{l.mother_id}\t{l.l1_minutes}\n")
 
 
+def _parse_link(line: str) -> MatchCandidate:
+    newborn_id, mother_id, l1_minutes = line.split("\t")
+    return MatchCandidate(newborn_id, mother_id, int(l1_minutes))
+
+
 def load_links(path: str | Path) -> LinkSet:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise LinkageError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            out.append(MatchCandidate(parts[0], parts[1], int(parts[2])))
-    return LinkSet(links=tuple(out))
+    return read_lines(path, _parse_link, LinkSet)

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import Label, LabeledExample
+from .records import Label, LabeledExample, read_lines
 
 ROW_SUM_TOL = 1e-12
 N_CLASSES = 2
@@ -35,8 +35,8 @@ class CorruptionMatrix:
         entries = np.asarray(self.entries, dtype=np.float64)
         if entries.shape != (N_CLASSES, N_CLASSES):
             raise ValueError(f"corruption matrix must be 2x2, got shape {entries.shape}")
-        if np.any(entries < 0.0) or np.any(entries > 1.0):
-            raise ValueError("corruption matrix entries must lie in [0, 1]")
+        if not np.all((entries >= 0.0) & (entries <= 1.0)):  # NaN fails both comparisons
+            raise ValueError(f"corruption matrix entries must lie in [0, 1], got {entries.tolist()}")
         row_sums = entries.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
             raise ValueError(f"corruption matrix rows must sum to 1, got {row_sums}")
@@ -115,12 +115,23 @@ def save_matrix_csv(c: CorruptionMatrix, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_matrix_csv(path: str | Path) -> CorruptionMatrix:
-    lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if len(lines) != 4:
-        raise ValueError(f"{path}: corruption matrix file must have 4 rows, got {len(lines)}")
-    entries = np.array([[float(x) for x in lines[i].split(",")] for i in range(2)])
-    counts = np.array([[int(x) for x in lines[i].split(",")] for i in (2, 3)])
+def _parse_pair(line: str) -> tuple[float, float]:
+    a, b = line.split(",")
+    return float(a), float(b)
+
+
+def _matrix_from_rows(rows: list[tuple[float, float]]) -> CorruptionMatrix:
+    if len(rows) != 4:
+        raise ValueError(f"corruption matrix file must have 4 rows, got {len(rows)}")
+    entries, counts = np.array(rows[:2]), np.array(rows[2:])
+    if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
+        raise ValueError("corruption matrix count rows must hold whole numbers")
     # Six-digit printing can leave rows a hair off 1; renormalize the residue.
-    entries = entries / entries.sum(axis=1, keepdims=True)
+    # A zero row turns into NaN here, which CorruptionMatrix rejects.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entries = entries / entries.sum(axis=1, keepdims=True)
     return CorruptionMatrix(entries=entries, counts=counts)
+
+
+def load_matrix_csv(path: str | Path) -> CorruptionMatrix:
+    return read_lines(path, _parse_pair, _matrix_from_rows)

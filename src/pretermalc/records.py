@@ -12,9 +12,12 @@ import json
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
 MINUTES_PER_DAY = 1440
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class Label(IntEnum):
@@ -96,8 +99,7 @@ class CodeVocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "CodeVocabulary":
-        text = Path(path).read_text(encoding="utf-8")
-        return cls([line for line in text.splitlines() if line])
+        return read_lines(path, str, cls)
 
 
 @dataclass(frozen=True)
@@ -337,6 +339,10 @@ def _label_to_json(label: Label | None) -> str | None:
     return None if label is None else label.to_json()
 
 
+def _label_from_json(value: str | None) -> Label | None:
+    return None if value is None else Label.from_json(value)
+
+
 def record_to_dict(
     record: PatientRecord,
     vocab: CodeVocabulary,
@@ -354,31 +360,19 @@ def record_to_dict(
     }
 
 
-_REQUIRED_KEYS = ("patient_id", "hospital_id", "role", "delivery_day", "visits")
-
-
 def record_from_dict(obj: dict, vocab: CodeVocabulary) -> tuple[PatientRecord, Label | None, Label | None]:
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            raise RecordFileError(f"missing key {key!r}")
-    visits = []
-    for v in obj["visits"]:
-        codes = frozenset(vocab.index_of(c) for c in v["codes"])
-        visits.append(Visit(day=v["day"], codes=codes, t_adm=v["t_adm"], t_dis=v["t_dis"]))
+    visits = tuple(
+        Visit(day=v["day"], codes=vocab.encode(v["codes"]), t_adm=v["t_adm"], t_dis=v["t_dis"])
+        for v in obj["visits"]
+    )
     record = PatientRecord(
         patient_id=obj["patient_id"],
         hospital_id=obj["hospital_id"],
         role=Role(obj["role"]),
-        visits=tuple(visits),
+        visits=visits,
         delivery_day=obj["delivery_day"],
     )
-    clean = obj.get("clean_label")
-    noisy = obj.get("noisy_label")
-    return (
-        record,
-        None if clean is None else Label.from_json(clean),
-        None if noisy is None else Label.from_json(noisy),
-    )
+    return record, _label_from_json(obj.get("clean_label")), _label_from_json(obj.get("noisy_label"))
 
 
 def _write_lines(dicts: Iterable[dict], path: str | Path) -> None:
@@ -387,20 +381,24 @@ def _write_lines(dicts: Iterable[dict], path: str | Path) -> None:
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
-def _read_lines(path: str | Path, vocab: CodeVocabulary):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordFileError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            try:
-                yield record_from_dict(obj, vocab)
-            except (RecordFileError, VocabularyError, ValueError, KeyError, TypeError) as exc:
-                detail = exc.args[0] if exc.args else exc
-                raise RecordFileError(f"{path}: line {lineno}: {detail}") from None
+def read_lines(path: str | Path, parse: Callable[[str], T], build: Callable[[list[T]], R] = list) -> R:
+    """``build`` of ``parse`` applied to each non-blank line of a text file,
+    read one line at a time. A ValueError, KeyError or TypeError from either
+    becomes a RecordFileError naming the file, and the line when ``parse``
+    raised it."""
+    items = []
+    lineno = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    items.append(parse(line.rstrip("\n")))
+        lineno = 0
+        return build(items)
+    except (ValueError, KeyError, TypeError) as exc:
+        where = f"line {lineno}: " if lineno else ""
+        detail = f"missing key {exc}" if type(exc) is KeyError else exc.args[0] if exc.args else exc
+        raise RecordFileError(f"{path}: {where}{detail}") from None
 
 
 def save_records(records: Iterable[PatientRecord], path: str | Path, vocab: CodeVocabulary) -> None:
@@ -408,7 +406,7 @@ def save_records(records: Iterable[PatientRecord], path: str | Path, vocab: Code
 
 
 def load_records(path: str | Path, vocab: CodeVocabulary) -> list[PatientRecord]:
-    return [rec for rec, _, _ in _read_lines(path, vocab)]
+    return read_lines(path, lambda line: record_from_dict(json.loads(line), vocab)[0])
 
 
 def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: CodeVocabulary) -> None:
@@ -419,9 +417,4 @@ def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: C
 
 
 def load_examples(path: str | Path, vocab: CodeVocabulary) -> list[LabeledExample]:
-    out = []
-    for rec, clean, noisy in _read_lines(path, vocab):
-        if clean is None and noisy is None:
-            raise RecordFileError(f"{path}: example {rec.patient_id} carries no label")
-        out.append(LabeledExample(record=rec, clean_label=clean, noisy_label=noisy))
-    return out
+    return read_lines(path, lambda line: LabeledExample(*record_from_dict(json.loads(line), vocab)))

@@ -34,6 +34,7 @@ from .records import (
     merge_same_day,
     merge_stays,
     outcome_classifier,
+    read_lines,
     truncate_at_prediction_point,
 )
 
@@ -447,17 +448,13 @@ def save_truth(truth: GroundTruth, path: str | Path) -> None:
 
 
 def load_truth(path: str | Path) -> GroundTruth:
-    links: dict[str, str] = {}
     labels: dict[str, Label] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            newborn_id, mother_id, label = parts
-            labels[mother_id] = Label.from_json(label)
-            if newborn_id != "-":
-                links[newborn_id] = mother_id
-    return GroundTruth(links=links, labels=labels)
+
+    def parse(line: str) -> tuple[str, str]:
+        newborn_id, mother_id, text = line.split("\t")
+        label = Label.from_json(text)
+        if labels.setdefault(mother_id, label) is not label:
+            raise ValueError(f"mother {mother_id} labeled {text} after {labels[mother_id].to_json()}")
+        return newborn_id, mother_id
+
+    return read_lines(path, parse, lambda rows: GroundTruth({n: m for n, m in rows if n != "-"}, labels))

@@ -333,6 +333,26 @@ def test_train_corrected_loss_needs_a_matrix(pipeline_dir, tmp_path, capsys):
     assert "no corruption matrix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, name, method", [
+    ("--clean", "d_tilde.jsonl", "NoLC_clean"),
+    ("--noisy", "d_star.jsonl", "NoLC_noisy"),
+])
+def test_train_rejects_an_example_without_the_flags_label(pipeline_dir, tmp_path, capsys, flag, name, method):
+    kind = flag[2:]
+    path = pipeline_dir / name
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    first = next(row["patient_id"] for row in rows if row[f"{kind}_label"] is None)
+    code = main([
+        "train", flag, str(path), "--vocab", str(pipeline_dir / "vocabulary.txt"),
+        "--method", method, "--epochs", "1", "--out-checkpoint", str(tmp_path / "x.ckpt"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: example {first} lacks the {kind} label"), err
+    assert flag in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_benchmark_command_is_deterministic(pipeline_dir, tmp_path, capsys):
     base = [
         "benchmark",
@@ -440,6 +460,13 @@ def test_report_command_rejects_malformed_input(tmp_path, capsys):
     bad.write_text("wrong,header\n1,2\n", encoding="utf-8")
     assert main(["report", "--raw", str(bad)]) == 1
     assert "unexpected header" in capsys.readouterr().err
+
+
+def test_report_command_rejects_a_raw_csv_without_rows(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("method,repeat,auc,pr_auc\n", encoding="utf-8")
+    assert main(["report", "--raw", str(raw)]) == 1
+    assert capsys.readouterr().err == f"error: {raw}: no data rows\n"
 
 
 # --- parser ----------------------------------------------------------------------------
