@@ -19,7 +19,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,7 +28,7 @@ import numpy as np
 
 from .linkage import LinkSet, link_accuracy, match_newborns
 from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
-from .noise import CorruptionMatrix, estimate_corruption_matrix
+from .noise import estimate_corruption_matrix
 from .records import CodeVocabulary, DatasetSplit, LabeledExample, load_examples, read_lines
 from .synth import ClericalNoiseModel, Cohort, SynthConfig, build_datasets, generate_cohort
 from .net import NetDims, init_params
@@ -41,6 +41,8 @@ DEFAULT_REPEATS = 20
 MAX_SPLIT_ATTEMPTS = 20
 CURVE_GRID = np.linspace(0.0, 1.0, 101)
 RAW_CSV_HEADER = "method,repeat,auc,pr_auc"
+CALIBRATION_TOLERANCE = 0.02
+MAX_CALIBRATION_STEPS = 30
 
 ALL_METHODS = tuple(TrainMethod)
 
@@ -159,11 +161,10 @@ def summarize(rows: Iterable[RepeatRow]) -> dict[str, MethodSummary]:
 @dataclass
 class BenchmarkReport:
     methods: list[str]
-    repeats: int
     rows: list[RepeatRow]
     summaries: dict[str, MethodSummary]
     fingerprint: str
-    curves: dict[str, dict[str, np.ndarray]] = field(default_factory=dict)
+    curves: dict[str, dict[str, np.ndarray]]  # method -> grid, mean tpr, mean precision
 
     def report_csv(self) -> str:
         lines = ["method,auc_mean,auc_std,prauc_mean,prauc_std"]
@@ -196,20 +197,20 @@ def load_raw_csv(path: str | Path) -> list[RepeatRow]:
     return read_lines(path, parse, lambda rows: rows[1:])
 
 
-def _split_for_repeat(corpus: Corpus, repeat: int, base_seed: int, need_c: bool) -> DatasetSplit:
-    prime_ids = {ex.patient_id for ex in corpus.d_prime}
+def _split_for_repeat(
+    corpus: Corpus, repeat: int, base_seed: int, need_c: bool
+) -> tuple[DatasetSplit, list[LabeledExample]]:
+    """The repeat's split and the dual-labeled examples of its training part."""
     for attempt in range(MAX_SPLIT_ATTEMPTS):
         split = split_examples(
             corpus.d_star, DEFAULT_SPLIT, derive_seed(base_seed, "split", repeat, attempt)
         )
+        dual_train = [ex for ex in split.train if ex.noisy_label is not None]
         ok = _has_both_classes(split.validation) and _has_both_classes(split.test)
-        if ok and need_c:
-            prime_train = [ex for ex in split.train if ex.patient_id in prime_ids]
-            ok = _has_both_classes(prime_train)
-        if ok:
+        if ok and (not need_c or _has_both_classes(dual_train)):
             if attempt:
                 logger.info("repeat %d: resampled split %d time(s)", repeat, attempt)
-            return split
+            return split, dual_train
     raise BenchmarkError(
         f"repeat {repeat}: could not draw a split with both classes in every part "
         f"after {MAX_SPLIT_ATTEMPTS} attempts"
@@ -221,41 +222,31 @@ def _run_repeat(
     methods: Sequence[TrainMethod],
     base_seed: int,
     base_config: TrainConfig,
-    collect_curves: bool,
     repeat: int,
-) -> tuple[list[RepeatRow], dict[str, dict[str, np.ndarray]]]:
+) -> list[tuple[RepeatRow, np.ndarray, np.ndarray]]:
+    """Each method's row and its TPR and precision on CURVE_GRID, in order."""
     need_c = any(
         any(spec.loss_kind == CORRECTED for spec in plan_epochs(m, base_config.n_epochs))
         for m in methods
     )
-    split = _split_for_repeat(corpus, repeat, base_seed, need_c)
-
-    c_hat: CorruptionMatrix | None = None
-    if need_c:
-        train_ids = {ex.patient_id for ex in split.train}
-        prime_train = [ex for ex in corpus.d_prime if ex.patient_id in train_ids]
-        c_hat = estimate_corruption_matrix(prime_train)
+    split, dual_train = _split_for_repeat(corpus, repeat, base_seed, need_c)
+    c_hat = estimate_corruption_matrix(dual_train) if need_c else None
 
     dims = NetDims(vocab_size=len(corpus.vocab))
     init = init_params(dims, derive_seed(base_seed, "init", repeat))
     train_seed = derive_seed(base_seed, "train", repeat)
 
     labels = [ex.clean_label for ex in split.test]
-    rows: list[RepeatRow] = []
-    curves: dict[str, dict[str, np.ndarray]] = {}
+    results = []
     for method in methods:
         cfg = replace(base_config, method=method, seed=train_seed)
         model, _ = train(init, split.train, corpus.d_tilde, c_hat, cfg)
         scores = score_examples(model, split.test)
-        rows.append(RepeatRow(method.value, repeat, auc(scores, labels), pr_auc(scores, labels)))
-        if collect_curves:
-            fpr, tpr = roc_points(scores, labels)
-            rec, prec = pr_points(scores, labels)
-            curves[method.value] = {
-                "tpr": interp_roc(fpr, tpr, CURVE_GRID),
-                "precision": interp_pr(rec, prec, CURVE_GRID),
-            }
-    return rows, curves
+        row = RepeatRow(method.value, repeat, auc(scores, labels), pr_auc(scores, labels))
+        fpr, tpr = roc_points(scores, labels)
+        rec, prec = pr_points(scores, labels)
+        results.append((row, interp_roc(fpr, tpr, CURVE_GRID), interp_pr(rec, prec, CURVE_GRID)))
+    return results
 
 
 @contextmanager
@@ -291,9 +282,11 @@ def _corpus_digest(corpus: Corpus) -> str:
 
 
 def _fingerprint(corpus: Corpus, methods, repeats, base_config: TrainConfig, base_seed: int) -> str:
+    """Digest of what shapes the reports: the corpus content and the run
+    settings. The cohort config is left out: the content digest covers every
+    dataset it shaped."""
     payload = repr(
         (
-            asdict(corpus.config),
             [m.value for m in methods],
             repeats,
             DEFAULT_SPLIT,
@@ -312,9 +305,9 @@ def repeated_benchmark(
     base_seed: int = 0,
     train_config: TrainConfig | None = None,
     workers: int = 1,
-    collect_curves: bool = False,
 ) -> BenchmarkReport:
-    """Train every method on every repeat's split and aggregate test metrics.
+    """Train every method on every repeat's split and aggregate test metrics
+    and mean ROC and PR curves.
 
     Worker processes only parallelize over repeats; results are assembled in
     repeat order, so the report is identical for any worker count.
@@ -329,7 +322,7 @@ def repeated_benchmark(
         raise ValueError(f"method(s) requested more than once: {', '.join(repeated)}")
     base_config = train_config or TrainConfig()
 
-    run = partial(_run_repeat, corpus, methods, base_seed, base_config, collect_curves)
+    run = partial(_run_repeat, corpus, methods, base_seed, base_config)
     if workers > 1:
         # One chunk of repeats per worker, so the corpus is pickled once per
         # worker. It travels with the task, not with the start-up arguments:
@@ -343,27 +336,18 @@ def repeated_benchmark(
         results = [run(r) for r in range(repeats)]
 
     rows: list[RepeatRow] = []
-    per_method_curves: dict[str, list[dict[str, np.ndarray]]] = {m.value: [] for m in methods}
-    for repeat_rows, repeat_curves in results:
-        rows.extend(repeat_rows)
-        for name, c in repeat_curves.items():
-            per_method_curves[name].append(c)
-
-    rows.sort(key=lambda row: (methods.index(TrainMethod(row.method)), row.repeat))
-
     curves: dict[str, dict[str, np.ndarray]] = {}
-    if collect_curves:
-        for name, entries in per_method_curves.items():
-            if entries:
-                curves[name] = {
-                    "grid": CURVE_GRID.copy(),
-                    "tpr": np.mean([e["tpr"] for e in entries], axis=0),
-                    "precision": np.mean([e["precision"] for e in entries], axis=0),
-                }
+    for method, per_repeat in zip(methods, zip(*results)):
+        method_rows, tprs, precisions = zip(*per_repeat)
+        rows.extend(method_rows)
+        curves[method.value] = {
+            "grid": CURVE_GRID.copy(),
+            "tpr": np.mean(tprs, axis=0),
+            "precision": np.mean(precisions, axis=0),
+        }
 
     return BenchmarkReport(
         methods=[m.value for m in methods],
-        repeats=repeats,
         rows=rows,
         summaries=summarize(rows),
         fingerprint=_fingerprint(corpus, methods, repeats, base_config, base_seed),
@@ -389,15 +373,11 @@ def mean_label_accuracy(config: SynthConfig, n_seeds: int = 5) -> float:
 
 
 def calibrate_noise(
-    target: float = 0.72,
-    config: SynthConfig | None = None,
-    tolerance: float = 0.02,
-    n_seeds: int = 5,
-    max_steps: int = 30,
+    target: float = 0.72, config: SynthConfig | None = None, n_seeds: int = 5
 ) -> ClericalNoiseModel:
     """Bisection on the newborn misclassification rate until the mean noisy-
-    label accuracy over seeded cohorts lands within tolerance of the target.
-    All other noise channels stay at their configured values."""
+    label accuracy over seeded cohorts lands within CALIBRATION_TOLERANCE of
+    the target. All other noise channels stay at their configured values."""
     base = config or SynthConfig()
     if not 0.5 < target <= 1.0:
         raise ValueError(f"target accuracy must be in (0.5, 1], got {target}")
@@ -410,27 +390,27 @@ def calibrate_noise(
 
     lo, hi = 0.0, 1.0
     f_lo = mean_accuracy(lo)
-    if abs(f_lo - target) <= tolerance:
+    if abs(f_lo - target) <= CALIBRATION_TOLERANCE:
         return replace(base.clerical_noise, misclassified_newborn_rate=lo)
     if f_lo < target:
         raise CalibrationError(
             f"target {target} unreachable: accuracy is {f_lo:.4f} even with no misclassification"
         )
     f_hi = mean_accuracy(hi)
-    if f_hi > target + tolerance:
+    if f_hi > target + CALIBRATION_TOLERANCE:
         raise CalibrationError(
             f"target {target} below reach: accuracy stays {f_hi:.4f} at full misclassification"
         )
-    for _ in range(max_steps):
+    for _ in range(MAX_CALIBRATION_STEPS):
         mid = 0.5 * (lo + hi)
         f_mid = mean_accuracy(mid)
-        if abs(f_mid - target) <= tolerance:
+        if abs(f_mid - target) <= CALIBRATION_TOLERANCE:
             return replace(base.clerical_noise, misclassified_newborn_rate=mid)
         if f_mid > target:
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid
     raise CalibrationError(
-        f"no convergence in {max_steps} steps: bracket [{lo:.4f}, {hi:.4f}] "
+        f"no convergence in {MAX_CALIBRATION_STEPS} steps: bracket [{lo:.4f}, {hi:.4f}] "
         f"with accuracies [{f_lo:.4f}, {f_hi:.4f}] around target {target}"
     )

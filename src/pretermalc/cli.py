@@ -112,9 +112,9 @@ def _build(cls, data, where: str, keys=None):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _positive(value: int, where: str) -> int:
-    if value < 1:
-        raise ConfigError(f"{where} must be >= 1, got {value}")
+def _at_least(value: int, low: int, where: str) -> int:
+    if value < low:
+        raise ConfigError(f"{where} must be >= {low}, got {value}")
     return value
 
 
@@ -135,7 +135,7 @@ def _benchmark_section(data, where: str) -> dict:
     _check_keys(data, BENCHMARK_KEYS, where)
     out = {key: _typed(data[key], int, f"{where}.{key}") for key in ("repeats", "base_seed") if key in data}
     if "repeats" in out:
-        _positive(out["repeats"], f"{where}.repeats")
+        _at_least(out["repeats"], 1, f"{where}.repeats")
     if "methods" in data:
         names = data["methods"]
         if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
@@ -222,14 +222,14 @@ def resolve_run_settings(args: argparse.Namespace) -> RunSettings:
         raise ConfigError(str(exc)) from None
     bench = {"base_seed": synth.seed, **run_cfg["benchmark"]}
     if getattr(args, "repeats", None) is not None:
-        bench["repeats"] = _positive(args.repeats, "--repeats")
+        bench["repeats"] = _at_least(args.repeats, 1, "--repeats")
     if getattr(args, "methods", None) is not None:
         bench["methods"] = _methods([name.strip() for name in args.methods.split(",")], "--methods")
     return RunSettings(synth, train_config, bench)
 
 
 def _threads(value: int) -> int:
-    return min(_positive(value, "--threads"), os.cpu_count() or 1)
+    return min(_at_least(value, 1, "--threads"), os.cpu_count() or 1)
 
 
 # --- output helpers ------------------------------------------------------------
@@ -363,13 +363,11 @@ def estimate_c_stage(dual, out: Path) -> CorruptionMatrix:
 def benchmark_stage(
     corpus: Corpus, settings: RunSettings, workers: int, curves: bool, out_dir: Path
 ) -> BenchmarkReport:
-    report = repeated_benchmark(
-        corpus, train_config=settings.train, workers=workers, collect_curves=curves, **settings.benchmark
-    )
+    report = repeated_benchmark(corpus, train_config=settings.train, workers=workers, **settings.benchmark)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(report.report_csv(), encoding="utf-8")
     (out_dir / "report_raw.csv").write_text(report.raw_csv(), encoding="utf-8")
-    if curves and report.curves:
+    if curves:
         curve_dir = out_dir / "curves"
         curve_dir.mkdir(exist_ok=True)
         for method, data in report.curves.items():
@@ -391,11 +389,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
+    max_per_mother = _at_least(args.max_per_mother, 1, "--max-per-mother")
+    max_l1_minutes = _at_least(args.max_l1_hours, 0, "--max-l1-hours") * 60
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
     truth = load_truth(args.truth) if args.truth else None
-    link_stage(mothers, newborns, vocab, Path(args.out), truth, args.max_per_mother, args.max_l1_hours * 60)
+    link_stage(mothers, newborns, vocab, Path(args.out), truth, max_per_mother, max_l1_minutes)
     return 0
 
 
@@ -472,6 +472,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     settings = stage("config", resolve_run_settings, args)
     workers = _threads(args.threads)
+    if args.target is not None and not 0.5 < args.target <= 1.0:
+        raise ConfigError(f"--target-accuracy must be in (0.5, 1], got {args.target}")
     config = settings.synth
     out_dir = Path(args.out)
 
@@ -574,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("benchmark", help="repeated-split benchmark over methods")
-    add_synth_flags(p)
+    p.add_argument("--config", type=Path, help="JSON run config (flags override it)")
+    p.add_argument("--seed", type=int, help="the synth seed, which the base seed defaults to")
     p.add_argument("--clean", required=True)
     p.add_argument("--noisy", required=True)
     p.add_argument("--vocab", required=True)

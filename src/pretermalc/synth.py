@@ -448,13 +448,17 @@ def save_truth(truth: GroundTruth, path: str | Path) -> None:
 
 
 def load_truth(path: str | Path) -> GroundTruth:
+    links: dict[str, str] = {}
     labels: dict[str, Label] = {}
 
-    def parse(line: str) -> tuple[str, str]:
+    def parse(line: str) -> None:
         newborn_id, mother_id, text = line.split("\t")
         label = Label.from_json(text)
         if labels.setdefault(mother_id, label) is not label:
             raise ValueError(f"mother {mother_id} labeled {text} after {labels[mother_id].to_json()}")
-        return newborn_id, mother_id
+        if newborn_id in links:
+            raise ValueError(f"newborn {newborn_id} listed again, first with mother {links[newborn_id]}")
+        if newborn_id != "-":  # the placeholder of a mother without a newborn
+            links[newborn_id] = mother_id
 
-    return read_lines(path, parse, lambda rows: GroundTruth({n: m for n, m in rows if n != "-"}, labels))
+    return read_lines(path, parse, lambda _: GroundTruth(links, labels))

@@ -14,7 +14,7 @@ import pytest
 import pretermalc
 
 from pretermalc.bench import (
-    BenchmarkReport,
+    _split_for_repeat,
     calibrate_noise,
     derive_seed,
     build_corpus,
@@ -176,12 +176,37 @@ def test_report_layout(corpus):
 
 def test_benchmark_can_collect_mean_curves(corpus):
     report = repeated_benchmark(corpus, methods=[TrainMethod.NOLC_CLEAN], repeats=2, base_seed=4,
-                                train_config=FAST, collect_curves=True)
+                                train_config=FAST)
     curves = report.curves["NoLC_clean"]
     assert set(curves) == {"grid", "tpr", "precision"}
     assert curves["grid"].shape == curves["tpr"].shape == curves["precision"].shape == (101,)
     assert np.all(np.diff(curves["tpr"]) >= -1e-12)
     assert np.all((curves["precision"] >= 0) & (curves["precision"] <= 1))
+
+
+def test_a_methods_rows_and_curves_do_not_depend_on_the_other_methods(corpus):
+    kwargs = dict(repeats=2, base_seed=4, train_config=FAST)
+    both = repeated_benchmark(corpus, methods=[TrainMethod.ALC, TrainMethod.NOLC_CLEAN], **kwargs)
+    for method in (TrainMethod.ALC, TrainMethod.NOLC_CLEAN):
+        alone = repeated_benchmark(corpus, methods=[method], **kwargs)
+        assert [row for row in both.rows if row.method == method.value] == alone.rows
+        for kind, curve in alone.curves[method.value].items():
+            assert np.array_equal(both.curves[method.value][kind], curve), (method, kind)
+
+
+def test_repeat_estimates_c_from_the_dual_labeled_part_of_its_training_split(corpus):
+    dual_ids = {ex.patient_id for ex in corpus.d_prime}
+    for repeat in range(3):
+        split, dual_train = _split_for_repeat(corpus, repeat, base_seed=4, need_c=True)
+        assert [ex.patient_id for ex in dual_train] == [
+            ex.patient_id for ex in split.train if ex.patient_id in dual_ids
+        ]
+
+
+def test_fingerprint_ignores_the_cohort_config(corpus):
+    kwargs = dict(methods=[TrainMethod.NOLC_CLEAN], repeats=1, base_seed=0, train_config=replace(FAST, n_epochs=1))
+    other = replace(corpus, config=replace(SMALL, n_mothers=999, risk_lift=2.0, n_hospitals=5))
+    assert repeated_benchmark(other, **kwargs).fingerprint == repeated_benchmark(corpus, **kwargs).fingerprint
 
 
 def test_benchmark_rejects_bad_requests(corpus):

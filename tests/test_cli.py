@@ -180,8 +180,11 @@ def test_pipeline_writes_every_artifact(pipeline_dir):
         assert (pipeline_dir / name).exists(), name
 
 
-def test_staged_commands_write_the_pipeline_files(pipeline_dir, tmp_path):
-    d = str(tmp_path)
+def test_staged_commands_write_the_pipeline_files(tmp_path, capsys):
+    piped, staged = tmp_path / "pipeline", tmp_path / "staged"
+    d = str(staged)
+    assert main(["pipeline", *PIPELINE_FLAGS, "--out", str(piped)]) == 0
+    piped_fingerprint = fingerprint_of(capsys)
     cohort = ["--mothers", f"{d}/mothers.jsonl", "--newborns", f"{d}/newborns.jsonl", "--vocab", f"{d}/vocabulary.txt"]
     for argv in (
         ["synth", *COHORT_FLAGS, "--out", d],
@@ -189,15 +192,27 @@ def test_staged_commands_write_the_pipeline_files(pipeline_dir, tmp_path):
         ["datasets", *cohort, "--links", f"{d}/links.tsv", "--out", d],
         ["estimate-c", "--examples", f"{d}/d_prime.jsonl", "--vocab", f"{d}/vocabulary.txt",
          "--out", f"{d}/c_matrix.csv"],
-        ["benchmark", *COHORT_FLAGS, *BENCHMARK_FLAGS, "--clean", f"{d}/d_star.jsonl",
+        ["benchmark", "--seed", "11", *BENCHMARK_FLAGS, "--clean", f"{d}/d_star.jsonl",
          "--noisy", f"{d}/d_tilde.jsonl", "--vocab", f"{d}/vocabulary.txt", "--out", d],
     ):
         assert main(argv) == 0, argv[0]
-    written = sorted(p.relative_to(pipeline_dir) for p in pipeline_dir.rglob("*") if p.is_file())
+    assert fingerprint_of(capsys) == piped_fingerprint
+    written = sorted(p.relative_to(piped) for p in piped.rglob("*") if p.is_file())
     assert len(written) == 13
-    assert written == sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert written == sorted(p.relative_to(staged) for p in staged.rglob("*") if p.is_file())
     for name in written:
-        assert (tmp_path / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
+        assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
+
+
+def test_benchmark_rejects_cohort_flags(pipeline_dir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "benchmark", "--mothers", "10", "--clean", str(pipeline_dir / "d_star.jsonl"),
+            "--noisy", str(pipeline_dir / "d_tilde.jsonl"), "--vocab", str(pipeline_dir / "vocabulary.txt"),
+            "--out", str(tmp_path / "x"),
+        ])
+    assert exc.value.code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_datasets_takes_the_prediction_period_from_config_or_flag(pipeline_dir, tmp_path):
@@ -272,6 +287,27 @@ def test_pipeline_report_is_thread_count_independent(tmp_path):
 def test_pipeline_thread_validation(tmp_path, capsys):
     assert main(["pipeline", *PIPELINE_FLAGS, "--threads", "0", "--out", str(tmp_path / "x")]) == 2
     assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+def test_pipeline_target_accuracy_is_checked_before_calibration(tmp_path, capsys):
+    flags = [*COHORT_FLAGS, *BENCHMARK_FLAGS, "--target-accuracy", "0.3", "--out", str(tmp_path / "x")]
+    assert main(["pipeline", *flags]) == 2
+    assert "--target-accuracy must be in (0.5, 1], got 0.3" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--max-per-mother", "0", "--max-per-mother must be >= 1, got 0"),
+    ("--max-l1-hours", "-1", "--max-l1-hours must be >= 0, got -1"),
+])
+def test_link_flags_are_checked_before_any_file_is_read(tmp_path, capsys, flag, value, expected):
+    absent = str(tmp_path / "absent")
+    code = main([
+        "link", "--mothers", absent, "--newborns", absent, "--vocab", absent,
+        "--out", str(tmp_path / "links.tsv"), flag, value,
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def test_link_command_reports_accuracy(pipeline_dir, tmp_path, capsys):
@@ -371,7 +407,7 @@ def test_benchmark_command_is_deterministic(pipeline_dir, tmp_path, capsys):
 
 
 def fingerprint_of(capsys) -> str:
-    return capsys.readouterr().out.rsplit("(fingerprint ", 1)[1].rstrip(")\n")
+    return capsys.readouterr().out.rsplit("(fingerprint ", 1)[1].split(")", 1)[0]
 
 
 def test_benchmark_takes_settings_from_the_config_file(pipeline_dir, tmp_path, capsys):
@@ -487,8 +523,8 @@ OPTION_STRINGS = {
         "--noisy", "--optimizer", "--out-checkpoint", "--out-log", "--seed", "--vocab",
     ],
     "benchmark": [
-        "--batch-size", "--clean", "--curves", "--epochs", "--lr", "--methods", "--noisy",
-        "--optimizer", "--out", "--repeats", "--threads", "--vocab", *SYNTH_FLAGS,
+        "--batch-size", "--clean", "--config", "--curves", "--epochs", "--lr", "--methods", "--noisy",
+        "--optimizer", "--out", "--repeats", "--seed", "--threads", "--vocab",
     ],
     "pipeline": [
         "--curves", "--epochs", "--methods", "--no-calibrate", "--out", "--repeats",
@@ -509,6 +545,7 @@ def test_every_subcommand_keeps_its_flags():
         for name, p in subparsers().items()
     }
     assert found == {name: sorted(opts) for name, opts in OPTION_STRINGS.items()}
+    assert sum(map(len, found.values())) == 90
 
 
 def test_link_flags_default_to_the_linkage_defaults():

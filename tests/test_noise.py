@@ -222,6 +222,14 @@ def test_matrix_csv_round_trip(tmp_path):
     assert np.all(np.abs(again.entries.sum(axis=1) - 1.0) <= 1e-12)
 
 
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_every_saved_matrix_loads_back(tmp_path_factory, a, b):
+    c = CorruptionMatrix(np.array([[a, 1.0 - a], [b, 1.0 - b]]))
+    path = tmp_path_factory.mktemp("matrix") / "c.csv"
+    save_matrix_csv(c, path)
+    assert np.allclose(load_matrix_csv(path).entries, c.entries, rtol=0.0, atol=2e-6)
+
+
 def test_matrix_csv_rejects_wrong_shape(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.5,0.5\n")
