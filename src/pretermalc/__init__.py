@@ -26,7 +26,7 @@ from .net import (
 from .noise import (
     CorruptionMatrix,
     apply_class_conditional_noise,
-    corrected_probabilities,
+    corruption_layer,
     estimate_corruption_matrix,
 )
 from .records import (
@@ -69,7 +69,7 @@ __all__ = [
     "build_corpus",
     "build_datasets",
     "calibrate_noise",
-    "corrected_probabilities",
+    "corruption_layer",
     "derive_noisy_labels",
     "derive_seed",
     "estimate_corruption_matrix",

@@ -470,10 +470,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except Exception as exc:
             raise RuntimeError(f"pipeline stage '{name}' failed: {exc}") from exc
 
-    settings = stage("config", resolve_run_settings, args)
-    workers = _threads(args.threads)
     if args.target is not None and not 0.5 < args.target <= 1.0:
         raise ConfigError(f"--target-accuracy must be in (0.5, 1], got {args.target}")
+    if args.target is not None and args.no_calibrate:
+        raise ConfigError("--target-accuracy has no effect with --no-calibrate")
+    settings = stage("config", resolve_run_settings, args)
+    workers = _threads(args.threads)
     config = settings.synth
     out_dir = Path(args.out)
 

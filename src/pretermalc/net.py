@@ -4,8 +4,11 @@ gate vector per embedding dimension. The context vector is the attention-
 weighted sum of visit embeddings, mapped to two-class probabilities.
 
 All forward math and the full reverse-mode gradient are written out by hand
-in float64 numpy; correctness is pinned by central finite differences in the
-test suite rather than by an autodiff framework.
+in numpy; correctness is pinned by central finite differences in the test
+suite rather than by an autodiff framework. The math is dtype-generic: every
+array a pass allocates takes the dtype of the parameter buffer, so float64
+parameters (initialisation, scoring, the gradient check, checkpoints) run in
+float64 and float32 ones (training) in float32.
 
 The recurrences run on packed rows: a batch is ordered longest first, so at
 each step the sequences that still have a visit are a leading slice of the
@@ -25,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .noise import CorruptionMatrix
+from .noise import CorruptionMatrix, corruption_layer
 from .records import LabeledExample
 
 LOSS_EPS = 1e-7  # floor added to the picked probability before log
@@ -91,9 +94,11 @@ def _layout(dims: NetDims) -> list[tuple[str, tuple[int, ...]]]:
 
 class ModelParams(Mapping):
     """Every tensor of the network as a named view into one contiguous
-    float64 buffer, ``flat``. Gradients use the same class and layout, so an
-    optimizer step is one vectorised update of ``flat``; writing through a
-    view writes the buffer."""
+    buffer, ``flat``: float64 unless built on a buffer of another float
+    dtype, which is then the dtype every pass over these parameters computes
+    in. Gradients use the same class, layout and dtype, so an optimizer step
+    is one vectorised update of ``flat``; writing through a view writes the
+    buffer."""
 
     def __init__(self, dims: NetDims, flat: np.ndarray | None = None):
         layout = _layout(dims)
@@ -133,11 +138,12 @@ class ModelParams(Mapping):
             return None
         return list(self._views)[int(np.searchsorted(self._starts, np.argmin(finite), side="right")) - 1]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.dims, self.flat.copy())
+    def astype(self, dtype: np.dtype | type) -> "ModelParams":
+        """The same weights in a new buffer of ``dtype``, rounded to it."""
+        return ModelParams(self.dims, self.flat.astype(dtype))
 
     def zeros_like_grads(self) -> "ModelParams":
-        return ModelParams(self.dims)
+        return ModelParams(self.dims, np.zeros_like(self.flat))
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -174,13 +180,12 @@ class Batch:
     and packed row p is visit ``times[p]`` of input row ``rows[p]``. Build
     one with ``from_sequences``."""
 
-    mask: np.ndarray  # (B, T) float64: 1 on each sequence's visits, 0 on padding
+    mask: np.ndarray  # (B, T) bool: true on each sequence's visits, false on padding
     lengths: np.ndarray  # (B,) visits per sequence
     steps: np.ndarray  # (T,) sequences with a visit at each step
     offsets: np.ndarray  # (T + 1,) first packed row of each step
     rows: np.ndarray  # (N,) input row of each packed visit
     times: np.ndarray  # (N,) step of each packed visit
-    segments: np.ndarray  # (B, N) 1 where packed row p belongs to input row b
     code_index: np.ndarray  # every code of every packed visit, visit after visit
     code_visit: np.ndarray  # packed visit of each entry of code_index
 
@@ -196,18 +201,15 @@ class Batch:
         steps = real.sum(axis=0)
         times, slot = np.nonzero(real[order].T)
         rows = order[slot]
-        segments = np.zeros((len(seqs), rows.size))
-        segments[rows, np.arange(rows.size)] = 1.0
         visits = [seqs[b][t] for b, t in zip(rows.tolist(), times.tolist())]
         sizes = [len(v) for v in visits]
         return cls(
-            mask=real.astype(np.float64),
+            mask=real,
             lengths=lengths,
             steps=steps,
             offsets=np.concatenate(([0], np.cumsum(steps))),
             rows=rows,
             times=times,
-            segments=segments,
             code_index=np.fromiter(chain.from_iterable(visits), dtype=np.intp, count=sum(sizes)),
             code_visit=np.repeat(np.arange(len(visits)), sizes),
         )
@@ -223,21 +225,26 @@ class Batch:
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """Packed rows (N, ...) as a padded (B, T, ...) array in input
         order, zero on padding."""
-        out = np.zeros(self.mask.shape + packed.shape[1:])
+        out = np.zeros(self.mask.shape + packed.shape[1:], dtype=packed.dtype)
         out[self.rows, self.times] = packed
         return out
 
-    def count_matrix(self, vocab_size: int) -> np.ndarray:
-        """(N, vocab) float64: how often each code occurs in each packed visit."""
+    def segment_matrix(self, dtype: np.dtype | type) -> np.ndarray:
+        """(B, N): 1 where packed row p belongs to input row b, so a product
+        with it sums each sequence's packed rows."""
+        segments = np.zeros((self.size, self.rows.size), dtype=dtype)
+        segments[self.rows, np.arange(self.rows.size)] = 1
+        return segments
+
+    def count_matrix(self, vocab_size: int, dtype: np.dtype | type) -> np.ndarray:
+        """(N, vocab): how often each code occurs in each packed visit."""
         codes = self.code_index
         if codes.size and (codes.min() < 0 or codes.max() >= vocab_size):
             bad = codes.max() if codes.max() >= vocab_size else codes.min()
             raise ValueError(f"code index {bad} out of range for vocabulary of {vocab_size}")
         n = self.rows.size
         idx = self.code_visit * vocab_size + codes
-        counts = np.bincount(idx, weights=np.ones(idx.size), minlength=n * vocab_size)
-        # With no code at all, bincount returns int64 zeros despite the weights.
-        return counts.reshape(n, vocab_size).astype(np.float64, copy=False)
+        return np.bincount(idx, minlength=n * vocab_size).reshape(n, vocab_size).astype(dtype)
 
 
 def sequence_of(example: LabeledExample) -> list[VisitCodes]:
@@ -265,6 +272,7 @@ class ForwardTrace:
 
     batch: Batch
     counts: np.ndarray  # (N, vocab) visit-by-code counts
+    segments: np.ndarray  # (B, N) the batch's segment matrix
     v_packed: np.ndarray  # (N, d_emb) visit embeddings
     g_packed: np.ndarray  # (N, d_h) states of the scalar-attention recurrence
     h_packed: np.ndarray  # (N, d_h) states of the gate-attention recurrence
@@ -288,9 +296,9 @@ def _gru_scan(cell: GruCellParams, V: np.ndarray, batch: Batch) -> tuple[np.ndar
     d_h = cell.u_h.shape[0]
     n_rows = V.shape[0]
     xw = V @ cell.w + cell.b  # (N, 3·d_h): the input part of every gate at once
-    state = np.zeros((batch.size, d_h))
-    states = np.empty((n_rows, d_h))
-    cache = ScanCache(*(np.empty((n_rows, k * d_h)) for k in (2, 1, 1, 1)))
+    state = np.zeros((batch.size, d_h), dtype=V.dtype)
+    states = np.empty((n_rows, d_h), dtype=V.dtype)
+    cache = ScanCache(*(np.empty((n_rows, k * d_h), dtype=V.dtype) for k in (2, 1, 1, 1)))
     offsets = batch.offsets.tolist()
     for t in range(batch.n_steps - 1, -1, -1):
         lo, hi = offsets[t], offsets[t + 1]
@@ -329,8 +337,8 @@ def _gru_backward(
     to_h = z * (1.0 - cache.hc * cache.hc)
     to_r = cache.hp * r * (1.0 - r)
     keep = 1.0 - z
-    da = np.empty((cache.hc.shape[0], 3 * d_h))  # pre-activation gradients of z, r, h
-    carry = np.zeros((batch.size, d_h))
+    da = np.empty((cache.hc.shape[0], 3 * d_h), dtype=V.dtype)  # pre-activation gradients of z, r, h
+    carry = np.zeros((batch.size, d_h), dtype=V.dtype)
     u_zr_t, u_h_t = cell.u_zr.T, cell.u_h.T
     offsets = batch.offsets.tolist()
     for t in range(batch.n_steps):
@@ -353,23 +361,25 @@ def _gru_backward(
 
 
 def forward(params: ModelParams, batch: Batch) -> ForwardTrace:
-    """Full forward pass over a batch."""
+    """Full forward pass over a batch, in the dtype of ``params.flat``."""
     if np.any(batch.lengths < 1):
         raise ValueError(f"sequence {int(np.argmin(batch.lengths))} has no valid visits")
-    counts = batch.count_matrix(params.dims.vocab_size)
+    dtype = params.flat.dtype
+    counts = batch.count_matrix(params.dims.vocab_size, dtype)
+    segments = batch.segment_matrix(dtype)
     V = counts @ params.emb
 
     G, alpha_cache = _gru_scan(params.alpha_cell, V, batch)
     H, beta_cache = _gru_scan(params.beta_cell, V, batch)
 
-    scores = np.full(batch.mask.shape, -np.inf)
+    scores = np.full(batch.mask.shape, -np.inf, dtype=dtype)
     scores[batch.rows, batch.times] = G @ params.att_w + params.att_b[0]
     ex = np.exp(scores - scores.max(axis=1, keepdims=True))
     alpha = ex / ex.sum(axis=1, keepdims=True)
     alpha_packed = alpha[batch.rows, batch.times]
 
     beta = np.tanh(H @ params.proj_w.T + params.proj_b)
-    context = batch.segments @ (alpha_packed[:, None] * beta * V)
+    context = segments @ (alpha_packed[:, None] * beta * V)
 
     logits = context @ params.out_w.T + params.out_b
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -379,6 +389,7 @@ def forward(params: ModelParams, batch: Batch) -> ForwardTrace:
     return ForwardTrace(
         batch=batch,
         counts=counts,
+        segments=segments,
         v_packed=V,
         g_packed=G,
         h_packed=H,
@@ -405,7 +416,7 @@ def loss_corrected(trace: ForwardTrace, labels: np.ndarray, c: CorruptionMatrix)
     """Mean negative log of the picked noisy-class probability after pushing
     the model's clean distribution through the corruption matrix."""
     labels = _check_labels(labels, trace.probs.shape[0])
-    q = trace.probs @ c.entries
+    q, _ = corruption_layer(trace.probs, c)
     picked = q[np.arange(labels.size), labels]
     return float(np.mean(-np.log(picked + LOSS_EPS)))
 
@@ -432,10 +443,10 @@ def backward(
     rows = np.arange(B)
 
     # corruption layer
-    q = trace.probs @ c.entries
+    q, entries = corruption_layer(trace.probs, c)
     d_q = np.zeros_like(q)
     d_q[rows, labels] = -1.0 / (B * (q[rows, labels] + LOSS_EPS))
-    d_p = d_q @ c.entries.T
+    d_p = d_q @ entries.T
 
     # softmax over logits
     inner = (d_p * trace.probs).sum(axis=1, keepdims=True)
@@ -453,7 +464,7 @@ def backward(
     dV = d_context * beta
 
     # softmax over each sequence's visit scores
-    s = batch.segments @ (d_alpha * alpha)
+    s = trace.segments @ (d_alpha * alpha)
     d_e = alpha * (d_alpha - s[batch.rows])
     grads.att_w[...] = d_e @ trace.g_packed
     grads.att_b[0] = d_e.sum()

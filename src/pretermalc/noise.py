@@ -14,6 +14,7 @@ from .records import Label, LabeledExample, read_lines
 
 ROW_SUM_TOL = 1e-12
 PRINTED_ROW_SUM_TOL = 2e-6  # two entries printed with six fractional digits
+DISTRIBUTION_TOL = 1e-9  # row-sum slack of a float64 probability input
 N_CLASSES = 2
 
 
@@ -79,16 +80,21 @@ def estimate_corruption_matrix(d_prime: Sequence[LabeledExample]) -> CorruptionM
     return CorruptionMatrix(entries=entries, counts=counts)
 
 
-def corrected_probabilities(p: np.ndarray, c: CorruptionMatrix) -> np.ndarray:
+def corruption_layer(p: np.ndarray, c: CorruptionMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Map clean-class probabilities to noisy-class probabilities:
     q_j = sum_i p_i * entries[i, j]. Accepts a single distribution or a batch
-    of row distributions."""
-    p = np.asarray(p, dtype=np.float64)
+    of row distributions. Returns q and the entries it used, both in p's
+    float dtype: this is the one place C is cast, so a float32 training step
+    stays float32 through the backward product with C as well."""
+    p = np.asarray(p)
     if p.shape[-1] != N_CLASSES:
         raise ValueError(f"probability vector must have {N_CLASSES} entries, got shape {p.shape}")
-    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=-1) - 1.0) > 1e-9):
+    # A float32 softmax row can miss 1 by about 1e-7.
+    tol = max(DISTRIBUTION_TOL, 64 * float(np.finfo(p.dtype).eps))
+    if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=-1) - 1.0) > tol):
         raise ValueError("input must be a probability distribution over classes")
-    return p @ c.entries
+    entries = c.entries.astype(p.dtype, copy=False)
+    return p @ entries, entries
 
 
 def apply_class_conditional_noise(

@@ -112,22 +112,33 @@ class TrainConfig:
 
 @dataclass
 class OptState:
-    m: np.ndarray  # first moments, in the flat parameter layout
+    """Optimizer state in the flat parameter layout and dtype."""
+
+    m: np.ndarray  # first moments
     v: np.ndarray  # second moments
+    scratch: tuple[np.ndarray, np.ndarray]  # step temporaries, so a step allocates no buffer
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptState":
-        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+        flat = params.flat
+        return cls(
+            m=np.zeros_like(flat),
+            v=np.zeros_like(flat),
+            scratch=(np.empty_like(flat), np.empty_like(flat)),
+        )
 
 
 def optimizer_step(params: ModelParams, grads: ModelParams, state: OptState, config: TrainConfig) -> None:
     """One in-place update of the whole flat parameter buffer. Adam keeps
     per-coordinate first and second moments with bias correction; sgd is
-    the plain scaled step."""
+    the plain scaled step. Each product keeps the operand order of
+    ``lr·(m/bc1) / (sqrt(v/bc2) + eps)`` with ``v += ((1-β2)·g)·g``, so the
+    in-place form rounds exactly as the textbook expression does."""
     g = grads.flat
+    update, tmp = state.scratch
     if config.optimizer == "sgd":
-        update = config.learning_rate * g
+        np.multiply(g, config.learning_rate, out=update)
     else:
         state.step += 1
         t = state.step
@@ -135,10 +146,17 @@ def optimizer_step(params: ModelParams, grads: ModelParams, state: OptState, con
         bc2 = 1.0 - ADAM_BETA2**t
         m, v = state.m, state.v
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        update = config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+        tmp *= g
+        v += tmp
+        np.divide(m, bc1, out=update)
+        update *= config.learning_rate
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        update /= tmp
     bad = params.first_non_finite(update)
     if bad is not None:
         raise FloatingPointError(f"non-finite update for tensor {bad}")
@@ -188,8 +206,11 @@ def train(
     config: TrainConfig,
 ) -> tuple[ModelParams, list[EpochLog]]:
     """Run the configured schedule and return final parameters plus the
-    per-epoch mean-loss log. Inputs are never mutated; identical inputs give
-    bit-identical outputs."""
+    per-epoch mean-loss log. Every step computes in float32; the returned
+    parameters are the exact float64 upcast of the final float32 weights, so
+    scoring stays float64, where a row sums to 1 within 1e-12 and a score
+    does not depend on the batch it is computed in. Inputs are never
+    mutated; identical inputs give bit-identical outputs."""
     plan = plan_epochs(config.method, config.n_epochs)
 
     datasets: dict[str, tuple[list, np.ndarray]] = {}
@@ -208,7 +229,7 @@ def train(
     if any(spec.loss_kind == CORRECTED for spec in plan) and c is None:
         raise ValueError("schedule contains corrected-loss epochs but no corruption matrix was given")
 
-    params = params.copy()
+    params = params.astype(np.float32)
     state = OptState.for_params(params)
     log: list[EpochLog] = []
     for epoch, spec in enumerate(plan):
@@ -230,7 +251,7 @@ def train(
             optimizer_step(params, grads, state, config)
             total += loss * len(chunk)
         log.append(EpochLog(epoch, spec.dataset, spec.loss_kind, total / len(seqs)))
-    return params, log
+    return params.astype(np.float64), log
 
 
 def score_examples(params: ModelParams, examples: Sequence[LabeledExample]) -> np.ndarray:

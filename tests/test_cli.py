@@ -254,11 +254,11 @@ def test_datasets_link_errors_name_the_links_file(pipeline_dir, tmp_path, capsys
 # build: another BLAS kernel may round differently.
 PINNED_TRAIN_RUNS = {
     "ALC": (
-        "6c84d71d69dff5aaa5cf337f1534896e78507452341247d6183d34754e3e9240",
+        "bb8684bfd3367cfef10fcffe26e0c63d1dcfbfea19616591e21c8f9309e3cb62",
         "a00a6d3734468ba2c23750cb01698267544c4b529e6c874dbcf15bae605050df",
     ),
     "NoLC_clean": (
-        "b644255a26d08b5e63edbc6c91dad55d21ff71499a0a2a71494eccc97affb6cf",
+        "9d1bba78d747f13ad9ec4ce13cc634ae5f1e4500be4537c75e4057020f45afeb",
         "405f71028fb70c5ecf2cd0acfa697c541d55a3bc3a20a83fcc42c1eee65d5e85",
     ),
 }
@@ -293,6 +293,13 @@ def test_pipeline_target_accuracy_is_checked_before_calibration(tmp_path, capsys
     flags = [*COHORT_FLAGS, *BENCHMARK_FLAGS, "--target-accuracy", "0.3", "--out", str(tmp_path / "x")]
     assert main(["pipeline", *flags]) == 2
     assert "--target-accuracy must be in (0.5, 1], got 0.3" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_pipeline_rejects_a_target_accuracy_it_would_not_use(tmp_path, capsys):
+    flags = [*PIPELINE_FLAGS, "--target-accuracy", "0.9", "--out", str(tmp_path / "x")]
+    assert main(["pipeline", *flags]) == 2
+    assert capsys.readouterr().err == "error: --target-accuracy has no effect with --no-calibrate\n"
     assert not (tmp_path / "x").exists()
 
 

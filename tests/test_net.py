@@ -100,7 +100,7 @@ def test_batch_pads_to_longest_sequence():
     assert batch.size == 2
     assert batch.n_steps == 2
     assert np.array_equal(batch.mask, [[1.0, 1.0], [1.0, 0.0]])
-    grid = batch.unpack(batch.count_matrix(4))
+    grid = batch.unpack(batch.count_matrix(4, np.float64))
     assert np.array_equal(grid[:, :, 1:], [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 0]]])
 
 
@@ -119,7 +119,7 @@ def test_packing_is_exact(seqs):
     order = np.argsort(-np.array(lengths), kind="stable")
     for t in range(batch.n_steps):
         assert np.array_equal(batch.rows[batch.offsets[t] : batch.offsets[t + 1]], order[: batch.steps[t]])
-    counts = batch.count_matrix(12)
+    counts = batch.count_matrix(12, np.float64)
     ids = batch.unpack(np.arange(1.0, batch.rows.size + 1))  # packed row + 1 per visit, 0 on padding
     for b, seq in enumerate(seqs):
         visits = ids[b, : len(seq)].astype(int) - 1

@@ -9,7 +9,7 @@ from pretermalc.noise import (
     CorruptionMatrix,
     EstimationError,
     apply_class_conditional_noise,
-    corrected_probabilities,
+    corruption_layer,
     estimate_corruption_matrix,
     load_matrix_csv,
     save_matrix_csv,
@@ -170,20 +170,20 @@ def test_estimate_then_apply_reproduces_joint_distribution():
 
 def test_corrected_identity_is_exact():
     p = np.array([0.3, 0.7])
-    q = corrected_probabilities(p, CorruptionMatrix.identity())
+    q, _ = corruption_layer(p, CorruptionMatrix.identity())
     assert np.array_equal(q, p)
 
 
 def test_corrected_reference_rows():
     c = CorruptionMatrix(REFERENCE_ENTRIES)
-    assert np.allclose(corrected_probabilities(np.array([1.0, 0.0]), c), [0.68, 0.32])
-    assert np.allclose(corrected_probabilities(np.array([0.5, 0.5]), c), [0.44, 0.56])
+    assert np.allclose(corruption_layer(np.array([1.0, 0.0]), c)[0], [0.68, 0.32])
+    assert np.allclose(corruption_layer(np.array([0.5, 0.5]), c)[0], [0.44, 0.56])
 
 
 def test_corrected_batch_shape():
     c = CorruptionMatrix(REFERENCE_ENTRIES)
     p = np.array([[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]])
-    q = corrected_probabilities(p, c)
+    q, _ = corruption_layer(p, c)
     assert q.shape == (3, 2)
     assert np.allclose(q[0], [0.68, 0.32])
     assert np.allclose(q[1], [0.20, 0.80])
@@ -192,7 +192,7 @@ def test_corrected_batch_shape():
 def test_corrected_rejects_non_distribution():
     c = CorruptionMatrix(REFERENCE_ENTRIES)
     with pytest.raises(ValueError):
-        corrected_probabilities(np.array([0.9, 0.9]), c)
+        corruption_layer(np.array([0.9, 0.9]), c)
 
 
 @given(
@@ -203,7 +203,7 @@ def test_corrected_rejects_non_distribution():
 def test_corrected_preserves_distribution(p0, a, b):
     p = np.array([p0, 1.0 - p0])
     c = CorruptionMatrix(np.array([[a, 1.0 - a], [b, 1.0 - b]]))
-    q = corrected_probabilities(p, c)
+    q, _ = corruption_layer(p, c)
     assert abs(q.sum() - 1.0) < 1e-12
     assert np.all(q >= -1e-15) and np.all(q <= 1.0 + 1e-15)
 

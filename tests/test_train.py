@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import reference_matrix
-from pretermalc.net import NetDims, init_params, predict_probs, sequence_of
+from pretermalc.net import (
+    Batch,
+    ModelParams,
+    NetDims,
+    backward,
+    forward,
+    init_params,
+    predict_probs,
+    sequence_of,
+)
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
 from pretermalc.train import (
     ADAM_BETA1,
@@ -105,7 +114,7 @@ def test_schedule_rejects_invalid_requests():
 
 def test_sgd_step_is_plain_scaled_descent():
     params = init_params(TINY, seed=1)
-    before = params.copy()
+    before = params.astype(np.float64)
     grads = params.zeros_like_grads()
     config = TrainConfig(optimizer="sgd", learning_rate=0.1)
     optimizer_step(params, grads, OptState.for_params(params), config)
@@ -139,9 +148,42 @@ def test_adam_matches_reference_formula():
             assert np.allclose(tensor, reference[name], rtol=1e-12, atol=0), (name, step)
 
 
+def textbook_step(flat, g, m, v, step, config):
+    """The optimizer step as plain expressions that allocate their results:
+    the reference the in-place form must match bit for bit."""
+    if config.optimizer == "sgd":
+        return flat - config.learning_rate * g, m, v
+    m = m * ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v = v * ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    return flat - config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS), m, v
+
+
+@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_in_place_step_is_bit_identical_to_the_textbook_expression(optimizer, dtype):
+    params = init_params(TINY, seed=5).astype(dtype)
+    flat, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+    config = TrainConfig(optimizer=optimizer, learning_rate=1e-3)
+    state = OptState.for_params(params)
+    rng = np.random.default_rng(9)
+    for step in range(1, 6):
+        grads = params.zeros_like_grads()
+        grads.flat[...] = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=grads.flat.size)
+        optimizer_step(params, grads, state, config)
+        flat, m, v = textbook_step(flat, grads.flat, m, v, step, config)
+        assert params.flat.dtype == dtype
+        assert np.array_equal(params.flat, flat), step
+        if optimizer == "adam":
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v), step
+
+
 def test_adam_first_step_size_is_bounded_by_learning_rate():
     params = init_params(TINY, seed=3)
-    before = params.copy()
+    before = params.astype(np.float64)
     rng = np.random.default_rng(8)
     grads = params.zeros_like_grads()
     for g in grads.values():
@@ -201,7 +243,7 @@ def test_training_is_bit_reproducible():
 def test_training_does_not_mutate_the_given_parameters():
     d_star, d_tilde = small_corpora()
     init = init_params(TINY, seed=10)
-    frozen = init.copy()
+    frozen = init.astype(np.float64)
     train(init, d_star, d_tilde, None, TrainConfig(method=TrainMethod.NOLC_CLEAN, n_epochs=2))
     for name, tensor in init.items():
         assert np.array_equal(tensor, frozen[name]), name
@@ -272,6 +314,95 @@ def test_train_requires_the_scheduled_label():
     with pytest.raises(ValueError, match="lacks the clean label"):
         train(init_params(TINY, seed=10), missing, [], None,
               TrainConfig(method=TrainMethod.NOLC_CLEAN, n_epochs=1))
+
+
+# --- float32 training, float64 boundary ----------------------------------------
+
+
+def watch_float64(params):
+    """``params`` on a buffer that records each float64 array a numpy ufunc
+    reads or returns once the buffer is involved. Views and ufunc results of
+    a watched array are watched, so the record covers everything a step
+    derives from the parameters: the scans, the head, the gradients and the
+    optimizer moments."""
+    found = []
+
+    class Watched(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+            arrays = [*inputs, *(out or ())]
+            found.extend(
+                (ufunc.__name__, a.shape) for a in arrays if isinstance(a, np.ndarray) and a.dtype == np.float64
+            )
+            plain = [x.view(np.ndarray) if isinstance(x, Watched) else x for x in inputs]
+            if out is not None:
+                kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, Watched) else o for o in out)
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            if out is not None:
+                return out[0] if len(out) == 1 else out
+            if isinstance(result, np.ndarray):
+                if result.dtype == np.float64:
+                    found.append((ufunc.__name__, result.shape))
+                return result.view(Watched)
+            return result
+
+    return ModelParams(params.dims, params.flat.view(Watched)), found
+
+
+def test_a_float32_step_creates_no_float64_array():
+    d_star, _ = small_corpora()
+    batch = Batch.from_sequences([sequence_of(ex) for ex in d_star])
+    labels = np.array([int(ex.clean_label) for ex in d_star])
+    params, found = watch_float64(init_params(TINY, seed=10).astype(np.float32))
+    state = OptState.for_params(params)
+    trace = forward(params, batch)
+    grads = backward(params, batch, trace, labels, reference_matrix())
+    optimizer_step(params, grads, state, TrainConfig())
+    assert found == []
+    arrays = {f"trace.{k}": a for k, a in vars(trace).items() if isinstance(a, np.ndarray)}
+    for cache in ("alpha_cache", "beta_cache"):
+        arrays.update({f"{cache}.{k}": a for k, a in vars(getattr(trace, cache)).items()})
+    arrays.update({"grads": grads.flat, "params": params.flat, "m": state.m, "v": state.v})
+    arrays.update({f"scratch{i}": a for i, a in enumerate(state.scratch)})
+    assert {name: a.dtype for name, a in arrays.items() if a.dtype != np.float32} == {}
+    assert all(a.dtype != np.float64 for a in vars(batch).values())
+
+
+def test_train_returns_the_float64_upcast_of_float32_weights():
+    d_star, d_tilde = small_corpora()
+    init = init_params(TINY, seed=10)
+    model, _ = train(init, d_star, d_tilde, reference_matrix(),
+                     TrainConfig(method=TrainMethod.ALC, n_epochs=2, batch_size=8))
+    assert model.flat.dtype == np.float64
+    assert np.array_equal(model.flat, model.flat.astype(np.float32).astype(np.float64))
+    assert not np.array_equal(model.flat, init.flat)
+
+
+@pytest.fixture(scope="module")
+def trained_wide_model():
+    """A default-width model trained one epoch, and 300 examples to score:
+    more than one 256-row scoring batch."""
+    d_star, d_tilde = small_corpora(seed=4, n=150)
+    model, _ = train(init_params(NetDims(vocab_size=20), seed=6), d_star, d_tilde, None,
+                     TrainConfig(method=TrainMethod.NOLC_CLEAN, n_epochs=1))
+    return model, d_star + d_tilde
+
+
+def test_scored_rows_of_a_trained_model_sum_to_one(trained_wide_model):
+    model, examples = trained_wide_model
+    probs = predict_probs(model, [sequence_of(ex) for ex in examples])
+    assert np.all(np.isfinite(probs))
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def test_scores_agree_across_batch_compositions(trained_wide_model):
+    """Scoring runs in float64, so a sequence's score moves only by float64
+    rounding when it sits in a batch of another size. (Float32 scoring moves
+    it by about 6e-8 here: BLAS rounds a row differently in small batches.)"""
+    model, examples = trained_wide_model
+    scores = score_examples(model, examples)
+    subset = examples[1::3]
+    direct = predict_probs(model, [sequence_of(ex) for ex in subset], batch_size=5)[:, 0]
+    assert np.max(np.abs(scores[1::3] - direct)) <= 1e-12
 
 
 def test_score_examples_returns_positive_class_probability():
