@@ -73,7 +73,7 @@ class Corpus:
     d_star: tuple[LabeledExample, ...]
     d_tilde: tuple[LabeledExample, ...]
     d_prime: tuple[LabeledExample, ...]
-    config: SynthConfig
+    config: SynthConfig | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "d_star", tuple(self.d_star))
@@ -81,7 +81,7 @@ class Corpus:
         object.__setattr__(self, "d_prime", tuple(self.d_prime))
 
     @classmethod
-    def from_files(cls, clean_path, noisy_path, vocab_path, config: SynthConfig) -> "Corpus":
+    def from_files(cls, clean_path, noisy_path, vocab_path, config: SynthConfig | None = None) -> "Corpus":
         vocab = CodeVocabulary.load(vocab_path)
         d_star = load_examples(clean_path, vocab)
         d_tilde = load_examples(noisy_path, vocab)
@@ -93,7 +93,7 @@ def build_corpus(config: SynthConfig) -> tuple[Corpus, Cohort, LinkSet]:
     cohort = generate_cohort(config)
     links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
     d_star, d_tilde, d_prime = build_datasets(
-        cohort.mothers, cohort.newborns, links, cohort.vocab, config
+        cohort.mothers, cohort.newborns, links, cohort.vocab, config.prediction_period_days
     )
     return Corpus(cohort.vocab, d_star, d_tilde, d_prime, config), cohort, links
 

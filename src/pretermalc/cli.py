@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -63,7 +64,7 @@ from .synth import (
     load_truth,
     save_truth,
 )
-from .train import TrainConfig, TrainMethod, save_loss_log, train
+from .train import CLEAN, CORRECTED, MIXED, NOISY, TrainConfig, TrainMethod, plan_epochs, save_loss_log, train
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -71,17 +72,31 @@ CONFIG_SCHEMA_VERSION = 1
 # the method and the seed of its own training runs.
 TRAIN_KEYS = ("n_epochs", "batch_size", "learning_rate", "optimizer")
 BENCHMARK_KEYS = ("repeats", "methods", "base_seed")
+SYNTH_KEYS = tuple(f.name for f in dataclasses.fields(SynthConfig))
+
+# The config keys that each subcommand's stages read, by section; the synth
+# flags of a subcommand set the same keys. `benchmark` reads no synth key:
+# `--seed` or `benchmark.base_seed` set its base seed.
+CONFIG_KEYS = {
+    "synth": {"synth": tuple(key for key in SYNTH_KEYS if key != "prediction_period_days")},
+    "datasets": {"synth": ("prediction_period_days",)},
+    "benchmark": {"train": TRAIN_KEYS, "benchmark": BENCHMARK_KEYS},
+    "pipeline": {"synth": SYNTH_KEYS, "train": TRAIN_KEYS, "benchmark": BENCHMARK_KEYS},
+}
 
 
 # --- run settings --------------------------------------------------------------
 
 
-def _check_keys(data, known, where: str) -> None:
+def _check_keys(data, known, path, dotted: str, command: str) -> None:
+    """Raise ConfigError unless `data`, at key `dotted` of config file
+    `path` (the top level when empty), is an object with keys in `known`."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected an object, got {data!r}")
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}")
+        raise ConfigError(f"{path}: {dotted}: expected an object, got {data!r}")
+    unread = sorted(set(data) - set(known))
+    if unread:
+        names = ", ".join(f"{dotted}.{key}" if dotted else key for key in unread)
+        raise ConfigError(f"{path}: {names} not read by the {command} subcommand")
 
 
 def _typed(value, expected: type, where: str):
@@ -93,23 +108,35 @@ def _typed(value, expected: type, where: str):
     return value
 
 
-def _build(cls, data, where: str, keys=None):
-    """Dataclass `cls` from its defaults and the config values in `data`,
-    restricted to `keys` if given. Each value must have the type of its
-    field's default; a field whose default is a dataclass takes an object."""
-    fields = {f.name: f for f in dataclasses.fields(cls) if keys is None or f.name in keys}
-    _check_keys(data, fields, where)
+def _values(cls, data, keys, path, dotted: str, command: str) -> dict:
+    """The values of config object `data`, at key `dotted` of file `path`,
+    for fields `keys` of dataclass `cls`. Each value must have the type of
+    its field's default; a field whose default is a dataclass takes an
+    object of that dataclass's fields."""
+    _check_keys(data, keys, path, dotted, command)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     values = {}
     for key, value in data.items():
-        f = fields[key]
+        f, at = fields[key], f"{dotted}.{key}"
         if f.default is dataclasses.MISSING:
-            values[key] = _build(f.default_factory, value, f"{where}.{key}")
+            values[key] = _values(f.default_factory, value, _flag_fields(f.default_factory), path, at, command)
         else:
-            values[key] = _typed(value, type(f.default), f"{where}.{key}")
+            values[key] = _typed(value, type(f.default), f"{path}: {at}")
+    return values
+
+
+def _overlay(obj, values: dict, where: str | None = None):
+    """`obj` with the fields in `values` replaced; a dict replaces fields of
+    a nested dataclass. An out-of-range value raises ConfigError, prefixed
+    with `where` when given."""
+    nested = {
+        key: _overlay(getattr(obj, key), value, where and f"{where}.{key}")
+        for key, value in values.items() if isinstance(value, dict)
+    }
     try:
-        return cls(**values)
+        return replace(obj, **{**values, **nested})
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def _at_least(value: int, low: int, where: str) -> int:
@@ -131,25 +158,25 @@ def _methods(names: list[str], where: str) -> tuple[TrainMethod, ...]:
     return tuple(valid[name] for name in names)
 
 
-def _benchmark_section(data, where: str) -> dict:
-    _check_keys(data, BENCHMARK_KEYS, where)
-    out = {key: _typed(data[key], int, f"{where}.{key}") for key in ("repeats", "base_seed") if key in data}
+def _benchmark_values(data: dict, prefix: str) -> dict:
+    """The repeated_benchmark keywords that benchmark settings `data` set.
+    An error names the setting as `prefix` followed by its key."""
+    out = {key: _typed(data[key], int, prefix + key) for key in ("repeats", "base_seed") if key in data}
     if "repeats" in out:
-        _at_least(out["repeats"], 1, f"{where}.repeats")
+        _at_least(out["repeats"], 1, prefix + "repeats")
     if "methods" in data:
         names = data["methods"]
         if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-            raise ConfigError(f"{where}.methods: expected a list of method names, got {names!r}")
-        out["methods"] = _methods(names, f"{where}.methods")
+            raise ConfigError(f"{prefix}methods: expected a list of method names, got {names!r}")
+        out["methods"] = _methods(names, prefix + "methods")
     return out
 
 
-def load_run_config(path: str | Path) -> dict:
-    """JSON config with a checked version tag, keys and value types.
-    Returns {'synth': SynthConfig, 'train': TrainConfig, 'benchmark': dict}:
-    the two dataclasses hold their defaults overlaid with the file's values,
-    the dict holds the benchmark keys the file sets. Any fault raises
-    ConfigError naming the file and the section and key."""
+def load_run_config(path: str | Path, command: str) -> dict:
+    """JSON config with a checked version tag, keys and value types, as
+    {section: {key: value}}. Every key must be one that CONFIG_KEYS lists
+    for subcommand `command`. Any fault raises ConfigError naming the file
+    and the section and key."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -159,15 +186,17 @@ def load_run_config(path: str | Path) -> dict:
     version = data.pop("version", None)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{path}: config version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
-    known_sections = {"synth", "train", "benchmark"}
-    unknown = set(data) - known_sections
-    if unknown:
-        raise ConfigError(f"{path}: unknown section(s) {sorted(unknown)}")
-    return {
-        "synth": _build(SynthConfig, data.get("synth", {}), f"{path}: synth"),
-        "train": _build(TrainConfig, data.get("train", {}), f"{path}: train", TRAIN_KEYS),
-        "benchmark": _benchmark_section(data.get("benchmark", {}), f"{path}: benchmark"),
-    }
+    keys = CONFIG_KEYS[command]
+    _check_keys(data, keys, path, "", command)
+    out = {}
+    for section, value in data.items():
+        if section == "benchmark":
+            _check_keys(value, keys[section], path, section, command)
+            out[section] = _benchmark_values(value, f"{path}: {section}.")
+        else:
+            cls = SynthConfig if section == "synth" else TrainConfig
+            out[section] = _values(cls, value, keys[section], path, section, command)
+    return out
 
 
 def _flag_fields(cls) -> dict:
@@ -176,26 +205,51 @@ def _flag_fields(cls) -> dict:
     return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
 
 
+def _flag_settings(args: argparse.Namespace) -> dict:
+    """The setting flags given, as {section: {key: value}}. A setting flag's
+    destination is the config key it overrides: `section.key`, or
+    `synth.clerical_noise.key`."""
+    given: dict = {}
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            *path, key = dest.split(".")
+            reduce(lambda node, name: node.setdefault(name, {}), path, given)[key] = value
+    return given
+
+
 def _flags(args: argparse.Namespace, names) -> dict:
     """The flags among argparse destinations `names` that were given."""
-    return {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def add_synth_flags(parser: argparse.ArgumentParser) -> None:
-    """--config, then one flag per SynthConfig and ClericalNoiseModel field:
-    the field name without a leading 'n_', dashed, typed as its default."""
+def add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """--config, then one flag per synth key that `command` reads (a
+    ClericalNoiseModel field for `clerical_noise`): the field name without a
+    leading 'n_', dashed, typed as its default."""
     parser.add_argument("--config", type=Path, help="JSON run config (flags override it)")
-    for cls in (SynthConfig, ClericalNoiseModel):
-        for name, default in _flag_fields(cls).items():
-            flag = name.removeprefix("n_").replace("_", "-")
-            parser.add_argument(f"--{flag}", dest=name, type=type(default))
+    plain = _flag_fields(SynthConfig)
+    for key in CONFIG_KEYS[command].get("synth", ()):
+        fields = {key: plain[key]} if key in plain else {
+            f"{key}.{name}": default for name, default in _flag_fields(ClericalNoiseModel).items()
+        }
+        for dotted, default in fields.items():
+            flag = dotted.rpartition(".")[2].removeprefix("n_").replace("_", "-")
+            parser.add_argument(f"--{flag}", dest=f"synth.{dotted}", type=type(default))
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", dest="n_epochs", type=int)
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--lr", dest="learning_rate", type=float)
-    parser.add_argument("--optimizer", choices=["adam", "sgd"])
+    parser.add_argument("--epochs", dest="train.n_epochs", type=int)
+    parser.add_argument("--batch-size", dest="train.batch_size", type=int)
+    parser.add_argument("--lr", dest="train.learning_rate", type=float)
+    parser.add_argument("--optimizer", dest="train.optimizer", choices=["adam", "sgd"])
+
+
+def _add_benchmark_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--methods", dest="benchmark.methods", type=lambda text: [m.strip() for m in text.split(",")])
+    parser.add_argument("--repeats", dest="benchmark.repeats", type=int)
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--curves", action="store_true", help="write mean ROC/PR SVGs per method")
+    parser.add_argument("--out", required=True)
 
 
 @dataclass(frozen=True)
@@ -205,26 +259,32 @@ class RunSettings:
     benchmark: dict  # repeated_benchmark keywords: base_seed, and repeats and methods where set
 
 
-def resolve_run_settings(args: argparse.Namespace) -> RunSettings:
-    """The settings of a synth, datasets, benchmark or pipeline run. Each value is the
+def _given_settings(args: argparse.Namespace, command: str) -> tuple[dict, dict]:
+    """The --config file's settings and the setting flags given, each as
+    {section: {key: value}}. A calibrating pipeline takes no
+    misclassified_newborn_rate from either: calibration sets it."""
+    file = load_run_config(args.config, command) if args.config else {}
+    flags = _flag_settings(args)
+    if command == "pipeline" and not args.no_calibrate:
+        key = "misclassified_newborn_rate"
+        named = {f"{args.config}: synth.clerical_noise.{key}": file, f"--{key.replace('_', '-')}": flags}
+        for where, given in named.items():
+            if key in given.get("synth", {}).get("clerical_noise", {}):
+                raise ConfigError(f"{where} has no effect without --no-calibrate")
+    return file, flags
+
+
+def resolve_run_settings(args: argparse.Namespace, command: str) -> RunSettings:
+    """The settings of a synth, benchmark or pipeline run. Each value is the
     dataclass (or repeated_benchmark) default, overridden by the --config
     file, overridden by a flag. base_seed defaults to the synth seed."""
-    if args.config:
-        run_cfg = load_run_config(args.config)
-    else:
-        run_cfg = {"synth": SynthConfig(), "train": TrainConfig(), "benchmark": {}}
-    synth = run_cfg["synth"]
-    noise = replace(synth.clerical_noise, **_flags(args, _flag_fields(ClericalNoiseModel)))
-    synth = replace(synth, clerical_noise=noise, **_flags(args, _flag_fields(SynthConfig)))
-    try:
-        train_config = replace(run_cfg["train"], **_flags(args, TRAIN_KEYS))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    bench = {"base_seed": synth.seed, **run_cfg["benchmark"]}
-    if getattr(args, "repeats", None) is not None:
-        bench["repeats"] = _at_least(args.repeats, 1, "--repeats")
-    if getattr(args, "methods", None) is not None:
-        bench["methods"] = _methods([name.strip() for name in args.methods.split(",")], "--methods")
+    file, flags = _given_settings(args, command)
+    synth, train_config = (
+        _overlay(_overlay(cls(), file.get(section, {}), f"{args.config}: {section}"), flags.get(section, {}))
+        for section, cls in (("synth", SynthConfig), ("train", TrainConfig))
+    )
+    bench = {"base_seed": synth.seed, **file.get("benchmark", {})}
+    bench.update(_benchmark_values(flags.get("benchmark", {}), "--"))
     return RunSettings(synth, train_config, bench)
 
 
@@ -340,9 +400,9 @@ def link_stage(
     return links
 
 
-def datasets_stage(mothers, newborns, links, vocab: CodeVocabulary, config: SynthConfig, out_dir: Path):
+def datasets_stage(mothers, newborns, links, vocab: CodeVocabulary, prediction_period_days: int, out_dir: Path):
     """The clean (d_star), noisy (d_tilde) and dual-labeled (d_prime) sets."""
-    d_star, d_tilde, d_prime = build_datasets(mothers, newborns, links, vocab, config)
+    d_star, d_tilde, d_prime = build_datasets(mothers, newborns, links, vocab, prediction_period_days)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_examples(d_star, out_dir / "d_star.jsonl", vocab)
     save_examples(d_tilde, out_dir / "d_tilde.jsonl", vocab)
@@ -384,7 +444,7 @@ def benchmark_stage(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    synth_stage(resolve_run_settings(args).synth, Path(args.out))
+    synth_stage(resolve_run_settings(args, "synth").synth, Path(args.out))
     return 0
 
 
@@ -400,13 +460,16 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
-    config = resolve_run_settings(args).synth
+    file, flags = _given_settings(args, "datasets")
+    given = {**file.get("synth", {}), **flags.get("synth", {})}
+    period = given.get("prediction_period_days", SynthConfig.prediction_period_days)
+    _at_least(period, 0, "prediction_period_days")
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
     links = load_links(args.links)
     try:
-        datasets_stage(mothers, newborns, links, vocab, config, Path(args.out))
+        datasets_stage(mothers, newborns, links, vocab, period, Path(args.out))
     except LinkageError as exc:
         raise LinkageError(f"{args.links}: {exc}") from None
     return 0
@@ -431,15 +494,22 @@ def _examples_with(path: str | None, vocab: CodeVocabulary, kind: str) -> list[L
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    overrides = _flag_settings(args).get("train", {})
+    if args.method is not None:
+        overrides["method"] = TrainMethod(args.method)
+    config = _overlay(TrainConfig(), overrides)
+    used = {tag for spec in plan_epochs(config.method, config.n_epochs) for tag in (spec.dataset, spec.loss_kind)}
+    inputs = {"--clean": (args.clean, {CLEAN, MIXED}), "--noisy": (args.noisy, {NOISY, MIXED}),
+              "--c-matrix": (args.c_matrix, {CORRECTED})}
+    unread = [flag for flag, (path, tags) in inputs.items() if path and not tags & used]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by method {config.method.value} "
+                          f"in {config.n_epochs} epoch(s)")
     vocab = CodeVocabulary.load(args.vocab)
     d_star = _examples_with(args.clean, vocab, "clean")
     d_tilde = _examples_with(args.noisy, vocab, "noisy")
     c = load_matrix_csv(args.c_matrix) if args.c_matrix else None
-    overrides = _flags(args, (*TRAIN_KEYS, "seed"))
-    if args.method is not None:
-        overrides["method"] = TrainMethod(args.method)
     try:
-        config = TrainConfig(**overrides)
         dims = NetDims(vocab_size=len(vocab), **_flags(args, ("d_emb", "d_h")))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -454,9 +524,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    settings = resolve_run_settings(args)
+    settings = resolve_run_settings(args, "benchmark")
     workers = _threads(args.threads)
-    corpus = Corpus.from_files(args.clean, args.noisy, args.vocab, settings.synth)
+    corpus = Corpus.from_files(args.clean, args.noisy, args.vocab)
     benchmark_stage(corpus, settings, workers, args.curves, Path(args.out))
     return 0
 
@@ -465,8 +535,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     def stage(name, fn, *inputs, **options):
         try:
             return fn(*inputs, **options)
-        except ConfigError:
-            raise
         except Exception as exc:
             raise RuntimeError(f"pipeline stage '{name}' failed: {exc}") from exc
 
@@ -474,9 +542,11 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigError(f"--target-accuracy must be in (0.5, 1], got {args.target}")
     if args.target is not None and args.no_calibrate:
         raise ConfigError("--target-accuracy has no effect with --no-calibrate")
-    settings = stage("config", resolve_run_settings, args)
+    settings = resolve_run_settings(args, "pipeline")
     workers = _threads(args.threads)
     config = settings.synth
+    if config.prediction_period_days >= config.history_span_days:
+        raise ConfigError("prediction_period_days must be smaller than history_span_days")
     out_dir = Path(args.out)
 
     if not args.no_calibrate:
@@ -487,7 +557,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     cohort = stage("synth", synth_stage, config, out_dir)
     mothers, newborns, vocab = cohort.mothers, cohort.newborns, cohort.vocab
     links = stage("link", link_stage, mothers, newborns, vocab, out_dir / LINKS_FILE, cohort.truth)
-    d_star, d_tilde, d_prime = stage("datasets", datasets_stage, mothers, newborns, links, vocab, config, out_dir)
+    d_star, d_tilde, d_prime = stage(
+        "datasets", datasets_stage, mothers, newborns, links, vocab, config.prediction_period_days, out_dir
+    )
     stage("estimate-c", estimate_c_stage, d_prime, out_dir / C_MATRIX_FILE)
     corpus = Corpus(vocab, d_star, d_tilde, d_prime, config)
     stage("benchmark", benchmark_stage, corpus, settings, workers, args.curves, out_dir)
@@ -518,6 +590,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 # --- parser --------------------------------------------------------------------
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """Shows the value of a setting flag by its key, without the section."""
+
+    def _get_default_metavar_for_optional(self, action: argparse.Action) -> str:
+        return action.dest.rpartition(".")[2].upper()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pretermalc",
@@ -531,13 +610,14 @@ def build_parser() -> argparse.ArgumentParser:
         f"checkpoint format '{CHECKPOINT_MAGIC}')",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, formatter_class=_HelpFormatter)
 
-    p = sub.add_parser("synth", help="generate a synthetic cohort")
-    add_synth_flags(p)
+    p = add_parser("synth", help="generate a synthetic cohort")
+    add_config_flags(p, "synth")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("link", help="match newborns to mothers by encounter times")
+    p = add_parser("link", help="match newborns to mothers by encounter times")
     p.add_argument("--mothers", required=True)
     p.add_argument("--newborns", required=True)
     p.add_argument("--vocab", required=True)
@@ -547,9 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-l1-hours", type=int, default=DEFAULT_MAX_L1_MINUTES // 60)
     p.set_defaults(func=cmd_link)
 
-    p = sub.add_parser("datasets", help="build the clean, noisy and dual-labeled example sets")
-    p.add_argument("--config", type=Path, help="JSON run config (flags override it)")
-    p.add_argument("--prediction-period-days", dest="prediction_period_days", type=int)
+    p = add_parser("datasets", help="build the clean, noisy and dual-labeled example sets")
+    add_config_flags(p, "datasets")
     p.add_argument("--mothers", required=True)
     p.add_argument("--newborns", required=True)
     p.add_argument("--links", required=True)
@@ -557,19 +636,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_datasets)
 
-    p = sub.add_parser("estimate-c", help="estimate the label corruption matrix")
+    p = add_parser("estimate-c", help="estimate the label corruption matrix")
     p.add_argument("--examples", required=True, help="dual-labeled examples (JSONL)")
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate_c)
 
-    p = sub.add_parser("train", help="train one method on prepared datasets")
+    p = add_parser("train", help="train one method on prepared datasets")
     p.add_argument("--clean", help="clean-labeled examples (JSONL)")
     p.add_argument("--noisy", help="noisy-labeled examples (JSONL)")
     p.add_argument("--vocab", required=True)
     p.add_argument("--method", choices=[m.value for m in TrainMethod])
     _add_train_flags(p)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", dest="train.seed", type=int)
     p.add_argument("--c-matrix", help="corruption matrix CSV (needed for corrected loss)")
     p.add_argument("--d-emb", type=int)
     p.add_argument("--d-h", type=int)
@@ -577,43 +656,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-log", help="per-epoch loss CSV")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("benchmark", help="repeated-split benchmark over methods")
-    p.add_argument("--config", type=Path, help="JSON run config (flags override it)")
-    p.add_argument("--seed", type=int, help="the synth seed, which the base seed defaults to")
+    p = add_parser("benchmark", help="repeated-split benchmark over methods")
+    add_config_flags(p, "benchmark")
+    p.add_argument("--seed", dest="benchmark.base_seed", type=int, help="base seed of splits and training runs")
     p.add_argument("--clean", required=True)
     p.add_argument("--noisy", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--methods")
-    p.add_argument("--repeats", type=int)
     _add_train_flags(p)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--curves", action="store_true", help="write mean ROC/PR SVGs per method")
-    p.add_argument("--out", required=True)
+    _add_benchmark_flags(p)
     p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("pipeline", help="synth -> link -> datasets -> estimate-c -> benchmark")
-    add_synth_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--epochs", dest="n_epochs", type=int)
-    p.add_argument("--methods")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--curves", action="store_true")
+    p = add_parser("pipeline", help="synth -> link -> datasets -> estimate-c -> benchmark")
+    add_config_flags(p, "pipeline")
+    p.add_argument("--epochs", dest="train.n_epochs", type=int)
+    _add_benchmark_flags(p)
     p.add_argument("--no-calibrate", action="store_true", help="skip noise calibration")
     p.add_argument("--target-accuracy", dest="target", type=float)
     p.set_defaults(func=cmd_pipeline)
 
-    p = sub.add_parser("report", help="summarize a per-repeat raw CSV")
+    p = add_parser("report", help="summarize a per-repeat raw CSV")
     p.add_argument("--raw", required=True)
     p.add_argument("--out", help="directory for one SVG per metric")
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # so that a flag it does not take is named with it
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
     except ConfigError as exc:

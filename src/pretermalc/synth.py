@@ -133,8 +133,6 @@ class SynthConfig:
             raise ConfigError(f"history_span_days must be >= 2, got {self.history_span_days}")
         if self.prediction_period_days < 0:
             raise ConfigError(f"prediction_period_days must be >= 0, got {self.prediction_period_days}")
-        if self.prediction_period_days >= self.history_span_days:
-            raise ConfigError("prediction_period_days must be smaller than history_span_days")
         for name in ("clean_code_rate", "newborn_coded_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -395,12 +393,12 @@ def build_datasets(
     newborns: Sequence[PatientRecord],
     links: LinkSet | Mapping[str, str],
     vocab: CodeVocabulary,
-    config: SynthConfig,
+    prediction_period_days: int,
 ) -> tuple[list[LabeledExample], list[LabeledExample], list[LabeledExample]]:
     """Assemble (clean, noisy, dual-labeled) example sets from linked records.
 
-    Records are same-day merged, truncated at delivery minus the prediction
-    period, and filtered to at least two remaining visits. A mother enters
+    Records are same-day merged, truncated `prediction_period_days` before
+    delivery, and filtered to at least two remaining visits. A mother enters
     the clean set when her own delivery codes classify, the noisy set when
     the links gave her a newborn-derived label, and the dual set when both
     hold; dual examples are shared objects across the three lists. A link
@@ -421,7 +419,7 @@ def build_datasets(
         noisy = noisy_by_mother.get(record.patient_id)
         if clean is None and noisy is None:
             continue
-        truncated = truncate_at_prediction_point(merged, config.prediction_period_days)
+        truncated = truncate_at_prediction_point(merged, prediction_period_days)
         examples.append(LabeledExample(record=truncated, clean_label=clean, noisy_label=noisy))
 
     filtered = apply_min_visit_filter(examples, min_visits=2)

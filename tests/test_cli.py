@@ -8,7 +8,7 @@ import json
 import pytest
 
 from pretermalc.bench import MethodSummary
-from pretermalc.cli import build_parser, format_summary_table, load_run_config, main
+from pretermalc.cli import build_parser, format_summary_table, load_run_config, main, resolve_run_settings
 from pretermalc.linkage import DEFAULT_MAX_L1_MINUTES, DEFAULT_MAX_PER_MOTHER
 from pretermalc.synth import ConfigError
 
@@ -115,14 +115,18 @@ def test_config_file_version_is_checked(tmp_path, capsys):
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_run_config(write_config(tmp_path / "a.json", {"version": 1, "synth": {"n_motherz": 5}}))
-    with pytest.raises(ConfigError, match="unknown section"):
-        load_run_config(write_config(tmp_path / "b.json", {"version": 1, "extras": {}}))
-    broken = tmp_path / "c.json"
+    path = write_config(tmp_path / "a.json", {"version": 1, "synth": {"n_motherz": 5}})
+    with pytest.raises(ConfigError, match=r"a\.json: synth\.n_motherz not read by the pipeline subcommand"):
+        load_run_config(path, "pipeline")
+    path = write_config(tmp_path / "b.json", {"version": 1, "synth": {"clerical_noise": {"jitter": 5.0}}})
+    with pytest.raises(ConfigError, match=r"synth\.clerical_noise\.jitter not read by the pipeline subcommand"):
+        load_run_config(path, "pipeline")
+    with pytest.raises(ConfigError, match="extras not read by the pipeline subcommand"):
+        load_run_config(write_config(tmp_path / "c.json", {"version": 1, "extras": {}}), "pipeline")
+    broken = tmp_path / "d.json"
     broken.write_text('{"version": 1,', encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
-        load_run_config(broken)
+        load_run_config(broken, "pipeline")
 
 
 def test_config_file_builds_nested_noise_model(tmp_path):
@@ -130,10 +134,13 @@ def test_config_file_builds_nested_noise_model(tmp_path):
         "version": 1,
         "synth": {"n_mothers": 150, "clerical_noise": {"time_jitter_sd": 45.0}},
     })
-    loaded = load_run_config(cfg)
-    assert loaded["synth"].n_mothers == 150
-    assert loaded["synth"].clerical_noise.time_jitter_sd == 45.0
-    assert loaded["synth"].clerical_noise.missing_newborn_rate == 0.15
+    loaded = load_run_config(cfg, "synth")
+    assert loaded == {"synth": {"n_mothers": 150, "clerical_noise": {"time_jitter_sd": 45.0}}}
+    args = build_parser().parse_args(["synth", "--config", cfg, "--out", "x"])
+    synth = resolve_run_settings(args, "synth").synth
+    assert synth.n_mothers == 150
+    assert synth.clerical_noise.time_jitter_sd == 45.0
+    assert synth.clerical_noise.missing_newborn_rate == 0.15
 
 
 @pytest.mark.parametrize("section,key,value", [
@@ -143,8 +150,9 @@ def test_config_file_builds_nested_noise_model(tmp_path):
 ])
 def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value):
     cfg = write_config(tmp_path / "run.json", {"version": 1, section: {key: value}})
-    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert f"{section}: unknown key(s) ['{key}']" in capsys.readouterr().err
+    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {section}.{key} not read by the pipeline subcommand\n"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("body,expected", [
@@ -164,6 +172,57 @@ def test_bad_config_values_exit_2_before_the_pipeline_writes(tmp_path, capsys, b
     assert main(["pipeline", "--config", cfg, "--mothers", "200", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{cfg}: {expected}" in err, err
+    assert not out.exists()
+
+
+# The input flags of the subcommands whose settings a test rejects: the
+# files are absent, so a run that got as far as reading one would exit 1.
+INPUTS = {
+    "datasets": ["--mothers", "{0}", "--newborns", "{0}", "--links", "{0}", "--vocab", "{0}"],
+    "benchmark": ["--clean", "{0}", "--noisy", "{0}", "--vocab", "{0}"],
+}
+
+
+@pytest.mark.parametrize("command, body, unread", [
+    ("synth", {"train": {"n_epochs": 2}, "benchmark": {"repeats": 2}}, "benchmark, train"),
+    ("datasets", {"synth": {"n_mothers": 999, "risk_lift": 2.0, "clerical_noise": {"time_jitter_sd": 0.0}}},
+     "synth.clerical_noise, synth.n_mothers, synth.risk_lift"),
+    ("datasets", {"train": {"n_epochs": 2}, "benchmark": {"base_seed": 2}}, "benchmark, train"),
+    ("benchmark", {"synth": {"seed": 6}}, "synth"),
+])
+def test_config_keys_a_subcommand_does_not_read_exit_2_before_any_file_is_read(
+    tmp_path, capsys, command, body, unread
+):
+    cfg = write_config(tmp_path / "run.json", {"version": 1, **body})
+    out = tmp_path / "out"
+    inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
+    assert main([command, *inputs, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: {unread} not read by the {command} subcommand\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("synth", "--prediction-period-days"), ("benchmark", "--mothers")])
+def test_a_flag_a_subcommand_does_not_take_is_named_with_it(tmp_path, capsys, command, flag):
+    inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *inputs, flag, "30", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"pretermalc {command}: error: unrecognized arguments: {flag} 30\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_calibrating_pipeline_rejects_a_misclassification_rate(tmp_path, capsys, source):
+    if source == "flag":
+        given, where = ["--misclassified-newborn-rate", "0.9"], "--misclassified-newborn-rate"
+    else:
+        cfg = write_config(tmp_path / "run.json", {
+            "version": 1, "synth": {"clerical_noise": {"misclassified_newborn_rate": 0.9}},
+        })
+        given, where = ["--config", cfg], f"{cfg}: synth.clerical_noise.misclassified_newborn_rate"
+    out = tmp_path / "x"
+    assert main(["pipeline", *COHORT_FLAGS, *BENCHMARK_FLAGS, *given, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {where} has no effect without --no-calibrate\n"
     assert not out.exists()
 
 
@@ -230,6 +289,29 @@ def test_datasets_takes_the_prediction_period_from_config_or_flag(pipeline_dir, 
         assert a != (pipeline_dir / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("period, code, message", [
+    ("600", 1, "no dual-labeled examples"),
+    ("-1", 2, "prediction_period_days must be >= 0, got -1"),
+])
+def test_datasets_bounds_the_prediction_period_by_its_data(pipeline_dir, tmp_path, capsys, period, code, message):
+    out = tmp_path / "out"
+    assert main([
+        "datasets", "--mothers", str(pipeline_dir / "mothers.jsonl"),
+        "--newborns", str(pipeline_dir / "newborns.jsonl"), "--links", str(pipeline_dir / "links.tsv"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--prediction-period-days", period, "--out", str(out),
+    ]) == code
+    err = capsys.readouterr().err
+    assert message in err and "history_span_days" not in err, err
+    assert not out.exists()
+
+
+def test_pipeline_rejects_a_prediction_period_its_history_cannot_hold(tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(["pipeline", *PIPELINE_FLAGS, "--prediction-period-days", "540", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: prediction_period_days must be smaller than history_span_days\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("column, unknown", [(0, "n99x99990"), (1, "m99x9999")])
 def test_datasets_link_errors_name_the_links_file(pipeline_dir, tmp_path, capsys, column, unknown):
     rows = [line.split("\t") for line in (pipeline_dir / "links.tsv").read_text().splitlines()]
@@ -264,15 +346,45 @@ PINNED_TRAIN_RUNS = {
 }
 
 
+# The input flags that each method reads in a 2-epoch run, and the file of
+# the pipeline's that each takes.
+TRAIN_READS = {
+    "ALC": ("--clean", "--noisy", "--c-matrix"),
+    "GLC_noisy_then_clean": ("--clean", "--noisy", "--c-matrix"),
+    "GLC_clean_then_noisy": ("--clean", "--noisy", "--c-matrix"),
+    "NoLC_clean": ("--clean",),
+    "NoLC_noisy": ("--noisy",),
+    "NoLC_mixed": ("--clean", "--noisy"),
+}
+TRAIN_INPUTS = {"--clean": "d_star.jsonl", "--noisy": "d_tilde.jsonl", "--c-matrix": "c_matrix.csv"}
+
+
 @pytest.mark.parametrize("method", PINNED_TRAIN_RUNS)
 def test_train_writes_the_pinned_checkpoint_and_loss_log(pipeline_dir, tmp_path, method):
     paths = [tmp_path / "model.ckpt", tmp_path / "loss.csv"]
+    inputs = [arg for flag in TRAIN_READS[method] for arg in (flag, str(pipeline_dir / TRAIN_INPUTS[flag]))]
     assert main([
-        "train", "--clean", str(pipeline_dir / "d_star.jsonl"), "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
-        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--c-matrix", str(pipeline_dir / "c_matrix.csv"),
+        "train", *inputs, "--vocab", str(pipeline_dir / "vocabulary.txt"),
         "--method", method, "--epochs", "2", "--out-checkpoint", str(paths[0]), "--out-log", str(paths[1]),
     ]) == 0
     assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == PINNED_TRAIN_RUNS[method]
+
+
+@pytest.mark.parametrize("method", TRAIN_READS)
+def test_train_rejects_an_input_its_method_does_not_read(tmp_path, capsys, method):
+    absent = str(tmp_path / "absent")
+    code = main([
+        "train", *(arg for flag in TRAIN_INPUTS for arg in (flag, absent)), "--vocab", absent,
+        "--method", method, "--epochs", "2", "--out-checkpoint", str(tmp_path / "x.ckpt"),
+    ])
+    err = capsys.readouterr().err
+    unread = [flag for flag in TRAIN_INPUTS if flag not in TRAIN_READS[method]]
+    if unread:
+        assert code == 2
+        assert err == f"error: {', '.join(unread)}: not read by method {method} in 2 epoch(s)\n"
+    else:  # every input is read, so the run gets as far as the absent files
+        assert code == 1 and absent in err, err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_pipeline_report_is_thread_count_independent(tmp_path):
@@ -430,9 +542,8 @@ def test_benchmark_takes_settings_from_the_config_file(pipeline_dir, tmp_path, c
 
     cfg = write_config(tmp_path / "run.json", {
         "version": 1,
-        "synth": {"seed": 6},
         "train": {"n_epochs": 1},
-        "benchmark": {"repeats": 1, "methods": ["NoLC_clean"]},
+        "benchmark": {"repeats": 1, "methods": ["NoLC_clean"], "base_seed": 6},
     })
     assert main([*base, "--config", cfg, "--out", str(tmp_path / "config")]) == 0
     assert fingerprint_of(capsys) == from_flags
@@ -441,15 +552,29 @@ def test_benchmark_takes_settings_from_the_config_file(pipeline_dir, tmp_path, c
 
     overridden = write_config(tmp_path / "other.json", {
         "version": 1,
-        "synth": {"seed": 5},
         "train": {"n_epochs": 3},
-        "benchmark": {"repeats": 4, "methods": ["ALC"]},
+        "benchmark": {"repeats": 4, "methods": ["ALC"], "base_seed": 5},
     })
     assert main([*base, "--config", overridden, *flags, "--out", str(tmp_path / "overridden")]) == 0
     assert fingerprint_of(capsys) == from_flags
     for name in ("report.csv", "report_raw.csv"):
         blobs = {(tmp_path / sub / name).read_bytes() for sub in ("flags", "config", "overridden")}
         assert len(blobs) == 1, name
+
+
+def test_benchmark_seed_flag_overrides_the_config_base_seed(pipeline_dir, tmp_path, capsys):
+    base = [
+        "benchmark", "--clean", str(pipeline_dir / "d_star.jsonl"), "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--methods", "NoLC_clean", "--repeats", "1",
+        "--epochs", "1", "--seed", "5",
+    ]
+    assert main([*base, "--out", str(tmp_path / "flag")]) == 0
+    from_flag = fingerprint_of(capsys)
+    cfg = write_config(tmp_path / "run.json", {"version": 1, "benchmark": {"base_seed": 3}})
+    assert main([*base, "--config", cfg, "--out", str(tmp_path / "both")]) == 0
+    assert fingerprint_of(capsys) == from_flag
+    for name in ("report.csv", "report_raw.csv"):
+        assert (tmp_path / "both" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes(), name
 
 
 def test_benchmark_rejects_unknown_methods(pipeline_dir, tmp_path, capsys):
@@ -517,7 +642,7 @@ def test_report_command_rejects_a_raw_csv_without_rows(tmp_path, capsys):
 SYNTH_FLAGS = [
     "--clean-code-rate", "--config", "--history-span-days", "--hospitals",
     "--misclassified-newborn-rate", "--missing-newborn-rate", "--mothers", "--newborn-coded-rate",
-    "--prediction-period-days", "--preterm-prevalence", "--risk-codes", "--risk-lift", "--seed",
+    "--preterm-prevalence", "--risk-codes", "--risk-lift", "--seed",
     "--swap-window-minutes", "--time-jitter-sd", "--visits-per-mother", "--vocab-size",
 ]
 OPTION_STRINGS = {
@@ -535,7 +660,7 @@ OPTION_STRINGS = {
     ],
     "pipeline": [
         "--curves", "--epochs", "--methods", "--no-calibrate", "--out", "--repeats",
-        "--target-accuracy", "--threads", *SYNTH_FLAGS,
+        "--prediction-period-days", "--target-accuracy", "--threads", *SYNTH_FLAGS,
     ],
     "report": ["--out", "--raw"],
 }
@@ -552,7 +677,7 @@ def test_every_subcommand_keeps_its_flags():
         for name, p in subparsers().items()
     }
     assert found == {name: sorted(opts) for name, opts in OPTION_STRINGS.items()}
-    assert sum(map(len, found.values())) == 90
+    assert sum(map(len, found.values())) == 89
 
 
 def test_link_flags_default_to_the_linkage_defaults():
@@ -562,7 +687,7 @@ def test_link_flags_default_to_the_linkage_defaults():
 
 
 def test_synth_flags_take_the_type_of_their_field():
-    types = {a.option_strings[0]: a.type for a in subparsers()["synth"]._actions if a.option_strings}
+    types = {a.option_strings[0]: a.type for a in subparsers()["pipeline"]._actions if a.option_strings}
     ints = ["--seed", "--mothers", "--hospitals", "--vocab-size", "--risk-codes", "--history-span-days",
             "--prediction-period-days", "--swap-window-minutes"]
     floats = ["--preterm-prevalence", "--risk-lift", "--visits-per-mother", "--clean-code-rate",

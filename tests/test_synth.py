@@ -47,7 +47,7 @@ def test_config_errors_name_fields():
     with pytest.raises(ConfigError, match="vocab_size"):
         SynthConfig(vocab_size=10)
     with pytest.raises(ConfigError, match="prediction_period_days"):
-        SynthConfig(prediction_period_days=600)
+        SynthConfig(prediction_period_days=-1)
     with pytest.raises(ConfigError, match="missing_newborn_rate"):
         ClericalNoiseModel(missing_newborn_rate=-0.1)
     with pytest.raises(ConfigError, match="time_jitter_sd"):
@@ -215,7 +215,9 @@ def test_zero_noise_dual_examples_give_identity_matrix():
                       clerical_noise=ClericalNoiseModel.none())
     cohort = generate_cohort(cfg)
     links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
-    _, _, d_prime = build_datasets(cohort.mothers, cohort.newborns, links, cohort.vocab, cfg)
+    _, _, d_prime = build_datasets(
+        cohort.mothers, cohort.newborns, links, cohort.vocab, cfg.prediction_period_days
+    )
     c = estimate_corruption_matrix(d_prime)
     assert np.array_equal(c.entries, np.eye(2))
 
@@ -239,7 +241,7 @@ def test_misclassification_rate_degrades_label_accuracy():
 def test_build_datasets_membership(small_cohort):
     links = match_newborns(small_cohort.mothers, small_cohort.newborns, small_cohort.vocab)
     d_star, d_tilde, d_prime = build_datasets(
-        small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL
+        small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL.prediction_period_days
     )
     star_ids = {ex.patient_id for ex in d_star}
     tilde_ids = {ex.patient_id for ex in d_tilde}
@@ -258,7 +260,7 @@ def test_build_datasets_membership(small_cohort):
 def test_build_datasets_respects_min_visits_and_truncation(small_cohort):
     links = match_newborns(small_cohort.mothers, small_cohort.newborns, small_cohort.vocab)
     d_star, d_tilde, _ = build_datasets(
-        small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL
+        small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL.prediction_period_days
     )
     for ex in list(d_star) + list(d_tilde):
         assert len(ex.record.visits) >= 2
@@ -270,7 +272,7 @@ def test_build_datasets_noisy_label_matches_linked_baby(small_cohort):
     vocab = small_cohort.vocab
     links = match_newborns(small_cohort.mothers, small_cohort.newborns, vocab)
     _, d_tilde, _ = build_datasets(
-        small_cohort.mothers, small_cohort.newborns, links, vocab, SMALL
+        small_cohort.mothers, small_cohort.newborns, links, vocab, SMALL.prediction_period_days
     )
     babies_by_id = {b.patient_id: b for b in small_cohort.newborns}
     linked_by_mother = {}
@@ -290,13 +292,16 @@ def test_build_datasets_rejects_a_link_to_an_unknown_mother(small_cohort):
     newborn_id = next(iter(links))
     links[newborn_id] = "m99x9999"
     with pytest.raises(LinkageError, match="linked mother m99x9999 not present in records"):
-        build_datasets(small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL)
+        build_datasets(
+            small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL.prediction_period_days
+        )
 
 
 def test_build_datasets_rejects_empty_overlap(small_cohort):
     with pytest.raises(DatasetError, match="dual-labeled"):
-        build_datasets(small_cohort.mothers, small_cohort.newborns, {},
-                       small_cohort.vocab, SMALL)
+        build_datasets(
+            small_cohort.mothers, small_cohort.newborns, {}, small_cohort.vocab, SMALL.prediction_period_days
+        )
 
 
 def test_default_scale_corpus_shape():
@@ -304,7 +309,7 @@ def test_default_scale_corpus_shape():
     cohort = generate_cohort(cfg)
     links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
     d_star, d_tilde, d_prime = build_datasets(
-        cohort.mothers, cohort.newborns, links, cohort.vocab, cfg
+        cohort.mothers, cohort.newborns, links, cohort.vocab, cfg.prediction_period_days
     )
     assert 1600 <= len(d_star) <= 2600
     assert 1600 <= len(d_tilde) <= 2600
