@@ -363,6 +363,8 @@ def mean_label_accuracy(config: SynthConfig, n_seeds: int = 5) -> float:
     generated with seeds derived from config.seed. Uses the same seed
     schedule as calibrate_noise, so a calibrated config evaluates on exactly
     the cohorts the calibration saw."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     total = 0.0
     for i in range(n_seeds):
         cohort = generate_cohort(replace(config, seed=derive_seed(config.seed, "calibration", i)))
@@ -377,7 +379,18 @@ def calibrate_noise(
 ) -> ClericalNoiseModel:
     """Bisection on the newborn misclassification rate until the mean noisy-
     label accuracy over seeded cohorts lands within CALIBRATION_TOLERANCE of
-    the target. All other noise channels stay at their configured values."""
+    the target. All other noise channels stay at their configured values.
+
+    Rate 0 is evaluated first, then the midpoints. Rate 1 is evaluated only
+    when the accuracy at rate 0.5 is more than CALIBRATION_TOLERANCE above
+    the target (the first step that raises the bracket's low end), and the
+    target is below reach when the accuracy at rate 1 is too. On the
+    default config the rates evaluated are 0, 0.5 and 0.25. Where the
+    accuracy falls as the rate rises, this gives the result or error that
+    checking rate 1 up front would. The accuracy is not strictly monotone,
+    since a wrong link can make a flipped label correct: where rate 0.5 is
+    within tolerance of the target or below it, the search goes on even if
+    rate 1 would stay above the target."""
     base = config or SynthConfig()
     if not 0.5 < target <= 1.0:
         raise ValueError(f"target accuracy must be in (0.5, 1], got {target}")
@@ -396,17 +409,19 @@ def calibrate_noise(
         raise CalibrationError(
             f"target {target} unreachable: accuracy is {f_lo:.4f} even with no misclassification"
         )
-    f_hi = mean_accuracy(hi)
-    if f_hi > target + CALIBRATION_TOLERANCE:
-        raise CalibrationError(
-            f"target {target} below reach: accuracy stays {f_hi:.4f} at full misclassification"
-        )
+    f_hi = None  # evaluated at rate 1 only when the search first needs it
     for _ in range(MAX_CALIBRATION_STEPS):
         mid = 0.5 * (lo + hi)
         f_mid = mean_accuracy(mid)
         if abs(f_mid - target) <= CALIBRATION_TOLERANCE:
             return replace(base.clerical_noise, misclassified_newborn_rate=mid)
         if f_mid > target:
+            if f_hi is None:
+                f_hi = mean_accuracy(hi)
+                if f_hi > target + CALIBRATION_TOLERANCE:
+                    raise CalibrationError(
+                        f"target {target} below reach: accuracy stays {f_hi:.4f} at full misclassification"
+                    )
             lo, f_lo = mid, f_mid
         else:
             hi, f_hi = mid, f_mid

@@ -5,7 +5,8 @@ One executable, subcommands for each pipeline stage plus an end-to-end
 memory, writes the stage's files, prints its summary and returns its outputs.
 A staged subcommand reads its input files and calls its stage; `pipeline`
 calls every stage in order, so both paths write the same bytes. Exit codes:
-0 success, 1 runtime failure, 2 usage or config validation error. All file
+0 success, 1 runtime failure, 2 usage or config validation error; with
+`pretermalc --debug` a failure raises with its traceback instead. All file
 outputs are bit-reproducible for identical flags and inputs; `--threads` only
 caps worker processes.
 """
@@ -499,12 +500,18 @@ def cmd_train(args: argparse.Namespace) -> int:
         overrides["method"] = TrainMethod(args.method)
     config = _overlay(TrainConfig(), overrides)
     used = {tag for spec in plan_epochs(config.method, config.n_epochs) for tag in (spec.dataset, spec.loss_kind)}
-    inputs = {"--clean": (args.clean, {CLEAN, MIXED}), "--noisy": (args.noisy, {NOISY, MIXED}),
-              "--c-matrix": (args.c_matrix, {CORRECTED})}
-    unread = [flag for flag, (path, tags) in inputs.items() if path and not tags & used]
+    # flag -> (path given, plan tags that read it, plan tag that needs it)
+    inputs = {"--clean": (args.clean, {CLEAN, MIXED}, CLEAN), "--noisy": (args.noisy, {NOISY, MIXED}, NOISY),
+              "--c-matrix": (args.c_matrix, {CORRECTED}, CORRECTED)}
+    plan = f"method {config.method.value} in {config.n_epochs} epoch(s)"
+    unread = [flag for flag, (path, tags, _) in inputs.items() if path and not tags & used]
     if unread:
-        raise ConfigError(f"{', '.join(unread)}: not read by method {config.method.value} "
-                          f"in {config.n_epochs} epoch(s)")
+        raise ConfigError(f"{', '.join(unread)}: not read by {plan}")
+    missing = [flag for flag, (path, _, tag) in inputs.items() if tag in used and not path]
+    if MIXED in used and not (args.clean or args.noisy):
+        missing.append("--clean or --noisy")
+    if missing:
+        raise ConfigError(f"{', '.join(missing)}: needed by {plan}")
     vocab = CodeVocabulary.load(args.vocab)
     d_star = _examples_with(args.clean, vocab, "clean")
     d_tilde = _examples_with(args.noisy, vocab, "noisy")
@@ -603,6 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthetic preterm-birth cohorts, mother-newborn linkage, and "
         "corruption-aware training benchmarks.",
     )
+    parser.add_argument("--debug", action="store_true", help="let a failure raise with its traceback")
     parser.add_argument(
         "--version",
         action="version",
@@ -690,12 +698,11 @@ def main(argv: list[str] | None = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - uniform runtime failure surface
+        if args.debug:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

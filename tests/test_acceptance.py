@@ -120,6 +120,11 @@ def test_4_noise_calibration_hits_the_target_accuracy():
         assert estimated.is_diagonally_dominant(), estimated.entries
 
 
+def test_default_calibration_lands_on_a_quarter():
+    # Rates 0, 0.5 and 0.25 are evaluated; 0.25 is the first within tolerance.
+    assert calibrated_config().clerical_noise.misclassified_newborn_rate == 0.25
+
+
 def test_5_alternating_schedule_ranks_ahead_on_the_default_corpus():
     with verdict(5, "mean-AUC ordering over 20 repeats"):
         started = time.perf_counter()

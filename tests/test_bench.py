@@ -10,10 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pretermalc
 
+from pretermalc import bench
 from pretermalc.bench import (
+    CALIBRATION_TOLERANCE,
+    MAX_CALIBRATION_STEPS,
+    CalibrationError,
     _split_for_repeat,
     calibrate_noise,
     derive_seed,
@@ -244,6 +250,114 @@ def test_mean_label_accuracy_is_deterministic():
     a = mean_label_accuracy(config, n_seeds=2)
     assert a == mean_label_accuracy(config, n_seeds=2)
     assert 0.0 <= a <= 1.0
+
+
+@pytest.mark.parametrize("n_seeds", [0, -1])
+def test_calibration_needs_at_least_one_seed(n_seeds):
+    with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got {n_seeds}"):
+        mean_label_accuracy(SMALL, n_seeds=n_seeds)
+    with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got {n_seeds}"):
+        calibrate_noise(0.72, SMALL, n_seeds=n_seeds)
+
+
+def eager_calibration(accuracy, target):
+    """The bisection as it ran when rate 1 was evaluated up front, over
+    `accuracy(rate)`: the rate it returns, or the CalibrationError text."""
+    lo, hi = 0.0, 1.0
+    f_lo = accuracy(lo)
+    if abs(f_lo - target) <= CALIBRATION_TOLERANCE:
+        return lo
+    if f_lo < target:
+        raise CalibrationError(
+            f"target {target} unreachable: accuracy is {f_lo:.4f} even with no misclassification"
+        )
+    f_hi = accuracy(hi)
+    if f_hi > target + CALIBRATION_TOLERANCE:
+        raise CalibrationError(
+            f"target {target} below reach: accuracy stays {f_hi:.4f} at full misclassification"
+        )
+    for _ in range(MAX_CALIBRATION_STEPS):
+        mid = 0.5 * (lo + hi)
+        f_mid = accuracy(mid)
+        if abs(f_mid - target) <= CALIBRATION_TOLERANCE:
+            return mid
+        if f_mid > target:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    raise CalibrationError(
+        f"no convergence in {MAX_CALIBRATION_STEPS} steps: bracket [{lo:.4f}, {hi:.4f}] "
+        f"with accuracies [{f_lo:.4f}, {f_hi:.4f}] around target {target}"
+    )
+
+
+def outcome(run, accuracy, target):
+    """(rate or error text, rates evaluated) of `run(stub, target)`, where
+    the stub records each rate it is asked for."""
+    rates = []
+
+    def stub(rate):
+        rates.append(rate)
+        return accuracy(rate)
+
+    try:
+        return run(stub, target), rates
+    except CalibrationError as exc:
+        return str(exc), rates
+
+
+def lazy_calibration(accuracy, target):
+    """calibrate_noise's rate with `accuracy(rate)` in place of the cohorts."""
+    def stub(cfg, n_seeds):
+        return accuracy(cfg.clerical_noise.misclassified_newborn_rate)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bench, "mean_label_accuracy", stub)
+        return calibrate_noise(target).misclassified_newborn_rate
+
+
+def test_default_like_calibration_never_evaluates_rate_1():
+    assert outcome(lazy_calibration, lambda rate: 0.95 - 0.92 * rate, 0.72) == (0.25, [0.0, 0.5, 0.25])
+
+
+def test_a_target_below_reach_is_found_at_the_first_step_that_needs_rate_1():
+    assert outcome(lazy_calibration, lambda rate: 0.95 - 0.1 * rate, 0.72) == (
+        "target 0.72 below reach: accuracy stays 0.8500 at full misclassification", [0.0, 0.5, 1.0]
+    )
+
+
+@pytest.mark.parametrize("points, rate, rates", [
+    ({0.0: 0.95, 0.5: 0.72, 1.0: 0.80}, 0.5, [0.0, 0.5]),
+    ({0.0: 0.95, 0.5: 0.60, 0.25: 0.73, 1.0: 0.80}, 0.25, [0.0, 0.5, 0.25]),
+])
+def test_a_non_monotone_accuracy_is_calibrated_where_rate_1_would_stay_above_the_target(points, rate, rates):
+    below_reach = "target 0.72 below reach: accuracy stays 0.8000 at full misclassification"
+    assert outcome(eager_calibration, points.get, 0.72)[0] == below_reach
+    assert outcome(lazy_calibration, points.get, 0.72) == (rate, rates)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8).map(lambda v: sorted(v, reverse=True)),
+    step=st.booleans(),
+    target=st.floats(0.5, 1.0, exclude_min=True),
+)
+def test_lazy_rate_1_matches_the_eager_bisection_on_falling_accuracy(values, step, target):
+    knots = np.linspace(0.0, 1.0, len(values))
+    if step:  # jumps can leave no rate within tolerance of the target
+        def accuracy(rate):
+            return values[min(int(rate * len(values)), len(values) - 1)]
+    else:
+        def accuracy(rate):
+            return float(np.interp(rate, knots, values))
+    eager, eager_rates = outcome(eager_calibration, accuracy, target)
+    lazy, lazy_rates = outcome(lazy_calibration, accuracy, target)
+    assert lazy == eager
+    if "below reach" in str(lazy):  # found one midpoint later, at rate 0.5
+        assert (lazy_rates, eager_rates) == ([0.0, 0.5, 1.0], [0.0, 1.0])
+    else:  # the same midpoints, with rate 1 evaluated at most as often
+        assert [r for r in lazy_rates if r != 1.0] == [r for r in eager_rates if r != 1.0]
+        assert len(lazy_rates) <= len(eager_rates)
 
 
 # --- SVG helpers -------------------------------------------------------------------

@@ -51,15 +51,27 @@ def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys):
     assert "n_mothers" in err
 
 
+def link_absent_files(tmp_path) -> list[str]:
+    absent = str(tmp_path / "absent")
+    return ["link", "--mothers", absent, "--newborns", absent, "--vocab", absent, "--out", str(tmp_path / "links.tsv")]
+
+
 def test_runtime_errors_exit_1(tmp_path, capsys):
-    code = main([
-        "link", "--mothers", str(tmp_path / "absent.jsonl"),
-        "--newborns", str(tmp_path / "absent.jsonl"),
-        "--vocab", str(tmp_path / "absent.txt"),
-        "--out", str(tmp_path / "links.tsv"),
-    ])
+    code = main(link_absent_files(tmp_path))
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (lambda tmp_path: ["synth", "--mothers", "0", "--out", str(tmp_path / "x")], ConfigError),
+    (link_absent_files, FileNotFoundError),
+])
+def test_debug_re_raises_the_failure_that_would_print_one_line(tmp_path, capsys, argv, error):
+    with pytest.raises(error) as raised:
+        main(["--debug", *argv(tmp_path)])
+    assert capsys.readouterr().err == ""
+    assert main(argv(tmp_path)) == (2 if error is ConfigError else 1)
+    assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 # --- synth -------------------------------------------------------------------------
@@ -387,6 +399,22 @@ def test_train_rejects_an_input_its_method_does_not_read(tmp_path, capsys, metho
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("method, missing", [
+    *((method, flag) for method, reads in TRAIN_READS.items() if method != "NoLC_mixed" for flag in reads),
+    ("NoLC_mixed", "--clean or --noisy"),
+])
+def test_train_rejects_a_missing_input_before_reading_any_file(tmp_path, capsys, method, missing):
+    absent = str(tmp_path / "absent")
+    given = [flag for flag in TRAIN_READS[method] if flag not in missing.split(" or ")]
+    code = main([
+        "train", *(arg for flag in given for arg in (flag, absent)), "--vocab", absent,
+        "--method", method, "--epochs", "2", "--out-checkpoint", str(tmp_path / "x.ckpt"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {missing}: needed by method {method} in 2 epoch(s)\n"
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_pipeline_report_is_thread_count_independent(tmp_path):
     flags = [f if f != "1" else f for f in PIPELINE_FLAGS]
     flags[flags.index("--repeats") + 1] = "2"
@@ -484,8 +512,8 @@ def test_train_corrected_loss_needs_a_matrix(pipeline_dir, tmp_path, capsys):
         "--method", "ALC", "--epochs", "2",
         "--out-checkpoint", str(tmp_path / "x.ckpt"),
     ])
-    assert code == 1
-    assert "no corruption matrix" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == "error: --c-matrix: needed by method ALC in 2 epoch(s)\n"
 
 
 @pytest.mark.parametrize("flag, name, method", [
