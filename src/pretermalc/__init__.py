@@ -3,6 +3,7 @@
 __version__ = "0.1.0"
 
 from .bench import (
+    BenchmarkConfig,
     BenchmarkReport,
     Corpus,
     build_corpus,
@@ -45,6 +46,7 @@ from .synth import ClericalNoiseModel, SynthConfig, build_datasets, generate_coh
 from .train import TrainConfig, TrainMethod, plan_epochs, train
 
 __all__ = [
+    "BenchmarkConfig",
     "BenchmarkReport",
     "Batch",
     "ClericalNoiseModel",

@@ -44,8 +44,6 @@ RAW_CSV_HEADER = "method,repeat,auc,pr_auc"
 CALIBRATION_TOLERANCE = 0.02
 MAX_CALIBRATION_STEPS = 30
 
-ALL_METHODS = tuple(TrainMethod)
-
 # Read by the BLAS libraries numpy may load, once, when it is first imported.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -62,6 +60,33 @@ def derive_seed(*parts) -> int:
     """Stable 63-bit seed from arbitrary hashable parts (not python hash())."""
     digest = hashlib.sha256(repr(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
+
+
+@dataclass(frozen=True)
+class BenchmarkConfig:
+    """What a repeated benchmark runs: the methods, in report order, the
+    number of repeated splits, and the seed that every split, initialization
+    and training run derives from. A method may be given by name; it is
+    stored as a TrainMethod."""
+
+    methods: tuple[TrainMethod, ...] = tuple(TrainMethod)
+    repeats: int = DEFAULT_REPEATS
+    base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        valid = {m.value: m for m in TrainMethod}
+        names = [m.value if isinstance(m, TrainMethod) else m for m in self.methods]
+        for name in names:
+            if name not in valid:
+                raise ValueError(f"methods: unknown method {name!r}; valid: {', '.join(valid)}")
+        if not names:
+            raise ValueError("methods: no methods given")
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(f"methods: method(s) given more than once: {', '.join(repeated)}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        object.__setattr__(self, "methods", tuple(valid[name] for name in names))
 
 
 @dataclass(frozen=True)
@@ -183,8 +208,10 @@ class BenchmarkReport:
 
 
 def load_raw_csv(path: str | Path) -> list[RepeatRow]:
-    """The rows of a file written from `BenchmarkReport.raw_csv`."""
+    """The rows of a file written from `BenchmarkReport.raw_csv`: one per
+    (method, repeat) pair, each with a repeat >= 0 and scores in [0, 1]."""
     header = [RAW_CSV_HEADER]  # popped by the first line, which must equal it
+    seen: set[tuple[str, int]] = set()
 
     def parse(line: str) -> RepeatRow | None:
         if header:
@@ -192,7 +219,16 @@ def load_raw_csv(path: str | Path) -> list[RepeatRow]:
                 raise ValueError(f"unexpected header {line!r}, expected {RAW_CSV_HEADER!r}")
             return None
         method, repeat, auc_, pr_auc_ = line.split(",")
-        return RepeatRow(method, int(repeat), float(auc_), float(pr_auc_))
+        row = RepeatRow(method, int(repeat), float(auc_), float(pr_auc_))
+        if row.repeat < 0:
+            raise ValueError(f"repeat must be >= 0, got {row.repeat}")
+        for name, score in (("auc", row.auc), ("pr_auc", row.pr_auc)):
+            if not 0.0 <= score <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {score}")
+        if (method, row.repeat) in seen:
+            raise ValueError(f"{method} repeat {row.repeat} listed again")
+        seen.add((method, row.repeat))
+        return row
 
     return read_lines(path, parse, lambda rows: rows[1:])
 
@@ -281,17 +317,17 @@ def _corpus_digest(corpus: Corpus) -> str:
     return h.hexdigest()
 
 
-def _fingerprint(corpus: Corpus, methods, repeats, base_config: TrainConfig, base_seed: int) -> str:
+def _fingerprint(corpus: Corpus, config: BenchmarkConfig, base_config: TrainConfig) -> str:
     """Digest of what shapes the reports: the corpus content and the run
     settings. The cohort config is left out: the content digest covers every
     dataset it shaped."""
     payload = repr(
         (
-            [m.value for m in methods],
-            repeats,
+            [m.value for m in config.methods],
+            config.repeats,
             DEFAULT_SPLIT,
             asdict(base_config),
-            base_seed,
+            config.base_seed,
             _corpus_digest(corpus),
         )
     )
@@ -300,9 +336,7 @@ def _fingerprint(corpus: Corpus, methods, repeats, base_config: TrainConfig, bas
 
 def repeated_benchmark(
     corpus: Corpus,
-    methods: Sequence[TrainMethod] = ALL_METHODS,
-    repeats: int = DEFAULT_REPEATS,
-    base_seed: int = 0,
+    config: BenchmarkConfig = BenchmarkConfig(),
     train_config: TrainConfig | None = None,
     workers: int = 1,
 ) -> BenchmarkReport:
@@ -312,17 +346,10 @@ def repeated_benchmark(
     Worker processes only parallelize over repeats; results are assembled in
     repeat order, so the report is identical for any worker count.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    methods = list(methods)
-    if not methods:
-        raise ValueError("no methods requested")
-    repeated = sorted({m.value for m in methods if methods.count(m) > 1})
-    if repeated:
-        raise ValueError(f"method(s) requested more than once: {', '.join(repeated)}")
+    methods, repeats = config.methods, config.repeats
     base_config = train_config or TrainConfig()
 
-    run = partial(_run_repeat, corpus, methods, base_seed, base_config)
+    run = partial(_run_repeat, corpus, methods, config.base_seed, base_config)
     if workers > 1:
         # One chunk of repeats per worker, so the corpus is pickled once per
         # worker. It travels with the task, not with the start-up arguments:
@@ -350,7 +377,7 @@ def repeated_benchmark(
         methods=[m.value for m in methods],
         rows=rows,
         summaries=summarize(rows),
-        fingerprint=_fingerprint(corpus, methods, repeats, base_config, base_seed),
+        fingerprint=_fingerprint(corpus, config, base_config),
         curves=curves,
     )
 

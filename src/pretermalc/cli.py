@@ -25,6 +25,7 @@ from typing import Sequence
 
 from . import __version__
 from .bench import (
+    BenchmarkConfig,
     BenchmarkReport,
     Corpus,
     calibrate_noise,
@@ -72,8 +73,9 @@ CONFIG_SCHEMA_VERSION = 1
 # Keys of the config file's train section. Each repeat of a benchmark sets
 # the method and the seed of its own training runs.
 TRAIN_KEYS = ("n_epochs", "batch_size", "learning_rate", "optimizer")
-BENCHMARK_KEYS = ("repeats", "methods", "base_seed")
+BENCHMARK_KEYS = tuple(f.name for f in dataclasses.fields(BenchmarkConfig))
 SYNTH_KEYS = tuple(f.name for f in dataclasses.fields(SynthConfig))
+SECTIONS = {"synth": SynthConfig, "train": TrainConfig, "benchmark": BenchmarkConfig}
 
 # The config keys that each subcommand's stages read, by section; the synth
 # flags of a subcommand set the same keys. `benchmark` reads no synth key:
@@ -101,11 +103,15 @@ def _check_keys(data, known, path, dotted: str, command: str) -> None:
 
 
 def _typed(value, expected: type, where: str):
-    """`value` if it has type `expected`; an int also stands for a float."""
+    """`value` if it has type `expected`; an int also stands for a float,
+    and a list of strings for a tuple."""
     if expected is float and type(value) is int:
         return float(value)
+    if expected is tuple and type(value) is list and all(type(item) is str for item in value):
+        return tuple(value)
     if type(value) is not expected:
-        raise ConfigError(f"{where}: expected {expected.__name__}, got {value!r}")
+        name = "list of strings" if expected is tuple else expected.__name__
+        raise ConfigError(f"{where}: expected {name}, got {value!r}")
     return value
 
 
@@ -146,33 +152,6 @@ def _at_least(value: int, low: int, where: str) -> int:
     return value
 
 
-def _methods(names: list[str], where: str) -> tuple[TrainMethod, ...]:
-    valid = {m.value: m for m in TrainMethod}
-    for name in names:
-        if name not in valid:
-            raise ConfigError(f"{where}: unknown method {name!r}; valid: {', '.join(valid)}")
-    if not names:
-        raise ConfigError(f"{where}: no methods given")
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ConfigError(f"{where}: method(s) given more than once: {', '.join(repeated)}")
-    return tuple(valid[name] for name in names)
-
-
-def _benchmark_values(data: dict, prefix: str) -> dict:
-    """The repeated_benchmark keywords that benchmark settings `data` set.
-    An error names the setting as `prefix` followed by its key."""
-    out = {key: _typed(data[key], int, prefix + key) for key in ("repeats", "base_seed") if key in data}
-    if "repeats" in out:
-        _at_least(out["repeats"], 1, prefix + "repeats")
-    if "methods" in data:
-        names = data["methods"]
-        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-            raise ConfigError(f"{prefix}methods: expected a list of method names, got {names!r}")
-        out["methods"] = _methods(names, prefix + "methods")
-    return out
-
-
 def load_run_config(path: str | Path, command: str) -> dict:
     """JSON config with a checked version tag, keys and value types, as
     {section: {key: value}}. Every key must be one that CONFIG_KEYS lists
@@ -189,15 +168,10 @@ def load_run_config(path: str | Path, command: str) -> dict:
         raise ConfigError(f"{path}: config version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
     keys = CONFIG_KEYS[command]
     _check_keys(data, keys, path, "", command)
-    out = {}
-    for section, value in data.items():
-        if section == "benchmark":
-            _check_keys(value, keys[section], path, section, command)
-            out[section] = _benchmark_values(value, f"{path}: {section}.")
-        else:
-            cls = SynthConfig if section == "synth" else TrainConfig
-            out[section] = _values(cls, value, keys[section], path, section, command)
-    return out
+    return {
+        section: _values(SECTIONS[section], value, keys[section], path, section, command)
+        for section, value in data.items()
+    }
 
 
 def _flag_fields(cls) -> dict:
@@ -246,7 +220,10 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_benchmark_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--methods", dest="benchmark.methods", type=lambda text: [m.strip() for m in text.split(",")])
+    parser.add_argument(
+        "--methods", dest="benchmark.methods",
+        type=lambda text: tuple(m.strip() for m in text.split(",")) if text.strip() else (),
+    )
     parser.add_argument("--repeats", dest="benchmark.repeats", type=int)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--curves", action="store_true", help="write mean ROC/PR SVGs per method")
@@ -257,13 +234,14 @@ def _add_benchmark_flags(parser: argparse.ArgumentParser) -> None:
 class RunSettings:
     synth: SynthConfig
     train: TrainConfig
-    benchmark: dict  # repeated_benchmark keywords: base_seed, and repeats and methods where set
+    benchmark: BenchmarkConfig
 
 
-def _given_settings(args: argparse.Namespace, command: str) -> tuple[dict, dict]:
-    """The --config file's settings and the setting flags given, each as
-    {section: {key: value}}. A calibrating pipeline takes no
-    misclassified_newborn_rate from either: calibration sets it."""
+def resolve_run_settings(args: argparse.Namespace, command: str) -> RunSettings:
+    """The settings of a run of subcommand `command`. Each value is the
+    dataclass default, overridden by the --config file, overridden by a
+    flag. base_seed defaults to the synth seed. A calibrating pipeline takes
+    no misclassified_newborn_rate from either: calibration sets it."""
     file = load_run_config(args.config, command) if args.config else {}
     flags = _flag_settings(args)
     if command == "pipeline" and not args.no_calibrate:
@@ -272,21 +250,14 @@ def _given_settings(args: argparse.Namespace, command: str) -> tuple[dict, dict]
         for where, given in named.items():
             if key in given.get("synth", {}).get("clerical_noise", {}):
                 raise ConfigError(f"{where} has no effect without --no-calibrate")
-    return file, flags
 
+    def resolve(section: str, default):
+        from_file = _overlay(default, file.get(section, {}), f"{args.config}: {section}")
+        return _overlay(from_file, flags.get(section, {}))
 
-def resolve_run_settings(args: argparse.Namespace, command: str) -> RunSettings:
-    """The settings of a synth, benchmark or pipeline run. Each value is the
-    dataclass (or repeated_benchmark) default, overridden by the --config
-    file, overridden by a flag. base_seed defaults to the synth seed."""
-    file, flags = _given_settings(args, command)
-    synth, train_config = (
-        _overlay(_overlay(cls(), file.get(section, {}), f"{args.config}: {section}"), flags.get(section, {}))
-        for section, cls in (("synth", SynthConfig), ("train", TrainConfig))
-    )
-    bench = {"base_seed": synth.seed, **file.get("benchmark", {})}
-    bench.update(_benchmark_values(flags.get("benchmark", {}), "--"))
-    return RunSettings(synth, train_config, bench)
+    synth = resolve("synth", SynthConfig())
+    benchmark = resolve("benchmark", BenchmarkConfig(base_seed=synth.seed))
+    return RunSettings(synth, resolve("train", TrainConfig()), benchmark)
 
 
 def _threads(value: int) -> int:
@@ -424,7 +395,7 @@ def estimate_c_stage(dual, out: Path) -> CorruptionMatrix:
 def benchmark_stage(
     corpus: Corpus, settings: RunSettings, workers: int, curves: bool, out_dir: Path
 ) -> BenchmarkReport:
-    report = repeated_benchmark(corpus, train_config=settings.train, workers=workers, **settings.benchmark)
+    report = repeated_benchmark(corpus, settings.benchmark, settings.train, workers)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.csv").write_text(report.report_csv(), encoding="utf-8")
     (out_dir / "report_raw.csv").write_text(report.raw_csv(), encoding="utf-8")
@@ -461,10 +432,7 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
-    file, flags = _given_settings(args, "datasets")
-    given = {**file.get("synth", {}), **flags.get("synth", {})}
-    period = given.get("prediction_period_days", SynthConfig.prediction_period_days)
-    _at_least(period, 0, "prediction_period_days")
+    period = resolve_run_settings(args, "datasets").synth.prediction_period_days
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)

@@ -86,13 +86,11 @@ def _eligible_mothers(mothers: Iterable[PatientRecord]) -> dict[str, list[_Mothe
     return by_hospital
 
 
-def _nearest_mother(points: list[_MotherPoint], adms: list[int], b_adm: int, b_dis: int) -> tuple[int, str] | None:
-    """Scan outward from the admission-time insertion point. Any mother not
-    visited has |delta t_adm| greater than the best L1 found so far and thus
-    cannot win or tie."""
+def _nearest_mother(points: list[_MotherPoint], adms: list[int], b_adm: int, b_dis: int) -> tuple[int, str]:
+    """Scan outward from the admission-time insertion point of a non-empty
+    `points`. Any mother not visited has |delta t_adm| greater than the best
+    L1 found so far and thus cannot win or tie."""
     n = len(points)
-    if n == 0:
-        return None
     left = bisect.bisect_left(adms, b_adm) - 1
     right = left + 1
     best_l1: int | None = None
@@ -148,10 +146,7 @@ def match_newborns(
         if not points:
             continue
         bv = baby.visits[0]
-        found = _nearest_mother(points, adms_by_hospital[baby.hospital_id], bv.t_adm, bv.t_dis)
-        if found is None:
-            continue
-        l1, mother_id = found
+        l1, mother_id = _nearest_mother(points, adms_by_hospital[baby.hospital_id], bv.t_adm, bv.t_dis)
         assigned.append(MatchCandidate(baby.patient_id, mother_id, l1))
 
     # stage 2: distance threshold

@@ -25,7 +25,7 @@ from test_metrics import (
 )
 from test_noise import dual_example
 
-from pretermalc.bench import build_corpus, calibrate_noise, mean_label_accuracy, repeated_benchmark
+from pretermalc.bench import BenchmarkConfig, build_corpus, calibrate_noise, mean_label_accuracy, repeated_benchmark
 from pretermalc.cli import main
 from pretermalc.metrics import auc, pr_auc
 from pretermalc.net import IDENTITY
@@ -69,9 +69,7 @@ def benchmark_means() -> dict[str, float]:
         TrainMethod.NOLC_CLEAN,
         TrainMethod.NOLC_NOISY,
     ]
-    report = repeated_benchmark(
-        default_corpus(), methods=methods, repeats=20, base_seed=0, workers=BENCH_WORKERS
-    )
+    report = repeated_benchmark(default_corpus(), BenchmarkConfig(methods, repeats=20), workers=BENCH_WORKERS)
     return {name: summary.auc_mean for name, summary in report.summaries.items()}
 
 

@@ -19,6 +19,7 @@ from pretermalc import bench
 from pretermalc.bench import (
     CALIBRATION_TOLERANCE,
     MAX_CALIBRATION_STEPS,
+    BenchmarkConfig,
     CalibrationError,
     _split_for_repeat,
     calibrate_noise,
@@ -105,26 +106,26 @@ def test_split_rejects_bad_fractions():
 
 def test_benchmark_report_is_reproducible(corpus):
     methods = [TrainMethod.ALC, TrainMethod.NOLC_CLEAN]
-    a = repeated_benchmark(corpus, methods=methods, repeats=2, base_seed=4, train_config=FAST)
-    b = repeated_benchmark(corpus, methods=methods, repeats=2, base_seed=4, train_config=FAST)
+    a = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST)
+    b = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST)
     assert a.raw_csv() == b.raw_csv()
     assert a.report_csv() == b.report_csv()
     assert a.fingerprint == b.fingerprint
 
 
 def test_fingerprint_covers_base_seed_and_corpus_content(corpus):
-    kwargs = dict(methods=[TrainMethod.NOLC_CLEAN], repeats=1, train_config=replace(FAST, n_epochs=1))
-    first = repeated_benchmark(corpus, base_seed=0, **kwargs).fingerprint
-    assert repeated_benchmark(corpus, base_seed=0, **kwargs).fingerprint == first
-    assert repeated_benchmark(corpus, base_seed=1, **kwargs).fingerprint != first
+    config, fast = BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1), replace(FAST, n_epochs=1)
+    first = repeated_benchmark(corpus, config, fast).fingerprint
+    assert repeated_benchmark(corpus, config, fast).fingerprint == first
+    assert repeated_benchmark(corpus, replace(config, base_seed=1), fast).fingerprint != first
     reordered = replace(corpus, d_star=corpus.d_star[::-1])
-    assert repeated_benchmark(reordered, base_seed=0, **kwargs).fingerprint != first
+    assert repeated_benchmark(reordered, config, fast).fingerprint != first
 
 
 def test_benchmark_is_independent_of_worker_count(corpus):
     methods = [TrainMethod.ALC, TrainMethod.NOLC_CLEAN]
-    serial = repeated_benchmark(corpus, methods=methods, repeats=2, base_seed=4, train_config=FAST, workers=1)
-    pooled = repeated_benchmark(corpus, methods=methods, repeats=2, base_seed=4, train_config=FAST, workers=2)
+    serial = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST, workers=1)
+    pooled = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST, workers=2)
     assert serial.raw_csv() == pooled.raw_csv()
     assert serial.report_csv() == pooled.report_csv()
 
@@ -132,13 +133,13 @@ def test_benchmark_is_independent_of_worker_count(corpus):
 def test_pooled_run_from_an_unguarded_script_fails_instead_of_hanging(tmp_path):
     script = tmp_path / "unguarded.py"
     script.write_text(textwrap.dedent("""
-        from pretermalc.bench import build_corpus, repeated_benchmark
+        from pretermalc.bench import BenchmarkConfig, build_corpus, repeated_benchmark
         from pretermalc.synth import SynthConfig
         from pretermalc.train import TrainConfig, TrainMethod
 
         corpus, _, _ = build_corpus(SynthConfig(n_mothers=200, n_hospitals=3, seed=11))
-        repeated_benchmark(corpus, methods=[TrainMethod.NOLC_CLEAN], repeats=2,
-                           train_config=TrainConfig(n_epochs=1), workers=2)
+        repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=2),
+                           TrainConfig(n_epochs=1), workers=2)
     """))
     env = {**os.environ, "PYTHONPATH": str(Path(pretermalc.__file__).parents[1])}
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
@@ -147,8 +148,7 @@ def test_pooled_run_from_an_unguarded_script_fails_instead_of_hanging(tmp_path):
 
 
 def test_single_repeat_reports_zero_spread(corpus):
-    report = repeated_benchmark(corpus, methods=[TrainMethod.NOLC_CLEAN], repeats=1, base_seed=4,
-                                train_config=FAST)
+    report = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 1, 4), FAST)
     summary = report.summaries["NoLC_clean"]
     assert summary.auc_std == 0.0
     assert summary.prauc_std == 0.0
@@ -157,13 +157,13 @@ def test_single_repeat_reports_zero_spread(corpus):
 
 def test_clean_only_training_never_touches_the_noisy_set(corpus):
     without_noisy = replace(corpus, d_tilde=())
-    kwargs = dict(methods=[TrainMethod.NOLC_CLEAN], repeats=2, base_seed=4, train_config=FAST)
-    assert repeated_benchmark(corpus, **kwargs).raw_csv() == repeated_benchmark(without_noisy, **kwargs).raw_csv()
+    config = BenchmarkConfig([TrainMethod.NOLC_CLEAN], 2, 4)
+    assert repeated_benchmark(corpus, config, FAST).raw_csv() == repeated_benchmark(without_noisy, config, FAST).raw_csv()
 
 
 def test_report_layout(corpus):
     methods = [TrainMethod.NOLC_CLEAN, TrainMethod.NOLC_NOISY]
-    report = repeated_benchmark(corpus, methods=methods, repeats=2, base_seed=4, train_config=FAST)
+    report = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST)
     raw = report.raw_csv().splitlines()
     assert raw[0] == "method,repeat,auc,pr_auc"
     assert len(raw) == 1 + 2 * 2
@@ -181,8 +181,7 @@ def test_report_layout(corpus):
 
 
 def test_benchmark_can_collect_mean_curves(corpus):
-    report = repeated_benchmark(corpus, methods=[TrainMethod.NOLC_CLEAN], repeats=2, base_seed=4,
-                                train_config=FAST)
+    report = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 2, 4), FAST)
     curves = report.curves["NoLC_clean"]
     assert set(curves) == {"grid", "tpr", "precision"}
     assert curves["grid"].shape == curves["tpr"].shape == curves["precision"].shape == (101,)
@@ -191,10 +190,9 @@ def test_benchmark_can_collect_mean_curves(corpus):
 
 
 def test_a_methods_rows_and_curves_do_not_depend_on_the_other_methods(corpus):
-    kwargs = dict(repeats=2, base_seed=4, train_config=FAST)
-    both = repeated_benchmark(corpus, methods=[TrainMethod.ALC, TrainMethod.NOLC_CLEAN], **kwargs)
+    both = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.ALC, TrainMethod.NOLC_CLEAN], 2, 4), FAST)
     for method in (TrainMethod.ALC, TrainMethod.NOLC_CLEAN):
-        alone = repeated_benchmark(corpus, methods=[method], **kwargs)
+        alone = repeated_benchmark(corpus, BenchmarkConfig([method], 2, 4), FAST)
         assert [row for row in both.rows if row.method == method.value] == alone.rows
         for kind, curve in alone.curves[method.value].items():
             assert np.array_equal(both.curves[method.value][kind], curve), (method, kind)
@@ -210,22 +208,37 @@ def test_repeat_estimates_c_from_the_dual_labeled_part_of_its_training_split(cor
 
 
 def test_fingerprint_ignores_the_cohort_config(corpus):
-    kwargs = dict(methods=[TrainMethod.NOLC_CLEAN], repeats=1, base_seed=0, train_config=replace(FAST, n_epochs=1))
+    config, fast = BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1), replace(FAST, n_epochs=1)
     other = replace(corpus, config=replace(SMALL, n_mothers=999, risk_lift=2.0, n_hospitals=5))
-    assert repeated_benchmark(other, **kwargs).fingerprint == repeated_benchmark(corpus, **kwargs).fingerprint
+    assert repeated_benchmark(other, config, fast).fingerprint == repeated_benchmark(corpus, config, fast).fingerprint
 
 
-def test_benchmark_rejects_bad_requests(corpus):
-    with pytest.raises(ValueError, match="repeats"):
-        repeated_benchmark(corpus, repeats=0)
-    with pytest.raises(ValueError, match="no methods"):
-        repeated_benchmark(corpus, methods=[], repeats=1)
+def test_fingerprint_of_a_fixed_run_is_pinned(corpus):
+    # The fingerprint hashes the methods, repeats, split, train config, base
+    # seed and corpus digest, in that order. A change to what it hashes or how
+    # must show here, since reports from different versions are compared by it.
+    config = BenchmarkConfig([TrainMethod.NOLC_CLEAN, TrainMethod.ALC], repeats=2, base_seed=4)
+    report = repeated_benchmark(corpus, config, TrainConfig(n_epochs=1, batch_size=32))
+    assert report.fingerprint == "5b811c456c4eb9db"
 
 
-def test_benchmark_rejects_repeated_methods(corpus):
+def test_benchmark_config_takes_methods_by_name_or_member():
+    config = BenchmarkConfig(["ALC", TrainMethod.NOLC_CLEAN])
+    assert config.methods == (TrainMethod.ALC, TrainMethod.NOLC_CLEAN)
+    assert BenchmarkConfig().methods == tuple(TrainMethod)
+
+
+def test_benchmark_rejects_bad_requests():
+    with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
+        BenchmarkConfig(repeats=0)
+    with pytest.raises(ValueError, match="methods: no methods given"):
+        BenchmarkConfig(methods=[], repeats=1)
+
+
+def test_benchmark_rejects_repeated_methods():
     methods = [TrainMethod.NOLC_CLEAN, TrainMethod.ALC, TrainMethod.NOLC_CLEAN]
-    with pytest.raises(ValueError, match="more than once: NoLC_clean"):
-        repeated_benchmark(corpus, methods=methods, repeats=1, train_config=FAST)
+    with pytest.raises(ValueError, match=r"methods: method\(s\) given more than once: NoLC_clean"):
+        BenchmarkConfig(methods=methods, repeats=1)
 
 
 # --- noise calibration ------------------------------------------------------------

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from pretermalc.bench import MethodSummary
+from pretermalc.bench import BenchmarkConfig, MethodSummary
 from pretermalc.cli import build_parser, format_summary_table, load_run_config, main, resolve_run_settings
 from pretermalc.linkage import DEFAULT_MAX_L1_MINUTES, DEFAULT_MAX_PER_MOTHER
 from pretermalc.synth import ConfigError
@@ -173,9 +173,9 @@ def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value)
     ({"synth": {"risk_lift": True}}, "synth.risk_lift: expected float"),
     ({"train": {"n_epochs": 0}}, "train: n_epochs must be >= 1"),
     ({"train": {"learning_rate": "fast"}}, "train.learning_rate: expected float"),
-    ({"benchmark": {"repeats": 0}}, "benchmark.repeats must be >= 1"),
-    ({"benchmark": {"methods": ["NoLC_clean", "Magic"]}}, "benchmark.methods: unknown method 'Magic'"),
-    ({"benchmark": {"methods": "ALC"}}, "benchmark.methods: expected a list of method names"),
+    ({"benchmark": {"repeats": 0}}, "benchmark: repeats must be >= 1, got 0"),
+    ({"benchmark": {"methods": ["NoLC_clean", "Magic"]}}, "benchmark: methods: unknown method 'Magic'"),
+    ({"benchmark": {"methods": "ALC"}}, "benchmark.methods: expected list of strings, got 'ALC'"),
     ({"benchmark": []}, "benchmark: expected an object"),
 ])
 def test_bad_config_values_exit_2_before_the_pipeline_writes(tmp_path, capsys, body, expected):
@@ -621,12 +621,12 @@ def test_benchmark_rejects_unknown_methods(pipeline_dir, tmp_path, capsys):
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_benchmark_rejects_repeated_methods(pipeline_dir, tmp_path, capsys, source):
     if source == "flag":
-        given, where = ["--methods", "NoLC_clean,ALC,NoLC_clean"], "--methods"
+        given, where = ["--methods", "NoLC_clean,ALC,NoLC_clean"], "methods"
     else:
         cfg = write_config(tmp_path / "run.json", {
             "version": 1, "benchmark": {"methods": ["NoLC_clean", "ALC", "NoLC_clean"]},
         })
-        given, where = ["--config", cfg], f"{cfg}: benchmark.methods"
+        given, where = ["--config", cfg], f"{cfg}: benchmark: methods"
     out = tmp_path / "x"
     code = main([
         "benchmark",
@@ -637,7 +637,36 @@ def test_benchmark_rejects_repeated_methods(pipeline_dir, tmp_path, capsys, sour
         "--repeats", "1", "--out", str(out),
     ])
     assert code == 2
-    assert f"{where}: method(s) given more than once: NoLC_clean" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {where}: method(s) given more than once: NoLC_clean\n"
+    assert not out.exists()
+
+
+# A bad benchmark request as the library, the flags and a config file give
+# it: (config values, flags, the message tail all three share).
+BAD_REQUESTS = {
+    "unknown_method": ({"methods": ["NoLC_clean", "Magic"]}, ["--methods", "NoLC_clean,Magic"],
+                       "methods: unknown method 'Magic'; valid: ALC, GLC_noisy_then_clean, "
+                       "GLC_clean_then_noisy, NoLC_clean, NoLC_noisy, NoLC_mixed"),
+    "no_methods": ({"methods": []}, ["--methods", ""], "methods: no methods given"),
+    "repeated_method": ({"methods": ["NoLC_clean", "ALC", "NoLC_clean"]}, ["--methods", "NoLC_clean,ALC,NoLC_clean"],
+                        "methods: method(s) given more than once: NoLC_clean"),
+    "no_repeats": ({"repeats": 0}, ["--repeats", "0"], "repeats must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+def test_a_bad_benchmark_request_fails_alike_from_the_library_the_flags_and_a_file(tmp_path, capsys, case):
+    values, flags, tail = BAD_REQUESTS[case]
+    with pytest.raises(ValueError) as exc:
+        BenchmarkConfig(**values)
+    assert str(exc.value) == tail
+    inputs = [arg.format(tmp_path / "absent") for arg in INPUTS["benchmark"]]
+    out = tmp_path / "out"
+    assert main(["benchmark", *inputs, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {tail}\n"
+    cfg = write_config(tmp_path / "run.json", {"version": 1, "benchmark": values})
+    assert main(["benchmark", *inputs, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: benchmark: {tail}\n"
     assert not out.exists()
 
 
@@ -656,6 +685,14 @@ def test_report_command_rejects_malformed_input(tmp_path, capsys):
     bad.write_text("wrong,header\n1,2\n", encoding="utf-8")
     assert main(["report", "--raw", str(bad)]) == 1
     assert "unexpected header" in capsys.readouterr().err
+
+
+def test_report_command_rejects_a_corrupt_raw_csv(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("method,repeat,auc,pr_auc\nALC,0,0.8,0.5\nALC,0,nan,1.7\n", encoding="utf-8")
+    assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "svg")]) == 1
+    assert capsys.readouterr() == ("", f"error: {raw}: line 3: auc must be in [0, 1], got nan\n")
+    assert not (tmp_path / "svg").exists()
 
 
 def test_report_command_rejects_a_raw_csv_without_rows(tmp_path, capsys):

@@ -53,6 +53,13 @@ MALFORMED = {
     "examples_no_label": (lambda p: load_examples(p, VOCAB), RECORD + "\n", 1),
     "raw_csv_bad_header": (load_raw_csv, "wrong,header\n1,2\n", 1),
     "raw_csv_bad_row": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.7\nALC,one,0.8,0.7\n", 3),
+    "raw_csv_repeated_pair": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\nNoLC_clean,0,0.7,0.5\n"
+                              "ALC,0,0.7,0.4\n", 4),
+    "raw_csv_negative_repeat": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,-1,0.8,0.5\n", 2),
+    "raw_csv_nan_auc": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\nALC,1,nan,0.5\n", 3),
+    "raw_csv_negative_auc": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,-0.1,0.5\n", 2),
+    "raw_csv_pr_auc_above_one": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,1.7\n", 2),
+    "raw_csv_nan_pr_auc": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,nan\n", 2),
 }
 
 
