@@ -209,7 +209,8 @@ class BenchmarkReport:
 
 def load_raw_csv(path: str | Path) -> list[RepeatRow]:
     """The rows of a file written from `BenchmarkReport.raw_csv`: one per
-    (method, repeat) pair, each with a repeat >= 0 and scores in [0, 1]."""
+    (method, repeat) pair, each with a named method, a repeat >= 0 and
+    scores in [0, 1], and every method on the same set of repeats."""
     header = [RAW_CSV_HEADER]  # popped by the first line, which must equal it
     seen: set[tuple[str, int]] = set()
 
@@ -219,6 +220,8 @@ def load_raw_csv(path: str | Path) -> list[RepeatRow]:
                 raise ValueError(f"unexpected header {line!r}, expected {RAW_CSV_HEADER!r}")
             return None
         method, repeat, auc_, pr_auc_ = line.split(",")
+        if not method:
+            raise ValueError("empty method name")
         row = RepeatRow(method, int(repeat), float(auc_), float(pr_auc_))
         if row.repeat < 0:
             raise ValueError(f"repeat must be >= 0, got {row.repeat}")
@@ -230,7 +233,20 @@ def load_raw_csv(path: str | Path) -> list[RepeatRow]:
         seen.add((method, row.repeat))
         return row
 
-    return read_lines(path, parse, lambda rows: rows[1:])
+    def build(rows: list[RepeatRow | None]) -> list[RepeatRow]:
+        repeats: dict[str, set[int]] = {}
+        for row in rows[1:]:
+            repeats.setdefault(row.method, set()).add(row.repeat)
+        methods = list(repeats)
+        for method in methods[1:]:
+            if repeats[method] != repeats[methods[0]]:
+                raise ValueError(
+                    f"{method} covers repeats {sorted(repeats[method])}, "
+                    f"but {methods[0]} covers {sorted(repeats[methods[0]])}"
+                )
+        return rows[1:]
+
+    return read_lines(path, parse, build)
 
 
 def _split_for_repeat(

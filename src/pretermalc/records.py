@@ -417,4 +417,14 @@ def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: C
 
 
 def load_examples(path: str | Path, vocab: CodeVocabulary) -> list[LabeledExample]:
-    return read_lines(path, lambda line: LabeledExample(*record_from_dict(json.loads(line), vocab)))
+    """The examples of a file written by ``save_examples``. Each must hold
+    a visit: the dataset builder keeps only records with two or more, and a
+    model cannot score a record with none."""
+
+    def parse(line: str) -> LabeledExample:
+        example = LabeledExample(*record_from_dict(json.loads(line), vocab))
+        if not example.record.visits:
+            raise ValueError(f"example {example.patient_id} has no visits")
+        return example
+
+    return read_lines(path, parse)

@@ -536,6 +536,22 @@ def test_train_rejects_an_example_without_the_flags_label(pipeline_dir, tmp_path
     assert not (tmp_path / "x.ckpt").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_an_example_without_visits_is_named_with_its_file(pipeline_dir, tmp_path, capsys, command):
+    rows = [json.loads(line) for line in (pipeline_dir / "d_star.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows[3]["visits"] = []
+    clean = tmp_path / "d_star.jsonl"
+    clean.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    inputs = ["--clean", str(clean), "--vocab", str(pipeline_dir / "vocabulary.txt"), "--epochs", "1"]
+    if command == "train":
+        argv = ["train", *inputs, "--method", "NoLC_clean", "--out-checkpoint", str(tmp_path / "x.ckpt")]
+    else:
+        argv = ["benchmark", *inputs, "--noisy", str(pipeline_dir / "d_tilde.jsonl"), "--methods", "NoLC_clean",
+                "--repeats", "1", "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {clean}: line 4: example {rows[3]['patient_id']} has no visits\n"
+
+
 def test_benchmark_command_is_deterministic(pipeline_dir, tmp_path, capsys):
     base = [
         "benchmark",
@@ -693,6 +709,19 @@ def test_report_command_rejects_a_corrupt_raw_csv(tmp_path, capsys):
     assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "svg")]) == 1
     assert capsys.readouterr() == ("", f"error: {raw}: line 3: auc must be in [0, 1], got nan\n")
     assert not (tmp_path / "svg").exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("ALC,0,0.8,0.5\nALC,1,0.6,0.4\nNoLC_clean,5,0.7,0.3\n,0,0.5,0.5\n", "line 5: empty method name"),
+    ("ALC,0,0.8,0.5\nALC,1,0.6,0.4\nNoLC_clean,5,0.7,0.3\n", "NoLC_clean covers repeats [5], but ALC covers [0, 1]"),
+    ("ALC,0,0.8,0.5\nNoLC_clean,0,0.7,0.3\nNoLC_clean,1,0.7,0.3\nALC,1,0.6,0.4\nGLC_noisy_then_clean,1,0.5,0.5\n",
+     "GLC_noisy_then_clean covers repeats [1], but ALC covers [0, 1]"),
+], ids=["empty_method", "other_repeats", "a_later_method_differs"])
+def test_report_command_rejects_methods_it_cannot_pair_by_repeat(tmp_path, capsys, rows, message):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("method,repeat,auc,pr_auc\n" + rows, encoding="utf-8")
+    assert main(["report", "--raw", str(raw)]) == 1
+    assert capsys.readouterr() == ("", f"error: {raw}: {message}\n")
 
 
 def test_report_command_rejects_a_raw_csv_without_rows(tmp_path, capsys):

@@ -23,6 +23,7 @@ RECORD = json.dumps({
     "visits": [{"day": 0, "codes": ["a"], "t_adm": 0, "t_dis": 10}],
 })
 EXAMPLE = RECORD[:-1] + ',"clean_label":"preterm","noisy_label":null}'
+EMPTY_EXAMPLE = json.dumps({**json.loads(EXAMPLE), "patient_id": "m2", "visits": []})
 MATRIX_COUNTS = "5,1\n2,8\n"
 
 # (loader, file content, the line at fault or None for the whole file)
@@ -51,6 +52,7 @@ MALFORMED = {
     "records_missing_key": (lambda p: load_records(p, VOCAB), RECORD.replace('"t_dis"', '"t_out"') + "\n", 1),
     "examples_bad_json": (lambda p: load_examples(p, VOCAB), EXAMPLE + "\nnot json\n", 2),
     "examples_no_label": (lambda p: load_examples(p, VOCAB), RECORD + "\n", 1),
+    "examples_no_visits": (lambda p: load_examples(p, VOCAB), f"{EXAMPLE}\n{EMPTY_EXAMPLE}\n", 2),
     "raw_csv_bad_header": (load_raw_csv, "wrong,header\n1,2\n", 1),
     "raw_csv_bad_row": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.7\nALC,one,0.8,0.7\n", 3),
     "raw_csv_repeated_pair": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\nNoLC_clean,0,0.7,0.5\n"
@@ -60,6 +62,9 @@ MALFORMED = {
     "raw_csv_negative_auc": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,-0.1,0.5\n", 2),
     "raw_csv_pr_auc_above_one": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,1.7\n", 2),
     "raw_csv_nan_pr_auc": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,nan\n", 2),
+    "raw_csv_empty_method": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\n,0,0.5,0.5\n", 3),
+    "raw_csv_uneven_repeats": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\nALC,1,0.6,0.4\n"
+                               "NoLC_clean,1,0.7,0.3\n", None),
 }
 
 

@@ -3,6 +3,7 @@ reverse-mode gradients, and checkpoint persistence."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,27 @@ def test_predict_probs_matches_forward_across_chunk_sizes():
     solo = np.stack([forward(params, Batch.from_sequences([s])).probs[0] for s in seqs])
     for chunk in (1, 2, 256):
         assert np.max(np.abs(predict_probs(params, seqs, batch_size=chunk) - solo)) < 1e-12
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_probs_working_set_is_a_few_scoring_batches():
+    """1,024 sequences of 5 visits × 3 codes at the default width: scoring
+    all of them holds no more than a few 64-row batches at once (about two:
+    the last batch's trace lives on while the next one runs)."""
+    rng = np.random.default_rng(0)
+    seqs = [[rng.choice(200, 3, replace=False).tolist() for _ in range(5)] for _ in range(1024)]
+    params = init_params(NetDims(vocab_size=200), seed=0)
+    one_batch = traced_peak(lambda: forward(params, Batch.from_sequences(seqs[:64])))
+    assert traced_peak(lambda: predict_probs(params, seqs)) <= 3 * one_batch
 
 
 # --- losses -------------------------------------------------------------------

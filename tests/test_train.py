@@ -316,6 +316,22 @@ def test_train_requires_the_scheduled_label():
               TrainConfig(method=TrainMethod.NOLC_CLEAN, n_epochs=1))
 
 
+def test_an_example_without_visits_is_named_by_its_id():
+    """Training and scoring name the example, not its row in a shuffled or
+    scoring batch."""
+    d_star, _ = small_corpora(n=150)
+    empty = LabeledExample(
+        PatientRecord(patient_id="m-empty", hospital_id="h00", role=Role.MOTHER, visits=()),
+        clean_label=Label.PRETERM,
+    )
+    examples = d_star[:100] + [empty] + d_star[100:]
+    with pytest.raises(ValueError, match="^example m-empty has no visits$"):
+        train(init_params(TINY, seed=10), examples, [], None,
+              TrainConfig(method=TrainMethod.NOLC_CLEAN, n_epochs=1))
+    with pytest.raises(ValueError, match="^example m-empty has no visits$"):
+        score_examples(init_params(TINY, seed=10), examples)
+
+
 # --- float32 training, float64 boundary ----------------------------------------
 
 
@@ -380,7 +396,7 @@ def test_train_returns_the_float64_upcast_of_float32_weights():
 @pytest.fixture(scope="module")
 def trained_wide_model():
     """A default-width model trained one epoch, and 300 examples to score:
-    more than one 256-row scoring batch."""
+    more than four 64-row scoring batches."""
     d_star, d_tilde = small_corpora(seed=4, n=150)
     model, _ = train(init_params(NetDims(vocab_size=20), seed=6), d_star, d_tilde, None,
                      TrainConfig(method=TrainMethod.NOLC_CLEAN, n_epochs=1))
