@@ -35,8 +35,6 @@ from .bench import (
     summarize,
 )
 from .linkage import (
-    DEFAULT_MAX_L1_MINUTES,
-    DEFAULT_MAX_PER_MOTHER,
     LinkageError,
     LinkSet,
     link_accuracy,
@@ -70,9 +68,10 @@ from .train import CLEAN, CORRECTED, MIXED, NOISY, TrainConfig, TrainMethod, pla
 
 CONFIG_SCHEMA_VERSION = 1
 
-# Keys of the config file's train section. Each repeat of a benchmark sets
-# the method and the seed of its own training runs.
-TRAIN_KEYS = ("n_epochs", "batch_size", "learning_rate", "optimizer")
+# Keys of the config file's train section: every TrainConfig field but two.
+# Each repeat of a benchmark sets the method and the seed of its own
+# training runs.
+TRAIN_KEYS = ("n_epochs", "batch_size", "learning_rate")
 BENCHMARK_KEYS = tuple(f.name for f in dataclasses.fields(BenchmarkConfig))
 SYNTH_KEYS = tuple(f.name for f in dataclasses.fields(SynthConfig))
 SECTIONS = {"synth": SynthConfig, "train": TrainConfig, "benchmark": BenchmarkConfig}
@@ -146,12 +145,6 @@ def _overlay(obj, values: dict, where: str | None = None):
         raise ConfigError(f"{where}: {exc}" if where else str(exc)) from None
 
 
-def _at_least(value: int, low: int, where: str) -> int:
-    if value < low:
-        raise ConfigError(f"{where} must be >= {low}, got {value}")
-    return value
-
-
 def load_run_config(path: str | Path, command: str) -> dict:
     """JSON config with a checked version tag, keys and value types, as
     {section: {key: value}}. Every key must be one that CONFIG_KEYS lists
@@ -216,7 +209,6 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", dest="train.n_epochs", type=int)
     parser.add_argument("--batch-size", dest="train.batch_size", type=int)
     parser.add_argument("--lr", dest="train.learning_rate", type=float)
-    parser.add_argument("--optimizer", dest="train.optimizer", choices=["adam", "sgd"])
 
 
 def _add_benchmark_flags(parser: argparse.ArgumentParser) -> None:
@@ -261,7 +253,9 @@ def resolve_run_settings(args: argparse.Namespace, command: str) -> RunSettings:
 
 
 def _threads(value: int) -> int:
-    return min(_at_least(value, 1, "--threads"), os.cpu_count() or 1)
+    if value < 1:
+        raise ConfigError(f"--threads must be >= 1, got {value}")
+    return min(value, os.cpu_count() or 1)
 
 
 # --- output helpers ------------------------------------------------------------
@@ -358,12 +352,9 @@ def synth_stage(config: SynthConfig, out_dir: Path) -> Cohort:
     return cohort
 
 
-def link_stage(
-    mothers, newborns, vocab: CodeVocabulary, out: Path, truth: GroundTruth | None = None,
-    max_per_mother: int = DEFAULT_MAX_PER_MOTHER, max_l1_minutes: int = DEFAULT_MAX_L1_MINUTES,
-) -> LinkSet:
+def link_stage(mothers, newborns, vocab: CodeVocabulary, out: Path, truth: GroundTruth | None = None) -> LinkSet:
     """Link newborns to mothers; with `truth`, also print the link accuracy."""
-    links = match_newborns(mothers, newborns, vocab, max_per_mother=max_per_mother, max_l1_minutes=max_l1_minutes)
+    links = match_newborns(mothers, newborns, vocab)
     save_links(links, out)
     print(f"linked {len(links)} newborns -> {out}")
     if truth is not None:
@@ -421,13 +412,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    max_per_mother = _at_least(args.max_per_mother, 1, "--max-per-mother")
-    max_l1_minutes = _at_least(args.max_l1_hours, 0, "--max-l1-hours") * 60
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
     truth = load_truth(args.truth) if args.truth else None
-    link_stage(mothers, newborns, vocab, Path(args.out), truth, max_per_mother, max_l1_minutes)
+    link_stage(mothers, newborns, vocab, Path(args.out), truth)
     return 0
 
 
@@ -484,11 +473,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     d_star = _examples_with(args.clean, vocab, "clean")
     d_tilde = _examples_with(args.noisy, vocab, "noisy")
     c = load_matrix_csv(args.c_matrix) if args.c_matrix else None
-    try:
-        dims = NetDims(vocab_size=len(vocab), **_flags(args, ("d_emb", "d_h")))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    params = init_params(dims, derive_seed(config.seed, "init"))
+    params = init_params(NetDims(vocab_size=len(vocab)), derive_seed(config.seed, "init"))
     model, log = train(params, d_star, d_tilde, c, config)
     save_checkpoint(model, args.out_checkpoint)
     if args.out_log:
@@ -599,8 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", help="ground-truth TSV for accuracy reporting")
-    p.add_argument("--max-per-mother", type=int, default=DEFAULT_MAX_PER_MOTHER)
-    p.add_argument("--max-l1-hours", type=int, default=DEFAULT_MAX_L1_MINUTES // 60)
     p.set_defaults(func=cmd_link)
 
     p = add_parser("datasets", help="build the clean, noisy and dual-labeled example sets")
@@ -626,8 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--seed", dest="train.seed", type=int)
     p.add_argument("--c-matrix", help="corruption matrix CSV (needed for corrected loss)")
-    p.add_argument("--d-emb", type=int)
-    p.add_argument("--d-h", type=int)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-log", help="per-epoch loss CSV")
     p.set_defaults(func=cmd_train)

@@ -3,8 +3,8 @@
 Within each hospital a newborn is matched to the mother whose delivery
 encounter minimizes |delta t_adm| + |delta t_dis|. Matching runs in three
 stages: nearest mother per newborn (ties to the lexicographically smaller
-mother_id), distance threshold, then a per-mother capacity cap keeping only
-the nearest newborns. Thresholding happens before capping, so a newborn
+mother_id), a distance threshold of MAX_L1_MINUTES, then a cap of
+MAX_PER_MOTHER newborns per mother keeping only the nearest. Thresholding happens before capping, so a newborn
 whose sole nearest mother is too far away stays unmatched rather than being
 reassigned.
 """
@@ -26,8 +26,8 @@ from .records import (
     read_lines,
 )
 
-DEFAULT_MAX_L1_MINUTES = 24 * 60
-DEFAULT_MAX_PER_MOTHER = 3
+MAX_L1_MINUTES = 24 * 60
+MAX_PER_MOTHER = 3
 
 
 class LinkageError(ValueError):
@@ -118,8 +118,6 @@ def match_newborns(
     mothers: Sequence[PatientRecord],
     newborns: Sequence[PatientRecord],
     vocab: CodeVocabulary,
-    max_per_mother: int = DEFAULT_MAX_PER_MOTHER,
-    max_l1_minutes: int = DEFAULT_MAX_L1_MINUTES,
 ) -> LinkSet:
     """Match newborns to delivery encounters hospital by hospital.
 
@@ -127,10 +125,6 @@ def match_newborns(
     not classify are ignored. Output is sorted by newborn_id and independent
     of input ordering.
     """
-    if max_per_mother < 1:
-        raise LinkageError(f"max_per_mother must be >= 1, got {max_per_mother}")
-    if max_l1_minutes < 0:
-        raise LinkageError(f"max_l1_minutes must be >= 0, got {max_l1_minutes}")
     by_hospital = _eligible_mothers(mothers)
     adms_by_hospital = {h: [t_adm for t_adm, _, _ in pts] for h, pts in by_hospital.items()}
     classify = outcome_classifier(vocab, classify_newborn)
@@ -150,7 +144,7 @@ def match_newborns(
         assigned.append(MatchCandidate(baby.patient_id, mother_id, l1))
 
     # stage 2: distance threshold
-    assigned = [c for c in assigned if c.l1_minutes <= max_l1_minutes]
+    assigned = [c for c in assigned if c.l1_minutes <= MAX_L1_MINUTES]
 
     # stage 3: per-mother capacity, nearest newborns first
     per_mother: dict[str, list[MatchCandidate]] = {}
@@ -159,7 +153,7 @@ def match_newborns(
     kept: list[MatchCandidate] = []
     for cands in per_mother.values():
         cands.sort(key=lambda c: (c.l1_minutes, c.newborn_id))
-        kept.extend(cands[:max_per_mother])
+        kept.extend(cands[:MAX_PER_MOTHER])
 
     kept.sort(key=lambda c: c.newborn_id)
     return LinkSet(links=tuple(kept))

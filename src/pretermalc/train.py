@@ -96,7 +96,6 @@ class TrainConfig:
     n_epochs: int = 10
     batch_size: int = 64
     learning_rate: float = 1e-3
-    optimizer: str = "adam"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -106,8 +105,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
 
 
 @dataclass
@@ -130,33 +127,30 @@ class OptState:
 
 
 def optimizer_step(params: ModelParams, grads: ModelParams, state: OptState, config: TrainConfig) -> None:
-    """One in-place update of the whole flat parameter buffer. Adam keeps
-    per-coordinate first and second moments with bias correction; sgd is
-    the plain scaled step. Each product keeps the operand order of
-    ``lr·(m/bc1) / (sqrt(v/bc2) + eps)`` with ``v += ((1-β2)·g)·g``, so the
-    in-place form rounds exactly as the textbook expression does."""
+    """One in-place Adam update of the whole flat parameter buffer, with
+    per-coordinate first and second moments and bias correction. Each
+    product keeps the operand order of ``lr·(m/bc1) / (sqrt(v/bc2) + eps)``
+    with ``v += ((1-β2)·g)·g``, so the in-place form rounds exactly as the
+    textbook expression does."""
     g = grads.flat
     update, tmp = state.scratch
-    if config.optimizer == "sgd":
-        np.multiply(g, config.learning_rate, out=update)
-    else:
-        state.step += 1
-        t = state.step
-        bc1 = 1.0 - ADAM_BETA1**t
-        bc2 = 1.0 - ADAM_BETA2**t
-        m, v = state.m, state.v
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-        v *= ADAM_BETA2
-        np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
-        tmp *= g
-        v += tmp
-        np.divide(m, bc1, out=update)
-        update *= config.learning_rate
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        update /= tmp
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    m, v = state.m, state.v
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+    v *= ADAM_BETA2
+    np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(m, bc1, out=update)
+    update *= config.learning_rate
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    update /= tmp
     bad = params.first_non_finite(update)
     if bad is not None:
         raise FloatingPointError(f"non-finite update for tensor {bad}")

@@ -9,7 +9,6 @@ import pytest
 
 from pretermalc.bench import BenchmarkConfig, MethodSummary
 from pretermalc.cli import build_parser, format_summary_table, load_run_config, main, resolve_run_settings
-from pretermalc.linkage import DEFAULT_MAX_L1_MINUTES, DEFAULT_MAX_PER_MOTHER
 from pretermalc.synth import ConfigError
 
 COHORT_FLAGS = ["--mothers", "200", "--hospitals", "3", "--seed", "11"]
@@ -443,20 +442,6 @@ def test_pipeline_rejects_a_target_accuracy_it_would_not_use(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("flag, value, expected", [
-    ("--max-per-mother", "0", "--max-per-mother must be >= 1, got 0"),
-    ("--max-l1-hours", "-1", "--max-l1-hours must be >= 0, got -1"),
-])
-def test_link_flags_are_checked_before_any_file_is_read(tmp_path, capsys, flag, value, expected):
-    absent = str(tmp_path / "absent")
-    code = main([
-        "link", "--mothers", absent, "--newborns", absent, "--vocab", absent,
-        "--out", str(tmp_path / "links.tsv"), flag, value,
-    ])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {expected}\n"
-
-
 def test_link_command_reports_accuracy(pipeline_dir, tmp_path, capsys):
     code = main([
         "link",
@@ -490,7 +475,6 @@ def test_train_command_is_deterministic(pipeline_dir, tmp_path, capsys):
         "--clean", str(pipeline_dir / "d_star.jsonl"),
         "--vocab", str(pipeline_dir / "vocabulary.txt"),
         "--method", "NoLC_clean", "--epochs", "1",
-        "--d-emb", "16", "--d-h", "16",
     ]
     for sub in ("a", "b"):
         code = main([*base, "--out-checkpoint", str(tmp_path / f"{sub}.ckpt"),
@@ -741,16 +725,16 @@ SYNTH_FLAGS = [
 ]
 OPTION_STRINGS = {
     "synth": ["--out", *SYNTH_FLAGS],
-    "link": ["--max-l1-hours", "--max-per-mother", "--mothers", "--newborns", "--out", "--truth", "--vocab"],
+    "link": ["--mothers", "--newborns", "--out", "--truth", "--vocab"],
     "datasets": ["--config", "--links", "--mothers", "--newborns", "--out", "--prediction-period-days", "--vocab"],
     "estimate-c": ["--examples", "--out", "--vocab"],
     "train": [
-        "--batch-size", "--c-matrix", "--clean", "--d-emb", "--d-h", "--epochs", "--lr", "--method",
-        "--noisy", "--optimizer", "--out-checkpoint", "--out-log", "--seed", "--vocab",
+        "--batch-size", "--c-matrix", "--clean", "--epochs", "--lr", "--method",
+        "--noisy", "--out-checkpoint", "--out-log", "--seed", "--vocab",
     ],
     "benchmark": [
         "--batch-size", "--clean", "--config", "--curves", "--epochs", "--lr", "--methods", "--noisy",
-        "--optimizer", "--out", "--repeats", "--seed", "--threads", "--vocab",
+        "--out", "--repeats", "--seed", "--threads", "--vocab",
     ],
     "pipeline": [
         "--curves", "--epochs", "--methods", "--no-calibrate", "--out", "--repeats",
@@ -771,13 +755,7 @@ def test_every_subcommand_keeps_its_flags():
         for name, p in subparsers().items()
     }
     assert found == {name: sorted(opts) for name, opts in OPTION_STRINGS.items()}
-    assert sum(map(len, found.values())) == 89
-
-
-def test_link_flags_default_to_the_linkage_defaults():
-    args = subparsers()["link"].parse_args(["--mothers", "m", "--newborns", "n", "--vocab", "v", "--out", "o"])
-    assert args.max_per_mother == DEFAULT_MAX_PER_MOTHER == 3
-    assert args.max_l1_hours * 60 == DEFAULT_MAX_L1_MINUTES == 24 * 60
+    assert sum(map(len, found.values())) == 83
 
 
 def test_synth_flags_take_the_type_of_their_field():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from pretermalc.linkage import (
+    MAX_L1_MINUTES,
+    MAX_PER_MOTHER,
     LinkSet,
     LinkageError,
     MatchCandidate,
@@ -43,8 +45,9 @@ def newborn_at(t_adm, t_dis, newborn_id, hospital="h00", code="765.29"):
     )
 
 
-def oracle_match(mothers, newborns, vocab, max_per_mother=3, max_l1_minutes=1440):
-    """All-pairs reference: identical nearest/threshold/cap rules, no index."""
+def oracle_match(mothers, newborns, vocab):
+    """All-pairs reference: identical nearest/threshold/cap rules, no index.
+    A link spans at most a day; a mother keeps at most three newborns."""
     eligible = [
         m for m in mothers
         if m.role is Role.MOTHER and m.delivery_day is not None
@@ -65,7 +68,7 @@ def oracle_match(mothers, newborns, vocab, max_per_mother=3, max_l1_minutes=1440
             l1 = abs(mv.t_adm - bv.t_adm) + abs(mv.t_dis - bv.t_dis)
             if best is None or (l1, m.patient_id) < best:
                 best = (l1, m.patient_id)
-        if best is not None and best[0] <= max_l1_minutes:
+        if best is not None and best[0] <= 1440:
             candidates.append(MatchCandidate(baby.patient_id, best[1], best[0]))
     per_mother = {}
     for c in candidates:
@@ -73,7 +76,7 @@ def oracle_match(mothers, newborns, vocab, max_per_mother=3, max_l1_minutes=1440
     kept = []
     for group in per_mother.values():
         group.sort(key=lambda c: (c.l1_minutes, c.newborn_id))
-        kept.extend(group[:max_per_mother])
+        kept.extend(group[:3])
     kept.sort(key=lambda c: c.newborn_id)
     return LinkSet(links=tuple(kept))
 
@@ -152,7 +155,7 @@ def test_threshold_applies_before_cap():
         newborn_at(13_000, 15_000, "n2"),
         newborn_at(13_100, 15_100, "n3"),
     ]
-    links = match_newborns(mothers, babies, VOCAB, max_l1_minutes=100)
+    links = match_newborns(mothers, babies, VOCAB)
     assert links.as_map() == {"n0": "m0", "n1": "m0"}
 
 
@@ -160,13 +163,6 @@ def test_unclassifiable_newborns_ignored():
     mothers = [mother_at(10_000, 12_000, "m0")]
     babies = [newborn_at(10_010, 12_010, "n0", code="V30.00")]
     assert len(match_newborns(mothers, babies, VOCAB)) == 0
-
-
-def test_argument_validation():
-    with pytest.raises(LinkageError, match="max_per_mother"):
-        match_newborns([], [], VOCAB, max_per_mother=0)
-    with pytest.raises(LinkageError, match="max_l1_minutes"):
-        match_newborns([], [], VOCAB, max_l1_minutes=-1)
 
 
 # --- oracle equivalence and determinism -------------------------------------------
@@ -209,14 +205,13 @@ def test_capacity_and_feasibility_invariants():
     rng = np.random.default_rng(31)
     for _ in range(50):
         mothers, newborns = random_instance(rng)
-        links = match_newborns(mothers, newborns, VOCAB, max_per_mother=2, max_l1_minutes=900)
+        links = match_newborns(mothers, newborns, VOCAB)
         counts = {}
         for l in links:
             counts[l.mother_id] = counts.get(l.mother_id, 0) + 1
-            assert l.l1_minutes <= 900
-        assert all(v <= 2 for v in counts.values())
-        oracle = oracle_match(mothers, newborns, VOCAB, max_per_mother=2, max_l1_minutes=900)
-        assert links == oracle
+            assert l.l1_minutes <= MAX_L1_MINUTES == 24 * 60
+        assert all(v <= MAX_PER_MOTHER == 3 for v in counts.values())
+        assert links == oracle_match(mothers, newborns, VOCAB)
 
 
 # --- noisy labels and accuracy ------------------------------------------------------

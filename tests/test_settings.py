@@ -33,7 +33,6 @@ CHANGED = {
     "train.n_epochs": 2,
     "train.batch_size": 16,
     "train.learning_rate": 0.01,
-    "train.optimizer": "sgd",
     "benchmark.repeats": 2,
     "benchmark.methods": ["NoLC_noisy"],
     "benchmark.base_seed": 4,

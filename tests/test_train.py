@@ -1,4 +1,4 @@
-"""Epoch schedules, optimizers, and the training loop."""
+"""Epoch schedules, the optimizer step, and the training loop."""
 
 import numpy as np
 import pytest
@@ -109,20 +109,7 @@ def test_schedule_rejects_invalid_requests():
         EpochSpec("validation", PLAIN)
 
 
-# --- optimizers -----------------------------------------------------------------
-
-
-def test_sgd_step_is_plain_scaled_descent():
-    params = init_params(TINY, seed=1)
-    before = params.astype(np.float64)
-    grads = params.zeros_like_grads()
-    config = TrainConfig(optimizer="sgd", learning_rate=0.1)
-    optimizer_step(params, grads, OptState.for_params(params), config)
-    assert np.array_equal(params.emb, before.emb)
-    for g in grads.values():
-        g[...] = 1.0
-    optimizer_step(params, grads, OptState.for_params(params), config)
-    assert np.allclose(params.emb, before.emb - 0.1, rtol=0, atol=0)
+# --- optimizer ------------------------------------------------------------------
 
 
 def test_adam_matches_reference_formula():
@@ -130,7 +117,7 @@ def test_adam_matches_reference_formula():
     reference = {name: t.copy() for name, t in params.items()}
     m = {name: np.zeros_like(t) for name, t in reference.items()}
     v = {name: np.zeros_like(t) for name, t in reference.items()}
-    config = TrainConfig(optimizer="adam", learning_rate=1e-3)
+    config = TrainConfig(learning_rate=1e-3)
     state = OptState.for_params(params)
     rng = np.random.default_rng(7)
     for step in range(1, 4):
@@ -149,10 +136,8 @@ def test_adam_matches_reference_formula():
 
 
 def textbook_step(flat, g, m, v, step, config):
-    """The optimizer step as plain expressions that allocate their results:
-    the reference the in-place form must match bit for bit."""
-    if config.optimizer == "sgd":
-        return flat - config.learning_rate * g, m, v
+    """The Adam step as plain expressions that allocate their results: the
+    reference the in-place form must match bit for bit."""
     m = m * ADAM_BETA1
     m += (1.0 - ADAM_BETA1) * g
     v = v * ADAM_BETA2
@@ -162,12 +147,11 @@ def textbook_step(flat, g, m, v, step, config):
     return flat - config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS), m, v
 
 
-@pytest.mark.parametrize("optimizer", ["adam", "sgd"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_in_place_step_is_bit_identical_to_the_textbook_expression(optimizer, dtype):
+def test_in_place_step_is_bit_identical_to_the_textbook_expression(dtype):
     params = init_params(TINY, seed=5).astype(dtype)
     flat, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
-    config = TrainConfig(optimizer=optimizer, learning_rate=1e-3)
+    config = TrainConfig(learning_rate=1e-3)
     state = OptState.for_params(params)
     rng = np.random.default_rng(9)
     for step in range(1, 6):
@@ -177,8 +161,7 @@ def test_in_place_step_is_bit_identical_to_the_textbook_expression(optimizer, dt
         flat, m, v = textbook_step(flat, grads.flat, m, v, step, config)
         assert params.flat.dtype == dtype
         assert np.array_equal(params.flat, flat), step
-        if optimizer == "adam":
-            assert np.array_equal(state.m, m) and np.array_equal(state.v, v), step
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v), step
 
 
 def test_adam_first_step_size_is_bounded_by_learning_rate():
@@ -188,7 +171,7 @@ def test_adam_first_step_size_is_bounded_by_learning_rate():
     grads = params.zeros_like_grads()
     for g in grads.values():
         g[...] = rng.normal(scale=100.0, size=g.shape)
-    config = TrainConfig(optimizer="adam", learning_rate=1e-3)
+    config = TrainConfig(learning_rate=1e-3)
     optimizer_step(params, grads, OptState.for_params(params), config)
     for name, tensor in params.items():
         assert np.max(np.abs(tensor - before[name])) <= config.learning_rate * 1.0001, name
@@ -198,8 +181,8 @@ def test_optimizer_rejects_non_finite_gradients():
     params = init_params(TINY, seed=4)
     grads = params.zeros_like_grads()
     grads["out_b"][0] = np.inf
-    with pytest.raises(FloatingPointError, match="non-finite update for tensor out_b"):
-        optimizer_step(params, grads, OptState.for_params(params), TrainConfig(optimizer="sgd"))
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite update for tensor out_b"):
+        optimizer_step(params, grads, OptState.for_params(params), TrainConfig())
 
 
 def test_config_validation_names_the_bad_field():
@@ -209,8 +192,6 @@ def test_config_validation_names_the_bad_field():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError, match="optimizer"):
-        TrainConfig(optimizer="lbfgs")
 
 
 # --- mixed pool -----------------------------------------------------------------
