@@ -3,9 +3,10 @@ bisection that calibrates clerical noise to a target noisy-label accuracy.
 
 Each repeat draws a fresh 70/15/15 split of the clean set and scores every
 trained model once, on the test part; the validation part is held out
-unread. The noisy set stays wholly in the training pool, and the corruption
-matrix is re-estimated per repeat from the dual-labeled examples that
-landed on the training side. Every random choice is derived from
+unread. The repeat's noisy pool is the noisy set without the mothers of its
+validation and test parts, so no held-out mother is trained on under either
+label. The corruption matrix is re-estimated per repeat from the
+dual-labeled examples that landed on the training side. Every random choice is derived from
 (base_seed, repeat), so the report is reproducible run to run and
 independent of the worker count.
 """
@@ -28,11 +29,11 @@ import numpy as np
 
 from .linkage import LinkSet, link_accuracy, match_newborns
 from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
-from .noise import estimate_corruption_matrix
+from .noise import CorruptionMatrix, estimate_corruption_matrix
 from .records import CodeVocabulary, DatasetSplit, LabeledExample, load_examples, read_lines
 from .synth import ClericalNoiseModel, Cohort, SynthConfig, build_datasets, generate_cohort
-from .net import NetDims, init_params
-from .train import CORRECTED, TrainConfig, TrainMethod, plan_epochs, score_examples, train
+from .net import ModelParams, NetDims, init_params
+from .train import TrainConfig, TrainMethod, score_examples, train
 
 logger = logging.getLogger(__name__)
 
@@ -249,23 +250,45 @@ def load_raw_csv(path: str | Path) -> list[RepeatRow]:
     return read_lines(path, parse, build)
 
 
-def _split_for_repeat(
-    corpus: Corpus, repeat: int, base_seed: int, need_c: bool
-) -> tuple[DatasetSplit, list[LabeledExample]]:
-    """The repeat's split and the dual-labeled examples of its training part."""
+@dataclass(frozen=True)
+class RepeatInputs:
+    """What every method of one repeat trains from."""
+
+    split: DatasetSplit
+    noisy: tuple[LabeledExample, ...]  # d_tilde without the split's validation and test mothers
+    c_hat: CorruptionMatrix  # from the dual-labeled examples of split.train
+    init: ModelParams
+    train_seed: int
+
+
+def repeat_inputs(corpus: Corpus, repeat: int, base_seed: int) -> RepeatInputs:
+    """The split of repeat `repeat` and what its training runs read. The
+    split is redrawn until its validation part, its test part and the
+    dual-labeled examples of its training part each hold both classes. The
+    noisy pool is `corpus.d_tilde`, in its order, without any mother of the
+    validation or test part."""
     for attempt in range(MAX_SPLIT_ATTEMPTS):
         split = split_examples(
             corpus.d_star, DEFAULT_SPLIT, derive_seed(base_seed, "split", repeat, attempt)
         )
         dual_train = [ex for ex in split.train if ex.noisy_label is not None]
-        ok = _has_both_classes(split.validation) and _has_both_classes(split.test)
-        if ok and (not need_c or _has_both_classes(dual_train)):
-            if attempt:
-                logger.info("repeat %d: resampled split %d time(s)", repeat, attempt)
-            return split, dual_train
-    raise BenchmarkError(
-        f"repeat {repeat}: could not draw a split with both classes in every part "
-        f"after {MAX_SPLIT_ATTEMPTS} attempts"
+        if all(map(_has_both_classes, (split.validation, split.test, dual_train))):
+            break
+    else:
+        raise BenchmarkError(
+            f"repeat {repeat}: could not draw a split with both classes in its validation part, "
+            f"its test part and the dual-labeled examples of its training part "
+            f"after {MAX_SPLIT_ATTEMPTS} attempts"
+        )
+    if attempt:
+        logger.info("repeat %d: resampled split %d time(s)", repeat, attempt)
+    held_out = {ex.patient_id for ex in split.validation + split.test}
+    return RepeatInputs(
+        split=split,
+        noisy=tuple(ex for ex in corpus.d_tilde if ex.patient_id not in held_out),
+        c_hat=estimate_corruption_matrix(dual_train),
+        init=init_params(NetDims(vocab_size=len(corpus.vocab)), derive_seed(base_seed, "init", repeat)),
+        train_seed=derive_seed(base_seed, "train", repeat),
     )
 
 
@@ -277,22 +300,13 @@ def _run_repeat(
     repeat: int,
 ) -> list[tuple[RepeatRow, np.ndarray, np.ndarray]]:
     """Each method's row and its TPR and precision on CURVE_GRID, in order."""
-    need_c = any(
-        any(spec.loss_kind == CORRECTED for spec in plan_epochs(m, base_config.n_epochs))
-        for m in methods
-    )
-    split, dual_train = _split_for_repeat(corpus, repeat, base_seed, need_c)
-    c_hat = estimate_corruption_matrix(dual_train) if need_c else None
-
-    dims = NetDims(vocab_size=len(corpus.vocab))
-    init = init_params(dims, derive_seed(base_seed, "init", repeat))
-    train_seed = derive_seed(base_seed, "train", repeat)
-
+    inputs = repeat_inputs(corpus, repeat, base_seed)
+    split = inputs.split
     labels = [ex.clean_label for ex in split.test]
     results = []
     for method in methods:
-        cfg = replace(base_config, method=method, seed=train_seed)
-        model, _ = train(init, split.train, corpus.d_tilde, c_hat, cfg)
+        cfg = replace(base_config, method=method, seed=inputs.train_seed)
+        model, _ = train(inputs.init, split.train, inputs.noisy, inputs.c_hat, cfg)
         scores = score_examples(model, split.test)
         row = RepeatRow(method.value, repeat, auc(scores, labels), pr_auc(scores, labels))
         fpr, tpr = roc_points(scores, labels)

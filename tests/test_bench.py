@@ -1,6 +1,7 @@
 """Repeated benchmark, seed derivation, splits, noise calibration, and the
 SVG report helpers."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -20,28 +21,38 @@ from pretermalc.bench import (
     CALIBRATION_TOLERANCE,
     MAX_CALIBRATION_STEPS,
     BenchmarkConfig,
+    BenchmarkError,
     CalibrationError,
-    _split_for_repeat,
     calibrate_noise,
     derive_seed,
     build_corpus,
     mean_label_accuracy,
+    repeat_inputs,
     repeated_benchmark,
     split_examples,
 )
 from pretermalc.cli import curve_svg, summary_svg
+from pretermalc.noise import estimate_corruption_matrix
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
 from pretermalc.synth import ClericalNoiseModel, SynthConfig
-from pretermalc.train import TrainConfig, TrainMethod
+from pretermalc.train import TrainConfig, TrainMethod, mixed_examples, score_examples, train
 
 SMALL = SynthConfig(n_mothers=200, n_hospitals=3, seed=11)
+# At seed 0 all five dual-labeled mothers are full-term. At seed 1, base
+# seed 0 draws a split whose training part lacks a dual-labeled class.
+TINY = SynthConfig(n_mothers=80, n_hospitals=2)
 FAST = TrainConfig(n_epochs=2, batch_size=32)
+
+
+@functools.cache
+def corpus_of(config: SynthConfig):
+    built, _, _ = build_corpus(config)
+    return built
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    built, _, _ = build_corpus(SMALL)
-    return built
+    return corpus_of(SMALL)
 
 
 def mk_examples(n):
@@ -190,21 +201,61 @@ def test_benchmark_can_collect_mean_curves(corpus):
 
 
 def test_a_methods_rows_and_curves_do_not_depend_on_the_other_methods(corpus):
-    both = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.ALC, TrainMethod.NOLC_CLEAN], 2, 4), FAST)
-    for method in (TrainMethod.ALC, TrainMethod.NOLC_CLEAN):
-        alone = repeated_benchmark(corpus, BenchmarkConfig([method], 2, 4), FAST)
-        assert [row for row in both.rows if row.method == method.value] == alone.rows
-        for kind, curve in alone.curves[method.value].items():
-            assert np.array_equal(both.curves[method.value][kind], curve), (method, kind)
+    methods = [TrainMethod.ALC, TrainMethod.NOLC_CLEAN]
+    # (corpus, base seed, repeats). The second case draws another split for
+    # one repeat wherever the split's acceptance depends on the methods run.
+    for data, base_seed, repeats in ((corpus, 4, 2), (corpus_of(replace(TINY, seed=1)), 0, 3)):
+        both = repeated_benchmark(data, BenchmarkConfig(methods, repeats, base_seed), FAST)
+        for method in methods:
+            case = (base_seed, repeats, method)
+            alone = repeated_benchmark(data, BenchmarkConfig([method], repeats, base_seed), FAST)
+            assert [row for row in both.rows if row.method == method.value] == alone.rows, case
+            for kind, curve in alone.curves[method.value].items():
+                assert np.array_equal(both.curves[method.value][kind], curve), (*case, kind)
+
+
+def test_a_repeat_without_both_dual_labeled_classes_in_training_fails_for_any_method():
+    data = corpus_of(replace(TINY, seed=0))
+    assert {ex.clean_label for ex in data.d_prime} == {Label.FULL_TERM}
+    with pytest.raises(BenchmarkError, match="^repeat 0: "):
+        repeated_benchmark(data, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 1, 0), FAST)
 
 
 def test_repeat_estimates_c_from_the_dual_labeled_part_of_its_training_split(corpus):
     dual_ids = {ex.patient_id for ex in corpus.d_prime}
     for repeat in range(3):
-        split, dual_train = _split_for_repeat(corpus, repeat, base_seed=4, need_c=True)
-        assert [ex.patient_id for ex in dual_train] == [
-            ex.patient_id for ex in split.train if ex.patient_id in dual_ids
-        ]
+        inputs = repeat_inputs(corpus, repeat, base_seed=4)
+        expected = estimate_corruption_matrix([ex for ex in inputs.split.train if ex.patient_id in dual_ids])
+        assert np.array_equal(inputs.c_hat.counts, expected.counts), repeat
+        assert np.array_equal(inputs.c_hat.entries, expected.entries), repeat
+
+
+def test_no_validation_or_test_mother_reaches_a_training_pool(corpus, monkeypatch):
+    pools, tested = [], []
+
+    def recording_train(params, d_star, d_tilde, c, config):
+        pools.append((config.method, tuple(d_star), tuple(d_tilde)))
+        return train(params, d_star, d_tilde, c, config)
+
+    def recording_score(model, examples):
+        tested.append({ex.patient_id for ex in examples})
+        return score_examples(model, examples)
+
+    monkeypatch.setattr(bench, "train", recording_train)
+    monkeypatch.setattr(bench, "score_examples", recording_score)
+    repeats = 2
+    repeated_benchmark(corpus, BenchmarkConfig(tuple(TrainMethod), repeats, 4), replace(FAST, n_epochs=1))
+    assert [method for method, _, _ in pools] == list(TrainMethod) * repeats
+    all_ids = {ex.patient_id for ex in corpus.d_star}
+    for (method, d_star, d_tilde), test_ids in zip(pools, tested):
+        # The clean examples outside the clean pool must be exactly the
+        # validation and test parts, which hold every scored mother.
+        held_out = all_ids - {ex.patient_id for ex in d_star}
+        assert len(d_star) == int(0.7 * len(all_ids)) and test_ids <= held_out, method
+        for name, pool in (("d_tilde", d_tilde), ("mixed", mixed_examples(d_star, d_tilde))):
+            leaked = held_out & {ex.patient_id for ex in pool}
+            assert not leaked, (method, name, sorted(leaked)[:5])
+        assert d_tilde == tuple(ex for ex in corpus.d_tilde if ex.patient_id not in held_out), method
 
 
 def test_fingerprint_ignores_the_cohort_config(corpus):
