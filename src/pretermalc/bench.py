@@ -6,9 +6,9 @@ trained model once, on the test part; the validation part is held out
 unread. The repeat's noisy pool is the noisy set without the mothers of its
 validation and test parts, so no held-out mother is trained on under either
 label. The corruption matrix is re-estimated per repeat from the
-dual-labeled examples that landed on the training side. Every random choice is derived from
-(base_seed, repeat), so the report is reproducible run to run and
-independent of the worker count.
+dual-labeled examples that landed on the training side. Every random choice
+is derived from (base_seed, repeat), so the report is reproducible run to
+run and independent of the worker count.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Within each hospital a newborn is matched to the mother whose delivery
 encounter minimizes |delta t_adm| + |delta t_dis|. Matching runs in three
 stages: nearest mother per newborn (ties to the lexicographically smaller
 mother_id), a distance threshold of MAX_L1_MINUTES, then a cap of
-MAX_PER_MOTHER newborns per mother keeping only the nearest. Thresholding happens before capping, so a newborn
-whose sole nearest mother is too far away stays unmatched rather than being
-reassigned.
+MAX_PER_MOTHER newborns per mother keeping only the nearest. Thresholding
+happens before capping, so a newborn whose sole nearest mother is too far
+away stays unmatched rather than being reassigned.
 """
 
 from __future__ import annotations

@@ -38,8 +38,9 @@ from pretermalc.synth import ClericalNoiseModel, SynthConfig
 from pretermalc.train import TrainConfig, TrainMethod, mixed_examples, score_examples, train
 
 SMALL = SynthConfig(n_mothers=200, n_hospitals=3, seed=11)
-# At seed 0 all five dual-labeled mothers are full-term. At seed 1, base
-# seed 0 draws a split whose training part lacks a dual-labeled class.
+# At seed 0 all five dual-labeled mothers are full-term. At seed 1 and base
+# seed 0, a split that holds one dual-labeled class in its training part is
+# drawn before one that holds both.
 TINY = SynthConfig(n_mothers=80, n_hospitals=2)
 FAST = TrainConfig(n_epochs=2, batch_size=32)
 
