@@ -118,9 +118,7 @@ def build_corpus(config: SynthConfig) -> tuple[Corpus, Cohort, LinkSet]:
     """Generate, link, and assemble the three datasets for one config."""
     cohort = generate_cohort(config)
     links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
-    d_star, d_tilde, d_prime = build_datasets(
-        cohort.mothers, cohort.newborns, links, cohort.vocab, config.prediction_period_days
-    )
+    d_star, d_tilde, d_prime = build_datasets(cohort.mothers, cohort.newborns, links, cohort.vocab)
     return Corpus(cohort.vocab, d_star, d_tilde, d_prime, config), cohort, links
 
 

@@ -78,10 +78,10 @@ SECTIONS = {"synth": SynthConfig, "train": TrainConfig, "benchmark": BenchmarkCo
 
 # The config keys that each subcommand's stages read, by section; the synth
 # flags of a subcommand set the same keys. `benchmark` reads no synth key:
-# `--seed` or `benchmark.base_seed` set its base seed.
+# `--seed` or `benchmark.base_seed` set its base seed. A subcommand not
+# listed takes no --config.
 CONFIG_KEYS = {
-    "synth": {"synth": tuple(key for key in SYNTH_KEYS if key != "prediction_period_days")},
-    "datasets": {"synth": ("prediction_period_days",)},
+    "synth": {"synth": SYNTH_KEYS},
     "benchmark": {"train": TRAIN_KEYS, "benchmark": BENCHMARK_KEYS},
     "pipeline": {"synth": SYNTH_KEYS, "train": TRAIN_KEYS, "benchmark": BENCHMARK_KEYS},
 }
@@ -154,6 +154,8 @@ def load_run_config(path: str | Path, command: str) -> dict:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     version = data.pop("version", None)
@@ -363,9 +365,9 @@ def link_stage(mothers, newborns, vocab: CodeVocabulary, out: Path, truth: Groun
     return links
 
 
-def datasets_stage(mothers, newborns, links, vocab: CodeVocabulary, prediction_period_days: int, out_dir: Path):
+def datasets_stage(mothers, newborns, links, vocab: CodeVocabulary, out_dir: Path):
     """The clean (d_star), noisy (d_tilde) and dual-labeled (d_prime) sets."""
-    d_star, d_tilde, d_prime = build_datasets(mothers, newborns, links, vocab, prediction_period_days)
+    d_star, d_tilde, d_prime = build_datasets(mothers, newborns, links, vocab)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_examples(d_star, out_dir / "d_star.jsonl", vocab)
     save_examples(d_tilde, out_dir / "d_tilde.jsonl", vocab)
@@ -421,13 +423,12 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
-    period = resolve_run_settings(args, "datasets").synth.prediction_period_days
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
     links = load_links(args.links)
     try:
-        datasets_stage(mothers, newborns, links, vocab, period, Path(args.out))
+        datasets_stage(mothers, newborns, links, vocab, Path(args.out))
     except LinkageError as exc:
         raise LinkageError(f"{args.links}: {exc}") from None
     return 0
@@ -505,8 +506,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     settings = resolve_run_settings(args, "pipeline")
     workers = _threads(args.threads)
     config = settings.synth
-    if config.prediction_period_days >= config.history_span_days:
-        raise ConfigError("prediction_period_days must be smaller than history_span_days")
     out_dir = Path(args.out)
 
     if not args.no_calibrate:
@@ -517,9 +516,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     cohort = stage("synth", synth_stage, config, out_dir)
     mothers, newborns, vocab = cohort.mothers, cohort.newborns, cohort.vocab
     links = stage("link", link_stage, mothers, newborns, vocab, out_dir / LINKS_FILE, cohort.truth)
-    d_star, d_tilde, d_prime = stage(
-        "datasets", datasets_stage, mothers, newborns, links, vocab, config.prediction_period_days, out_dir
-    )
+    d_star, d_tilde, d_prime = stage("datasets", datasets_stage, mothers, newborns, links, vocab, out_dir)
     stage("estimate-c", estimate_c_stage, d_prime, out_dir / C_MATRIX_FILE)
     corpus = Corpus(vocab, d_star, d_tilde, d_prime, config)
     stage("benchmark", benchmark_stage, corpus, settings, workers, args.curves, out_dir)
@@ -587,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_link)
 
     p = add_parser("datasets", help="build the clean, noisy and dual-labeled example sets")
-    add_config_flags(p, "datasets")
     p.add_argument("--mothers", required=True)
     p.add_argument("--newborns", required=True)
     p.add_argument("--links", required=True)

@@ -528,7 +528,8 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> ModelParams:
     """Read a checkpoint written by ``save_checkpoint``. The header must
-    list exactly the tensors, with exactly the shapes, that its dims imply."""
+    list exactly the tensors, with exactly the shapes, that its dims imply,
+    in the layout order in which the buffer holds them."""
     with open(path, "rb") as fh:
         magic = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
         if magic != CHECKPOINT_MAGIC:
@@ -554,8 +555,10 @@ def load_checkpoint(path: str | Path) -> ModelParams:
         missing = [name for name in params if name not in dict(listed)]
         if missing:
             raise ValueError(f"{path}: missing tensor {missing[0]}")
-        for name, _ in listed:
-            tensor = params[name]
+        order = [name for name, _ in listed]
+        if order != list(params):
+            raise ValueError(f"{path}: tensors listed in order {', '.join(order)}; expected {', '.join(params)}")
+        for name, tensor in params.items():
             raw = fh.read(tensor.size * 8)
             if len(raw) != tensor.size * 8:
                 raise ValueError(f"{path}: truncated tensor {name}")

@@ -382,15 +382,20 @@ def _write_lines(dicts: Iterable[dict], path: str | Path) -> None:
 
 
 def read_lines(path: str | Path, parse: Callable[[str], T], build: Callable[[list[T]], R] = list) -> R:
-    """``build`` of ``parse`` applied to each non-blank line of a text file,
-    read one line at a time. A ValueError, KeyError or TypeError from either
-    becomes a RecordFileError naming the file, and the line when ``parse``
-    raised it."""
+    """``build`` of ``parse`` applied to each non-blank line of a UTF-8 text
+    file, read one line at a time. A line that is not UTF-8, or a
+    ValueError, KeyError or TypeError from either function, becomes a
+    RecordFileError naming the file, and the line when the line is at
+    fault."""
     items = []
     lineno = 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # Each byte that is not UTF-8 reads as a lone surrogate, so the line
+        # that holds it can be named; lines split as a strict read splits them.
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
+                if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
+                    raise ValueError("not UTF-8 text")
                 if line.strip():
                     items.append(parse(line.rstrip("\n")))
         lineno = 0

@@ -59,8 +59,16 @@ NEWBORN_PRETERM_CODES = (
 NEWBORN_FULLTERM_CODE = "765.29"
 NEWBORN_BIRTH_CODE = "V30.00"
 
-# Generator texture constants (not clinically meaningful, just desk-scale
-# knobs that keep the cohort learnable without saturating).
+# The cohort's shape and the generator's texture. Apart from the paper's
+# 90-day prediction period these are not clinically meaningful, just
+# desk-scale values that keep the cohort learnable without saturating.
+PRETERM_PREVALENCE = 0.3
+VOCAB_SIZE = 200
+N_RISK_CODES = 20
+RISK_LIFT = 4.0  # odds ratio of each risk code for preterm mothers
+VISITS_PER_MOTHER = 6.0  # Poisson mean of prenatal visits
+HISTORY_SPAN_DAYS = 540  # prenatal visits fall within this many days before delivery
+PREDICTION_PERIOD_DAYS = 90  # examples keep the visits at least this many days before delivery
 RISK_CODE_BASE_RATE = 0.008  # per risk code per visit, full-term mothers
 BACKGROUND_CODES_MEAN = 2.0  # visits draw 1 + Poisson(mean) background codes
 TWIN_RATE = 0.03
@@ -97,17 +105,16 @@ class ClericalNoiseModel:
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The settings of one cohort: its seed and size, the clerical noise on
+    its newborn records, and the two coding rates whose overlap makes the
+    dual-labeled set. The cohort's shape (prevalence, vocabulary, risk
+    codes, visit counts, history and prediction period) is fixed by the
+    module constants above."""
+
     seed: int = 0
     n_hospitals: int = 8
     n_mothers: int = 4400
-    preterm_prevalence: float = 0.3
-    vocab_size: int = 200
-    n_risk_codes: int = 20
-    risk_lift: float = 4.0
-    visits_per_mother: float = 6.0
-    history_span_days: int = 540
     clerical_noise: ClericalNoiseModel = field(default_factory=ClericalNoiseModel)
-    prediction_period_days: int = 90
     clean_code_rate: float = 0.52
     newborn_coded_rate: float = 0.56
 
@@ -116,23 +123,6 @@ class SynthConfig:
             raise ConfigError(f"n_hospitals must be >= 1, got {self.n_hospitals}")
         if self.n_mothers < 1:
             raise ConfigError(f"n_mothers must be >= 1, got {self.n_mothers}")
-        if not 0.0 < self.preterm_prevalence < 1.0:
-            raise ConfigError(f"preterm_prevalence must be in (0, 1), got {self.preterm_prevalence}")
-        if self.n_risk_codes < 1 or self.n_risk_codes > 200:
-            raise ConfigError(f"n_risk_codes must be in [1, 200], got {self.n_risk_codes}")
-        reserved = len(_special_codes()) + self.n_risk_codes
-        if self.vocab_size < reserved + 10:
-            raise ConfigError(
-                f"vocab_size must be >= {reserved + 10} to fit outcome, risk, and background codes"
-            )
-        if self.risk_lift < 1.0:
-            raise ConfigError(f"risk_lift must be >= 1, got {self.risk_lift}")
-        if self.visits_per_mother <= 0:
-            raise ConfigError(f"visits_per_mother must be > 0, got {self.visits_per_mother}")
-        if self.history_span_days < 2:
-            raise ConfigError(f"history_span_days must be >= 2, got {self.history_span_days}")
-        if self.prediction_period_days < 0:
-            raise ConfigError(f"prediction_period_days must be >= 0, got {self.prediction_period_days}")
         for name in ("clean_code_rate", "newborn_coded_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -178,17 +168,12 @@ def _special_codes() -> list[str]:
     )
 
 
-def _risk_code(i: int) -> str:
-    family = 648 if i < 100 else 646
-    return f"{family}.{i % 100:02d}"
-
-
-def build_vocabulary(config: SynthConfig) -> CodeVocabulary:
+def build_vocabulary() -> CodeVocabulary:
     """Fixed layout: outcome codes, then risk codes, then background filler."""
     codes = _special_codes()
-    codes += [_risk_code(i) for i in range(config.n_risk_codes)]
+    codes += [f"648.{i:02d}" for i in range(N_RISK_CODES)]
     k = 0
-    while len(codes) < config.vocab_size:
+    while len(codes) < VOCAB_SIZE:
         codes.append(f"{300 + k // 10}.{k % 10}")
         k += 1
     return CodeVocabulary(codes)
@@ -244,34 +229,32 @@ def _visit_codes(
     rng: np.random.Generator,
     n_visits: int,
     is_preterm: bool,
-    config: SynthConfig,
     risk_lo: int,
     bg_lo: int,
-    bg_hi: int,
 ) -> list[set[int]]:
     """Code-index sets for n_visits encounters: background draws plus risk
     codes whose per-visit odds are lifted for true-preterm mothers."""
     p = RISK_CODE_BASE_RATE
     if is_preterm:
-        odds = config.risk_lift * p / (1.0 - p)
+        odds = RISK_LIFT * p / (1.0 - p)
         p = odds / (1.0 + odds)
-    risk_hits = rng.random((n_visits, config.n_risk_codes)) < p
+    risk_hits = rng.random((n_visits, N_RISK_CODES)) < p
     n_bg = (1 + rng.poisson(BACKGROUND_CODES_MEAN, size=n_visits)).tolist()
-    bg = rng.integers(bg_lo, bg_hi, size=sum(n_bg)).tolist()
+    bg = rng.integers(bg_lo, VOCAB_SIZE, size=sum(n_bg)).tolist()
     sets: list[set[int]] = []
     start = 0
     for n in n_bg:
         sets.append(set(bg[start : start + n]))
         start += n
     for hit in np.flatnonzero(risk_hits).tolist():
-        v, r = divmod(hit, config.n_risk_codes)
+        v, r = divmod(hit, N_RISK_CODES)
         sets[v].add(risk_lo + r)
     return sets
 
 
 def generate_cohort(config: SynthConfig) -> Cohort:
     """Generate mothers, newborns, and ground truth for one configuration."""
-    vocab = build_vocabulary(config)
+    vocab = build_vocabulary()
     idx = {c: i for i, c in enumerate(vocab)}
     ft_pool = [idx[c] for c in MOTHER_FULLTERM_CODES]
     pt_pool = [idx[c] for c in MOTHER_PRETERM_CODES]
@@ -280,12 +263,10 @@ def generate_cohort(config: SynthConfig) -> Cohort:
     baby_ft = idx[NEWBORN_FULLTERM_CODE]
     baby_birth = idx[NEWBORN_BIRTH_CODE]
     risk_lo = len(_special_codes())
-    bg_lo = risk_lo + config.n_risk_codes
-    bg_hi = config.vocab_size
+    bg_lo = risk_lo + N_RISK_CODES
 
     noise = config.clerical_noise
-    span_days = config.history_span_days
-    span_minutes = span_days * MINUTES_PER_DAY
+    span_minutes = HISTORY_SPAN_DAYS * MINUTES_PER_DAY
     delivery_window = (span_minutes, 2 * span_minutes)
 
     mothers: list[PatientRecord] = []
@@ -300,7 +281,7 @@ def generate_cohort(config: SynthConfig) -> Cohort:
         los = rng.integers(DELIVERY_LOS_RANGE[0], DELIVERY_LOS_RANGE[1] + 1, size=n_m)
         dis = (adm + los).tolist()
         adm = adm.tolist()
-        is_preterm = (rng.random(n_m) < config.preterm_prevalence).tolist()
+        is_preterm = (rng.random(n_m) < PRETERM_PREVALENCE).tolist()
         # One uniform drives both coding decisions, maximally anti-correlated,
         # so the dual-labeled overlap is only the excess of the two rates over 1.
         code_u = rng.random(n_m)
@@ -313,13 +294,13 @@ def generate_cohort(config: SynthConfig) -> Cohort:
             labels[mother_id] = label
             delivery_day = adm[i] // MINUTES_PER_DAY
 
-            n_vis = int(rng.poisson(config.visits_per_mother))
-            days = delivery_day - rng.integers(1, span_days + 1, size=n_vis)
+            n_vis = int(rng.poisson(VISITS_PER_MOTHER))
+            days = delivery_day - rng.integers(1, HISTORY_SPAN_DAYS + 1, size=n_vis)
             t_adm = days * MINUTES_PER_DAY + rng.integers(
                 VISIT_ADM_HOUR_RANGE[0], VISIT_ADM_HOUR_RANGE[1] + 1, size=n_vis
             )
             t_dis = t_adm + rng.integers(VISIT_LOS_RANGE[0], VISIT_LOS_RANGE[1] + 1, size=n_vis)
-            code_sets = _visit_codes(rng, n_vis + 1, is_preterm[i], config, risk_lo, bg_lo, bg_hi)
+            code_sets = _visit_codes(rng, n_vis + 1, is_preterm[i], risk_lo, bg_lo)
             if clean_coded[i]:
                 pool = pt_pool if is_preterm[i] else ft_pool
                 outcome = pool[int(rng.integers(0, len(pool)))]
@@ -393,11 +374,10 @@ def build_datasets(
     newborns: Sequence[PatientRecord],
     links: LinkSet | Mapping[str, str],
     vocab: CodeVocabulary,
-    prediction_period_days: int,
 ) -> tuple[list[LabeledExample], list[LabeledExample], list[LabeledExample]]:
     """Assemble (clean, noisy, dual-labeled) example sets from linked records.
 
-    Records are same-day merged, truncated `prediction_period_days` before
+    Records are same-day merged, truncated PREDICTION_PERIOD_DAYS before
     delivery, and filtered to at least two remaining visits. A mother enters
     the clean set when her own delivery codes classify, the noisy set when
     the links gave her a newborn-derived label, and the dual set when both
@@ -419,7 +399,7 @@ def build_datasets(
         noisy = noisy_by_mother.get(record.patient_id)
         if clean is None and noisy is None:
             continue
-        truncated = truncate_at_prediction_point(merged, prediction_period_days)
+        truncated = truncate_at_prediction_point(merged, PREDICTION_PERIOD_DAYS)
         examples.append(LabeledExample(record=truncated, clean_label=clean, noisy_label=noisy))
 
     filtered = apply_min_visit_filter(examples, min_visits=2)

@@ -150,7 +150,8 @@ def optimizer_step(params: ModelParams, grads: ModelParams, state: OptState, con
     np.divide(v, bc2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
-    update /= tmp
+    with np.errstate(invalid="ignore"):  # inf/inf from an infinite gradient: nan, reported below
+        update /= tmp
     bad = params.first_non_finite(update)
     if bad is not None:
         raise FloatingPointError(f"non-finite update for tensor {bad}")

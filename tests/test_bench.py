@@ -261,7 +261,7 @@ def test_no_validation_or_test_mother_reaches_a_training_pool(corpus, monkeypatc
 
 def test_fingerprint_ignores_the_cohort_config(corpus):
     config, fast = BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1), replace(FAST, n_epochs=1)
-    other = replace(corpus, config=replace(SMALL, n_mothers=999, risk_lift=2.0, n_hospitals=5))
+    other = replace(corpus, config=replace(SMALL, n_mothers=999, clean_code_rate=0.6, n_hospitals=5))
     assert repeated_benchmark(other, config, fast).fingerprint == repeated_benchmark(corpus, config, fast).fingerprint
 
 

@@ -140,6 +140,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         load_run_config(broken, "pipeline")
 
 
+def test_config_file_that_is_not_utf8_exits_2_and_is_named(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b'{"version": 1, "synth": {"n_mothers": 120}, "note": "caf\xe9"}')
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_file_builds_nested_noise_model(tmp_path):
     cfg = write_config(tmp_path / "run.json", {
         "version": 1,
@@ -169,7 +177,7 @@ def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value)
 @pytest.mark.parametrize("body,expected", [
     ({"synth": {"n_mothers": "200"}}, "synth.n_mothers: expected int, got '200'"),
     ({"synth": {"clerical_noise": {"time_jitter_sd": -1.0}}}, "synth.clerical_noise: time_jitter_sd must be >= 0"),
-    ({"synth": {"risk_lift": True}}, "synth.risk_lift: expected float"),
+    ({"synth": {"clean_code_rate": True}}, "synth.clean_code_rate: expected float"),
     ({"train": {"n_epochs": 0}}, "train: n_epochs must be >= 1"),
     ({"train": {"learning_rate": "fast"}}, "train.learning_rate: expected float"),
     ({"benchmark": {"repeats": 0}}, "benchmark: repeats must be >= 1, got 0"),
@@ -196,10 +204,8 @@ INPUTS = {
 
 @pytest.mark.parametrize("command, body, unread", [
     ("synth", {"train": {"n_epochs": 2}, "benchmark": {"repeats": 2}}, "benchmark, train"),
-    ("datasets", {"synth": {"n_mothers": 999, "risk_lift": 2.0, "clerical_noise": {"time_jitter_sd": 0.0}}},
-     "synth.clerical_noise, synth.n_mothers, synth.risk_lift"),
-    ("datasets", {"train": {"n_epochs": 2}, "benchmark": {"base_seed": 2}}, "benchmark, train"),
     ("benchmark", {"synth": {"seed": 6}}, "synth"),
+    ("benchmark", {"train": {"n_epochs": 2, "seed": 3, "method": "ALC"}}, "train.method, train.seed"),
 ])
 def test_config_keys_a_subcommand_does_not_read_exit_2_before_any_file_is_read(
     tmp_path, capsys, command, body, unread
@@ -212,7 +218,9 @@ def test_config_keys_a_subcommand_does_not_read_exit_2_before_any_file_is_read(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flag", [("synth", "--prediction-period-days"), ("benchmark", "--mothers")])
+@pytest.mark.parametrize("command, flag", [
+    ("synth", "--prediction-period-days"), ("benchmark", "--mothers"), ("datasets", "--config"),
+])
 def test_a_flag_a_subcommand_does_not_take_is_named_with_it(tmp_path, capsys, command, flag):
     inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
     with pytest.raises(SystemExit) as exc:
@@ -283,44 +291,6 @@ def test_benchmark_rejects_cohort_flags(pipeline_dir, tmp_path):
         ])
     assert exc.value.code == 2
     assert not (tmp_path / "x").exists()
-
-
-def test_datasets_takes_the_prediction_period_from_config_or_flag(pipeline_dir, tmp_path):
-    inputs = [
-        "datasets", "--mothers", str(pipeline_dir / "mothers.jsonl"),
-        "--newborns", str(pipeline_dir / "newborns.jsonl"), "--links", str(pipeline_dir / "links.tsv"),
-        "--vocab", str(pipeline_dir / "vocabulary.txt"),
-    ]
-    cfg = write_config(tmp_path / "run.json", {"version": 1, "synth": {"prediction_period_days": 60}})
-    assert main([*inputs, "--config", cfg, "--out", str(tmp_path / "config")]) == 0
-    assert main([*inputs, "--prediction-period-days", "60", "--out", str(tmp_path / "flag")]) == 0
-    for name in ("d_star.jsonl", "d_tilde.jsonl", "d_prime.jsonl"):
-        a = (tmp_path / "config" / name).read_bytes()
-        assert a == (tmp_path / "flag" / name).read_bytes(), name
-        assert a != (pipeline_dir / name).read_bytes(), name
-
-
-@pytest.mark.parametrize("period, code, message", [
-    ("600", 1, "no dual-labeled examples"),
-    ("-1", 2, "prediction_period_days must be >= 0, got -1"),
-])
-def test_datasets_bounds_the_prediction_period_by_its_data(pipeline_dir, tmp_path, capsys, period, code, message):
-    out = tmp_path / "out"
-    assert main([
-        "datasets", "--mothers", str(pipeline_dir / "mothers.jsonl"),
-        "--newborns", str(pipeline_dir / "newborns.jsonl"), "--links", str(pipeline_dir / "links.tsv"),
-        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--prediction-period-days", period, "--out", str(out),
-    ]) == code
-    err = capsys.readouterr().err
-    assert message in err and "history_span_days" not in err, err
-    assert not out.exists()
-
-
-def test_pipeline_rejects_a_prediction_period_its_history_cannot_hold(tmp_path, capsys):
-    out = tmp_path / "x"
-    assert main(["pipeline", *PIPELINE_FLAGS, "--prediction-period-days", "540", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "error: prediction_period_days must be smaller than history_span_days\n"
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("column, unknown", [(0, "n99x99990"), (1, "m99x9999")])
@@ -718,15 +688,13 @@ def test_report_command_rejects_a_raw_csv_without_rows(tmp_path, capsys):
 # --- parser ----------------------------------------------------------------------------
 
 SYNTH_FLAGS = [
-    "--clean-code-rate", "--config", "--history-span-days", "--hospitals",
-    "--misclassified-newborn-rate", "--missing-newborn-rate", "--mothers", "--newborn-coded-rate",
-    "--preterm-prevalence", "--risk-codes", "--risk-lift", "--seed",
-    "--swap-window-minutes", "--time-jitter-sd", "--visits-per-mother", "--vocab-size",
+    "--clean-code-rate", "--config", "--hospitals", "--misclassified-newborn-rate", "--missing-newborn-rate",
+    "--mothers", "--newborn-coded-rate", "--seed", "--swap-window-minutes", "--time-jitter-sd",
 ]
 OPTION_STRINGS = {
     "synth": ["--out", *SYNTH_FLAGS],
     "link": ["--mothers", "--newborns", "--out", "--truth", "--vocab"],
-    "datasets": ["--config", "--links", "--mothers", "--newborns", "--out", "--prediction-period-days", "--vocab"],
+    "datasets": ["--links", "--mothers", "--newborns", "--out", "--vocab"],
     "estimate-c": ["--examples", "--out", "--vocab"],
     "train": [
         "--batch-size", "--c-matrix", "--clean", "--epochs", "--lr", "--method",
@@ -738,7 +706,7 @@ OPTION_STRINGS = {
     ],
     "pipeline": [
         "--curves", "--epochs", "--methods", "--no-calibrate", "--out", "--repeats",
-        "--prediction-period-days", "--target-accuracy", "--threads", *SYNTH_FLAGS,
+        "--target-accuracy", "--threads", *SYNTH_FLAGS,
     ],
     "report": ["--out", "--raw"],
 }
@@ -755,15 +723,13 @@ def test_every_subcommand_keeps_its_flags():
         for name, p in subparsers().items()
     }
     assert found == {name: sorted(opts) for name, opts in OPTION_STRINGS.items()}
-    assert sum(map(len, found.values())) == 83
+    assert sum(map(len, found.values())) == 68
 
 
 def test_synth_flags_take_the_type_of_their_field():
     types = {a.option_strings[0]: a.type for a in subparsers()["pipeline"]._actions if a.option_strings}
-    ints = ["--seed", "--mothers", "--hospitals", "--vocab-size", "--risk-codes", "--history-span-days",
-            "--prediction-period-days", "--swap-window-minutes"]
-    floats = ["--preterm-prevalence", "--risk-lift", "--visits-per-mother", "--clean-code-rate",
-              "--newborn-coded-rate", "--time-jitter-sd", "--missing-newborn-rate",
+    ints = ["--seed", "--mothers", "--hospitals", "--swap-window-minutes"]
+    floats = ["--clean-code-rate", "--newborn-coded-rate", "--time-jitter-sd", "--missing-newborn-rate",
               "--misclassified-newborn-rate"]
     assert {flag: types[flag] for flag in ints + floats} == {
         **dict.fromkeys(ints, int), **dict.fromkeys(floats, float)

@@ -26,7 +26,8 @@ EXAMPLE = RECORD[:-1] + ',"clean_label":"preterm","noisy_label":null}'
 EMPTY_EXAMPLE = json.dumps({**json.loads(EXAMPLE), "patient_id": "m2", "visits": []})
 MATRIX_COUNTS = "5,1\n2,8\n"
 
-# (loader, file content, the line at fault or None for the whole file)
+# (loader, file content as text or bytes, the line at fault or None for the
+# whole file)
 MALFORMED = {
     "links_distance_not_a_number": (load_links, "n1\tm1\t30\nn2\tm1\tabc\n", 2),
     "links_negative_distance": (load_links, "n1\tm1\t-5\n", 1),
@@ -65,6 +66,8 @@ MALFORMED = {
     "raw_csv_empty_method": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\n,0,0.5,0.5\n", 3),
     "raw_csv_uneven_repeats": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\nALC,1,0.6,0.4\n"
                                "NoLC_clean,1,0.7,0.3\n", None),
+    "vocabulary_utf16": (CodeVocabulary.load, b"\xff\xfe" + "a\nb\n".encode("utf-16-le"), 1),
+    "truth_crlf_latin1_line": (load_truth, b"n1\tm1\tpreterm\r\n\r\nn2\tm\xe9\tpreterm\r\n", 3),
 }
 
 
@@ -72,7 +75,7 @@ MALFORMED = {
 def test_malformed_file_error_names_the_file_and_line(tmp_path, case):
     load, content, line = MALFORMED[case]
     path = tmp_path / "input.txt"
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     with pytest.raises(RecordFileError) as exc:
         load(path)
     message = str(exc.value)
@@ -86,6 +89,22 @@ def test_reader_skips_blank_lines_and_keeps_the_rest(tmp_path):
     path = tmp_path / "vocabulary.txt"
     path.write_text("a\n\n  \nb c\n", encoding="utf-8")
     assert list(CodeVocabulary.load(path)) == ["a", "b c"]
+
+
+def test_reader_reads_crlf_lines_as_lf_lines(tmp_path):
+    path = tmp_path / "truth.tsv"
+    path.write_bytes(b"n1\tm1\tpreterm\r\n\r\n-\tm\xc3\xa9\tfullterm\r\n")
+    truth = load_truth(path)
+    assert truth.links == {"n1": "m1"}
+    assert [(m, label.to_json()) for m, label in truth.labels.items()] == [("m1", "preterm"), ("m\xe9", "fullterm")]
+
+
+def test_reader_names_a_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(f"{RECORD}\n".encode() * 3 + b'{"patient_id": "m\xe9"}\n')
+    with pytest.raises(RecordFileError) as exc:
+        load_records(path, VOCAB)
+    assert str(exc.value) == f"{path}: line 4: not UTF-8 text"
 
 
 def test_truth_repeating_a_label_is_not_a_conflict(tmp_path):

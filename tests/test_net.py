@@ -410,6 +410,19 @@ def test_checkpoint_rejects_extra_tensor(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda h: h["tensors"].reverse(),
+    lambda h: h["tensors"].insert(2, h["tensors"].pop(3)),
+    lambda h: h["tensors"].append(h["tensors"][0]),
+], ids=["reversed", "swapped", "repeated"])
+def test_checkpoint_rejects_tensors_out_of_layout_order(tmp_path, edit):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(init_params(TINY, seed=1), path)
+    _rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=r"model\.ckpt: tensors listed in order .*; expected emb, alpha\.w, "):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_misshapen_tensor(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(init_params(TINY, seed=1), path)

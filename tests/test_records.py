@@ -28,7 +28,6 @@ from pretermalc.synth import (
     MOTHER_AMBIGUOUS_CODE,
     MOTHER_FULLTERM_CODES,
     MOTHER_PRETERM_CODES,
-    SynthConfig,
     build_vocabulary,
 )
 
@@ -165,7 +164,7 @@ def test_classifiers_pure_and_order_insensitive(codes):
     assert classify_newborn(codes) is classify_newborn(sorted(codes))
 
 
-_SYNTH_VOCAB = build_vocabulary(SynthConfig())
+_SYNTH_VOCAB = build_vocabulary()
 # Each rule set with the vocabulary codes it is about.
 _RULE_CODES = {
     classify_newborn: [i for i, code in enumerate(_SYNTH_VOCAB) if code.startswith(("765", "V30"))],

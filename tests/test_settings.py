@@ -17,17 +17,10 @@ CHANGED = {
     "synth.seed": 4,
     "synth.n_hospitals": 3,
     "synth.n_mothers": 150,
-    "synth.preterm_prevalence": 0.4,
-    "synth.vocab_size": 150,
-    "synth.n_risk_codes": 10,
-    "synth.risk_lift": 2.0,
-    "synth.visits_per_mother": 4.0,
-    "synth.history_span_days": 300,
     "synth.clerical_noise.time_jitter_sd": 60.0,
     "synth.clerical_noise.missing_newborn_rate": 0.3,
     "synth.clerical_noise.swap_window_minutes": 60,
     "synth.clerical_noise.misclassified_newborn_rate": 0.3,
-    "synth.prediction_period_days": 60,
     "synth.clean_code_rate": 0.6,
     "synth.newborn_coded_rate": 0.6,
     "train.n_epochs": 2,
@@ -84,9 +77,10 @@ def nested(flat: dict) -> dict:
 
 
 def accepted(command: str) -> set[str]:
-    """The dotted config keys that CONFIG_KEYS lists for `command`, with
-    `synth.clerical_noise` spelled out as its fields."""
-    keys = {f"{section}.{key}" for section, names in CONFIG_KEYS[command].items() for key in names}
+    """The dotted config keys that CONFIG_KEYS lists for `command` (none for
+    a subcommand that reads no config), with `synth.clerical_noise` spelled
+    out as its fields."""
+    keys = {f"{section}.{key}" for section, names in CONFIG_KEYS.get(command, {}).items() for key in names}
     if "synth.clerical_noise" in keys:
         keys.remove("synth.clerical_noise")
         keys |= {f"synth.clerical_noise.{f.name}" for f in dataclasses.fields(ClericalNoiseModel)}
@@ -180,7 +174,7 @@ def test_every_setting_changes_an_output(inputs, tmp_path, capsys, command):
 
 def test_pipeline_reads_what_its_stages_read():
     union: dict = {}
-    for command in ("synth", "datasets", "benchmark"):
+    for command in ("synth", "benchmark"):
         for section, keys in CONFIG_KEYS[command].items():
             union.setdefault(section, set()).update(keys)
     assert {section: set(keys) for section, keys in CONFIG_KEYS["pipeline"].items()} == union

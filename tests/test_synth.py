@@ -13,6 +13,8 @@ from pretermalc.records import (
     save_records,
 )
 from pretermalc.synth import (
+    PREDICTION_PERIOD_DAYS,
+    VOCAB_SIZE,
     ClericalNoiseModel,
     Cohort,
     ConfigError,
@@ -40,14 +42,6 @@ def small_cohort():
 def test_config_errors_name_fields():
     with pytest.raises(ConfigError, match="n_mothers"):
         SynthConfig(n_mothers=0)
-    with pytest.raises(ConfigError, match="preterm_prevalence"):
-        SynthConfig(preterm_prevalence=1.5)
-    with pytest.raises(ConfigError, match="risk_lift"):
-        SynthConfig(risk_lift=0.5)
-    with pytest.raises(ConfigError, match="vocab_size"):
-        SynthConfig(vocab_size=10)
-    with pytest.raises(ConfigError, match="prediction_period_days"):
-        SynthConfig(prediction_period_days=-1)
     with pytest.raises(ConfigError, match="missing_newborn_rate"):
         ClericalNoiseModel(missing_newborn_rate=-0.1)
     with pytest.raises(ConfigError, match="time_jitter_sd"):
@@ -57,8 +51,8 @@ def test_config_errors_name_fields():
 
 
 def test_vocabulary_contains_rule_codes():
-    vocab = build_vocabulary(SMALL)
-    assert len(vocab) == SMALL.vocab_size
+    vocab = build_vocabulary()
+    assert len(vocab) == VOCAB_SIZE
     for code in ("650", "644.21", "765.29", "765.21", "V30.00"):
         assert code in vocab
 
@@ -104,18 +98,6 @@ PINNED_COHORTS = {
             "8982e05e459b02cdee5b5fccfb5189b8140d35372111cc9bcd7367bccdf441dd",
             "06e4b0583bd6e50c564d854348b9905cb28d48e0cd703c3f8268b70e9adbdd1b",
             "a654caff4b24709624a63a1a998a14c3b111e52d697bfac07af80d6c009d38e3",
-        ),
-    ),
-    # Many visits in a 10-day history: most prenatal days hold several stays.
-    "merge_heavy": (
-        SynthConfig(
-            seed=5, n_mothers=300, visits_per_mother=40.0,
-            history_span_days=10, prediction_period_days=2,
-        ),
-        (
-            "19fca48e4cb3d2060adad106fd82a0b5a5d633b08239111c22fbec4b5aecb601",
-            "080f917fb5a7bacd3284c345c30cdb134eaf38d72dc3a91de5be6482e03ffb73",
-            "5a11393cfb62412a15147bad074422b74cfa37a8b2c3db486dcd47d0583581d3",
         ),
     ),
 }
@@ -215,9 +197,7 @@ def test_zero_noise_dual_examples_give_identity_matrix():
                       clerical_noise=ClericalNoiseModel.none())
     cohort = generate_cohort(cfg)
     links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
-    _, _, d_prime = build_datasets(
-        cohort.mothers, cohort.newborns, links, cohort.vocab, cfg.prediction_period_days
-    )
+    _, _, d_prime = build_datasets(cohort.mothers, cohort.newborns, links, cohort.vocab)
     c = estimate_corruption_matrix(d_prime)
     assert np.array_equal(c.entries, np.eye(2))
 
@@ -241,7 +221,7 @@ def test_misclassification_rate_degrades_label_accuracy():
 def test_build_datasets_membership(small_cohort):
     links = match_newborns(small_cohort.mothers, small_cohort.newborns, small_cohort.vocab)
     d_star, d_tilde, d_prime = build_datasets(
-        small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL.prediction_period_days
+        small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab
     )
     star_ids = {ex.patient_id for ex in d_star}
     tilde_ids = {ex.patient_id for ex in d_tilde}
@@ -260,20 +240,18 @@ def test_build_datasets_membership(small_cohort):
 def test_build_datasets_respects_min_visits_and_truncation(small_cohort):
     links = match_newborns(small_cohort.mothers, small_cohort.newborns, small_cohort.vocab)
     d_star, d_tilde, _ = build_datasets(
-        small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL.prediction_period_days
+        small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab
     )
     for ex in list(d_star) + list(d_tilde):
         assert len(ex.record.visits) >= 2
-        cutoff = ex.record.delivery_day - SMALL.prediction_period_days
+        cutoff = ex.record.delivery_day - PREDICTION_PERIOD_DAYS
         assert all(v.day <= cutoff for v in ex.record.visits)
 
 
 def test_build_datasets_noisy_label_matches_linked_baby(small_cohort):
     vocab = small_cohort.vocab
     links = match_newborns(small_cohort.mothers, small_cohort.newborns, vocab)
-    _, d_tilde, _ = build_datasets(
-        small_cohort.mothers, small_cohort.newborns, links, vocab, SMALL.prediction_period_days
-    )
+    _, d_tilde, _ = build_datasets(small_cohort.mothers, small_cohort.newborns, links, vocab)
     babies_by_id = {b.patient_id: b for b in small_cohort.newborns}
     linked_by_mother = {}
     for l in links:
@@ -292,25 +270,19 @@ def test_build_datasets_rejects_a_link_to_an_unknown_mother(small_cohort):
     newborn_id = next(iter(links))
     links[newborn_id] = "m99x9999"
     with pytest.raises(LinkageError, match="linked mother m99x9999 not present in records"):
-        build_datasets(
-            small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab, SMALL.prediction_period_days
-        )
+        build_datasets(small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab)
 
 
 def test_build_datasets_rejects_empty_overlap(small_cohort):
     with pytest.raises(DatasetError, match="dual-labeled"):
-        build_datasets(
-            small_cohort.mothers, small_cohort.newborns, {}, small_cohort.vocab, SMALL.prediction_period_days
-        )
+        build_datasets(small_cohort.mothers, small_cohort.newborns, {}, small_cohort.vocab)
 
 
 def test_default_scale_corpus_shape():
     cfg = SynthConfig(seed=0)
     cohort = generate_cohort(cfg)
     links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
-    d_star, d_tilde, d_prime = build_datasets(
-        cohort.mothers, cohort.newborns, links, cohort.vocab, cfg.prediction_period_days
-    )
+    d_star, d_tilde, d_prime = build_datasets(cohort.mothers, cohort.newborns, links, cohort.vocab)
     assert 1600 <= len(d_star) <= 2600
     assert 1600 <= len(d_tilde) <= 2600
     assert len(d_prime) >= 150

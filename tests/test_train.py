@@ -1,5 +1,7 @@
 """Epoch schedules, the optimizer step, and the training loop."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,11 +180,14 @@ def test_adam_first_step_size_is_bounded_by_learning_rate():
 
 
 def test_optimizer_rejects_non_finite_gradients():
-    params = init_params(TINY, seed=4)
-    grads = params.zeros_like_grads()
-    grads["out_b"][0] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError, match="non-finite update for tensor out_b"):
-        optimizer_step(params, grads, OptState.for_params(params), TrainConfig())
+    for value in (np.inf, -np.inf, np.nan):
+        params = init_params(TINY, seed=4)
+        grads = params.zeros_like_grads()
+        grads["out_b"][0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error comes with no numpy warning ahead of it
+            with pytest.raises(FloatingPointError, match="non-finite update for tensor out_b"):
+                optimizer_step(params, grads, OptState.for_params(params), TrainConfig())
 
 
 def test_config_validation_names_the_bad_field():
