@@ -202,8 +202,11 @@ INPUTS = {
 }
 
 
+# An `unread` of None marks a subcommand that reads no key: it takes no
+# --config at all, so the parser refuses the flag itself.
 @pytest.mark.parametrize("command, body, unread", [
     ("synth", {"train": {"n_epochs": 2}, "benchmark": {"repeats": 2}}, "benchmark, train"),
+    ("datasets", {"synth": {"n_mothers": 999}, "train": {"n_epochs": 2}}, None),
     ("benchmark", {"synth": {"seed": 6}}, "synth"),
     ("benchmark", {"train": {"n_epochs": 2, "seed": 3, "method": "ALC"}}, "train.method, train.seed"),
 ])
@@ -213,13 +216,22 @@ def test_config_keys_a_subcommand_does_not_read_exit_2_before_any_file_is_read(
     cfg = write_config(tmp_path / "run.json", {"version": 1, **body})
     out = tmp_path / "out"
     inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
-    assert main([command, *inputs, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {cfg}: {unread} not read by the {command} subcommand\n"
+    argv = [command, *inputs, "--config", cfg, "--out", str(out)]
+    if unread is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"pretermalc {command}: error: unrecognized arguments: --config {cfg}\n"
+        )
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {unread} not read by the {command} subcommand\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("synth", "--prediction-period-days"), ("benchmark", "--mothers"), ("datasets", "--config"),
+    ("synth", "--prediction-period-days"), ("benchmark", "--mothers"),
 ])
 def test_a_flag_a_subcommand_does_not_take_is_named_with_it(tmp_path, capsys, command, flag):
     inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
