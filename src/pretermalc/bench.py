@@ -20,7 +20,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,7 +43,12 @@ MAX_SPLIT_ATTEMPTS = 20
 CURVE_GRID = np.linspace(0.0, 1.0, 101)
 RAW_CSV_HEADER = "method,repeat,auc,pr_auc"
 CALIBRATION_TOLERANCE = 0.02
+CALIBRATION_SEEDS = 5  # cohorts per evaluated rate
 MAX_CALIBRATION_STEPS = 30
+
+# The TrainConfig fields a repeat reads from its base config: it sets the
+# method and the seed of each training run itself.
+REPEAT_TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("method", "seed"))
 
 # Read by the BLAS libraries numpy may load, once, when it is first imported.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -138,7 +143,7 @@ def split_examples(
     train_part = tuple(d_star[i] for i in perm[:n_train])
     val_part = tuple(d_star[i] for i in perm[n_train : n_train + n_val])
     test_part = tuple(d_star[i] for i in perm[n_train + n_val :])
-    return DatasetSplit(train=train_part, validation=val_part, test=test_part, seed=seed)
+    return DatasetSplit(train=train_part, validation=val_part, test=test_part)
 
 
 def _has_both_classes(examples: Iterable[LabeledExample]) -> bool:
@@ -347,14 +352,14 @@ def _corpus_digest(corpus: Corpus) -> str:
 
 def _fingerprint(corpus: Corpus, config: BenchmarkConfig, base_config: TrainConfig) -> str:
     """Digest of what shapes the reports: the corpus content and the run
-    settings. The cohort config is left out: the content digest covers every
-    dataset it shaped."""
+    settings, of the train settings only those a repeat reads. The cohort
+    config is left out: the content digest covers every dataset it shaped."""
     payload = repr(
         (
             [m.value for m in config.methods],
             config.repeats,
             DEFAULT_SPLIT,
-            asdict(base_config),
+            {name: getattr(base_config, name) for name in REPEAT_TRAIN_FIELDS},
             config.base_seed,
             _corpus_digest(corpus),
         )
@@ -413,25 +418,21 @@ def repeated_benchmark(
 # --- noise calibration -------------------------------------------------------
 
 
-def mean_label_accuracy(config: SynthConfig, n_seeds: int = 5) -> float:
-    """Average noisy-label accuracy of the heuristic linkage over cohorts
-    generated with seeds derived from config.seed. Uses the same seed
-    schedule as calibrate_noise, so a calibrated config evaluates on exactly
-    the cohorts the calibration saw."""
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+def mean_label_accuracy(config: SynthConfig) -> float:
+    """Average noisy-label accuracy of the heuristic linkage over
+    CALIBRATION_SEEDS cohorts generated with seeds derived from config.seed.
+    Uses the same seed schedule as calibrate_noise, so a calibrated config
+    evaluates on exactly the cohorts the calibration saw."""
     total = 0.0
-    for i in range(n_seeds):
+    for i in range(CALIBRATION_SEEDS):
         cohort = generate_cohort(replace(config, seed=derive_seed(config.seed, "calibration", i)))
         links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
         total += link_accuracy(links, cohort.truth, cohort.newborns, cohort.vocab)[1]
         del cohort, links  # else this cohort stays alive while the next one is generated
-    return total / n_seeds
+    return total / CALIBRATION_SEEDS
 
 
-def calibrate_noise(
-    target: float = 0.72, config: SynthConfig | None = None, n_seeds: int = 5
-) -> ClericalNoiseModel:
+def calibrate_noise(target: float = 0.72, config: SynthConfig | None = None) -> ClericalNoiseModel:
     """Bisection on the newborn misclassification rate until the mean noisy-
     label accuracy over seeded cohorts lands within CALIBRATION_TOLERANCE of
     the target. All other noise channels stay at their configured values.
@@ -454,7 +455,7 @@ def calibrate_noise(
         cfg = replace(
             base, clerical_noise=replace(base.clerical_noise, misclassified_newborn_rate=rate)
         )
-        return mean_label_accuracy(cfg, n_seeds)
+        return mean_label_accuracy(cfg)
 
     lo, hi = 0.0, 1.0
     f_lo = mean_accuracy(lo)

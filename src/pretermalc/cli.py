@@ -25,6 +25,7 @@ from typing import Sequence
 
 from . import __version__
 from .bench import (
+    REPEAT_TRAIN_FIELDS,
     BenchmarkConfig,
     BenchmarkReport,
     Corpus,
@@ -68,10 +69,9 @@ from .train import CLEAN, CORRECTED, MIXED, NOISY, TrainConfig, TrainMethod, pla
 
 CONFIG_SCHEMA_VERSION = 1
 
-# Keys of the config file's train section: every TrainConfig field but two.
-# Each repeat of a benchmark sets the method and the seed of its own
-# training runs.
-TRAIN_KEYS = ("n_epochs", "batch_size", "learning_rate")
+# Keys of the config file's train section: the train settings a benchmark
+# repeat reads.
+TRAIN_KEYS = REPEAT_TRAIN_FIELDS
 BENCHMARK_KEYS = tuple(f.name for f in dataclasses.fields(BenchmarkConfig))
 SYNTH_KEYS = tuple(f.name for f in dataclasses.fields(SynthConfig))
 SECTIONS = {"synth": SynthConfig, "train": TrainConfig, "benchmark": BenchmarkConfig}
@@ -487,7 +487,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     settings = resolve_run_settings(args, "benchmark")
     workers = _threads(args.threads)
-    corpus = Corpus.from_files(args.clean, args.noisy, args.vocab)
+    vocab = CodeVocabulary.load(args.vocab)
+    d_star = _examples_with(args.clean, vocab, "clean")
+    d_tilde = _examples_with(args.noisy, vocab, "noisy")
+    corpus = Corpus(vocab, d_star, d_tilde, [ex for ex in d_star if ex.noisy_label is not None])
     benchmark_stage(corpus, settings, workers, args.curves, Path(args.out))
     return 0
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .records import (
     CodeVocabulary,
@@ -160,17 +160,16 @@ def match_newborns(
 
 
 def derive_noisy_labels(
-    links: LinkSet | Mapping[str, str],
+    links: LinkSet,
     newborns: Sequence[PatientRecord],
     vocab: CodeVocabulary,
 ) -> dict[str, Label]:
     """Mother-level noisy label from her linked newborns: preterm if any baby
     classifies preterm, else full-term. Every linked baby must classify."""
-    link_map = links.as_map() if isinstance(links, LinkSet) else dict(links)
     babies_by_id = {b.patient_id: b for b in newborns}
     classify = outcome_classifier(vocab, classify_newborn)
     out: dict[str, Label] = {}
-    for newborn_id, mother_id in link_map.items():
+    for newborn_id, mother_id in links.as_map().items():
         baby = babies_by_id.get(newborn_id)
         if baby is None:
             raise LinkageError(f"linked newborn {newborn_id} not present in records")

@@ -181,15 +181,13 @@ def init_params(dims: NetDims, seed: int) -> ModelParams:
 @dataclass(frozen=True, eq=False)
 class Batch:
     """Visit-code sequences in the packed form the network reads. Rows are
-    ordered longest first (stable), so the ``steps[t]`` sequences that have
-    a visit at step t are the leading rows of that order. The visits are
-    stacked step by step: step t holds packed rows ``offsets[t]:offsets[t + 1]``,
-    and packed row p is visit ``times[p]`` of input row ``rows[p]``. Build
-    one with ``from_sequences``."""
+    ordered longest first (stable), so the sequences that have a visit at
+    step t are the leading rows of that order. The visits are stacked step
+    by step: step t holds packed rows ``offsets[t]:offsets[t + 1]``, and
+    packed row p is visit ``times[p]`` of input row ``rows[p]``. Build one
+    with ``from_sequences``; every sequence must have a visit."""
 
     mask: np.ndarray  # (B, T) bool: true on each sequence's visits, false on padding
-    lengths: np.ndarray  # (B,) visits per sequence
-    steps: np.ndarray  # (T,) sequences with a visit at each step
     offsets: np.ndarray  # (T + 1,) first packed row of each step
     rows: np.ndarray  # (N,) input row of each packed visit
     times: np.ndarray  # (N,) step of each packed visit
@@ -201,20 +199,17 @@ class Batch:
         if not seqs:
             raise ValueError("empty batch")
         lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-        if lengths.max() == 0:
-            raise ValueError("batch contains only empty sequences")
+        if lengths.min() == 0:
+            raise ValueError(f"sequence {int(np.argmin(lengths))} has no visits")
         real = np.arange(lengths.max()) < lengths[:, None]
         order = np.argsort(-lengths, kind="stable")
-        steps = real.sum(axis=0)
         times, slot = np.nonzero(real[order].T)
         rows = order[slot]
         visits = [seqs[b][t] for b, t in zip(rows.tolist(), times.tolist())]
         sizes = [len(v) for v in visits]
         return cls(
             mask=real,
-            lengths=lengths,
-            steps=steps,
-            offsets=np.concatenate(([0], np.cumsum(steps))),
+            offsets=np.concatenate(([0], np.cumsum(real.sum(axis=0)))),
             rows=rows,
             times=times,
             code_index=np.fromiter(chain.from_iterable(visits), dtype=np.intp, count=sum(sizes)),
@@ -228,13 +223,6 @@ class Batch:
     @property
     def n_steps(self) -> int:
         return self.mask.shape[1]
-
-    def unpack(self, packed: np.ndarray) -> np.ndarray:
-        """Packed rows (N, ...) as a padded (B, T, ...) array in input
-        order, zero on padding."""
-        out = np.zeros(self.mask.shape + packed.shape[1:], dtype=packed.dtype)
-        out[self.rows, self.times] = packed
-        return out
 
     def segment_matrix(self, dtype: np.dtype | type) -> np.ndarray:
         """(B, N): 1 where packed row p belongs to input row b, so a product
@@ -275,10 +263,9 @@ class ScanCache:
 
 @dataclass
 class ForwardTrace:
-    """Everything the backward pass and the tests need to see. Per-visit
-    arrays are kept packed: one row per real visit, in the batch's packed
-    order. ``batch.unpack`` pads one to (B, T, ...) in input order, as
-    ``V`` does for the visit embeddings."""
+    """Everything the backward pass reads. Per-visit arrays are kept
+    packed: one row per real visit, in the batch's packed order, so
+    ``segments @ alpha_packed`` sums each sequence's attention weights."""
 
     batch: Batch
     counts: np.ndarray  # (N, vocab) visit-by-code counts
@@ -288,21 +275,17 @@ class ForwardTrace:
     h_packed: np.ndarray  # (N, d_h) states of the gate-attention recurrence
     alpha_packed: np.ndarray  # (N,)
     beta_packed: np.ndarray  # (N, d_emb)
-    alpha: np.ndarray  # (B, T), zero on padding
     context: np.ndarray  # (B, d_emb)
     probs: np.ndarray  # (B, 2)
     alpha_cache: ScanCache
     beta_cache: ScanCache
 
-    @property
-    def V(self) -> np.ndarray:
-        return self.batch.unpack(self.v_packed)
-
 
 def _gru_scan(cell: GruCellParams, V: np.ndarray, batch: Batch) -> tuple[np.ndarray, ScanCache]:
     """Run the cell over steps T-1 .. 0 of the packed visits. Step t updates
-    only the leading ``steps[t]`` rows of the running state; a row whose
-    sequence has no visit after t still holds the zero initial state."""
+    only the leading rows of the running state, those with a visit at t; a
+    row whose sequence has no visit after t still holds the zero initial
+    state."""
     d_h = cell.u_h.shape[0]
     n_rows = V.shape[0]
     xw = V @ cell.w + cell.b  # (N, 3·d_h): the input part of every gate at once
@@ -372,8 +355,6 @@ def _gru_backward(
 
 def forward(params: ModelParams, batch: Batch) -> ForwardTrace:
     """Full forward pass over a batch, in the dtype of ``params.flat``."""
-    if np.any(batch.lengths < 1):
-        raise ValueError(f"sequence {int(np.argmin(batch.lengths))} has no valid visits")
     dtype = params.flat.dtype
     counts = batch.count_matrix(params.dims.vocab_size, dtype)
     segments = batch.segment_matrix(dtype)
@@ -405,7 +386,6 @@ def forward(params: ModelParams, batch: Batch) -> ForwardTrace:
         h_packed=H,
         alpha_packed=alpha_packed,
         beta_packed=beta,
-        alpha=alpha,
         context=context,
         probs=probs,
         alpha_cache=alpha_cache,
@@ -437,17 +417,12 @@ def loss_clean(trace: ForwardTrace, labels: np.ndarray) -> float:
     return loss_corrected(trace, labels, IDENTITY)
 
 
-def backward(
-    params: ModelParams,
-    batch: Batch,
-    trace: ForwardTrace,
-    labels: np.ndarray,
-    c: CorruptionMatrix,
-) -> ModelParams:
+def backward(params: ModelParams, trace: ForwardTrace, labels: np.ndarray, c: CorruptionMatrix) -> ModelParams:
     """Exact gradient of the mean batch loss ``loss_corrected(trace, labels,
-    c)``, in the layout of ``params``. The corruption matrix acts as a fixed
-    dense layer q = p·C on top of the softmax; pass ``IDENTITY`` for plain
-    cross-entropy."""
+    c)``, in the layout of ``params``, over the batch the trace was built
+    on. The corruption matrix acts as a fixed dense layer q = p·C on top of
+    the softmax; pass ``IDENTITY`` for plain cross-entropy."""
+    batch = trace.batch
     B = trace.probs.shape[0]
     labels = _check_labels(labels, B)
     rows = np.arange(B)
@@ -494,17 +469,14 @@ def backward(
     return grads
 
 
-def predict_probs(
-    params: ModelParams, seqs: Sequence[Sequence[VisitCodes]], batch_size: int = SCORE_BATCH_SIZE
-) -> np.ndarray:
+def predict_probs(params: ModelParams, seqs: Sequence[Sequence[VisitCodes]]) -> np.ndarray:
     """Class probabilities for each sequence, in input order, computed
-    ``batch_size`` sequences at a time. The default of 64 rows keeps the
-    working set of a batch near that of a training step, so scoring does not
-    raise the peak memory of a run, at the same rate as larger batches. A
-    score moves only by rounding (about 1e-16) with the batch it sits in."""
+    ``SCORE_BATCH_SIZE`` sequences at a time, which keeps the working set of
+    a batch near that of a training step. A score moves only by rounding
+    (about 1e-16) with the batch it sits in."""
     out = np.empty((len(seqs), 2))
-    for start in range(0, len(seqs), batch_size):
-        chunk = seqs[start : start + batch_size]
+    for start in range(0, len(seqs), SCORE_BATCH_SIZE):
+        chunk = seqs[start : start + SCORE_BATCH_SIZE]
         trace = forward(params, Batch.from_sequences(chunk))
         out[start : start + len(chunk)] = trace.probs
     return out

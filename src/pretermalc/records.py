@@ -167,7 +167,6 @@ class DatasetSplit:
     train: tuple[LabeledExample, ...]
     validation: tuple[LabeledExample, ...]
     test: tuple[LabeledExample, ...]
-    seed: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "train", tuple(self.train))
@@ -290,34 +289,6 @@ def merge_same_day(record: PatientRecord) -> PatientRecord:
         visits=merge_stays((v.day, v.t_adm, v.t_dis, v.codes) for v in visits),
         delivery_day=record.delivery_day,
     )
-
-
-def truncate_at_prediction_point(record: PatientRecord, period_days: int) -> PatientRecord:
-    """Drop every visit later than delivery_day - period_days (boundary day is
-    kept). The delivery_day field survives as metadata."""
-    if record.delivery_day is None:
-        raise ValueError(f"record {record.patient_id} has no delivery_day to truncate against")
-    if period_days < 0:
-        raise ValueError(f"period_days must be non-negative, got {period_days}")
-    cutoff = record.delivery_day - period_days
-    kept = tuple(v for v in record.visits if v.day <= cutoff)
-    return PatientRecord(
-        patient_id=record.patient_id,
-        hospital_id=record.hospital_id,
-        role=record.role,
-        visits=kept,
-        delivery_day=record.delivery_day,
-    )
-
-
-def apply_min_visit_filter(
-    examples: Sequence[LabeledExample], min_visits: int = 2
-) -> list[LabeledExample]:
-    """Keep examples whose (already truncated) record has at least min_visits
-    visits."""
-    if min_visits < 0:
-        raise ValueError(f"min_visits must be >= 0, got {min_visits}")
-    return [ex for ex in examples if len(ex.record.visits) >= min_visits]
 
 
 # --- persistence ------------------------------------------------------------

@@ -14,9 +14,10 @@ hospitals might be scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,13 +30,11 @@ from .records import (
     PatientRecord,
     Role,
     Visit,
-    apply_min_visit_filter,
     classify_delivery,
     merge_same_day,
     merge_stays,
     outcome_classifier,
     read_lines,
-    truncate_at_prediction_point,
 )
 
 
@@ -69,6 +68,7 @@ RISK_LIFT = 4.0  # odds ratio of each risk code for preterm mothers
 VISITS_PER_MOTHER = 6.0  # Poisson mean of prenatal visits
 HISTORY_SPAN_DAYS = 540  # prenatal visits fall within this many days before delivery
 PREDICTION_PERIOD_DAYS = 90  # examples keep the visits at least this many days before delivery
+MIN_VISITS = 2  # an example keeps a mother only with this many visits left
 RISK_CODE_BASE_RATE = 0.008  # per risk code per visit, full-term mothers
 BACKGROUND_CODES_MEAN = 2.0  # visits draw 1 + Poisson(mean) background codes
 TWIN_RATE = 0.03
@@ -89,8 +89,8 @@ class ClericalNoiseModel:
     misclassified_newborn_rate: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.time_jitter_sd < 0:
-            raise ConfigError(f"time_jitter_sd must be >= 0, got {self.time_jitter_sd}")
+        if not 0 <= self.time_jitter_sd < math.inf:
+            raise ConfigError(f"time_jitter_sd must be >= 0 and finite, got {self.time_jitter_sd}")
         for name in ("missing_newborn_rate", "misclassified_newborn_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -119,6 +119,8 @@ class SynthConfig:
     newborn_coded_rate: float = 0.56
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_hospitals < 1:
             raise ConfigError(f"n_hospitals must be >= 1, got {self.n_hospitals}")
         if self.n_mothers < 1:
@@ -372,17 +374,18 @@ def generate_cohort(config: SynthConfig) -> Cohort:
 def build_datasets(
     mothers: Sequence[PatientRecord],
     newborns: Sequence[PatientRecord],
-    links: LinkSet | Mapping[str, str],
+    links: LinkSet,
     vocab: CodeVocabulary,
 ) -> tuple[list[LabeledExample], list[LabeledExample], list[LabeledExample]]:
     """Assemble (clean, noisy, dual-labeled) example sets from linked records.
 
-    Records are same-day merged, truncated PREDICTION_PERIOD_DAYS before
-    delivery, and filtered to at least two remaining visits. A mother enters
-    the clean set when her own delivery codes classify, the noisy set when
-    the links gave her a newborn-derived label, and the dual set when both
-    hold; dual examples are shared objects across the three lists. A link
-    to a mother who is not among ``mothers`` raises LinkageError.
+    Records are same-day merged and keep the visits on or before
+    ``delivery_day - PREDICTION_PERIOD_DAYS``; a mother left with fewer than
+    MIN_VISITS of them is dropped. A mother enters the clean set when her
+    own delivery codes classify, the noisy set when the links gave her a
+    newborn-derived label, and the dual set when both hold; dual examples
+    are shared objects across the three lists. A link to a mother who is
+    not among ``mothers`` raises LinkageError.
     """
     noisy_by_mother = derive_noisy_labels(links, newborns, vocab)
     unknown = noisy_by_mother.keys() - {record.patient_id for record in mothers}
@@ -399,13 +402,14 @@ def build_datasets(
         noisy = noisy_by_mother.get(record.patient_id)
         if clean is None and noisy is None:
             continue
-        truncated = truncate_at_prediction_point(merged, PREDICTION_PERIOD_DAYS)
-        examples.append(LabeledExample(record=truncated, clean_label=clean, noisy_label=noisy))
+        cutoff = merged.delivery_day - PREDICTION_PERIOD_DAYS
+        visits = tuple(v for v in merged.visits if v.day <= cutoff)
+        if len(visits) >= MIN_VISITS:
+            examples.append(LabeledExample(replace(merged, visits=visits), clean, noisy))
 
-    filtered = apply_min_visit_filter(examples, min_visits=2)
-    d_star = [ex for ex in filtered if ex.clean_label is not None]
-    d_tilde = [ex for ex in filtered if ex.noisy_label is not None]
-    d_prime = [ex for ex in filtered if ex.clean_label is not None and ex.noisy_label is not None]
+    d_star = [ex for ex in examples if ex.clean_label is not None]
+    d_tilde = [ex for ex in examples if ex.noisy_label is not None]
+    d_prime = [ex for ex in examples if ex.clean_label is not None and ex.noisy_label is not None]
     if not d_prime:
         raise DatasetError(
             "no dual-labeled examples: cannot estimate label corruption from this cohort"

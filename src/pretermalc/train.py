@@ -103,8 +103,10 @@ class TrainConfig:
             raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -235,14 +237,13 @@ def train(
         total = 0.0
         for start in range(0, len(perm), config.batch_size):
             chunk = perm[start : start + config.batch_size]
-            batch = Batch.from_sequences([seqs[i] for i in chunk])
-            trace = forward(params, batch)
+            trace = forward(params, Batch.from_sequences([seqs[i] for i in chunk]))
             chunk_labels = labels[chunk]
             if spec.loss_kind == PLAIN:
                 loss = loss_clean(trace, chunk_labels)
             else:
                 loss = loss_corrected(trace, chunk_labels, matrix)
-            grads = backward(params, batch, trace, chunk_labels, matrix)
+            grads = backward(params, trace, chunk_labels, matrix)
             optimizer_step(params, grads, state, config)
             total += loss * len(chunk)
         log.append(EpochLog(epoch, spec.dataset, spec.loss_kind, total / len(seqs)))

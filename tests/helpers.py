@@ -74,7 +74,7 @@ def max_gradient_rel_error(
     def loss() -> float:
         return loss_corrected(forward(params, batch), labels, c)
 
-    grads = backward(params, batch, forward(params, batch), labels, c)
+    grads = backward(params, forward(params, batch), labels, c)
     worst = 0.0
     for name, tensor in params.items():
         analytic = grads[name]

@@ -112,7 +112,7 @@ def test_3_linkage_matches_the_exhaustive_oracle():
 def test_4_noise_calibration_hits_the_target_accuracy():
     with verdict(4, "calibrated linkage label accuracy 0.72 +/- 0.02"):
         config = calibrated_config()
-        accuracy = mean_label_accuracy(config, n_seeds=5)
+        accuracy = mean_label_accuracy(config)
         assert abs(accuracy - 0.72) <= 0.02, accuracy
         estimated = estimate_corruption_matrix(default_corpus().d_prime)
         assert estimated.is_diagonally_dominant(), estimated.entries

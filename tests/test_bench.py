@@ -265,13 +265,22 @@ def test_fingerprint_ignores_the_cohort_config(corpus):
     assert repeated_benchmark(other, config, fast).fingerprint == repeated_benchmark(corpus, config, fast).fingerprint
 
 
+def test_fingerprint_ignores_the_train_settings_a_repeat_overwrites(corpus):
+    config, fast = BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1), replace(FAST, n_epochs=1)
+    base = repeated_benchmark(corpus, config, fast)
+    other = repeated_benchmark(corpus, config, replace(fast, seed=5, method=TrainMethod.NOLC_NOISY))
+    assert other.raw_csv() == base.raw_csv()
+    assert other.fingerprint == base.fingerprint
+
+
 def test_fingerprint_of_a_fixed_run_is_pinned(corpus):
-    # The fingerprint hashes the methods, repeats, split, train config, base
-    # seed and corpus digest, in that order. A change to what it hashes or how
-    # must show here, since reports from different versions are compared by it.
+    # The fingerprint hashes the methods, repeats, split, the train settings
+    # a repeat reads, base seed and corpus digest, in that order. A change to
+    # what it hashes or how must show here, since reports from different
+    # versions are compared by it.
     config = BenchmarkConfig([TrainMethod.NOLC_CLEAN, TrainMethod.ALC], repeats=2, base_seed=4)
     report = repeated_benchmark(corpus, config, TrainConfig(n_epochs=1, batch_size=32))
-    assert report.fingerprint == "84fe7aeac1c2c2ec"
+    assert report.fingerprint == "64215ea0d997f960"
 
 
 def test_benchmark_config_takes_methods_by_name_or_member():
@@ -296,9 +305,15 @@ def test_benchmark_rejects_repeated_methods():
 # --- noise calibration ------------------------------------------------------------
 
 
-def test_perfect_records_need_no_calibration():
+@pytest.fixture
+def two_cohorts_per_rate(monkeypatch):
+    """Two cohorts per evaluated rate instead of five, for speed."""
+    monkeypatch.setattr(bench, "CALIBRATION_SEEDS", 2)
+
+
+def test_perfect_records_need_no_calibration(two_cohorts_per_rate):
     config = replace(SMALL, clerical_noise=ClericalNoiseModel.none())
-    calibrated = calibrate_noise(target=1.0, config=config, n_seeds=2)
+    calibrated = calibrate_noise(target=1.0, config=config)
     assert calibrated.misclassified_newborn_rate == 0.0
     assert calibrated.time_jitter_sd == 0.0
 
@@ -310,19 +325,11 @@ def test_calibration_rejects_out_of_range_targets():
         calibrate_noise(target=1.2)
 
 
-def test_mean_label_accuracy_is_deterministic():
+def test_mean_label_accuracy_is_deterministic(two_cohorts_per_rate):
     config = replace(SMALL, n_mothers=120)
-    a = mean_label_accuracy(config, n_seeds=2)
-    assert a == mean_label_accuracy(config, n_seeds=2)
+    a = mean_label_accuracy(config)
+    assert a == mean_label_accuracy(config)
     assert 0.0 <= a <= 1.0
-
-
-@pytest.mark.parametrize("n_seeds", [0, -1])
-def test_calibration_needs_at_least_one_seed(n_seeds):
-    with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got {n_seeds}"):
-        mean_label_accuracy(SMALL, n_seeds=n_seeds)
-    with pytest.raises(ValueError, match=f"n_seeds must be >= 1, got {n_seeds}"):
-        calibrate_noise(0.72, SMALL, n_seeds=n_seeds)
 
 
 def eager_calibration(accuracy, target):
@@ -373,7 +380,7 @@ def outcome(run, accuracy, target):
 
 def lazy_calibration(accuracy, target):
     """calibrate_noise's rate with `accuracy(rate)` in place of the cohorts."""
-    def stub(cfg, n_seeds):
+    def stub(cfg):
         return accuracy(cfg.clerical_noise.misclassified_newborn_rate)
 
     with pytest.MonkeyPatch.context() as patch:

@@ -184,6 +184,10 @@ def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value)
     ({"benchmark": {"methods": ["NoLC_clean", "Magic"]}}, "benchmark: methods: unknown method 'Magic'"),
     ({"benchmark": {"methods": "ALC"}}, "benchmark.methods: expected list of strings, got 'ALC'"),
     ({"benchmark": []}, "benchmark: expected an object"),
+    ({"synth": {"clerical_noise": {"time_jitter_sd": float("nan")}}},
+     "synth.clerical_noise: time_jitter_sd must be >= 0 and finite, got nan"),
+    ({"synth": {"seed": -1}}, "synth: seed must be >= 0, got -1"),
+    ({"train": {"learning_rate": float("inf")}}, "train: learning_rate must be > 0 and finite, got inf"),
 ])
 def test_bad_config_values_exit_2_before_the_pipeline_writes(tmp_path, capsys, body, expected):
     cfg = write_config(tmp_path / "run.json", {"version": 1, **body})
@@ -199,7 +203,24 @@ def test_bad_config_values_exit_2_before_the_pipeline_writes(tmp_path, capsys, b
 INPUTS = {
     "datasets": ["--mothers", "{0}", "--newborns", "{0}", "--links", "{0}", "--vocab", "{0}"],
     "benchmark": ["--clean", "{0}", "--noisy", "{0}", "--vocab", "{0}"],
+    "train": ["--clean", "{0}", "--vocab", "{0}", "--method", "NoLC_clean", "--out-checkpoint", "{0}.ckpt"],
 }
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("synth", ["--time-jitter-sd", "nan"], "time_jitter_sd must be >= 0 and finite, got nan"),
+    ("synth", ["--time-jitter-sd", "inf"], "time_jitter_sd must be >= 0 and finite, got inf"),
+    ("pipeline", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("train", ["--seed", "-3"], "seed must be >= 0, got -3"),
+    ("train", ["--lr", "inf"], "learning_rate must be > 0 and finite, got inf"),
+])
+def test_out_of_domain_flags_exit_2_before_any_file_is_touched(tmp_path, capsys, command, flags, message):
+    inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
+    out = [] if command == "train" else ["--out", str(tmp_path / "out")]
+    assert main([command, *inputs, *flags, *out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # An `unread` of None marks a subcommand that reads no key: it takes no
@@ -500,6 +521,24 @@ def test_train_rejects_an_example_without_the_flags_label(pipeline_dir, tmp_path
     assert err.startswith(f"error: {path}: example {first} lacks the {kind} label"), err
     assert flag in err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("flag, name", [("--clean", "d_tilde.jsonl"), ("--noisy", "d_star.jsonl")])
+def test_benchmark_rejects_an_example_without_the_flags_label(pipeline_dir, tmp_path, capsys, flag, name):
+    kind = flag[2:]
+    path = pipeline_dir / name
+    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    first = next(row["patient_id"] for row in rows if row[f"{kind}_label"] is None)
+    inputs = {"--clean": pipeline_dir / "d_star.jsonl", "--noisy": pipeline_dir / "d_tilde.jsonl", flag: path}
+    out = tmp_path / "out"
+    code = main([
+        "benchmark", *(str(arg) for pair in inputs.items() for arg in pair),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"),
+        "--methods", "NoLC_clean,NoLC_noisy", "--repeats", "1", "--epochs", "1", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: example {first} lacks the {kind} label that {flag} needs\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "benchmark"])

@@ -217,9 +217,14 @@ def test_capacity_and_feasibility_invariants():
 # --- noisy labels and accuracy ------------------------------------------------------
 
 
+def link_set(pairs):
+    """LinkSet of (newborn id, mother id) pairs, in the order given."""
+    return LinkSet([MatchCandidate(newborn_id, mother_id, 0) for newborn_id, mother_id in pairs])
+
+
 def test_derive_noisy_labels_single_fullterm():
     baby = newborn_at(10_000, 12_000, "n0", code="765.29")
-    labels = derive_noisy_labels({"n0": "m0"}, [baby], VOCAB)
+    labels = derive_noisy_labels(link_set([("n0", "m0")]), [baby], VOCAB)
     assert labels == {"m0": Label.FULL_TERM}
 
 
@@ -228,22 +233,22 @@ def test_derive_noisy_labels_any_preterm_wins():
         newborn_at(10_000, 12_000, "n0", code="765.29"),
         newborn_at(10_100, 12_100, "n1", code="765.21"),
     ]
-    labels = derive_noisy_labels({"n0": "m0", "n1": "m0"}, babies, VOCAB)
+    labels = derive_noisy_labels(link_set([("n0", "m0"), ("n1", "m0")]), babies, VOCAB)
     assert labels == {"m0": Label.PRETERM}
     # order of links must not matter
-    labels2 = derive_noisy_labels({"n1": "m0", "n0": "m0"}, babies, VOCAB)
+    labels2 = derive_noisy_labels(link_set([("n1", "m0"), ("n0", "m0")]), babies, VOCAB)
     assert labels2 == labels
 
 
 def test_derive_noisy_labels_rejects_unknown_baby():
     baby = newborn_at(10_000, 12_000, "n0", code="V30.00")
     with pytest.raises(LinkageError, match="classifiable"):
-        derive_noisy_labels({"n0": "m0"}, [baby], VOCAB)
+        derive_noisy_labels(link_set([("n0", "m0")]), [baby], VOCAB)
 
 
 def test_derive_noisy_labels_rejects_missing_baby():
     with pytest.raises(LinkageError, match="not present"):
-        derive_noisy_labels({"n0": "m0"}, [], VOCAB)
+        derive_noisy_labels(link_set([("n0", "m0")]), [], VOCAB)
 
 
 def test_link_accuracy_perfect():

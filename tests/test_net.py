@@ -15,6 +15,7 @@ from pretermalc.net import (
     CHECKPOINT_MAGIC,
     IDENTITY,
     LOSS_EPS,
+    SCORE_BATCH_SIZE,
     Batch,
     NetDims,
     backward,
@@ -51,19 +52,19 @@ def confident_params(dims=TINY):
 def test_forward_embeds_empty_visit_as_zero_vector():
     params = init_params(TINY, seed=3)
     trace = forward(params, Batch.from_sequences([[(), (7,)]]))
-    assert np.array_equal(trace.V[0, 0], np.zeros(TINY.d_emb))
+    assert np.array_equal(trace.v_packed[0], np.zeros(TINY.d_emb))
 
 
 def test_forward_embeds_single_code_as_its_row():
     params = init_params(TINY, seed=3)
     trace = forward(params, Batch.from_sequences([[(7,)]]))
-    assert np.array_equal(trace.V[0, 0], params.emb[7])
+    assert np.array_equal(trace.v_packed[0], params.emb[7])
 
 
 def test_forward_embeds_visit_as_sum_of_code_rows():
     params = init_params(TINY, seed=3)
     trace = forward(params, Batch.from_sequences([[(2, 7)]]))
-    assert np.array_equal(trace.V[0, 0], params.emb[2] + params.emb[7])
+    assert np.array_equal(trace.v_packed[0], params.emb[2] + params.emb[7])
 
 
 @pytest.mark.parametrize("seed", [41, 42, 43])
@@ -78,9 +79,8 @@ def test_code_order_within_a_visit_changes_no_bit(seed):
     c = reference_matrix()
     results = []
     for form in forms:
-        batch = Batch.from_sequences(form)
-        trace = forward(params, batch)
-        results.append((trace.probs, backward(params, batch, trace, labels, c).flat))
+        trace = forward(params, Batch.from_sequences(form))
+        results.append((trace.probs, backward(params, trace, labels, c).flat))
     for probs, grads in results[1:]:
         assert np.array_equal(probs, results[0][0])
         assert np.array_equal(grads, results[0][1])
@@ -92,8 +92,13 @@ def test_code_order_within_a_visit_changes_no_bit(seed):
 def test_batch_rejects_empty_input():
     with pytest.raises(ValueError, match="empty batch"):
         Batch.from_sequences([])
-    with pytest.raises(ValueError, match="only empty sequences"):
+    with pytest.raises(ValueError, match="sequence 0 has no visits"):
         Batch.from_sequences([[], []])
+
+
+def test_batch_rejects_a_sequence_without_visits():
+    with pytest.raises(ValueError, match="sequence 1 has no visits"):
+        Batch.from_sequences([[{1}], []])
 
 
 def test_batch_pads_to_longest_sequence():
@@ -101,31 +106,31 @@ def test_batch_pads_to_longest_sequence():
     assert batch.size == 2
     assert batch.n_steps == 2
     assert np.array_equal(batch.mask, [[1.0, 1.0], [1.0, 0.0]])
-    grid = batch.unpack(batch.count_matrix(4, np.float64))
-    assert np.array_equal(grid[:, :, 1:], [[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 0]]])
+    assert np.array_equal(batch.offsets, [0, 2, 3])
+    assert np.array_equal(batch.rows, [0, 1, 0])
+    assert np.array_equal(batch.times, [0, 0, 1])
+    counts = batch.count_matrix(4, np.float64)
+    assert np.array_equal(counts[:, 1:], [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(
-        st.lists(st.lists(st.integers(0, 11), max_size=4).map(tuple), max_size=6),
+        st.lists(st.lists(st.integers(0, 11), max_size=4).map(tuple), min_size=1, max_size=6),
         min_size=1,
         max_size=6,
-    ).filter(lambda seqs: any(seqs))
+    )
 )
 def test_packing_is_exact(seqs):
     batch = Batch.from_sequences(seqs)
-    lengths = [len(seq) for seq in seqs]
+    lengths = np.array([len(seq) for seq in seqs])
     assert np.array_equal(batch.mask.sum(axis=1), lengths)
-    order = np.argsort(-np.array(lengths), kind="stable")
+    order = np.argsort(-lengths, kind="stable")
     for t in range(batch.n_steps):
-        assert np.array_equal(batch.rows[batch.offsets[t] : batch.offsets[t + 1]], order[: batch.steps[t]])
+        assert np.array_equal(batch.rows[batch.offsets[t] : batch.offsets[t + 1]], order[: np.sum(lengths > t)])
     counts = batch.count_matrix(12, np.float64)
-    ids = batch.unpack(np.arange(1.0, batch.rows.size + 1))  # packed row + 1 per visit, 0 on padding
     for b, seq in enumerate(seqs):
-        visits = ids[b, : len(seq)].astype(int) - 1
-        assert np.all(visits >= 0) and np.all(ids[b, len(seq) :] == 0)
-        assert np.array_equal(batch.rows[visits], [b] * len(seq))
+        visits = np.flatnonzero(batch.rows == b)  # packed rows of sequence b, step after step
         assert np.array_equal(batch.times[visits], range(len(seq)))
         for p, visit in zip(visits, seq):
             assert np.array_equal(counts[p], np.bincount(np.array(visit, dtype=int), minlength=12))
@@ -137,27 +142,29 @@ def test_packing_is_exact(seqs):
 def test_forward_shapes_and_normalization():
     params, batch, _ = random_small_setup(11)
     trace = forward(params, batch)
-    B, T = batch.mask.shape
-    assert trace.V.shape == (B, T, TINY.d_emb)
-    assert trace.alpha.shape == (B, T)
+    B, N = batch.size, int(batch.mask.sum())
+    assert trace.v_packed.shape == (N, TINY.d_emb)
+    assert trace.alpha_packed.shape == (N,)
     assert trace.probs.shape == (B, 2)
     assert np.all(np.isfinite(trace.probs))
     assert np.all(trace.probs > 0)
     assert np.max(np.abs(trace.probs.sum(axis=1) - 1.0)) < 1e-12
-    assert np.max(np.abs(trace.alpha.sum(axis=1) - 1.0)) < 1e-12
+    assert np.max(np.abs(trace.segments @ trace.alpha_packed - 1.0)) < 1e-12
 
 
 def test_forward_attention_is_zero_on_padding():
+    # Padding has no packed row, so it takes no attention weight: a
+    # sequence's weights over its own visits sum to one.
     batch = Batch.from_sequences([[(0,), (1,), (2,)], [(3,)]])
     trace = forward(init_params(TINY, seed=5), batch)
-    assert trace.alpha[1, 1] == 0.0
-    assert trace.alpha[1, 2] == 0.0
-    assert trace.alpha[1, 0] == 1.0
+    assert trace.alpha_packed.shape == (4,)
+    assert np.array_equal(trace.alpha_packed[batch.rows == 1], [1.0])
+    assert abs(trace.alpha_packed[batch.rows == 0].sum() - 1.0) < 1e-12
 
 
 def test_forward_single_visit_gets_full_attention():
     trace = forward(init_params(TINY, seed=5), Batch.from_sequences([[(4, 9)]]))
-    assert np.array_equal(trace.alpha, [[1.0]])
+    assert np.array_equal(trace.alpha_packed, [1.0])
 
 
 def test_forward_zero_params_answer_half_half():
@@ -166,9 +173,8 @@ def test_forward_zero_params_answer_half_half():
 
 
 def test_forward_rejects_sequence_without_visits():
-    batch = Batch.from_sequences([[(1,)], []])
-    with pytest.raises(ValueError, match="sequence 1 has no valid visits"):
-        forward(init_params(TINY, seed=5), batch)
+    with pytest.raises(ValueError, match="sequence 1 has no visits"):
+        predict_probs(init_params(TINY, seed=5), [[(1,)], []])
 
 
 def test_forward_rejects_out_of_range_code():
@@ -186,10 +192,18 @@ def test_forward_batched_matches_solo_within_padding_tolerance():
 
 
 def test_predict_probs_matches_forward_across_chunk_sizes():
-    params, seqs, _ = random_small_sequences(14)
+    """Lists that fill one scoring batch, end inside a second one and fill
+    two score as each sequence does alone."""
+    params, _, _ = random_small_sequences(14)
+    rng = np.random.default_rng(14)
+    seqs = [
+        [tuple(rng.choice(20, size=int(rng.integers(1, 5)), replace=False).tolist())
+         for _ in range(int(rng.integers(1, 6)))]
+        for _ in range(2 * SCORE_BATCH_SIZE)
+    ]
     solo = np.stack([forward(params, Batch.from_sequences([s])).probs[0] for s in seqs])
-    for chunk in (1, 2, 256):
-        assert np.max(np.abs(predict_probs(params, seqs, batch_size=chunk) - solo)) < 1e-12
+    for n in (1, SCORE_BATCH_SIZE, SCORE_BATCH_SIZE + 5, 2 * SCORE_BATCH_SIZE):
+        assert np.max(np.abs(predict_probs(params, seqs[:n]) - solo[:n])) < 1e-12
 
 
 def traced_peak(fn) -> int:
@@ -289,17 +303,19 @@ def test_permuting_batch_rows_permutes_outputs_and_keeps_gradients(seed):
     batch, shuffled = Batch.from_sequences(seqs), Batch.from_sequences([seqs[i] for i in perm])
     t_plain, t_shuffled = forward(params, batch), forward(params, shuffled)
     assert np.max(np.abs(t_shuffled.probs - t_plain.probs[perm])) < 1e-12
-    assert np.max(np.abs(t_shuffled.alpha - t_plain.alpha[perm])) < 1e-12
+    for i, b in enumerate(perm):
+        weights = t_plain.alpha_packed[batch.rows == b]  # sequence b's, step after step
+        assert np.max(np.abs(t_shuffled.alpha_packed[shuffled.rows == i] - weights)) < 1e-12
     c = reference_matrix()
-    g_plain = backward(params, batch, t_plain, labels, c)
-    g_shuffled = backward(params, shuffled, t_shuffled, labels[perm], c)
+    g_plain = backward(params, t_plain, labels, c)
+    g_shuffled = backward(params, t_shuffled, labels[perm], c)
     assert np.max(np.abs(g_plain.flat - g_shuffled.flat)) < 1e-12
 
 
 def test_unused_embedding_rows_get_zero_gradient():
     params = init_params(TINY, seed=7)
     batch = Batch.from_sequences([[(0,), (1,)], [(1,)]])
-    grads = backward(params, batch, forward(params, batch), np.array([0, 1]), IDENTITY)
+    grads = backward(params, forward(params, batch), np.array([0, 1]), IDENTITY)
     assert np.all(grads["emb"][2:] == 0.0)
     assert np.any(grads["emb"][:2] != 0.0)
 

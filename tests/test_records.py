@@ -13,7 +13,6 @@ from pretermalc.records import (
     Role,
     Visit,
     VocabularyError,
-    apply_min_visit_filter,
     classify_delivery,
     classify_newborn,
     load_examples,
@@ -22,12 +21,13 @@ from pretermalc.records import (
     outcome_classifier,
     save_examples,
     save_records,
-    truncate_at_prediction_point,
 )
+from pretermalc.linkage import LinkSet, MatchCandidate
 from pretermalc.synth import (
     MOTHER_AMBIGUOUS_CODE,
     MOTHER_FULLTERM_CODES,
     MOTHER_PRETERM_CODES,
+    build_datasets,
     build_vocabulary,
 )
 
@@ -265,39 +265,38 @@ def test_merge_same_day_idempotent(day_codes):
     assert [v.day for v in once.visits] == sorted({d for d, _ in day_codes})
 
 
+DATASET_VOCAB = CodeVocabulary(["650", "765.29", "V22.0"])
+
+
+def dataset_records(*prenatal_days):
+    """The records of the clean examples that build_datasets makes of
+    hand-built mothers, by patient id. Mother m<i> has a prenatal visit on
+    each day of prenatal_days[i] and a full-term delivery on day 400, and is
+    linked to a full-term newborn, so each mother it keeps is dual-labeled."""
+    mothers, newborns, links = [], [], []
+    for i, days in enumerate(prenatal_days):
+        visits = [mk_visit(day, {2}) for day in days] + [mk_visit(400, {0})]
+        mothers.append(mk_record(visits, pid=f"m{i}", delivery_day=400))
+        newborns.append(mk_record([mk_visit(400, {1})], pid=f"n{i}", role=Role.NEWBORN, delivery_day=400))
+        links.append(MatchCandidate(f"n{i}", f"m{i}", 0))
+    d_star, _, _ = build_datasets(mothers, newborns, LinkSet(links), DATASET_VOCAB)
+    return {ex.patient_id: ex.record for ex in d_star}
+
+
 def test_truncate_example():
-    rec = mk_record([mk_visit(100, {0}), mk_visit(250, {1}), mk_visit(350, {2})],
-                    delivery_day=400)
-    out = truncate_at_prediction_point(rec, 90)
+    out = dataset_records([100, 250, 350])["m0"]
     assert [v.day for v in out.visits] == [100, 250]
     assert out.delivery_day == 400
 
 
-def test_truncate_period_zero_keeps_all_up_to_delivery():
-    rec = mk_record([mk_visit(100, {0}), mk_visit(400, {1})], delivery_day=400)
-    out = truncate_at_prediction_point(rec, 0)
-    assert [v.day for v in out.visits] == [100, 400]
-
-
 def test_truncate_boundary_inclusive():
-    rec = mk_record([mk_visit(310, {0})], delivery_day=400)
-    assert len(truncate_at_prediction_point(rec, 90).visits) == 1
-
-
-def test_truncate_requires_delivery_day():
-    rec = mk_record([mk_visit(100, {0})])
-    with pytest.raises(ValueError, match="delivery_day"):
-        truncate_at_prediction_point(rec, 90)
+    out = dataset_records([200, 310, 311])["m0"]
+    assert [v.day for v in out.visits] == [200, 310]
 
 
 def test_min_visit_filter():
-    recs = [mk_record([mk_visit(d, {0}) for d in range(n)], pid=f"p{n}")
-            for n in (1, 2, 5)]
-    examples = [LabeledExample(r, clean_label=Label.PRETERM) for r in recs]
-    kept = apply_min_visit_filter(examples)
-    assert [ex.patient_id for ex in kept] == ["p2", "p5"]
-    assert apply_min_visit_filter([]) == []
-    assert apply_min_visit_filter(examples, min_visits=0) == examples
+    kept = dataset_records([100, 350], [100, 200], [50, 100, 150, 200, 250])
+    assert {pid: len(rec.visits) for pid, rec in kept.items()} == {"m1": 2, "m2": 5}
 
 
 # --- persistence -----------------------------------------------------------------

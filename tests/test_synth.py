@@ -1,9 +1,10 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pretermalc.linkage import LinkageError, link_accuracy, match_newborns
+from pretermalc.linkage import LinkageError, LinkSet, link_accuracy, match_newborns
 from pretermalc.noise import estimate_corruption_matrix
 from pretermalc.records import (
     Label,
@@ -46,6 +47,11 @@ def test_config_errors_name_fields():
         ClericalNoiseModel(missing_newborn_rate=-0.1)
     with pytest.raises(ConfigError, match="time_jitter_sd"):
         ClericalNoiseModel(time_jitter_sd=-1.0)
+    for sd in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match=f"time_jitter_sd must be >= 0 and finite, got {sd}"):
+            ClericalNoiseModel(time_jitter_sd=sd)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        SynthConfig(seed=-1)
     with pytest.raises(ConfigError, match="clean_code_rate"):
         SynthConfig(clean_code_rate=0.2, newborn_coded_rate=0.3)
 
@@ -266,16 +272,15 @@ def test_build_datasets_noisy_label_matches_linked_baby(small_cohort):
 
 
 def test_build_datasets_rejects_a_link_to_an_unknown_mother(small_cohort):
-    links = match_newborns(small_cohort.mothers, small_cohort.newborns, small_cohort.vocab).as_map()
-    newborn_id = next(iter(links))
-    links[newborn_id] = "m99x9999"
+    first, *rest = match_newborns(small_cohort.mothers, small_cohort.newborns, small_cohort.vocab)
+    links = LinkSet([replace(first, mother_id="m99x9999"), *rest])
     with pytest.raises(LinkageError, match="linked mother m99x9999 not present in records"):
         build_datasets(small_cohort.mothers, small_cohort.newborns, links, small_cohort.vocab)
 
 
 def test_build_datasets_rejects_empty_overlap(small_cohort):
     with pytest.raises(DatasetError, match="dual-labeled"):
-        build_datasets(small_cohort.mothers, small_cohort.newborns, {}, small_cohort.vocab)
+        build_datasets(small_cohort.mothers, small_cohort.newborns, LinkSet(()), small_cohort.vocab)
 
 
 def test_default_scale_corpus_shape():

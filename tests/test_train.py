@@ -1,5 +1,6 @@
 """Epoch schedules, the optimizer step, and the training loop."""
 
+import math
 import warnings
 
 import numpy as np
@@ -197,6 +198,11 @@ def test_config_validation_names_the_bad_field():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="learning_rate"):
         TrainConfig(learning_rate=0.0)
+    for rate in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"learning_rate must be > 0 and finite, got {rate}"):
+            TrainConfig(learning_rate=rate)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        TrainConfig(seed=-3)
 
 
 # --- mixed pool -----------------------------------------------------------------
@@ -357,7 +363,7 @@ def test_a_float32_step_creates_no_float64_array():
     params, found = watch_float64(init_params(TINY, seed=10).astype(np.float32))
     state = OptState.for_params(params)
     trace = forward(params, batch)
-    grads = backward(params, batch, trace, labels, reference_matrix())
+    grads = backward(params, trace, labels, reference_matrix())
     optimizer_step(params, grads, state, TrainConfig())
     assert found == []
     arrays = {f"trace.{k}": a for k, a in vars(trace).items() if isinstance(a, np.ndarray)}
@@ -403,7 +409,7 @@ def test_scores_agree_across_batch_compositions(trained_wide_model):
     model, examples = trained_wide_model
     scores = score_examples(model, examples)
     subset = examples[1::3]
-    direct = predict_probs(model, [sequence_of(ex) for ex in subset], batch_size=5)[:, 0]
+    direct = predict_probs(model, [sequence_of(ex) for ex in subset])[:, 0]
     assert np.max(np.abs(scores[1::3] - direct)) <= 1e-12
 
 
