@@ -30,7 +30,7 @@ import numpy as np
 from .linkage import LinkSet, link_accuracy, match_newborns
 from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
 from .noise import CorruptionMatrix, estimate_corruption_matrix
-from .records import CodeVocabulary, DatasetSplit, LabeledExample, load_examples, read_lines
+from .records import CodeVocabulary, DatasetSplit, LabeledExample, RecordFileError, load_examples, read_lines
 from .synth import ClericalNoiseModel, Cohort, SynthConfig, build_datasets, generate_cohort
 from .net import ModelParams, NetDims, init_params
 from .train import TrainConfig, TrainMethod, score_examples, train
@@ -95,6 +95,16 @@ class BenchmarkConfig:
         object.__setattr__(self, "methods", tuple(valid[name] for name in names))
 
 
+def load_labeled_examples(path, vocab: CodeVocabulary, kind: str) -> list[LabeledExample]:
+    """The examples of the clean or noisy file `path`, each of which must
+    carry that `kind` of label, as the `--clean` or `--noisy` file does."""
+    examples = load_examples(path, vocab)
+    for ex in examples:
+        if getattr(ex, f"{kind}_label") is None:
+            raise RecordFileError(f"{path}: example {ex.patient_id} lacks the {kind} label that --{kind} needs")
+    return examples
+
+
 @dataclass(frozen=True)
 class Corpus:
     """The example sets of one cohort. `d_prime`, the dual-labeled set, is
@@ -114,8 +124,8 @@ class Corpus:
     @classmethod
     def from_files(cls, clean_path, noisy_path, vocab_path, config: SynthConfig | None = None) -> "Corpus":
         vocab = CodeVocabulary.load(vocab_path)
-        d_star = load_examples(clean_path, vocab)
-        d_tilde = load_examples(noisy_path, vocab)
+        d_star = load_labeled_examples(clean_path, vocab, "clean")
+        d_tilde = load_labeled_examples(noisy_path, vocab, "noisy")
         return cls(vocab, d_star, d_tilde, [ex for ex in d_star if ex.noisy_label is not None], config)
 
 

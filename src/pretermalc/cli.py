@@ -31,6 +31,7 @@ from .bench import (
     Corpus,
     calibrate_noise,
     derive_seed,
+    load_labeled_examples,
     load_raw_csv,
     repeated_benchmark,
     summarize,
@@ -47,7 +48,6 @@ from .net import CHECKPOINT_MAGIC, NetDims, init_params, save_checkpoint
 from .noise import CorruptionMatrix, estimate_corruption_matrix, load_matrix_csv, save_matrix_csv
 from .records import (
     CodeVocabulary,
-    LabeledExample,
     RecordFileError,
     load_examples,
     load_records,
@@ -442,16 +442,6 @@ def cmd_estimate_c(args: argparse.Namespace) -> int:
     return 0
 
 
-def _examples_with(path: str | None, vocab: CodeVocabulary, kind: str) -> list[LabeledExample]:
-    """The examples of the `--clean` or `--noisy` file `path`, each of which
-    must carry that `kind` of label; none when the flag is not given."""
-    examples = load_examples(path, vocab) if path else []
-    for ex in examples:
-        if getattr(ex, f"{kind}_label") is None:
-            raise RecordFileError(f"{path}: example {ex.patient_id} lacks the {kind} label that --{kind} needs")
-    return examples
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     overrides = _flag_settings(args).get("train", {})
     if args.method is not None:
@@ -471,8 +461,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     if missing:
         raise ConfigError(f"{', '.join(missing)}: needed by {plan}")
     vocab = CodeVocabulary.load(args.vocab)
-    d_star = _examples_with(args.clean, vocab, "clean")
-    d_tilde = _examples_with(args.noisy, vocab, "noisy")
+    d_star = load_labeled_examples(args.clean, vocab, "clean") if args.clean else []
+    d_tilde = load_labeled_examples(args.noisy, vocab, "noisy") if args.noisy else []
     c = load_matrix_csv(args.c_matrix) if args.c_matrix else None
     params = init_params(NetDims(vocab_size=len(vocab)), derive_seed(config.seed, "init"))
     model, log = train(params, d_star, d_tilde, c, config)
@@ -487,10 +477,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     settings = resolve_run_settings(args, "benchmark")
     workers = _threads(args.threads)
-    vocab = CodeVocabulary.load(args.vocab)
-    d_star = _examples_with(args.clean, vocab, "clean")
-    d_tilde = _examples_with(args.noisy, vocab, "noisy")
-    corpus = Corpus(vocab, d_star, d_tilde, [ex for ex in d_star if ex.noisy_label is not None])
+    corpus = Corpus.from_files(args.clean, args.noisy, args.vocab)
     benchmark_stage(corpus, settings, workers, args.curves, Path(args.out))
     return 0
 
