@@ -45,7 +45,7 @@ from .linkage import (
     save_links,
 )
 from .net import CHECKPOINT_MAGIC, NetDims, init_params, save_checkpoint
-from .noise import CorruptionMatrix, estimate_corruption_matrix, load_matrix_csv, save_matrix_csv
+from .noise import CorruptionMatrix, EstimationError, estimate_corruption_matrix, load_matrix_csv, save_matrix_csv
 from .records import (
     CodeVocabulary,
     RecordFileError,
@@ -357,6 +357,7 @@ def synth_stage(config: SynthConfig, out_dir: Path) -> Cohort:
 def link_stage(mothers, newborns, vocab: CodeVocabulary, out: Path, truth: GroundTruth | None = None) -> LinkSet:
     """Link newborns to mothers; with `truth`, also print the link accuracy."""
     links = match_newborns(mothers, newborns, vocab)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_links(links, out)
     print(f"linked {len(links)} newborns -> {out}")
     if truth is not None:
@@ -378,6 +379,7 @@ def datasets_stage(mothers, newborns, links, vocab: CodeVocabulary, out_dir: Pat
 
 def estimate_c_stage(dual, out: Path) -> CorruptionMatrix:
     c = estimate_corruption_matrix(dual)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix_csv(c, out)
     print(f"estimated corruption matrix from {len(dual)} dual-labeled examples -> {out}")
     for i in range(2):
@@ -438,7 +440,10 @@ def cmd_estimate_c(args: argparse.Namespace) -> int:
     vocab = CodeVocabulary.load(args.vocab)
     examples = load_examples(args.examples, vocab)
     dual = [ex for ex in examples if ex.clean_label is not None and ex.noisy_label is not None]
-    estimate_c_stage(dual, Path(args.out))
+    try:
+        estimate_c_stage(dual, Path(args.out))
+    except EstimationError as exc:
+        raise EstimationError(f"{args.examples}: {exc}") from None
     return 0
 
 
@@ -466,6 +471,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     c = load_matrix_csv(args.c_matrix) if args.c_matrix else None
     params = init_params(NetDims(vocab_size=len(vocab)), derive_seed(config.seed, "init"))
     model, log = train(params, d_star, d_tilde, c, config)
+    for out in filter(None, (args.out_checkpoint, args.out_log)):
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, args.out_checkpoint)
     if args.out_log:
         save_loss_log(log, args.out_log)

@@ -244,10 +244,8 @@ class Batch:
 
 def sequence_of(example: LabeledExample) -> list[VisitCodes]:
     """Each visit's code set, in time order. The embedding counts codes, so
-    their order within a visit does not matter. An example without visits
-    has no sequence to score and is rejected by its id."""
-    if not example.record.visits:
-        raise ValueError(f"example {example.patient_id} has no visits")
+    their order within a visit does not matter. ``LabeledExample`` holds a
+    visit, so the sequence is never empty."""
     return [v.codes for v in example.record.visits]
 
 
@@ -473,7 +471,11 @@ def predict_probs(params: ModelParams, seqs: Sequence[Sequence[VisitCodes]]) -> 
     """Class probabilities for each sequence, in input order, computed
     ``SCORE_BATCH_SIZE`` sequences at a time, which keeps the working set of
     a batch near that of a training step. A score moves only by rounding
-    (about 1e-16) with the batch it sits in."""
+    (about 1e-16) with the batch it sits in. A sequence without visits is
+    named by its index in ``seqs``."""
+    empty = next((i for i, seq in enumerate(seqs) if not len(seq)), None)
+    if empty is not None:
+        raise ValueError(f"sequence {empty} has no visits")
     out = np.empty((len(seqs), 2))
     for start in range(0, len(seqs), SCORE_BATCH_SIZE):
         chunk = seqs[start : start + SCORE_BATCH_SIZE]

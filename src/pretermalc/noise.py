@@ -75,7 +75,7 @@ def estimate_corruption_matrix(d_prime: Sequence[LabeledExample]) -> CorruptionM
     row_sums = counts.sum(axis=1)
     for i in range(N_CLASSES):
         if row_sums[i] == 0:
-            raise EstimationError(f"no examples with clean label {Label(i).name}; cannot estimate row")
+            raise EstimationError(f"no dual-labeled examples with clean label {Label(i).name}; cannot estimate row")
     entries = counts / row_sums[:, None]
     return CorruptionMatrix(entries=entries, counts=counts)
 

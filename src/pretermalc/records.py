@@ -124,6 +124,10 @@ class Visit:
 
 @dataclass(frozen=True)
 class PatientRecord:
+    """A patient's visits in time order, one per calendar day: visits given
+    on one day are one encounter, merged as ``merge_stays`` merges them. A
+    newborn has exactly one visit, its birth encounter."""
+
     patient_id: str
     hospital_id: str
     role: Role
@@ -131,12 +135,15 @@ class PatientRecord:
     delivery_day: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "visits", tuple(self.visits))
-        keys = [(v.day, v.t_adm) for v in self.visits]
+        visits = tuple(self.visits)
+        keys = [(v.day, v.t_adm) for v in visits]
         if keys != sorted(keys):
             raise ValueError(f"visits of {self.patient_id} not time-ordered")
-        if self.role is Role.NEWBORN and len(self.visits) != 1:
-            raise ValueError(f"newborn {self.patient_id} must have exactly one visit, got {len(self.visits)}")
+        if self.role is Role.NEWBORN and len(visits) != 1:
+            raise ValueError(f"newborn {self.patient_id} must have exactly one visit, got {len(visits)}")
+        if any(a.day == b.day for a, b in zip(visits, visits[1:])):
+            visits = merge_stays((v.day, v.t_adm, v.t_dis, v.codes) for v in visits)
+        object.__setattr__(self, "visits", visits)
 
     def visit_on(self, day: int) -> Visit | None:
         for v in self.visits:
@@ -147,7 +154,9 @@ class PatientRecord:
 
 @dataclass(frozen=True)
 class LabeledExample:
-    """A truncated mother record with its clean and/or noisy outcome label."""
+    """A truncated mother record with its clean and/or noisy outcome label.
+    The record holds a visit: the dataset builder keeps only records with
+    two or more, and a model cannot score a record with none."""
 
     record: PatientRecord
     clean_label: Label | None = None
@@ -156,6 +165,8 @@ class LabeledExample:
     def __post_init__(self) -> None:
         if self.clean_label is None and self.noisy_label is None:
             raise ValueError(f"example {self.record.patient_id} carries no label")
+        if not self.record.visits:
+            raise ValueError(f"example {self.record.patient_id} has no visits")
 
     @property
     def patient_id(self) -> str:
@@ -275,22 +286,6 @@ def merge_stays(stays: Iterable[tuple[int, int, int, AbstractSet[int]]]) -> tupl
     )
 
 
-def merge_same_day(record: PatientRecord) -> PatientRecord:
-    """Collapse visits sharing a calendar day into one encounter: union of
-    codes, earliest admission, latest discharge. Idempotent; a record with
-    no two visits on one day is returned as it is."""
-    visits = record.visits
-    if all(a.day != b.day for a, b in zip(visits, visits[1:])):
-        return record
-    return PatientRecord(
-        patient_id=record.patient_id,
-        hospital_id=record.hospital_id,
-        role=record.role,
-        visits=merge_stays((v.day, v.t_adm, v.t_dis, v.codes) for v in visits),
-        delivery_day=record.delivery_day,
-    )
-
-
 # --- persistence ------------------------------------------------------------
 #
 # Record files are line-delimited JSON, one patient per line, with codes
@@ -393,14 +388,7 @@ def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: C
 
 
 def load_examples(path: str | Path, vocab: CodeVocabulary) -> list[LabeledExample]:
-    """The examples of a file written by ``save_examples``. Each must hold
-    a visit: the dataset builder keeps only records with two or more, and a
-    model cannot score a record with none."""
-
-    def parse(line: str) -> LabeledExample:
-        example = LabeledExample(*record_from_dict(json.loads(line), vocab))
-        if not example.record.visits:
-            raise ValueError(f"example {example.patient_id} has no visits")
-        return example
-
-    return read_lines(path, parse)
+    """The examples of a file written by ``save_examples``. An example that
+    ``LabeledExample`` refuses, such as one without visits, is named with
+    the file and line."""
+    return read_lines(path, lambda line: LabeledExample(*record_from_dict(json.loads(line), vocab)))

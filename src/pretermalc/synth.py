@@ -31,7 +31,6 @@ from .records import (
     Role,
     Visit,
     classify_delivery,
-    merge_same_day,
     merge_stays,
     outcome_classifier,
     read_lines,
@@ -379,7 +378,8 @@ def build_datasets(
 ) -> tuple[list[LabeledExample], list[LabeledExample], list[LabeledExample]]:
     """Assemble (clean, noisy, dual-labeled) example sets from linked records.
 
-    Records are same-day merged and keep the visits on or before
+    A record holds one visit per day, so its delivery visit is the whole
+    delivery encounter. An example keeps the visits on or before
     ``delivery_day - PREDICTION_PERIOD_DAYS``; a mother left with fewer than
     MIN_VISITS of them is dropped. A mother enters the clean set when her
     own delivery codes classify, the noisy set when the links gave her a
@@ -396,16 +396,15 @@ def build_datasets(
     for record in mothers:
         if record.role is not Role.MOTHER or record.delivery_day is None:
             continue
-        merged = merge_same_day(record)
-        dv = merged.visit_on(merged.delivery_day)
+        dv = record.visit_on(record.delivery_day)
         clean = None if dv is None else classify(dv.codes)
         noisy = noisy_by_mother.get(record.patient_id)
         if clean is None and noisy is None:
             continue
-        cutoff = merged.delivery_day - PREDICTION_PERIOD_DAYS
-        visits = tuple(v for v in merged.visits if v.day <= cutoff)
+        cutoff = record.delivery_day - PREDICTION_PERIOD_DAYS
+        visits = tuple(v for v in record.visits if v.day <= cutoff)
         if len(visits) >= MIN_VISITS:
-            examples.append(LabeledExample(replace(merged, visits=visits), clean, noisy))
+            examples.append(LabeledExample(replace(record, visits=visits), clean, noisy))
 
     d_star = [ex for ex in examples if ex.clean_label is not None]
     d_tilde = [ex for ex in examples if ex.noisy_label is not None]

@@ -460,6 +460,36 @@ def test_link_command_reports_accuracy(pipeline_dir, tmp_path, capsys):
     assert (tmp_path / "links.tsv").read_bytes() == (pipeline_dir / "links.tsv").read_bytes()
 
 
+def test_link_and_datasets_read_one_delivery_encounter(tmp_path):
+    """A triage visit on the delivery day is part of the delivery encounter
+    that `link` matches and `datasets` labels."""
+    def visit(codes, t_adm, t_dis):
+        return {"day": t_adm // 1440, "codes": codes, "t_adm": t_adm, "t_dis": t_dis}
+
+    t0 = 400 * 1440
+    mother = {"patient_id": "m0", "hospital_id": "h00", "role": "mother", "delivery_day": 400, "visits": [
+        visit(["V22.0"], 100 * 1440 + 60, 100 * 1440 + 120),
+        visit(["V22.0"], 200 * 1440 + 60, 200 * 1440 + 120),
+        visit(["V22.0"], t0 + 8 * 60, t0 + 9 * 60),
+        visit(["650"], t0 + 10 * 60, t0 + 10 * 60 + 2 * 1440),
+    ]}
+    newborn = {"patient_id": "n0", "hospital_id": "h00", "role": "newborn", "delivery_day": 400,
+               "visits": [visit(["765.29"], t0 + 10 * 60 + 20, t0 + 10 * 60 + 2 * 1440)]}
+    (tmp_path / "vocabulary.txt").write_text("650\n765.29\nV22.0\n", encoding="utf-8")
+    (tmp_path / "mothers.jsonl").write_text(json.dumps(mother) + "\n", encoding="utf-8")
+    (tmp_path / "newborns.jsonl").write_text(json.dumps(newborn) + "\n", encoding="utf-8")
+    cohort = [f"--{name}={tmp_path / file}" for name, file in
+              (("mothers", "mothers.jsonl"), ("newborns", "newborns.jsonl"), ("vocab", "vocabulary.txt"))]
+    links = tmp_path / "links.tsv"
+    assert main(["link", *cohort, "--out", str(links)]) == 0
+    assert links.read_text(encoding="utf-8") == "n0\tm0\t140\n"
+    assert main(["datasets", *cohort, "--links", str(links), "--out", str(tmp_path)]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "d_prime.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [(row["patient_id"], row["clean_label"], row["noisy_label"]) for row in rows] == [
+        ("m0", "fullterm", "fullterm")
+    ]
+
+
 def test_estimate_c_matches_the_pipeline_matrix(pipeline_dir, tmp_path, capsys):
     code = main([
         "estimate-c",
@@ -470,6 +500,36 @@ def test_estimate_c_matches_the_pipeline_matrix(pipeline_dir, tmp_path, capsys):
     assert code == 0
     assert "dual-labeled examples" in capsys.readouterr().out
     assert (tmp_path / "c.csv").read_bytes() == (pipeline_dir / "c_matrix.csv").read_bytes()
+
+
+def test_estimate_c_names_a_file_without_dual_labeled_examples(pipeline_dir, tmp_path, capsys):
+    rows = [json.loads(line) for line in (pipeline_dir / "d_star.jsonl").read_text(encoding="utf-8").splitlines()]
+    clean = tmp_path / "clean_only.jsonl"
+    clean.write_text("".join(json.dumps({**row, "noisy_label": None}) + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "c.csv"
+    code = main(["estimate-c", "--examples", str(clean), "--vocab", str(pipeline_dir / "vocabulary.txt"),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {clean}: no dual-labeled examples with clean label PRETERM; cannot estimate row\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("link", "--out"), ("estimate-c", "--out"), ("train", "--out-checkpoint"), ("train", "--out-log"),
+])
+def test_a_file_output_makes_its_directory(pipeline_dir, tmp_path, command, flag):
+    d = pipeline_dir
+    inputs = {
+        "link": ["--mothers", f"{d}/mothers.jsonl", "--newborns", f"{d}/newborns.jsonl"],
+        "estimate-c": ["--examples", f"{d}/d_prime.jsonl"],
+        "train": ["--clean", f"{d}/d_star.jsonl", "--method", "NoLC_clean", "--epochs", "1"],
+    }[command]
+    checkpoint = ["--out-checkpoint", str(tmp_path / "x.ckpt")] if flag == "--out-log" else []
+    out = tmp_path / "new" / "dir" / "file"
+    assert main([command, *inputs, "--vocab", f"{d}/vocabulary.txt", *checkpoint, flag, str(out)]) == 0
+    assert out.is_file()
 
 
 def test_train_command_is_deterministic(pipeline_dir, tmp_path, capsys):

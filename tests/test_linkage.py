@@ -21,7 +21,7 @@ from pretermalc.records import (
     Visit,
     classify_newborn,
 )
-from pretermalc.synth import GroundTruth
+from pretermalc.synth import GroundTruth, build_datasets
 
 VOCAB = CodeVocabulary(["650", "644.21", "765.29", "765.21", "V30.00"])
 MIN_DAY = 1440
@@ -157,6 +157,29 @@ def test_threshold_applies_before_cap():
     ]
     links = match_newborns(mothers, babies, VOCAB)
     assert links.as_map() == {"n0": "m0", "n1": "m0"}
+
+
+def test_a_triage_visit_on_the_delivery_day_is_part_of_the_delivery_encounter():
+    """The 08:00-09:00 triage visit alone is 3,080 minutes from the newborn
+    in L1; the delivery encounter it opens is 140."""
+    vocab = CodeVocabulary(["650", "765.29", "V22.0"])
+    day = 400
+    t0 = day * MIN_DAY
+    prenatal = [Visit(d, {2}, d * MIN_DAY + 60, d * MIN_DAY + 120) for d in (100, 200)]
+    mother = PatientRecord("m0", "h00", Role.MOTHER, visits=(
+        *prenatal,
+        Visit(day, {2}, t0 + 8 * 60, t0 + 9 * 60),
+        Visit(day, {0}, t0 + 10 * 60, t0 + 10 * 60 + 2 * MIN_DAY),
+    ), delivery_day=day)
+    newborn = PatientRecord("n0", "h00", Role.NEWBORN, visits=(
+        Visit(day, {1}, t0 + 10 * 60 + 20, t0 + 10 * 60 + 2 * MIN_DAY),
+    ), delivery_day=day)
+    links = match_newborns([mother], [newborn], vocab)
+    assert list(links) == [MatchCandidate("n0", "m0", 140)]
+    _, _, d_prime = build_datasets([mother], [newborn], links, vocab)
+    assert [(ex.patient_id, ex.clean_label, ex.noisy_label) for ex in d_prime] == [
+        ("m0", Label.FULL_TERM, Label.FULL_TERM)
+    ]
 
 
 def test_unclassifiable_newborns_ignored():

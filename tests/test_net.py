@@ -175,6 +175,9 @@ def test_forward_zero_params_answer_half_half():
 def test_forward_rejects_sequence_without_visits():
     with pytest.raises(ValueError, match="sequence 1 has no visits"):
         predict_probs(init_params(TINY, seed=5), [[(1,)], []])
+    # named by its index in the caller's list, not in its scoring batch
+    with pytest.raises(ValueError, match=f"^sequence {SCORE_BATCH_SIZE + 6} has no visits$"):
+        predict_probs(init_params(TINY, seed=5), [[(1,)]] * (SCORE_BATCH_SIZE + 6) + [[]])
 
 
 def test_forward_rejects_out_of_range_code():

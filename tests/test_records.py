@@ -17,7 +17,7 @@ from pretermalc.records import (
     classify_newborn,
     load_examples,
     load_records,
-    merge_same_day,
+    merge_stays,
     outcome_classifier,
     save_examples,
     save_records,
@@ -217,26 +217,30 @@ def test_newborn_classifier_rejects_out_of_range_index():
 
 
 def test_merge_same_day_example():
-    rec = mk_record([
+    visits = [
         mk_visit(5, {0}, t_adm=5 * MIN_DAY + 10, t_dis=5 * MIN_DAY + 50),
         mk_visit(5, {1}, t_adm=5 * MIN_DAY + 100, t_dis=5 * MIN_DAY + 200),
         mk_visit(9, {2}),
-    ])
-    merged = merge_same_day(rec)
-    assert [v.day for v in merged.visits] == [5, 9]
-    assert merged.visits[0].codes == frozenset({0, 1})
-    assert merged.visits[0].t_adm == 5 * MIN_DAY + 10
-    assert merged.visits[0].t_dis == 5 * MIN_DAY + 200
+    ]
+    rec = mk_record(visits)
+    assert [v.day for v in rec.visits] == [5, 9]
+    assert rec.visits[0].codes == frozenset({0, 1})
+    assert rec.visits[0].t_adm == 5 * MIN_DAY + 10
+    assert rec.visits[0].t_dis == 5 * MIN_DAY + 200
+    with pytest.raises(ValueError, match="not time-ordered"):
+        mk_record([visits[1], visits[0]])
+    with pytest.raises(ValueError, match="exactly one visit, got 2"):
+        mk_record(visits[:2], role=Role.NEWBORN)
 
 
 def test_merge_single_visit_identity():
-    rec = mk_record([mk_visit(3, {0})])
-    assert merge_same_day(rec) == rec
+    visit = mk_visit(3, {0})
+    assert mk_record([visit]).visits == (visit,)
 
 
 def test_merge_returns_record_without_same_day_visits_unchanged():
-    rec = mk_record([mk_visit(3, {0}), mk_visit(4, {1, 2}), mk_visit(9, {2})])
-    assert merge_same_day(rec) is rec
+    visits = [mk_visit(3, {0}), mk_visit(4, {1, 2}), mk_visit(9, {2})]
+    assert all(kept is given for kept, given in zip(mk_record(visits).visits, visits, strict=True))
 
 
 def test_merge_duplicate_codes():
@@ -244,9 +248,8 @@ def test_merge_duplicate_codes():
         mk_visit(3, {0}, t_adm=3 * MIN_DAY, t_dis=3 * MIN_DAY + 9),
         mk_visit(3, {0}, t_adm=3 * MIN_DAY + 20, t_dis=3 * MIN_DAY + 30),
     ])
-    merged = merge_same_day(rec)
-    assert len(merged.visits) == 1
-    assert merged.visits[0].codes == frozenset({0})
+    assert len(rec.visits) == 1
+    assert rec.visits[0].codes == frozenset({0})
 
 
 @given(st.lists(
@@ -260,9 +263,8 @@ def test_merge_same_day_idempotent(day_codes):
         for i, (day, codes) in enumerate(day_codes)
     ]
     rec = mk_record(visits)
-    once = merge_same_day(rec)
-    assert merge_same_day(once) == once
-    assert [v.day for v in once.visits] == sorted({d for d, _ in day_codes})
+    assert rec.visits == merge_stays((v.day, v.t_adm, v.t_dis, v.codes) for v in visits)
+    assert mk_record(rec.visits) == rec
 
 
 DATASET_VOCAB = CodeVocabulary(["650", "765.29", "V22.0"])

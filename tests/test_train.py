@@ -309,19 +309,11 @@ def test_train_requires_the_scheduled_label():
 
 
 def test_an_example_without_visits_is_named_by_its_id():
-    """Training and scoring name the example, not its row in a shuffled or
-    scoring batch."""
-    d_star, _ = small_corpora(n=150)
-    empty = LabeledExample(
-        PatientRecord(patient_id="m-empty", hospital_id="h00", role=Role.MOTHER, visits=()),
-        clean_label=Label.PRETERM,
-    )
-    examples = d_star[:100] + [empty] + d_star[100:]
+    """An example without visits is refused when it is built, by its id, so
+    no training or scoring batch can hold one."""
+    record = PatientRecord(patient_id="m-empty", hospital_id="h00", role=Role.MOTHER, visits=())
     with pytest.raises(ValueError, match="^example m-empty has no visits$"):
-        train(init_params(TINY, seed=10), examples, [], None,
-              TrainConfig(method=TrainMethod.NOLC_CLEAN, n_epochs=1))
-    with pytest.raises(ValueError, match="^example m-empty has no visits$"):
-        score_examples(init_params(TINY, seed=10), examples)
+        LabeledExample(record, clean_label=Label.PRETERM)
 
 
 # --- float32 training, float64 boundary ----------------------------------------
