@@ -30,7 +30,15 @@ import numpy as np
 from .linkage import LinkSet, link_accuracy, match_newborns
 from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
 from .noise import CorruptionMatrix, estimate_corruption_matrix
-from .records import CodeVocabulary, DatasetSplit, LabeledExample, RecordFileError, load_examples, read_lines
+from .records import (
+    CodeVocabulary,
+    DatasetSplit,
+    LabeledExample,
+    RecordFileError,
+    collector_paused,
+    load_examples,
+    read_lines,
+)
 from .synth import ClericalNoiseModel, Cohort, SynthConfig, build_datasets, generate_cohort
 from .net import ModelParams, NetDims, init_params
 from .train import TrainConfig, TrainMethod, score_examples, train
@@ -428,6 +436,7 @@ def repeated_benchmark(
 # --- noise calibration -------------------------------------------------------
 
 
+@collector_paused()
 def mean_label_accuracy(config: SynthConfig) -> float:
     """Average noisy-label accuracy of the heuristic linkage over
     CALIBRATION_SEEDS cohorts generated with seeds derived from config.seed.

@@ -254,6 +254,14 @@ def resolve_run_settings(args: argparse.Namespace, command: str) -> RunSettings:
     return RunSettings(synth, resolve("train", TrainConfig()), benchmark)
 
 
+def _check_file_outputs(paths: dict[str, str | None]) -> None:
+    """Raise ConfigError naming the first flag whose output file is an
+    existing directory; a subcommand calls it before it reads any input."""
+    for flag, path in paths.items():
+        if path and Path(path).is_dir():
+            raise ConfigError(f"{flag}: {path} is a directory")
+
+
 def _threads(value: int) -> int:
     if value < 1:
         raise ConfigError(f"--threads must be >= 1, got {value}")
@@ -416,6 +424,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
+    _check_file_outputs({"--out": args.out})
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
@@ -437,6 +446,7 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate_c(args: argparse.Namespace) -> int:
+    _check_file_outputs({"--out": args.out})
     vocab = CodeVocabulary.load(args.vocab)
     examples = load_examples(args.examples, vocab)
     dual = [ex for ex in examples if ex.clean_label is not None and ex.noisy_label is not None]
@@ -448,6 +458,7 @@ def cmd_estimate_c(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_file_outputs({"--out-checkpoint": args.out_checkpoint, "--out-log": args.out_log})
     overrides = _flag_settings(args).get("train", {})
     if args.method is not None:
         overrides["method"] = TrainMethod(args.method)

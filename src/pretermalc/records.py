@@ -8,7 +8,9 @@ always floor(t_adm / 1440).
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
@@ -286,6 +288,21 @@ def merge_stays(stays: Iterable[tuple[int, int, int, AbstractSet[int]]]) -> tupl
     )
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with Python's cyclic garbage collector off, then
+    restore its previous state. Building records allocates many small
+    objects but no reference cycles, so the collector's passes over them
+    find nothing to free; used as a decorator on the record builders."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # --- persistence ------------------------------------------------------------
 #
 # Record files are line-delimited JSON, one patient per line, with codes
@@ -387,6 +404,7 @@ def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: C
     )
 
 
+@collector_paused()
 def load_examples(path: str | Path, vocab: CodeVocabulary) -> list[LabeledExample]:
     """The examples of a file written by ``save_examples``. An example that
     ``LabeledExample`` refuses, such as one without visits, is named with

@@ -31,7 +31,7 @@ from .records import (
     Role,
     Visit,
     classify_delivery,
-    merge_stays,
+    collector_paused,
     outcome_classifier,
     read_lines,
 )
@@ -247,12 +247,13 @@ def _visit_codes(
     for n in n_bg:
         sets.append(set(bg[start : start + n]))
         start += n
-    for hit in np.flatnonzero(risk_hits).tolist():
-        v, r = divmod(hit, N_RISK_CODES)
+    visits, risks = risk_hits.nonzero()
+    for v, r in zip(visits.tolist(), risks.tolist()):
         sets[v].add(risk_lo + r)
     return sets
 
 
+@collector_paused()
 def generate_cohort(config: SynthConfig) -> Cohort:
     """Generate mothers, newborns, and ground truth for one configuration."""
     vocab = build_vocabulary()
@@ -277,15 +278,16 @@ def generate_cohort(config: SynthConfig) -> Cohort:
 
     for h, n_m in enumerate(_mothers_per_hospital(config)):
         rng = np.random.default_rng([config.seed, h])
+        integers, random, poisson, normal = rng.integers, rng.random, rng.poisson, rng.normal
         hospital_id = f"h{h:02d}"
         adm = _place_deliveries(rng, n_m, delivery_window, noise.swap_window_minutes)
-        los = rng.integers(DELIVERY_LOS_RANGE[0], DELIVERY_LOS_RANGE[1] + 1, size=n_m)
+        los = integers(DELIVERY_LOS_RANGE[0], DELIVERY_LOS_RANGE[1] + 1, size=n_m)
         dis = (adm + los).tolist()
         adm = adm.tolist()
-        is_preterm = (rng.random(n_m) < PRETERM_PREVALENCE).tolist()
+        is_preterm = (random(n_m) < PRETERM_PREVALENCE).tolist()
         # One uniform drives both coding decisions, maximally anti-correlated,
         # so the dual-labeled overlap is only the excess of the two rates over 1.
-        code_u = rng.random(n_m)
+        code_u = random(n_m)
         clean_coded = (code_u < config.clean_code_rate).tolist()
         baby_coded = (code_u >= 1.0 - config.newborn_coded_rate).tolist()
 
@@ -295,44 +297,45 @@ def generate_cohort(config: SynthConfig) -> Cohort:
             labels[mother_id] = label
             delivery_day = adm[i] // MINUTES_PER_DAY
 
-            n_vis = int(rng.poisson(VISITS_PER_MOTHER))
-            days = delivery_day - rng.integers(1, HISTORY_SPAN_DAYS + 1, size=n_vis)
-            t_adm = days * MINUTES_PER_DAY + rng.integers(
-                VISIT_ADM_HOUR_RANGE[0], VISIT_ADM_HOUR_RANGE[1] + 1, size=n_vis
-            )
-            t_dis = t_adm + rng.integers(VISIT_LOS_RANGE[0], VISIT_LOS_RANGE[1] + 1, size=n_vis)
+            n_vis = int(poisson(VISITS_PER_MOTHER))
+            days = (delivery_day - integers(1, HISTORY_SPAN_DAYS + 1, size=n_vis)).tolist()
+            minutes = integers(VISIT_ADM_HOUR_RANGE[0], VISIT_ADM_HOUR_RANGE[1] + 1, size=n_vis).tolist()
+            stay_los = integers(VISIT_LOS_RANGE[0], VISIT_LOS_RANGE[1] + 1, size=n_vis).tolist()
             code_sets = _visit_codes(rng, n_vis + 1, is_preterm[i], risk_lo, bg_lo)
             if clean_coded[i]:
                 pool = pt_pool if is_preterm[i] else ft_pool
-                outcome = pool[int(rng.integers(0, len(pool)))]
+                outcome = pool[int(integers(0, len(pool)))]
             else:
                 outcome = ambiguous
-                rng.integers(0, 4)  # keep the stream aligned across coding choices
+                integers(0, 4)  # keep the stream aligned across coding choices
             code_sets[n_vis].add(outcome)
-            stays = zip(
-                days.tolist() + [delivery_day],
-                t_adm.tolist() + [adm[i]],
-                t_dis.tolist() + [dis[i]],
-                code_sets,
-            )
+            # Admission minutes fall within the day, so admission order is
+            # (day, t_adm) order; every prenatal day precedes the delivery
+            # day. PatientRecord merges prenatal visits that share a day.
+            t_adm = [day * MINUTES_PER_DAY + minute for day, minute in zip(days, minutes)]
+            visits = [
+                Visit(day=days[k], codes=frozenset(code_sets[k]), t_adm=t_adm[k], t_dis=t_adm[k] + stay_los[k])
+                for k in sorted(range(n_vis), key=t_adm.__getitem__)
+            ]
+            visits.append(Visit(day=delivery_day, codes=frozenset(code_sets[n_vis]), t_adm=adm[i], t_dis=dis[i]))
             mothers.append(
                 PatientRecord(
                     patient_id=mother_id,
                     hospital_id=hospital_id,
                     role=Role.MOTHER,
-                    visits=merge_stays(stays),
+                    visits=tuple(visits),
                     delivery_day=delivery_day,
                 )
             )
 
-            u_multi = rng.random()
+            u_multi = random()
             n_babies = 3 if u_multi < TRIPLET_RATE else (2 if u_multi < TRIPLET_RATE + TWIN_RATE else 1)
             for b in range(n_babies):
                 # Fixed draw count per baby keeps hospital streams aligned
                 # when only noise thresholds change between configs.
-                u_missing, u_flip = rng.random(2).tolist()
-                pick = int(rng.integers(0, len(baby_pt_pool)))
-                jitter_adm, jitter_dis = rng.normal(0.0, 1.0, size=2).tolist()
+                u_missing, u_flip = random(2).tolist()
+                pick = int(integers(0, len(baby_pt_pool)))
+                jitter_adm, jitter_dis = normal(0.0, 1.0, size=2).tolist()
                 if u_missing < noise.missing_newborn_rate:
                     continue
                 newborn_id = f"n{h:02d}x{i:04d}{b}"
@@ -370,6 +373,7 @@ def generate_cohort(config: SynthConfig) -> Cohort:
     )
 
 
+@collector_paused()
 def build_datasets(
     mothers: Sequence[PatientRecord],
     newborns: Sequence[PatientRecord],

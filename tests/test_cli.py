@@ -516,20 +516,38 @@ def test_estimate_c_names_a_file_without_dual_labeled_examples(pipeline_dir, tmp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("link", "--out"), ("estimate-c", "--out"), ("train", "--out-checkpoint"), ("train", "--out-log"),
-])
-def test_a_file_output_makes_its_directory(pipeline_dir, tmp_path, command, flag):
-    d = pipeline_dir
-    inputs = {
+FILE_OUTPUTS = [("link", "--out"), ("estimate-c", "--out"), ("train", "--out-checkpoint"), ("train", "--out-log")]
+
+
+def file_output_inputs(command, d):
+    """The input flags of a subcommand with a file output, read from d."""
+    return {
         "link": ["--mothers", f"{d}/mothers.jsonl", "--newborns", f"{d}/newborns.jsonl"],
         "estimate-c": ["--examples", f"{d}/d_prime.jsonl"],
         "train": ["--clean", f"{d}/d_star.jsonl", "--method", "NoLC_clean", "--epochs", "1"],
     }[command]
+
+
+@pytest.mark.parametrize("command, flag", FILE_OUTPUTS)
+def test_a_file_output_makes_its_directory(pipeline_dir, tmp_path, command, flag):
+    d = pipeline_dir
+    inputs = file_output_inputs(command, d)
     checkpoint = ["--out-checkpoint", str(tmp_path / "x.ckpt")] if flag == "--out-log" else []
     out = tmp_path / "new" / "dir" / "file"
     assert main([command, *inputs, "--vocab", f"{d}/vocabulary.txt", *checkpoint, flag, str(out)]) == 0
     assert out.is_file()
+
+
+@pytest.mark.parametrize("command, flag", FILE_OUTPUTS)
+def test_a_file_output_that_is_a_directory_fails_first(pipeline_dir, tmp_path, capsys, command, flag):
+    inputs = file_output_inputs(command, pipeline_dir)
+    checkpoint = ["--out-checkpoint", str(tmp_path / "x.ckpt")] if flag == "--out-log" else []
+    # The vocabulary does not exist, so reading any input would fail otherwise.
+    vocab = tmp_path / "missing_vocabulary.txt"
+    code = main([command, *inputs, "--vocab", str(vocab), *checkpoint, flag, str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag}: {tmp_path} is a directory\n"
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_train_command_is_deterministic(pipeline_dir, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -22,13 +23,18 @@ from pretermalc.records import (
     save_examples,
     save_records,
 )
-from pretermalc.linkage import LinkSet, MatchCandidate
+from pretermalc.bench import Corpus, build_corpus, mean_label_accuracy
+from pretermalc.linkage import LinkSet, MatchCandidate, link_accuracy, match_newborns
 from pretermalc.synth import (
     MOTHER_AMBIGUOUS_CODE,
     MOTHER_FULLTERM_CODES,
     MOTHER_PRETERM_CODES,
+    ConfigError,
+    DatasetError,
+    SynthConfig,
     build_datasets,
     build_vocabulary,
+    generate_cohort,
 )
 
 MIN_DAY = 1440
@@ -373,3 +379,97 @@ def test_load_reports_missing_key(tmp_path):
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(RecordFileError, match="visits"):
         load_records(path, vocab)
+
+
+# --- the cyclic collector -----------------------------------------------------
+#
+# Cohort generation, dataset building, example loading and calibration's
+# per-cohort loop run with Python's cyclic collector paused, since the
+# records they build hold no reference cycles. The caller's collector state
+# must come back, also on an error.
+
+SMALL_COHORT = SynthConfig(n_mothers=120, n_hospitals=2, seed=1)
+
+
+def _builder_calls(tmp_path):
+    """(name, call, exception the call raises or None) for each builder."""
+    cohort = generate_cohort(SMALL_COHORT)
+    links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
+    d_star, _, _ = build_datasets(cohort.mothers, cohort.newborns, links, cohort.vocab)
+    good, bad = tmp_path / "examples.jsonl", tmp_path / "malformed.jsonl"
+    save_examples(d_star, good, cohort.vocab)
+    bad.write_text(good.read_text(encoding="utf-8").splitlines()[0] + "\n{not json\n", encoding="utf-8")
+    mothers, newborns, vocab = cohort.mothers, cohort.newborns, cohort.vocab
+    # 800,000 delivery times do not fit one hospital's 777,600-minute window.
+    too_many = SynthConfig(n_mothers=800_000, n_hospitals=1)
+    return [
+        ("generate_cohort", lambda: generate_cohort(SMALL_COHORT), None),
+        ("generate_cohort", lambda: generate_cohort(too_many), ConfigError),
+        ("build_datasets", lambda: build_datasets(mothers, newborns, links, vocab), None),
+        ("build_datasets", lambda: build_datasets(mothers, newborns, LinkSet(()), vocab), DatasetError),
+        ("load_examples", lambda: load_examples(good, vocab), None),
+        ("load_examples", lambda: load_examples(bad, vocab), RecordFileError),
+        ("mean_label_accuracy", lambda: mean_label_accuracy(SMALL_COHORT), None),
+        ("mean_label_accuracy", lambda: mean_label_accuracy(too_many), ConfigError),
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_builders_restore_the_callers_collector_state(tmp_path, enabled):
+    calls = _builder_calls(tmp_path)
+    was_enabled = gc.isenabled()
+    try:
+        for name, call, error in calls:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            if error is None:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
+            assert gc.isenabled() is enabled, name
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_cohort_generation_pauses_the_collector():
+    passes = []
+
+    def record(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        generate_cohort(SMALL_COHORT)
+    finally:
+        gc.callbacks.remove(record)
+    # Unpaused, building this cohort starts five young-generation passes.
+    # Paused, it starts none; what it allocated starts at most one such
+    # pass once the collector is back.
+    assert passes in ([], [0])
+
+
+def test_built_and_reloaded_records_hold_no_reference_cycles(tmp_path):
+    was_enabled = gc.isenabled()
+    gc.disable()  # so that no pass frees a cycle before the count below
+    try:
+        gc.collect()
+        corpus, cohort, links = build_corpus(SMALL_COHORT)
+        link_accuracy(links, cohort.truth, cohort.newborns, cohort.vocab)
+        corpus.vocab.save(tmp_path / "vocabulary.txt")
+        save_examples(corpus.d_star, tmp_path / "d_star.jsonl", corpus.vocab)
+        save_examples(corpus.d_tilde, tmp_path / "d_tilde.jsonl", corpus.vocab)
+        reloaded = Corpus.from_files(
+            tmp_path / "d_star.jsonl", tmp_path / "d_tilde.jsonl", tmp_path / "vocabulary.txt", SMALL_COHORT
+        )
+        assert reloaded.d_star == corpus.d_star
+        del corpus, cohort, links, reloaded
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -106,6 +106,15 @@ PINNED_COHORTS = {
             "a654caff4b24709624a63a1a998a14c3b111e52d697bfac07af80d6c009d38e3",
         ),
     ),
+    # Half the newborn labels flip, a rate noise calibration evaluates.
+    "misclassified_half": (
+        SynthConfig(seed=5, clerical_noise=ClericalNoiseModel(misclassified_newborn_rate=0.5)),
+        (
+            "062ad39e0ba372c7592f1b9c7262f3d1c16ad752952c8929c10919b07a9170ab",
+            "f55c838b297ca6f6ae6fdf6b694b0fa20d26fb7114a90b9f0f0a853e0533a886",
+            "99faf1ab3e8ebaa003e3861118398a765a05f2da45d334475c77a341b2c7f535",
+        ),
+    ),
 }
 
 
