@@ -4,11 +4,12 @@ One executable, subcommands for each pipeline stage plus an end-to-end
 `pipeline` runner. Each stage is one function: it takes the stage's inputs in
 memory, writes the stage's files, prints its summary and returns its outputs.
 A staged subcommand reads its input files and calls its stage; `pipeline`
-calls every stage in order, so both paths write the same bytes. Exit codes:
-0 success, 1 runtime failure, 2 usage or config validation error; with
-`pretermalc --debug` a failure raises with its traceback instead. All file
-outputs are bit-reproducible for identical flags and inputs; `--threads` only
-caps worker processes.
+calls every stage in order, so both paths write the same bytes. A subcommand
+checks all its outputs before it reads an input file, and `records.write_file`
+writes each file whole. Exit codes: 0 success, 1 runtime failure, 2 usage or
+config validation error; with `pretermalc --debug` a failure raises with its
+traceback instead. All file outputs are bit-reproducible for identical flags
+and inputs; `--threads` only caps worker processes.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from dataclasses import dataclass, replace
 from functools import partial, reduce
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .bench import (
@@ -53,6 +54,7 @@ from .records import (
     load_records,
     save_examples,
     save_records,
+    write_file,
 )
 from .synth import (
     ClericalNoiseModel,
@@ -254,11 +256,27 @@ def resolve_run_settings(args: argparse.Namespace, command: str) -> RunSettings:
     return RunSettings(synth, resolve("train", TrainConfig()), benchmark)
 
 
-def _check_file_outputs(paths: dict[str, str | None]) -> None:
-    """Raise ConfigError naming the first flag whose output file is an
-    existing directory; a subcommand calls it before it reads any input."""
-    for flag, path in paths.items():
-        if path and Path(path).is_dir():
+def check_outputs(files: Mapping[str, str | None] = {}, out_dir: str | None = None, names: Iterable[str] = ()) -> None:
+    """Raise ConfigError, naming the flag, unless every output file of a run
+    can be written: no two share a path, none is a directory, and every
+    ancestor of each is a directory or missing, and not another output. The
+    outputs are the file of each flag in `files` that is given and, when
+    `out_dir` (flag --out) is given, each of `names` in it. A subcommand
+    calls it before it reads any input file."""
+    outputs = [(flag, Path(path)) for flag, path in files.items() if path]
+    outputs += [("--out", Path(out_dir, name)) for name in names if out_dir]
+    claimed: dict[str, str] = {}
+    for flag, path in outputs:
+        key = os.path.realpath(path)
+        if key in claimed:
+            raise ConfigError(f"{flag}: {path} is also the output of {claimed[key]}")
+        claimed[key] = flag
+    for flag, path in outputs:
+        in_the_way = (p for p in path.parents if os.path.realpath(p) in claimed or p.exists() and not p.is_dir())
+        blocked = next(in_the_way, None)
+        if blocked is not None:
+            raise ConfigError(f"{flag}: {blocked} is not a directory")
+        if path.is_dir():
             raise ConfigError(f"{flag}: {path} is a directory")
 
 
@@ -343,17 +361,32 @@ def summary_svg(names: Sequence[str], means: Sequence[float], stds: Sequence[flo
 
 # --- stages --------------------------------------------------------------------
 
+# The files that the stages write in their output directory, which
+# `check_outputs` checks before any input is read.
+COHORT_FILES = ("vocabulary.txt", "mothers.jsonl", "newborns.jsonl", "truth.tsv")
 LINKS_FILE = "links.tsv"
+DATASET_FILES = ("d_star.jsonl", "d_tilde.jsonl", "d_prime.jsonl")
 C_MATRIX_FILE = "c_matrix.csv"
+REPORT_FILES = ("report.csv", "report_raw.csv")
+CURVE_FILE = "curves/{kind}_{method}.svg"
+SUMMARY_FILES = ("auc.svg", "pr_auc.svg")
+# Curve kind -> (key of its y values in a report's curves, x label, y label).
+CURVES = {"roc": ("tpr", "false positive rate", "true positive rate"), "pr": ("precision", "recall", "precision")}
+
+
+def benchmark_files(config: BenchmarkConfig, curves: bool) -> tuple[str, ...]:
+    """The files that the benchmark stage writes in its output directory."""
+    plots = [CURVE_FILE.format(kind=kind, method=m.value) for m in config.methods for kind in CURVES]
+    return REPORT_FILES + (tuple(plots) if curves else ())
 
 
 def synth_stage(config: SynthConfig, out_dir: Path) -> Cohort:
-    out_dir.mkdir(parents=True, exist_ok=True)
     cohort = generate_cohort(config)
-    cohort.vocab.save(out_dir / "vocabulary.txt")
-    save_records(cohort.mothers, out_dir / "mothers.jsonl", cohort.vocab)
-    save_records(cohort.newborns, out_dir / "newborns.jsonl", cohort.vocab)
-    save_truth(cohort.truth, out_dir / "truth.tsv")
+    vocab_file, mothers_file, newborns_file, truth_file = (out_dir / name for name in COHORT_FILES)
+    cohort.vocab.save(vocab_file)
+    save_records(cohort.mothers, mothers_file, cohort.vocab)
+    save_records(cohort.newborns, newborns_file, cohort.vocab)
+    save_truth(cohort.truth, truth_file)
     n_preterm = sum(1 for l in cohort.truth.labels.values() if l.name == "PRETERM")
     print(
         f"cohort: {len(cohort.mothers)} mothers ({n_preterm} preterm), "
@@ -365,7 +398,6 @@ def synth_stage(config: SynthConfig, out_dir: Path) -> Cohort:
 def link_stage(mothers, newborns, vocab: CodeVocabulary, out: Path, truth: GroundTruth | None = None) -> LinkSet:
     """Link newborns to mothers; with `truth`, also print the link accuracy."""
     links = match_newborns(mothers, newborns, vocab)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_links(links, out)
     print(f"linked {len(links)} newborns -> {out}")
     if truth is not None:
@@ -377,17 +409,14 @@ def link_stage(mothers, newborns, vocab: CodeVocabulary, out: Path, truth: Groun
 def datasets_stage(mothers, newborns, links, vocab: CodeVocabulary, out_dir: Path):
     """The clean (d_star), noisy (d_tilde) and dual-labeled (d_prime) sets."""
     d_star, d_tilde, d_prime = build_datasets(mothers, newborns, links, vocab)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_examples(d_star, out_dir / "d_star.jsonl", vocab)
-    save_examples(d_tilde, out_dir / "d_tilde.jsonl", vocab)
-    save_examples(d_prime, out_dir / "d_prime.jsonl", vocab)
+    for name, examples in zip(DATASET_FILES, (d_star, d_tilde, d_prime)):
+        save_examples(examples, out_dir / name, vocab)
     print(f"datasets: clean={len(d_star)} noisy={len(d_tilde)} dual={len(d_prime)} -> {out_dir}")
     return d_star, d_tilde, d_prime
 
 
 def estimate_c_stage(dual, out: Path) -> CorruptionMatrix:
     c = estimate_corruption_matrix(dual)
-    out.parent.mkdir(parents=True, exist_ok=True)
     save_matrix_csv(c, out)
     print(f"estimated corruption matrix from {len(dual)} dual-labeled examples -> {out}")
     for i in range(2):
@@ -399,19 +428,16 @@ def benchmark_stage(
     corpus: Corpus, settings: RunSettings, workers: int, curves: bool, out_dir: Path
 ) -> BenchmarkReport:
     report = repeated_benchmark(corpus, settings.benchmark, settings.train, workers)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.csv").write_text(report.report_csv(), encoding="utf-8")
-    (out_dir / "report_raw.csv").write_text(report.raw_csv(), encoding="utf-8")
+    report_file, raw_file = (out_dir / name for name in REPORT_FILES)
+    write_file(report_file, [report.report_csv()])
+    write_file(raw_file, [report.raw_csv()])
     if curves:
-        curve_dir = out_dir / "curves"
-        curve_dir.mkdir(exist_ok=True)
         for method, data in report.curves.items():
-            for kind, ys, axes in (("roc", data["tpr"], ("false positive rate", "true positive rate")),
-                                   ("pr", data["precision"], ("recall", "precision"))):
-                svg = curve_svg(data["grid"], ys, f"{kind.upper()} {method} (mean over repeats)", *axes)
-                (curve_dir / f"{kind}_{method}.svg").write_text(svg, encoding="utf-8")
+            for kind, (ys, *axes) in CURVES.items():
+                svg = curve_svg(data["grid"], data[ys], f"{kind.upper()} {method} (mean over repeats)", *axes)
+                write_file(out_dir / CURVE_FILE.format(kind=kind, method=method), [svg])
     print(format_summary_table(report.methods, report.summaries))
-    print(f"report -> {out_dir / 'report.csv'} (fingerprint {report.fingerprint})")
+    print(f"report -> {report_file} (fingerprint {report.fingerprint})")
     return report
 
 
@@ -419,12 +445,14 @@ def benchmark_stage(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    synth_stage(resolve_run_settings(args, "synth").synth, Path(args.out))
+    settings = resolve_run_settings(args, "synth")
+    check_outputs(out_dir=args.out, names=COHORT_FILES)
+    synth_stage(settings.synth, Path(args.out))
     return 0
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    _check_file_outputs({"--out": args.out})
+    check_outputs({"--out": args.out})
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
@@ -434,6 +462,7 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
+    check_outputs(out_dir=args.out, names=DATASET_FILES)
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
@@ -446,7 +475,7 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate_c(args: argparse.Namespace) -> int:
-    _check_file_outputs({"--out": args.out})
+    check_outputs({"--out": args.out})
     vocab = CodeVocabulary.load(args.vocab)
     examples = load_examples(args.examples, vocab)
     dual = [ex for ex in examples if ex.clean_label is not None and ex.noisy_label is not None]
@@ -458,7 +487,7 @@ def cmd_estimate_c(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    _check_file_outputs({"--out-checkpoint": args.out_checkpoint, "--out-log": args.out_log})
+    check_outputs({"--out-checkpoint": args.out_checkpoint, "--out-log": args.out_log})
     overrides = _flag_settings(args).get("train", {})
     if args.method is not None:
         overrides["method"] = TrainMethod(args.method)
@@ -482,8 +511,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     c = load_matrix_csv(args.c_matrix) if args.c_matrix else None
     params = init_params(NetDims(vocab_size=len(vocab)), derive_seed(config.seed, "init"))
     model, log = train(params, d_star, d_tilde, c, config)
-    for out in filter(None, (args.out_checkpoint, args.out_log)):
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, args.out_checkpoint)
     if args.out_log:
         save_loss_log(log, args.out_log)
@@ -495,6 +522,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     settings = resolve_run_settings(args, "benchmark")
     workers = _threads(args.threads)
+    check_outputs(out_dir=args.out, names=benchmark_files(settings.benchmark, args.curves))
     corpus = Corpus.from_files(args.clean, args.noisy, args.vocab)
     benchmark_stage(corpus, settings, workers, args.curves, Path(args.out))
     return 0
@@ -513,6 +541,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigError("--target-accuracy has no effect with --no-calibrate")
     settings = resolve_run_settings(args, "pipeline")
     workers = _threads(args.threads)
+    stage_files = (*COHORT_FILES, LINKS_FILE, *DATASET_FILES, C_MATRIX_FILE)
+    check_outputs(out_dir=args.out, names=stage_files + benchmark_files(settings.benchmark, args.curves))
     config = settings.synth
     out_dir = Path(args.out)
 
@@ -533,6 +563,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    check_outputs(out_dir=args.out, names=SUMMARY_FILES)
     rows = load_raw_csv(args.raw)
     if not rows:
         raise RecordFileError(f"{args.raw}: no data rows")
@@ -540,15 +571,13 @@ def cmd_report(args: argparse.Namespace) -> int:
     methods = list(summaries)
     print(format_summary_table(methods, summaries))
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         s = [summaries[m] for m in methods]
-        for name, title, means, stds in (
-            ("auc", "AUC", [x.auc_mean for x in s], [x.auc_std for x in s]),
-            ("pr_auc", "PR-AUC", [x.prauc_mean for x in s], [x.prauc_std for x in s]),
-        ):
-            svg = summary_svg(methods, means, stds, f"{title} by method")
-            (out_dir / f"{name}.svg").write_text(svg, encoding="utf-8")
+        charts = (
+            ("AUC", [x.auc_mean for x in s], [x.auc_std for x in s]),
+            ("PR-AUC", [x.prauc_mean for x in s], [x.prauc_std for x in s]),
+        )
+        for name, (title, means, stds) in zip(SUMMARY_FILES, charts):
+            write_file(Path(args.out, name), [summary_svg(methods, means, stds, f"{title} by method")])
     return 0
 
 

@@ -24,6 +24,7 @@ from .records import (
     classify_newborn,
     outcome_classifier,
     read_lines,
+    write_file,
 )
 
 MAX_L1_MINUTES = 24 * 60
@@ -211,9 +212,7 @@ def link_accuracy(
 
 
 def save_links(links: LinkSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for l in links:
-            fh.write(f"{l.newborn_id}\t{l.mother_id}\t{l.l1_minutes}\n")
+    write_file(path, (f"{l.newborn_id}\t{l.mother_id}\t{l.l1_minutes}\n" for l in links))
 
 
 def _parse_link(line: str) -> MatchCandidate:

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .noise import CorruptionMatrix, corruption_layer
-from .records import LabeledExample
+from .records import LabeledExample, write_file
 
 LOSS_EPS = 1e-7  # floor added to the picked probability before log
 CHECKPOINT_MAGIC = "pretermalc-checkpoint 2"
@@ -494,10 +494,11 @@ def save_checkpoint(params: ModelParams, path: str | Path) -> None:
         "d_h": params.dims.d_h,
         "tensors": [[name, list(tensor.shape)] for name, tensor in params.items()],
     }
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
-        fh.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
-        fh.write(params.flat.astype("<f8").tobytes())
+    write_file(path, (
+        CHECKPOINT_MAGIC.encode("ascii") + b"\n",
+        json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n",
+        params.flat.astype("<f8").tobytes(),
+    ))
 
 
 def load_checkpoint(path: str | Path) -> ModelParams:

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import Label, LabeledExample, read_lines
+from .records import Label, LabeledExample, read_lines, write_file
 
 ROW_SUM_TOL = 1e-12
 PRINTED_ROW_SUM_TOL = 2e-6  # two entries printed with six fractional digits
@@ -59,9 +59,6 @@ class CorruptionMatrix:
 
     def support(self, clean: Label) -> int:
         return int(self.counts[int(clean)].sum())
-
-    def is_diagonally_dominant(self) -> bool:
-        return bool(np.all(np.diag(self.entries) > 0.5))
 
 
 def estimate_corruption_matrix(d_prime: Sequence[LabeledExample]) -> CorruptionMatrix:
@@ -114,12 +111,8 @@ def apply_class_conditional_noise(
 def save_matrix_csv(c: CorruptionMatrix, path: str | Path) -> None:
     """Four-line CSV: two entry rows printed with six fractional digits, then
     the two supporting count rows."""
-    lines = []
-    for i in range(N_CLASSES):
-        lines.append(",".join(f"{c.entries[i, j]:.6f}" for j in range(N_CLASSES)))
-    for i in range(N_CLASSES):
-        lines.append(",".join(str(int(c.counts[i, j])) for j in range(N_CLASSES)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [[f"{x:.6f}" for x in row] for row in c.entries] + [[str(int(n)) for n in row] for row in c.counts]
+    write_file(path, (",".join(row) + "\n" for row in rows))
 
 
 def _parse_pair(line: str) -> tuple[float, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -97,7 +98,7 @@ class CodeVocabulary:
         return frozenset(self.index_of(c) for c in codes)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text("".join(c + "\n" for c in self._codes), encoding="utf-8")
+        write_file(path, (c + "\n" for c in self._codes))
 
     @classmethod
     def load(cls, path: str | Path) -> "CodeVocabulary":
@@ -358,10 +359,25 @@ def record_from_dict(obj: dict, vocab: CodeVocabulary) -> tuple[PatientRecord, L
     return record, _label_from_json(obj.get("clean_label")), _label_from_json(obj.get("noisy_label"))
 
 
-def _write_lines(dicts: Iterable[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for obj in dicts:
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+def _write_lines(path: str | Path, dicts: Iterable[dict]) -> None:
+    write_file(path, (json.dumps(obj, separators=(",", ":")) + "\n" for obj in dicts))
+
+
+def write_file(path: str | Path, chunks: Iterable[str | bytes]) -> None:
+    """Write ``chunks`` (a str as UTF-8) to ``path`` as one whole file,
+    making its directory: they stream into a temporary file beside it, which
+    then replaces it, so a failed or killed write never leaves a torn file
+    under the name. The mode is the one ``open(path, "w")`` gives."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.writelines(chunk.encode("utf-8") if isinstance(chunk, str) else chunk for chunk in chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_lines(path: str | Path, parse: Callable[[str], T], build: Callable[[list[T]], R] = list) -> R:
@@ -390,7 +406,7 @@ def read_lines(path: str | Path, parse: Callable[[str], T], build: Callable[[lis
 
 
 def save_records(records: Iterable[PatientRecord], path: str | Path, vocab: CodeVocabulary) -> None:
-    _write_lines((record_to_dict(r, vocab) for r in records), path)
+    _write_lines(path, (record_to_dict(r, vocab) for r in records))
 
 
 def load_records(path: str | Path, vocab: CodeVocabulary) -> list[PatientRecord]:
@@ -398,10 +414,7 @@ def load_records(path: str | Path, vocab: CodeVocabulary) -> list[PatientRecord]
 
 
 def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: CodeVocabulary) -> None:
-    _write_lines(
-        (record_to_dict(ex.record, vocab, ex.clean_label, ex.noisy_label) for ex in examples),
-        path,
-    )
+    _write_lines(path, (record_to_dict(ex.record, vocab, ex.clean_label, ex.noisy_label) for ex in examples))
 
 
 @collector_paused()

@@ -34,6 +34,7 @@ from .records import (
     collector_paused,
     outcome_classifier,
     read_lines,
+    write_file,
 )
 
 
@@ -423,13 +424,9 @@ def build_datasets(
 def save_truth(truth: GroundTruth, path: str | Path) -> None:
     """Tab-separated (newborn_id, mother_id, true_label) lines; mothers with
     no recorded newborn get a '-' placeholder line so labels round-trip."""
-    linked_mothers = set(truth.links.values())
-    with open(path, "w", encoding="utf-8") as fh:
-        for newborn_id in sorted(truth.links):
-            mother_id = truth.links[newborn_id]
-            fh.write(f"{newborn_id}\t{mother_id}\t{truth.labels[mother_id].to_json()}\n")
-        for mother_id in sorted(set(truth.labels) - linked_mothers):
-            fh.write(f"-\t{mother_id}\t{truth.labels[mother_id].to_json()}\n")
+    unlinked = sorted(set(truth.labels) - set(truth.links.values()))
+    rows = [(n, truth.links[n]) for n in sorted(truth.links)] + [("-", m) for m in unlinked]
+    write_file(path, (f"{n}\t{m}\t{truth.labels[m].to_json()}\n" for n, m in rows))
 
 
 def load_truth(path: str | Path) -> GroundTruth:

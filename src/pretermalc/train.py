@@ -30,7 +30,7 @@ from .net import (
     sequence_of,
 )
 from .noise import CorruptionMatrix
-from .records import LabeledExample
+from .records import LabeledExample, write_file
 
 CLEAN = "clean"
 NOISY = "noisy"
@@ -257,7 +257,5 @@ def score_examples(params: ModelParams, examples: Sequence[LabeledExample]) -> n
 
 
 def save_loss_log(log: Sequence[EpochLog], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,dataset,loss_kind,mean_loss\n")
-        for row in log:
-            fh.write(f"{row.epoch},{row.dataset},{row.loss_kind},{row.mean_loss:.6f}\n")
+    rows = (f"{row.epoch},{row.dataset},{row.loss_kind},{row.mean_loss:.6f}\n" for row in log)
+    write_file(path, ["epoch,dataset,loss_kind,mean_loss\n", *rows])

@@ -115,7 +115,7 @@ def test_4_noise_calibration_hits_the_target_accuracy():
         accuracy = mean_label_accuracy(config)
         assert abs(accuracy - 0.72) <= 0.02, accuracy
         estimated = estimate_corruption_matrix(default_corpus().d_prime)
-        assert estimated.is_diagonally_dominant(), estimated.entries
+        assert np.all(np.diag(estimated.entries) > 0.5), estimated.entries
 
 
 def test_default_calibration_lands_on_a_quarter():

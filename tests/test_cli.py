@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from pretermalc import cli
 from pretermalc.bench import BenchmarkConfig, MethodSummary
 from pretermalc.cli import build_parser, format_summary_table, load_run_config, main, resolve_run_settings
 from pretermalc.synth import ConfigError
@@ -538,16 +539,89 @@ def test_a_file_output_makes_its_directory(pipeline_dir, tmp_path, command, flag
     assert out.is_file()
 
 
-@pytest.mark.parametrize("command, flag", FILE_OUTPUTS)
-def test_a_file_output_that_is_a_directory_fails_first(pipeline_dir, tmp_path, capsys, command, flag):
-    inputs = file_output_inputs(command, pipeline_dir)
+def missing_inputs(command, missing):
+    """The input flags of each subcommand, every one naming a missing file."""
+    return {
+        "synth": COHORT_FLAGS,
+        "link": ["--mothers", missing, "--newborns", missing, "--vocab", missing],
+        "datasets": ["--mothers", missing, "--newborns", missing, "--links", missing, "--vocab", missing],
+        "estimate-c": ["--examples", missing, "--vocab", missing],
+        "train": ["--clean", missing, "--vocab", missing, "--method", "NoLC_clean", "--epochs", "1"],
+        "benchmark": ["--clean", missing, "--noisy", missing, "--vocab", missing, *BENCHMARK_FLAGS],
+        "pipeline": [*COHORT_FLAGS, *BENCHMARK_FLAGS],
+        "report": ["--raw", missing],
+    }[command]
+
+
+# Every output flag: None for a file, else one file that its stages write in
+# the directory.
+OUTPUTS = {
+    ("synth", "--out"): "truth.tsv",
+    ("link", "--out"): None,
+    ("datasets", "--out"): "d_tilde.jsonl",
+    ("estimate-c", "--out"): None,
+    ("train", "--out-checkpoint"): None,
+    ("train", "--out-log"): None,
+    ("benchmark", "--out"): "report.csv",
+    ("pipeline", "--out"): "curves/roc_NoLC_clean.svg",
+    ("report", "--out"): "pr_auc.svg",
+}
+CONFLICTS = [
+    (command, flag, conflict)
+    for (command, flag), inner in OUTPUTS.items()
+    for conflict in ["parent_is_a_file", *(
+        ["file_is_a_directory"] if inner is None else ["directory_is_a_file", "inner_file_is_a_directory"]
+    )]
+]
+
+
+def make_conflict(conflict, tmp_path, inner):
+    """Set up `conflict` in tmp_path: the output path to give, and the
+    message that names what is in the way."""
+    out, blocker = tmp_path / "out", tmp_path / "blocker"
+    if conflict == "parent_is_a_file":
+        blocker.write_text("x", encoding="utf-8")
+        return blocker / "out", f"{blocker} is not a directory"
+    if conflict == "file_is_a_directory":
+        out.mkdir()
+        return out, f"{out} is a directory"
+    if conflict == "directory_is_a_file":
+        out.write_text("x", encoding="utf-8")
+        return out, f"{out} is not a directory"
+    (out / inner).mkdir(parents=True)
+    return out, f"{out / inner} is a directory"
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("an input was read or a stage ran before the outputs were checked")
+
+
+@pytest.mark.parametrize("command, flag, conflict", CONFLICTS)
+def test_an_output_conflict_fails_first(tmp_path, capsys, monkeypatch, command, flag, conflict):
+    # Every input is missing, and synth and pipeline (which calibrates) fail
+    # at their first step, so only a check that comes first can exit 2.
+    monkeypatch.setattr(cli, "generate_cohort", unreachable)
+    monkeypatch.setattr(cli, "calibrate_noise", unreachable)
+    out, message = make_conflict(conflict, tmp_path, OUTPUTS[command, flag])
     checkpoint = ["--out-checkpoint", str(tmp_path / "x.ckpt")] if flag == "--out-log" else []
-    # The vocabulary does not exist, so reading any input would fail otherwise.
-    vocab = tmp_path / "missing_vocabulary.txt"
-    code = main([command, *inputs, "--vocab", str(vocab), *checkpoint, flag, str(tmp_path)])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {flag}: {tmp_path} is a directory\n"
-    assert not (tmp_path / "x.ckpt").exists()
+    before = sorted(tmp_path.rglob("*"))
+    code = main([command, *missing_inputs(command, str(tmp_path / "missing")), *checkpoint, flag, str(out)])
+    assert (code, capsys.readouterr().err) == (2, f"error: {flag}: {message}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("log, message", [
+    ("run.out", "{log} is also the output of --out-checkpoint"),
+    ("sub/../run.out", "{log} is also the output of --out-checkpoint"),
+    ("run.out/log.csv", "{checkpoint} is not a directory"),
+])
+def test_two_outputs_that_collide_fail_first(tmp_path, capsys, log, message):
+    checkpoint, log = tmp_path / "run.out", tmp_path / log
+    missing = str(tmp_path / "missing")
+    code = main(["train", *missing_inputs("train", missing), "--out-checkpoint", str(checkpoint), "--out-log", str(log)])
+    expected = message.format(log=log, checkpoint=checkpoint)
+    assert (code, capsys.readouterr().err) == (2, f"error: --out-log: {expected}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_command_is_deterministic(pipeline_dir, tmp_path, capsys):

@@ -1,10 +1,13 @@
-"""Input files: every loader reads through `records.read_lines`, and a
+"""Files in and out: every loader reads through `records.read_lines`, and a
 malformed file fails with a RecordFileError that names the file, and the
-line when one line is at fault."""
+line when one line is at fault; every output is written whole by
+`records.write_file`."""
 
 import ast
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,16 @@ import pretermalc
 from pretermalc.bench import load_raw_csv
 from pretermalc.linkage import load_links
 from pretermalc.noise import CorruptionMatrix, load_matrix_csv
-from pretermalc.records import CodeVocabulary, RecordFileError, load_examples, load_records
+from pretermalc.records import (
+    CodeVocabulary,
+    PatientRecord,
+    RecordFileError,
+    Role,
+    Visit,
+    load_examples,
+    load_records,
+    save_records,
+)
 from pretermalc.synth import load_truth
 
 VOCAB = CodeVocabulary(["a", "b"])
@@ -132,59 +144,131 @@ def test_matrix_with_a_zero_row_fails_at_load(tmp_path):
         load_matrix_csv(path)
 
 
-# --- one reader ----------------------------------------------------------------------
+# --- one reader and one writer ----------------------------------------------------------
 
 SOURCE = Path(pretermalc.__file__).parent
-# Functions allowed to read a text file themselves: the run config is JSON
-# whose faults are ConfigErrors (exit 2), not RecordFileErrors.
-OWN_READERS = {("cli.py", "load_run_config")}
+# Functions allowed to read a text file themselves: the reader, and the run
+# config, which is JSON whose faults are ConfigErrors (exit 2), not
+# RecordFileErrors.
+OWN_READERS = {("records.py", "read_lines"), ("cli.py", "load_run_config")}
+OWN_WRITERS = {("records.py", "write_file")}
 
 
-def _opens_text_for_reading(call: ast.Call) -> bool:
+def _open_mode(call: ast.Call) -> str | None:
+    """The mode of an `open` or `Path.open` call: "r" when not given, "?"
+    when not a constant; None for any other call."""
     func = call.func
-    if isinstance(func, ast.Attribute) and func.attr == "read_text":
-        return True
     if isinstance(func, ast.Name) and func.id == "open":
         mode_args = call.args[1:2]
     elif isinstance(func, ast.Attribute) and func.attr == "open":  # Path.open
         mode_args = call.args[:1]
     else:
-        return False
+        return None
     mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), mode_args[0] if mode_args else None)
     if mode is None:
+        return "r"
+    return mode.value if isinstance(mode, ast.Constant) else "?"
+
+
+def _opens_text_for_reading(call: ast.Call) -> bool:
+    if isinstance(call.func, ast.Attribute) and call.func.attr == "read_text":
         return True
-    if not isinstance(mode, ast.Constant):
+    mode = _open_mode(call)
+    if mode is None:
+        return False
+    if mode == "?":
         return True  # cannot tell: count it
-    return "b" not in mode.value and ("r" in mode.value or "+" in mode.value)
+    return "b" not in mode and ("r" in mode or "+" in mode)
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    if isinstance(call.func, ast.Attribute) and call.func.attr in ("write_text", "write_bytes", "mkdir"):
+        return True
+    mode = _open_mode(call)
+    return mode is not None and any(ch in mode for ch in "?wxa+")
+
+
+def _calls_outside(functions: set, picks) -> list[str]:
+    """Where a package module makes a call that `picks` picks out, outside
+    the (module, function) pairs in `functions`."""
+    found = []
+    for module in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        allowed = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and (module.name, node.name) in functions
+        ]
+        found += [
+            f"{module.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and picks(node) and not any(node.lineno in lines for lines in allowed)
+        ]
+    return found
 
 
 def test_only_records_reads_text_files():
     """Every input text file is read by `records.read_lines`. Binary reads,
     such as `net.load_checkpoint`, are not text reads."""
-    found = []
-    for module in sorted(SOURCE.glob("*.py")):
-        if module.name == "records.py":
-            continue
-        tree = ast.parse(module.read_text(encoding="utf-8"))
-        allowed = [
-            range(node.lineno, node.end_lineno + 1)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and (module.name, node.name) in OWN_READERS
-        ]
-        found += [
-            f"{module.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _opens_text_for_reading(node)
-            and not any(node.lineno in lines for lines in allowed)
-        ]
-    assert found == []
+    assert _calls_outside(OWN_READERS, _opens_text_for_reading) == []
 
 
 def test_the_text_read_check_sees_each_form():
     calls = {
         'open(p, "r")': True, "open(p)": True, 'open(p, mode="r+")': True, "p.read_text()": True,
-        "p.open()": True, 'open(p, "rb")': False, 'open(p, "w")': False, 'p.open("w")': False,
-        "p.read_bytes()": False,
+        "p.open()": True, "open(p, m)": True, 'open(p, "rb")': False, 'open(p, "w")': False,
+        'p.open("w")': False, "p.read_bytes()": False,
     }
     for source, expected in calls.items():
         assert _opens_text_for_reading(ast.parse(source).body[0].value) is expected, source
+
+
+def test_only_records_writes_files():
+    """Every output file, text or binary, is written by `records.write_file`,
+    which also makes every output directory."""
+    assert _calls_outside(OWN_WRITERS, _writes_a_file) == []
+
+
+def test_the_write_check_sees_each_form():
+    calls = {
+        'open(p, "w")': True, 'open(p, "xb")': True, 'open(p, mode="a")': True, 'open(p, "r+")': True,
+        "open(p, m)": True, 'p.open("wb")': True, "p.write_text(s)": True, "p.write_bytes(b)": True,
+        "p.mkdir()": True, "os.mkdir(p)": True, "open(p)": False, 'open(p, "rb")': False,
+        "p.open()": False, "p.read_text()": False, "fh.write(s)": False,
+    }
+    for source, expected in calls.items():
+        assert _writes_a_file(ast.parse(source).body[0].value) is expected, source
+
+
+# --- whole files -----------------------------------------------------------------------
+
+
+def records_then_failure(n):
+    """A record stream that raises after `n` records."""
+    for i in range(n):
+        yield PatientRecord(f"m{i}", "h0", Role.MOTHER, (Visit(0, frozenset({0}), 0, 10),))
+    raise RuntimeError("stream broke")
+
+
+@pytest.mark.parametrize("existing", [b"old bytes\n", None])
+def test_a_failed_write_leaves_the_old_file_and_no_temporary_file(tmp_path, existing):
+    path = tmp_path / "mothers.jsonl"
+    if existing is not None:
+        path.write_bytes(existing)
+    with pytest.raises(RuntimeError, match="stream broke"):
+        save_records(records_then_failure(3), path, VOCAB)
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if existing else [])
+    if existing:
+        assert path.read_bytes() == existing
+
+
+def test_a_written_file_has_the_mode_of_a_plain_write(tmp_path):
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "plain.txt", "w", encoding="utf-8") as fh:
+            fh.write("x\n")
+        VOCAB.save(tmp_path / "new" / "vocabulary.txt")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+    assert stat.S_IMODE((tmp_path / "new" / "vocabulary.txt").stat().st_mode) == mode == 0o640
