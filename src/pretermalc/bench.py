@@ -20,7 +20,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -41,7 +41,7 @@ from .records import (
 )
 from .synth import ClericalNoiseModel, Cohort, SynthConfig, build_datasets, generate_cohort
 from .net import ModelParams, NetDims, init_params
-from .train import TrainConfig, TrainMethod, score_examples, train
+from .train import BATCH_SIZE, LEARNING_RATE, TrainConfig, TrainMethod, score_examples, train
 
 logger = logging.getLogger(__name__)
 
@@ -53,10 +53,6 @@ RAW_CSV_HEADER = "method,repeat,auc,pr_auc"
 CALIBRATION_TOLERANCE = 0.02
 CALIBRATION_SEEDS = 5  # cohorts per evaluated rate
 MAX_CALIBRATION_STEPS = 30
-
-# The TrainConfig fields a repeat reads from its base config: it sets the
-# method and the seed of each training run itself.
-REPEAT_TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig) if f.name not in ("method", "seed"))
 
 # Read by the BLAS libraries numpy may load, once, when it is first imported.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -370,14 +366,16 @@ def _corpus_digest(corpus: Corpus) -> str:
 
 def _fingerprint(corpus: Corpus, config: BenchmarkConfig, base_config: TrainConfig) -> str:
     """Digest of what shapes the reports: the corpus content and the run
-    settings, of the train settings only those a repeat reads. The cohort
+    settings, of the train settings only the epoch count a repeat reads.
+    The fixed batch and step sizes are hashed under the keys they had as
+    settings, so a default run keeps the fingerprint it had then. The cohort
     config is left out: the content digest covers every dataset it shaped."""
     payload = repr(
         (
             [m.value for m in config.methods],
             config.repeats,
             DEFAULT_SPLIT,
-            {name: getattr(base_config, name) for name in REPEAT_TRAIN_FIELDS},
+            {"n_epochs": base_config.n_epochs, "batch_size": BATCH_SIZE, "learning_rate": LEARNING_RATE},
             config.base_seed,
             _corpus_digest(corpus),
         )

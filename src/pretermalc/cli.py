@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Sequence
 
 from . import __version__
 from .bench import (
-    REPEAT_TRAIN_FIELDS,
     BenchmarkConfig,
     BenchmarkReport,
     Corpus,
@@ -72,8 +71,8 @@ from .train import CLEAN, CORRECTED, MIXED, NOISY, TrainConfig, TrainMethod, pla
 CONFIG_SCHEMA_VERSION = 1
 
 # Keys of the config file's train section: the train settings a benchmark
-# repeat reads.
-TRAIN_KEYS = REPEAT_TRAIN_FIELDS
+# repeat reads (it sets the method and the seed of each run itself).
+TRAIN_KEYS = ("n_epochs",)
 BENCHMARK_KEYS = tuple(f.name for f in dataclasses.fields(BenchmarkConfig))
 SYNTH_KEYS = tuple(f.name for f in dataclasses.fields(SynthConfig))
 SECTIONS = {"synth": SynthConfig, "train": TrainConfig, "benchmark": BenchmarkConfig}
@@ -209,12 +208,6 @@ def add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
             parser.add_argument(f"--{flag}", dest=f"synth.{dotted}", type=type(default))
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", dest="train.n_epochs", type=int)
-    parser.add_argument("--batch-size", dest="train.batch_size", type=int)
-    parser.add_argument("--lr", dest="train.learning_rate", type=float)
-
-
 def _add_benchmark_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--methods", dest="benchmark.methods",
@@ -280,10 +273,18 @@ def check_outputs(files: Mapping[str, str | None] = {}, out_dir: str | None = No
             raise ConfigError(f"{flag}: {path} is a directory")
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one (a container's CPU set), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _threads(value: int) -> int:
     if value < 1:
         raise ConfigError(f"--threads must be >= 1, got {value}")
-    return min(value, os.cpu_count() or 1)
+    return min(value, usable_cpus())
 
 
 # --- output helpers ------------------------------------------------------------
@@ -639,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noisy", help="noisy-labeled examples (JSONL)")
     p.add_argument("--vocab", required=True)
     p.add_argument("--method", choices=[m.value for m in TrainMethod])
-    _add_train_flags(p)
+    p.add_argument("--epochs", dest="train.n_epochs", type=int)
     p.add_argument("--seed", dest="train.seed", type=int)
     p.add_argument("--c-matrix", help="corruption matrix CSV (needed for corrected loss)")
     p.add_argument("--out-checkpoint", required=True)
@@ -652,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", required=True)
     p.add_argument("--noisy", required=True)
     p.add_argument("--vocab", required=True)
-    _add_train_flags(p)
+    p.add_argument("--epochs", dest="train.n_epochs", type=int)
     _add_benchmark_flags(p)
     p.set_defaults(func=cmd_benchmark)
 

@@ -57,9 +57,6 @@ class CorruptionMatrix:
     def identity(cls) -> "CorruptionMatrix":
         return cls(entries=np.eye(N_CLASSES))
 
-    def support(self, clean: Label) -> int:
-        return int(self.counts[int(clean)].sum())
-
 
 def estimate_corruption_matrix(d_prime: Sequence[LabeledExample]) -> CorruptionMatrix:
     """Frequency estimate over examples carrying both labels: entry (i, j) is

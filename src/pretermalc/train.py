@@ -39,6 +39,10 @@ MIXED = "mixed"
 PLAIN = "plain"  # cross-entropy: the corruption layer is the identity
 CORRECTED = "corrected"  # the corruption layer is the estimated matrix
 
+# The one optimizer setup every run uses: minibatches of BATCH_SIZE
+# examples, each followed by one Adam step of size LEARNING_RATE.
+BATCH_SIZE = 64
+LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -94,17 +98,11 @@ def plan_epochs(method: TrainMethod, n_epochs: int) -> list[EpochSpec]:
 class TrainConfig:
     method: TrainMethod = TrainMethod.ALC
     n_epochs: int = 10
-    batch_size: int = 64
-    learning_rate: float = 1e-3
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_epochs < 1:
             raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be > 0 and finite, got {self.learning_rate}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -128,7 +126,7 @@ class OptState:
         )
 
 
-def optimizer_step(params: ModelParams, grads: ModelParams, state: OptState, config: TrainConfig) -> None:
+def optimizer_step(params: ModelParams, grads: ModelParams, state: OptState) -> None:
     """One in-place Adam update of the whole flat parameter buffer, with
     per-coordinate first and second moments and bias correction. Each
     product keeps the operand order of ``lr·(m/bc1) / (sqrt(v/bc2) + eps)``
@@ -148,7 +146,7 @@ def optimizer_step(params: ModelParams, grads: ModelParams, state: OptState, con
     tmp *= g
     v += tmp
     np.divide(m, bc1, out=update)
-    update *= config.learning_rate
+    update *= LEARNING_RATE
     np.divide(v, bc2, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
@@ -235,8 +233,8 @@ def train(
         rng = np.random.default_rng([config.seed, epoch])
         perm = rng.permutation(len(seqs))
         total = 0.0
-        for start in range(0, len(perm), config.batch_size):
-            chunk = perm[start : start + config.batch_size]
+        for start in range(0, len(perm), BATCH_SIZE):
+            chunk = perm[start : start + BATCH_SIZE]
             trace = forward(params, Batch.from_sequences([seqs[i] for i in chunk]))
             chunk_labels = labels[chunk]
             if spec.loss_kind == PLAIN:
@@ -244,7 +242,7 @@ def train(
             else:
                 loss = loss_corrected(trace, chunk_labels, matrix)
             grads = backward(params, trace, chunk_labels, matrix)
-            optimizer_step(params, grads, state, config)
+            optimizer_step(params, grads, state)
             total += loss * len(chunk)
         log.append(EpochLog(epoch, spec.dataset, spec.loss_kind, total / len(seqs)))
     return params.astype(np.float64), log

@@ -7,7 +7,6 @@ cached at module level and shared between criteria.
 """
 
 import functools
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import replace
@@ -26,7 +25,7 @@ from test_metrics import (
 from test_noise import dual_example
 
 from pretermalc.bench import BenchmarkConfig, build_corpus, calibrate_noise, mean_label_accuracy, repeated_benchmark
-from pretermalc.cli import main
+from pretermalc.cli import main, usable_cpus
 from pretermalc.metrics import auc, pr_auc
 from pretermalc.net import IDENTITY
 from pretermalc.noise import CorruptionMatrix, apply_class_conditional_noise, estimate_corruption_matrix
@@ -35,7 +34,7 @@ from pretermalc.synth import SynthConfig
 from pretermalc.train import TrainMethod
 
 REFERENCE_ENTRIES = np.array([[0.68, 0.32], [0.20, 0.80]])
-BENCH_WORKERS = min(4, os.cpu_count() or 1)
+BENCH_WORKERS = min(4, usable_cpus())
 
 
 @contextmanager

@@ -42,7 +42,7 @@ SMALL = SynthConfig(n_mothers=200, n_hospitals=3, seed=11)
 # seed 0, a split that holds one dual-labeled class in its training part is
 # drawn before one that holds both.
 TINY = SynthConfig(n_mothers=80, n_hospitals=2)
-FAST = TrainConfig(n_epochs=2, batch_size=32)
+FAST = TrainConfig(n_epochs=2)
 
 
 @functools.cache
@@ -279,8 +279,8 @@ def test_fingerprint_of_a_fixed_run_is_pinned(corpus):
     # what it hashes or how must show here, since reports from different
     # versions are compared by it.
     config = BenchmarkConfig([TrainMethod.NOLC_CLEAN, TrainMethod.ALC], repeats=2, base_seed=4)
-    report = repeated_benchmark(corpus, config, TrainConfig(n_epochs=1, batch_size=32))
-    assert report.fingerprint == "64215ea0d997f960"
+    report = repeated_benchmark(corpus, config, TrainConfig(n_epochs=1))
+    assert report.fingerprint == "8aba0098fb7abba4"
 
 
 def test_benchmark_config_takes_methods_by_name_or_member():

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import stat
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -188,19 +189,24 @@ def _writes_a_file(call: ast.Call) -> bool:
     return mode is not None and any(ch in mode for ch in "?wxa+")
 
 
+def _parsed(directory: Path):
+    """The file name and syntax tree of each Python module in `directory`."""
+    for module in sorted(directory.glob("*.py")):
+        yield module.name, ast.parse(module.read_text(encoding="utf-8"))
+
+
 def _calls_outside(functions: set, picks) -> list[str]:
     """Where a package module makes a call that `picks` picks out, outside
     the (module, function) pairs in `functions`."""
     found = []
-    for module in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(module.read_text(encoding="utf-8"))
+    for name, tree in _parsed(SOURCE):
         allowed = [
             range(node.lineno, node.end_lineno + 1)
             for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and (module.name, node.name) in functions
+            if isinstance(node, ast.FunctionDef) and (name, node.name) in functions
         ]
         found += [
-            f"{module.name}:{node.lineno}"
+            f"{name}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Call) and picks(node) and not any(node.lineno in lines for lines in allowed)
         ]
@@ -238,6 +244,48 @@ def test_the_write_check_sees_each_form():
     }
     for source, expected in calls.items():
         assert _writes_a_file(ast.parse(source).body[0].value) is expected, source
+
+
+# --- imports ---------------------------------------------------------------------------
+
+STANDARD_LIBRARY = set(sys.stdlib_module_names)
+
+
+def _imported(tree: ast.AST) -> list[tuple[int, str]]:
+    """The line and top-level module of each absolute import in `tree`; a
+    relative import stays inside its package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.partition(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.partition(".")[0]))
+    return found
+
+
+def _imports_outside(directory: Path, allowed: set) -> list[str]:
+    return [
+        f"{name}:{line} {module}"
+        for name, tree in _parsed(directory)
+        for line, module in _imported(tree)
+        if module not in allowed
+    ]
+
+
+def test_imports_are_the_standard_library_numpy_and_the_package():
+    """The package needs only numpy; the tests add pytest and hypothesis,
+    and import each other, but not another installed package such as
+    scipy."""
+    package = STANDARD_LIBRARY | {"numpy", "pretermalc"}
+    assert _imports_outside(SOURCE, package) == []
+    tests = Path(__file__).parent
+    beside = {module.stem for module in tests.glob("*.py")}
+    assert _imports_outside(tests, package | {"pytest", "hypothesis"} | beside) == []
+
+
+def test_the_import_check_sees_each_form():
+    source = "import os.path, scipy\nfrom scipy.stats import norm\nfrom . import net\nfrom .net import forward\n"
+    assert _imported(ast.parse(source)) == [(1, "os"), (1, "scipy"), (2, "scipy")]
 
 
 # --- whole files -----------------------------------------------------------------------

@@ -24,8 +24,6 @@ CHANGED = {
     "synth.clean_code_rate": 0.6,
     "synth.newborn_coded_rate": 0.6,
     "train.n_epochs": 2,
-    "train.batch_size": 16,
-    "train.learning_rate": 0.01,
     "benchmark.repeats": 2,
     "benchmark.methods": ["NoLC_noisy"],
     "benchmark.base_seed": 4,
