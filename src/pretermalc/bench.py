@@ -41,7 +41,7 @@ from .records import (
 )
 from .synth import ClericalNoiseModel, Cohort, SynthConfig, build_datasets, generate_cohort
 from .net import ModelParams, NetDims, init_params
-from .train import BATCH_SIZE, LEARNING_RATE, TrainConfig, TrainMethod, score_examples, train
+from .train import BATCH_SIZE, DEFAULT_EPOCHS, LEARNING_RATE, TrainConfig, TrainMethod, score_examples, train
 
 logger = logging.getLogger(__name__)
 
@@ -75,13 +75,14 @@ def derive_seed(*parts) -> int:
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """What a repeated benchmark runs: the methods, in report order, the
-    number of repeated splits, and the seed that every split, initialization
-    and training run derives from. A method may be given by name; it is
-    stored as a TrainMethod."""
+    number of repeated splits, the seed that every split, initialization
+    and training run derives from, and the epochs of each training run. A
+    method may be given by name; it is stored as a TrainMethod."""
 
     methods: tuple[TrainMethod, ...] = tuple(TrainMethod)
     repeats: int = DEFAULT_REPEATS
     base_seed: int = 0
+    n_epochs: int = DEFAULT_EPOCHS
 
     def __post_init__(self) -> None:
         valid = {m.value: m for m in TrainMethod}
@@ -96,6 +97,8 @@ class BenchmarkConfig:
             raise ValueError(f"methods: method(s) given more than once: {', '.join(repeated)}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
+        if self.n_epochs < 1:
+            raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
         object.__setattr__(self, "methods", tuple(valid[name] for name in names))
 
 
@@ -310,19 +313,15 @@ def repeat_inputs(corpus: Corpus, repeat: int, base_seed: int) -> RepeatInputs:
 
 
 def _run_repeat(
-    corpus: Corpus,
-    methods: Sequence[TrainMethod],
-    base_seed: int,
-    base_config: TrainConfig,
-    repeat: int,
+    corpus: Corpus, config: BenchmarkConfig, repeat: int
 ) -> list[tuple[RepeatRow, np.ndarray, np.ndarray]]:
     """Each method's row and its TPR and precision on CURVE_GRID, in order."""
-    inputs = repeat_inputs(corpus, repeat, base_seed)
+    inputs = repeat_inputs(corpus, repeat, config.base_seed)
     split = inputs.split
     labels = [ex.clean_label for ex in split.test]
     results = []
-    for method in methods:
-        cfg = replace(base_config, method=method, seed=inputs.train_seed)
+    for method in config.methods:
+        cfg = TrainConfig(method, config.n_epochs, inputs.train_seed)
         model, _ = train(inputs.init, split.train, inputs.noisy, inputs.c_hat, cfg)
         scores = score_examples(model, split.test)
         row = RepeatRow(method.value, repeat, auc(scores, labels), pr_auc(scores, labels))
@@ -364,18 +363,18 @@ def _corpus_digest(corpus: Corpus) -> str:
     return h.hexdigest()
 
 
-def _fingerprint(corpus: Corpus, config: BenchmarkConfig, base_config: TrainConfig) -> str:
-    """Digest of what shapes the reports: the corpus content and the run
-    settings, of the train settings only the epoch count a repeat reads.
-    The fixed batch and step sizes are hashed under the keys they had as
-    settings, so a default run keeps the fingerprint it had then. The cohort
-    config is left out: the content digest covers every dataset it shaped."""
+def _fingerprint(corpus: Corpus, config: BenchmarkConfig) -> str:
+    """Digest of what shapes the reports: the corpus content and the
+    request. The epoch count and the fixed batch and step sizes are hashed
+    as the train settings they once were, so a default run keeps the
+    fingerprint it had then. The cohort config is left out: the content
+    digest covers every dataset it shaped."""
     payload = repr(
         (
             [m.value for m in config.methods],
             config.repeats,
             DEFAULT_SPLIT,
-            {"n_epochs": base_config.n_epochs, "batch_size": BATCH_SIZE, "learning_rate": LEARNING_RATE},
+            {"n_epochs": config.n_epochs, "batch_size": BATCH_SIZE, "learning_rate": LEARNING_RATE},
             config.base_seed,
             _corpus_digest(corpus),
         )
@@ -386,7 +385,7 @@ def _fingerprint(corpus: Corpus, config: BenchmarkConfig, base_config: TrainConf
 def repeated_benchmark(
     corpus: Corpus,
     config: BenchmarkConfig = BenchmarkConfig(),
-    train_config: TrainConfig | None = None,
+    *,
     workers: int = 1,
 ) -> BenchmarkReport:
     """Train every method on every repeat's split and aggregate test metrics
@@ -396,9 +395,7 @@ def repeated_benchmark(
     repeat order, so the report is identical for any worker count.
     """
     methods, repeats = config.methods, config.repeats
-    base_config = train_config or TrainConfig()
-
-    run = partial(_run_repeat, corpus, methods, config.base_seed, base_config)
+    run = partial(_run_repeat, corpus, config)
     if workers > 1:
         # One chunk of repeats per worker, so the corpus is pickled once per
         # worker. It travels with the task, not with the start-up arguments:
@@ -426,7 +423,7 @@ def repeated_benchmark(
         methods=[m.value for m in methods],
         rows=rows,
         summaries=summarize(rows),
-        fingerprint=_fingerprint(corpus, config, base_config),
+        fingerprint=_fingerprint(corpus, config),
         curves=curves,
     )
 

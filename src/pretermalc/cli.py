@@ -19,10 +19,11 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial, reduce
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+from xml.sax.saxutils import escape
 
 from . import __version__
 from .bench import (
@@ -70,21 +71,15 @@ from .train import CLEAN, CORRECTED, MIXED, NOISY, TrainConfig, TrainMethod, pla
 
 CONFIG_SCHEMA_VERSION = 1
 
-# Keys of the config file's train section: the train settings a benchmark
-# repeat reads (it sets the method and the seed of each run itself).
-TRAIN_KEYS = ("n_epochs",)
-BENCHMARK_KEYS = tuple(f.name for f in dataclasses.fields(BenchmarkConfig))
-SYNTH_KEYS = tuple(f.name for f in dataclasses.fields(SynthConfig))
-SECTIONS = {"synth": SynthConfig, "train": TrainConfig, "benchmark": BenchmarkConfig}
-
-# The config keys that each subcommand's stages read, by section; the synth
-# flags of a subcommand set the same keys. `benchmark` reads no synth key:
+# The config sections that each subcommand's stages read. A section is one
+# config dataclass, and its keys are that dataclass's fields; the synth flags
+# of a subcommand set the same keys. `benchmark` reads no synth section:
 # `--seed` or `benchmark.base_seed` set its base seed. A subcommand not
 # listed takes no --config.
-CONFIG_KEYS = {
-    "synth": {"synth": SYNTH_KEYS},
-    "benchmark": {"train": TRAIN_KEYS, "benchmark": BENCHMARK_KEYS},
-    "pipeline": {"synth": SYNTH_KEYS, "train": TRAIN_KEYS, "benchmark": BENCHMARK_KEYS},
+CONFIG_SECTIONS = {
+    "synth": {"synth": SynthConfig},
+    "benchmark": {"benchmark": BenchmarkConfig},
+    "pipeline": {"synth": SynthConfig, "benchmark": BenchmarkConfig},
 }
 
 
@@ -115,18 +110,18 @@ def _typed(value, expected: type, where: str):
     return value
 
 
-def _values(cls, data, keys, path, dotted: str, command: str) -> dict:
+def _values(cls, data, path, dotted: str, command: str) -> dict:
     """The values of config object `data`, at key `dotted` of file `path`,
-    for fields `keys` of dataclass `cls`. Each value must have the type of
-    its field's default; a field whose default is a dataclass takes an
-    object of that dataclass's fields."""
-    _check_keys(data, keys, path, dotted, command)
+    for fields of dataclass `cls`. Each value must have the type of its
+    field's default; a field whose default is a dataclass takes an object of
+    that dataclass's fields."""
     fields = {f.name: f for f in dataclasses.fields(cls)}
+    _check_keys(data, fields, path, dotted, command)
     values = {}
     for key, value in data.items():
         f, at = fields[key], f"{dotted}.{key}"
         if f.default is dataclasses.MISSING:
-            values[key] = _values(f.default_factory, value, _flag_fields(f.default_factory), path, at, command)
+            values[key] = _values(f.default_factory, value, path, at, command)
         else:
             values[key] = _typed(value, type(f.default), f"{path}: {at}")
     return values
@@ -148,9 +143,9 @@ def _overlay(obj, values: dict, where: str | None = None):
 
 def load_run_config(path: str | Path, command: str) -> dict:
     """JSON config with a checked version tag, keys and value types, as
-    {section: {key: value}}. Every key must be one that CONFIG_KEYS lists
-    for subcommand `command`. Any fault raises ConfigError naming the file
-    and the section and key."""
+    {section: {key: value}}. Every section must be one that CONFIG_SECTIONS
+    lists for subcommand `command`. Any fault raises ConfigError naming the
+    file and the section and key."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -162,18 +157,9 @@ def load_run_config(path: str | Path, command: str) -> dict:
     version = data.pop("version", None)
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{path}: config version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
-    keys = CONFIG_KEYS[command]
-    _check_keys(data, keys, path, "", command)
-    return {
-        section: _values(SECTIONS[section], value, keys[section], path, section, command)
-        for section, value in data.items()
-    }
-
-
-def _flag_fields(cls) -> dict:
-    """Name and default of each field of config dataclass `cls` that has a
-    flag: those with a plain default."""
-    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+    sections = CONFIG_SECTIONS[command]
+    _check_keys(data, sections, path, "", command)
+    return {section: _values(sections[section], value, path, section, command) for section, value in data.items()}
 
 
 def _flag_settings(args: argparse.Namespace) -> dict:
@@ -194,18 +180,18 @@ def _flags(args: argparse.Namespace, names) -> dict:
 
 
 def add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
-    """--config, then one flag per synth key that `command` reads (a
-    ClericalNoiseModel field for `clerical_noise`): the field name without a
-    leading 'n_', dashed, typed as its default."""
+    """--config, then one flag per synth key when `command` reads the synth
+    section (a ClericalNoiseModel field for `clerical_noise`): the field name
+    without a leading 'n_', dashed, typed as its default."""
     parser.add_argument("--config", type=Path, help="JSON run config (flags override it)")
-    plain = _flag_fields(SynthConfig)
-    for key in CONFIG_KEYS[command].get("synth", ()):
-        fields = {key: plain[key]} if key in plain else {
-            f"{key}.{name}": default for name, default in _flag_fields(ClericalNoiseModel).items()
-        }
-        for dotted, default in fields.items():
-            flag = dotted.rpartition(".")[2].removeprefix("n_").replace("_", "-")
-            parser.add_argument(f"--{flag}", dest=f"synth.{dotted}", type=type(default))
+    if "synth" not in CONFIG_SECTIONS[command]:
+        return
+    for f in dataclasses.fields(SynthConfig):
+        nested = f.default is dataclasses.MISSING  # clerical_noise
+        for leaf in dataclasses.fields(ClericalNoiseModel) if nested else (f,):
+            flag = leaf.name.removeprefix("n_").replace("_", "-")
+            dest = f"synth.{f.name}.{leaf.name}" if nested else f"synth.{f.name}"
+            parser.add_argument(f"--{flag}", dest=dest, type=type(leaf.default))
 
 
 def _add_benchmark_flags(parser: argparse.ArgumentParser) -> None:
@@ -214,19 +200,13 @@ def _add_benchmark_flags(parser: argparse.ArgumentParser) -> None:
         type=lambda text: tuple(m.strip() for m in text.split(",")) if text.strip() else (),
     )
     parser.add_argument("--repeats", dest="benchmark.repeats", type=int)
+    parser.add_argument("--epochs", dest="benchmark.n_epochs", type=int)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--curves", action="store_true", help="write mean ROC/PR SVGs per method")
     parser.add_argument("--out", required=True)
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    synth: SynthConfig
-    train: TrainConfig
-    benchmark: BenchmarkConfig
-
-
-def resolve_run_settings(args: argparse.Namespace, command: str) -> RunSettings:
+def resolve_run_settings(args: argparse.Namespace, command: str) -> tuple[SynthConfig, BenchmarkConfig]:
     """The settings of a run of subcommand `command`. Each value is the
     dataclass default, overridden by the --config file, overridden by a
     flag. base_seed defaults to the synth seed. A calibrating pipeline takes
@@ -245,8 +225,7 @@ def resolve_run_settings(args: argparse.Namespace, command: str) -> RunSettings:
         return _overlay(from_file, flags.get(section, {}))
 
     synth = resolve("synth", SynthConfig())
-    benchmark = resolve("benchmark", BenchmarkConfig(base_seed=synth.seed))
-    return RunSettings(synth, resolve("train", TrainConfig()), benchmark)
+    return synth, resolve("benchmark", BenchmarkConfig(base_seed=synth.seed))
 
 
 def check_outputs(files: Mapping[str, str | None] = {}, out_dir: str | None = None, names: Iterable[str] = ()) -> None:
@@ -313,7 +292,7 @@ def _svg_open(title: str) -> list[str]:
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_SVG_W / 2:.0f}" y="24" text-anchor="middle" font-size="14" '
-        f'font-family="sans-serif">{title}</text>',
+        f'font-family="sans-serif">{escape(title)}</text>',
     ]
 
 
@@ -354,7 +333,7 @@ def summary_svg(names: Sequence[str], means: Sequence[float], stds: Sequence[flo
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#1f6fb2"/>')
         parts.append(
             f'<text x="{cx:.2f}" y="{_SVG_H - _SVG_M + 16}" text-anchor="middle" font-size="9" '
-            f'font-family="sans-serif">{name}</text>'
+            f'font-family="sans-serif">{escape(name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -426,9 +405,9 @@ def estimate_c_stage(dual, out: Path) -> CorruptionMatrix:
 
 
 def benchmark_stage(
-    corpus: Corpus, settings: RunSettings, workers: int, curves: bool, out_dir: Path
+    corpus: Corpus, config: BenchmarkConfig, workers: int, curves: bool, out_dir: Path
 ) -> BenchmarkReport:
-    report = repeated_benchmark(corpus, settings.benchmark, settings.train, workers)
+    report = repeated_benchmark(corpus, config, workers=workers)
     report_file, raw_file = (out_dir / name for name in REPORT_FILES)
     write_file(report_file, [report.report_csv()])
     write_file(raw_file, [report.raw_csv()])
@@ -446,9 +425,9 @@ def benchmark_stage(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    settings = resolve_run_settings(args, "synth")
+    config, _ = resolve_run_settings(args, "synth")
     check_outputs(out_dir=args.out, names=COHORT_FILES)
-    synth_stage(settings.synth, Path(args.out))
+    synth_stage(config, Path(args.out))
     return 0
 
 
@@ -521,11 +500,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
-    settings = resolve_run_settings(args, "benchmark")
+    _, config = resolve_run_settings(args, "benchmark")
     workers = _threads(args.threads)
-    check_outputs(out_dir=args.out, names=benchmark_files(settings.benchmark, args.curves))
+    check_outputs(out_dir=args.out, names=benchmark_files(config, args.curves))
     corpus = Corpus.from_files(args.clean, args.noisy, args.vocab)
-    benchmark_stage(corpus, settings, workers, args.curves, Path(args.out))
+    benchmark_stage(corpus, config, workers, args.curves, Path(args.out))
     return 0
 
 
@@ -540,11 +519,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigError(f"--target-accuracy must be in (0.5, 1], got {args.target}")
     if args.target is not None and args.no_calibrate:
         raise ConfigError("--target-accuracy has no effect with --no-calibrate")
-    settings = resolve_run_settings(args, "pipeline")
+    config, bench_config = resolve_run_settings(args, "pipeline")
     workers = _threads(args.threads)
     stage_files = (*COHORT_FILES, LINKS_FILE, *DATASET_FILES, C_MATRIX_FILE)
-    check_outputs(out_dir=args.out, names=stage_files + benchmark_files(settings.benchmark, args.curves))
-    config = settings.synth
+    check_outputs(out_dir=args.out, names=stage_files + benchmark_files(bench_config, args.curves))
     out_dir = Path(args.out)
 
     if not args.no_calibrate:
@@ -558,7 +536,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     d_star, d_tilde, d_prime = stage("datasets", datasets_stage, mothers, newborns, links, vocab, out_dir)
     stage("estimate-c", estimate_c_stage, d_prime, out_dir / C_MATRIX_FILE)
     corpus = Corpus(vocab, d_star, d_tilde, d_prime, config)
-    stage("benchmark", benchmark_stage, corpus, settings, workers, args.curves, out_dir)
+    stage("benchmark", benchmark_stage, corpus, bench_config, workers, args.curves, out_dir)
     print(f"pipeline complete -> {out_dir}")
     return 0
 
@@ -653,13 +631,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean", required=True)
     p.add_argument("--noisy", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--epochs", dest="train.n_epochs", type=int)
     _add_benchmark_flags(p)
     p.set_defaults(func=cmd_benchmark)
 
     p = add_parser("pipeline", help="synth -> link -> datasets -> estimate-c -> benchmark")
     add_config_flags(p, "pipeline")
-    p.add_argument("--epochs", dest="train.n_epochs", type=int)
     _add_benchmark_flags(p)
     p.add_argument("--no-calibrate", action="store_true", help="skip noise calibration")
     p.add_argument("--target-accuracy", dest="target", type=float)

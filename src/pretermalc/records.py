@@ -344,17 +344,40 @@ def record_to_dict(
     }
 
 
+_INT, _STR, _LIST, _INT_OR_NULL = (int,), (str,), (list,), (int, type(None))
+
+
+def _json_field(obj: dict, key: str, kinds: tuple[type, ...], visit: int | None = None):
+    """``obj[key]``, of a record or of its visit number ``visit``, whose
+    JSON type must be one of ``kinds``. A bool is not an int here, and a
+    float that holds a whole number is not one either."""
+    value = obj[key]
+    if type(value) not in kinds:
+        names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+        where = "" if visit is None else f"visits[{visit}]."
+        raise ValueError(f"{where}{key}: expected {names}, got {value!r}")
+    return value
+
+
 def record_from_dict(obj: dict, vocab: CodeVocabulary) -> tuple[PatientRecord, Label | None, Label | None]:
+    """The record and labels of one line of a record file. Each field must
+    have the JSON type that ``record_to_dict`` writes; a ValueError names
+    the field that does not."""
     visits = tuple(
-        Visit(day=v["day"], codes=vocab.encode(v["codes"]), t_adm=v["t_adm"], t_dis=v["t_dis"])
-        for v in obj["visits"]
+        Visit(
+            day=_json_field(v, "day", _INT, i),
+            codes=vocab.encode(_json_field(v, "codes", _LIST, i)),
+            t_adm=_json_field(v, "t_adm", _INT, i),
+            t_dis=_json_field(v, "t_dis", _INT, i),
+        )
+        for i, v in enumerate(_json_field(obj, "visits", _LIST))
     )
     record = PatientRecord(
-        patient_id=obj["patient_id"],
-        hospital_id=obj["hospital_id"],
-        role=Role(obj["role"]),
+        patient_id=_json_field(obj, "patient_id", _STR),
+        hospital_id=_json_field(obj, "hospital_id", _STR),
+        role=Role(_json_field(obj, "role", _STR)),
         visits=visits,
-        delivery_day=obj["delivery_day"],
+        delivery_day=_json_field(obj, "delivery_day", _INT_OR_NULL),
     )
     return record, _label_from_json(obj.get("clean_label")), _label_from_json(obj.get("noisy_label"))
 

@@ -46,6 +46,8 @@ LEARNING_RATE = 1e-3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Epochs per training run, unless a run asks for another count.
+DEFAULT_EPOCHS = 10
 
 
 class TrainMethod(Enum):
@@ -97,7 +99,7 @@ def plan_epochs(method: TrainMethod, n_epochs: int) -> list[EpochSpec]:
 @dataclass(frozen=True)
 class TrainConfig:
     method: TrainMethod = TrainMethod.ALC
-    n_epochs: int = 10
+    n_epochs: int = DEFAULT_EPOCHS
     seed: int = 0
 
     def __post_init__(self) -> None:

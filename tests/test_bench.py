@@ -42,7 +42,7 @@ SMALL = SynthConfig(n_mothers=200, n_hospitals=3, seed=11)
 # seed 0, a split that holds one dual-labeled class in its training part is
 # drawn before one that holds both.
 TINY = SynthConfig(n_mothers=80, n_hospitals=2)
-FAST = TrainConfig(n_epochs=2)
+FAST = 2  # epochs per training run
 
 
 @functools.cache
@@ -118,26 +118,26 @@ def test_split_rejects_bad_fractions():
 
 def test_benchmark_report_is_reproducible(corpus):
     methods = [TrainMethod.ALC, TrainMethod.NOLC_CLEAN]
-    a = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST)
-    b = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST)
+    a = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4, FAST))
+    b = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4, FAST))
     assert a.raw_csv() == b.raw_csv()
     assert a.report_csv() == b.report_csv()
     assert a.fingerprint == b.fingerprint
 
 
 def test_fingerprint_covers_base_seed_and_corpus_content(corpus):
-    config, fast = BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1), replace(FAST, n_epochs=1)
-    first = repeated_benchmark(corpus, config, fast).fingerprint
-    assert repeated_benchmark(corpus, config, fast).fingerprint == first
-    assert repeated_benchmark(corpus, replace(config, base_seed=1), fast).fingerprint != first
+    config = BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1, n_epochs=1)
+    first = repeated_benchmark(corpus, config).fingerprint
+    assert repeated_benchmark(corpus, config).fingerprint == first
+    assert repeated_benchmark(corpus, replace(config, base_seed=1)).fingerprint != first
     reordered = replace(corpus, d_star=corpus.d_star[::-1])
-    assert repeated_benchmark(reordered, config, fast).fingerprint != first
+    assert repeated_benchmark(reordered, config).fingerprint != first
 
 
 def test_benchmark_is_independent_of_worker_count(corpus):
     methods = [TrainMethod.ALC, TrainMethod.NOLC_CLEAN]
-    serial = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST, workers=1)
-    pooled = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST, workers=2)
+    serial = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4, FAST), workers=1)
+    pooled = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4, FAST), workers=2)
     assert serial.raw_csv() == pooled.raw_csv()
     assert serial.report_csv() == pooled.report_csv()
 
@@ -147,11 +147,10 @@ def test_pooled_run_from_an_unguarded_script_fails_instead_of_hanging(tmp_path):
     script.write_text(textwrap.dedent("""
         from pretermalc.bench import BenchmarkConfig, build_corpus, repeated_benchmark
         from pretermalc.synth import SynthConfig
-        from pretermalc.train import TrainConfig, TrainMethod
+        from pretermalc.train import TrainMethod
 
         corpus, _, _ = build_corpus(SynthConfig(n_mothers=200, n_hospitals=3, seed=11))
-        repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=2),
-                           TrainConfig(n_epochs=1), workers=2)
+        repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=2, n_epochs=1), workers=2)
     """))
     env = {**os.environ, "PYTHONPATH": str(Path(pretermalc.__file__).parents[1])}
     done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
@@ -160,7 +159,7 @@ def test_pooled_run_from_an_unguarded_script_fails_instead_of_hanging(tmp_path):
 
 
 def test_single_repeat_reports_zero_spread(corpus):
-    report = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 1, 4), FAST)
+    report = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 1, 4, FAST))
     summary = report.summaries["NoLC_clean"]
     assert summary.auc_std == 0.0
     assert summary.prauc_std == 0.0
@@ -169,13 +168,13 @@ def test_single_repeat_reports_zero_spread(corpus):
 
 def test_clean_only_training_never_touches_the_noisy_set(corpus):
     without_noisy = replace(corpus, d_tilde=())
-    config = BenchmarkConfig([TrainMethod.NOLC_CLEAN], 2, 4)
-    assert repeated_benchmark(corpus, config, FAST).raw_csv() == repeated_benchmark(without_noisy, config, FAST).raw_csv()
+    config = BenchmarkConfig([TrainMethod.NOLC_CLEAN], 2, 4, FAST)
+    assert repeated_benchmark(corpus, config).raw_csv() == repeated_benchmark(without_noisy, config).raw_csv()
 
 
 def test_report_layout(corpus):
     methods = [TrainMethod.NOLC_CLEAN, TrainMethod.NOLC_NOISY]
-    report = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4), FAST)
+    report = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4, FAST))
     raw = report.raw_csv().splitlines()
     assert raw[0] == "method,repeat,auc,pr_auc"
     assert len(raw) == 1 + 2 * 2
@@ -193,7 +192,7 @@ def test_report_layout(corpus):
 
 
 def test_benchmark_can_collect_mean_curves(corpus):
-    report = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 2, 4), FAST)
+    report = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 2, 4, FAST))
     curves = report.curves["NoLC_clean"]
     assert set(curves) == {"grid", "tpr", "precision"}
     assert curves["grid"].shape == curves["tpr"].shape == curves["precision"].shape == (101,)
@@ -206,10 +205,10 @@ def test_a_methods_rows_and_curves_do_not_depend_on_the_other_methods(corpus):
     # (corpus, base seed, repeats). The second case draws another split for
     # one repeat wherever the split's acceptance depends on the methods run.
     for data, base_seed, repeats in ((corpus, 4, 2), (corpus_of(replace(TINY, seed=1)), 0, 3)):
-        both = repeated_benchmark(data, BenchmarkConfig(methods, repeats, base_seed), FAST)
+        both = repeated_benchmark(data, BenchmarkConfig(methods, repeats, base_seed, FAST))
         for method in methods:
             case = (base_seed, repeats, method)
-            alone = repeated_benchmark(data, BenchmarkConfig([method], repeats, base_seed), FAST)
+            alone = repeated_benchmark(data, BenchmarkConfig([method], repeats, base_seed, FAST))
             assert [row for row in both.rows if row.method == method.value] == alone.rows, case
             for kind, curve in alone.curves[method.value].items():
                 assert np.array_equal(both.curves[method.value][kind], curve), (*case, kind)
@@ -219,7 +218,7 @@ def test_a_repeat_without_both_dual_labeled_classes_in_training_fails_for_any_me
     data = corpus_of(replace(TINY, seed=0))
     assert {ex.clean_label for ex in data.d_prime} == {Label.FULL_TERM}
     with pytest.raises(BenchmarkError, match="^repeat 0: "):
-        repeated_benchmark(data, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 1, 0), FAST)
+        repeated_benchmark(data, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 1, 0, FAST))
 
 
 def test_repeat_estimates_c_from_the_dual_labeled_part_of_its_training_split(corpus):
@@ -245,7 +244,7 @@ def test_no_validation_or_test_mother_reaches_a_training_pool(corpus, monkeypatc
     monkeypatch.setattr(bench, "train", recording_train)
     monkeypatch.setattr(bench, "score_examples", recording_score)
     repeats = 2
-    repeated_benchmark(corpus, BenchmarkConfig(tuple(TrainMethod), repeats, 4), replace(FAST, n_epochs=1))
+    repeated_benchmark(corpus, BenchmarkConfig(tuple(TrainMethod), repeats, 4, n_epochs=1))
     assert [method for method, _, _ in pools] == list(TrainMethod) * repeats
     all_ids = {ex.patient_id for ex in corpus.d_star}
     for (method, d_star, d_tilde), test_ids in zip(pools, tested):
@@ -260,26 +259,25 @@ def test_no_validation_or_test_mother_reaches_a_training_pool(corpus, monkeypatc
 
 
 def test_fingerprint_ignores_the_cohort_config(corpus):
-    config, fast = BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1), replace(FAST, n_epochs=1)
+    config = BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1, n_epochs=1)
     other = replace(corpus, config=replace(SMALL, n_mothers=999, clean_code_rate=0.6, n_hospitals=5))
-    assert repeated_benchmark(other, config, fast).fingerprint == repeated_benchmark(corpus, config, fast).fingerprint
+    assert repeated_benchmark(other, config).fingerprint == repeated_benchmark(corpus, config).fingerprint
 
 
-def test_fingerprint_ignores_the_train_settings_a_repeat_overwrites(corpus):
-    config, fast = BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1), replace(FAST, n_epochs=1)
-    base = repeated_benchmark(corpus, config, fast)
-    other = repeated_benchmark(corpus, config, replace(fast, seed=5, method=TrainMethod.NOLC_NOISY))
-    assert other.raw_csv() == base.raw_csv()
-    assert other.fingerprint == base.fingerprint
+def test_a_train_config_in_place_of_the_worker_count_fails_at_the_call(corpus):
+    # The epoch count is part of the request; nothing else of a TrainConfig
+    # reaches a repeat, which sets each run's method and seed itself.
+    with pytest.raises(TypeError):
+        repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], repeats=1), TrainConfig(n_epochs=1))
 
 
 def test_fingerprint_of_a_fixed_run_is_pinned(corpus):
     # The fingerprint hashes the methods, repeats, split, the train settings
-    # a repeat reads, base seed and corpus digest, in that order. A change to
-    # what it hashes or how must show here, since reports from different
-    # versions are compared by it.
-    config = BenchmarkConfig([TrainMethod.NOLC_CLEAN, TrainMethod.ALC], repeats=2, base_seed=4)
-    report = repeated_benchmark(corpus, config, TrainConfig(n_epochs=1))
+    # (the epoch count, batch size and step size), base seed and corpus
+    # digest, in that order. A change to what it hashes or how must show
+    # here, since reports from different versions are compared by it.
+    config = BenchmarkConfig([TrainMethod.NOLC_CLEAN, TrainMethod.ALC], repeats=2, base_seed=4, n_epochs=1)
+    report = repeated_benchmark(corpus, config)
     assert report.fingerprint == "8aba0098fb7abba4"
 
 

@@ -4,6 +4,7 @@ byte-level reproducibility."""
 import argparse
 import hashlib
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -15,6 +16,7 @@ from pretermalc.synth import ConfigError
 COHORT_FLAGS = ["--mothers", "200", "--hospitals", "3", "--seed", "11"]
 BENCHMARK_FLAGS = ["--repeats", "1", "--epochs", "1", "--methods", "NoLC_clean", "--curves"]
 PIPELINE_FLAGS = [*COHORT_FLAGS, "--no-calibrate", *BENCHMARK_FLAGS]
+SVG = "{http://www.w3.org/2000/svg}"
 
 
 @pytest.fixture(scope="module")
@@ -157,23 +159,23 @@ def test_config_file_builds_nested_noise_model(tmp_path):
     loaded = load_run_config(cfg, "synth")
     assert loaded == {"synth": {"n_mothers": 150, "clerical_noise": {"time_jitter_sd": 45.0}}}
     args = build_parser().parse_args(["synth", "--config", cfg, "--out", "x"])
-    synth = resolve_run_settings(args, "synth").synth
+    synth, _ = resolve_run_settings(args, "synth")
     assert synth.n_mothers == 150
     assert synth.clerical_noise.time_jitter_sd == 45.0
     assert synth.clerical_noise.missing_newborn_rate == 0.15
 
 
+# A key that its section lacks is named with the section; a section that
+# no subcommand reads, such as `train`, is named alone.
 @pytest.mark.parametrize("section,key,value", [
     ("benchmark", "split_fractions", [0.7, 0.15, 0.15]),
-    ("train", "method", "ALC"),
-    ("train", "seed", 3),
-    ("train", "batch_size", 64),
-    ("train", "learning_rate", 1e-3),
+    ("train", "n_epochs", 10),
 ])
 def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value):
     cfg = write_config(tmp_path / "run.json", {"version": 1, section: {key: value}})
     assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == f"error: {cfg}: {section}.{key} not read by the pipeline subcommand\n"
+    named = f"{section}.{key}" if section in cli.CONFIG_SECTIONS["pipeline"] else section
+    assert capsys.readouterr().err == f"error: {cfg}: {named} not read by the pipeline subcommand\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -181,8 +183,8 @@ def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value)
     ({"synth": {"n_mothers": "200"}}, "synth.n_mothers: expected int, got '200'"),
     ({"synth": {"clerical_noise": {"time_jitter_sd": -1.0}}}, "synth.clerical_noise: time_jitter_sd must be >= 0"),
     ({"synth": {"clean_code_rate": True}}, "synth.clean_code_rate: expected float"),
-    ({"train": {"n_epochs": 0}}, "train: n_epochs must be >= 1"),
-    ({"train": {"n_epochs": 2.5}}, "train.n_epochs: expected int, got 2.5"),
+    ({"benchmark": {"n_epochs": 0}}, "benchmark: n_epochs must be >= 1"),
+    ({"benchmark": {"n_epochs": 2.5}}, "benchmark.n_epochs: expected int, got 2.5"),
     ({"benchmark": {"repeats": 0}}, "benchmark: repeats must be >= 1, got 0"),
     ({"benchmark": {"methods": ["NoLC_clean", "Magic"]}}, "benchmark: methods: unknown method 'Magic'"),
     ({"benchmark": {"methods": "ALC"}}, "benchmark.methods: expected list of strings, got 'ALC'"),
@@ -228,9 +230,9 @@ def test_out_of_domain_flags_exit_2_before_any_file_is_touched(tmp_path, capsys,
 # --config at all, so the parser refuses the flag itself.
 @pytest.mark.parametrize("command, body, unread", [
     ("synth", {"train": {"n_epochs": 2}, "benchmark": {"repeats": 2}}, "benchmark, train"),
-    ("datasets", {"synth": {"n_mothers": 999}, "train": {"n_epochs": 2}}, None),
+    ("datasets", {"synth": {"n_mothers": 999}, "benchmark": {"n_epochs": 2}}, None),
     ("benchmark", {"synth": {"seed": 6}}, "synth"),
-    ("benchmark", {"train": {"n_epochs": 2, "seed": 3, "method": "ALC"}}, "train.method, train.seed"),
+    ("benchmark", {"benchmark": {"n_epochs": 2}, "train": {"n_epochs": 2}}, "train"),
 ])
 def test_config_keys_a_subcommand_does_not_read_exit_2_before_any_file_is_read(
     tmp_path, capsys, command, body, unread
@@ -755,8 +757,7 @@ def test_benchmark_takes_settings_from_the_config_file(pipeline_dir, tmp_path, c
 
     cfg = write_config(tmp_path / "run.json", {
         "version": 1,
-        "train": {"n_epochs": 1},
-        "benchmark": {"repeats": 1, "methods": ["NoLC_clean"], "base_seed": 6},
+        "benchmark": {"repeats": 1, "methods": ["NoLC_clean"], "base_seed": 6, "n_epochs": 1},
     })
     assert main([*base, "--config", cfg, "--out", str(tmp_path / "config")]) == 0
     assert fingerprint_of(capsys) == from_flags
@@ -765,8 +766,7 @@ def test_benchmark_takes_settings_from_the_config_file(pipeline_dir, tmp_path, c
 
     overridden = write_config(tmp_path / "other.json", {
         "version": 1,
-        "train": {"n_epochs": 3},
-        "benchmark": {"repeats": 4, "methods": ["ALC"], "base_seed": 5},
+        "benchmark": {"repeats": 4, "methods": ["ALC"], "base_seed": 5, "n_epochs": 3},
     })
     assert main([*base, "--config", overridden, *flags, "--out", str(tmp_path / "overridden")]) == 0
     assert fingerprint_of(capsys) == from_flags
@@ -836,6 +836,7 @@ BAD_REQUESTS = {
     "repeated_method": ({"methods": ["NoLC_clean", "ALC", "NoLC_clean"]}, ["--methods", "NoLC_clean,ALC,NoLC_clean"],
                         "methods: method(s) given more than once: NoLC_clean"),
     "no_repeats": ({"repeats": 0}, ["--repeats", "0"], "repeats must be >= 1, got 0"),
+    "no_epochs": ({"n_epochs": 0}, ["--epochs", "0"], "n_epochs must be >= 1, got 0"),
 }
 
 
@@ -863,6 +864,17 @@ def test_report_command_summarizes_and_draws(pipeline_dir, tmp_path, capsys):
     assert "+/- 0.00" in out  # single repeat: zero spread
     assert (tmp_path / "svg" / "auc.svg").exists()
     assert (tmp_path / "svg" / "pr_auc.svg").exists()
+
+
+def test_report_svgs_escape_the_text_they_show(tmp_path, capsys):
+    raw = tmp_path / "raw.csv"
+    raw.write_text("method,repeat,auc,pr_auc\nA<B&C,0,0.8,0.5\n", encoding="utf-8")
+    assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "svg")]) == 0
+    for name in ("auc.svg", "pr_auc.svg"):
+        shown = [node.text for node in ElementTree.parse(tmp_path / "svg" / name).iter(f"{SVG}text")]
+        assert "A<B&C" in shown, name
+    curve = ElementTree.fromstring(cli.curve_svg([0.0, 1.0], [0.0, 1.0], "ROC A<B&C", "x", "y"))
+    assert "ROC A<B&C" in [node.text for node in curve.iter(f"{SVG}text")]
 
 
 def test_report_command_rejects_malformed_input(tmp_path, capsys):

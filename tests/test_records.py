@@ -381,6 +381,38 @@ def test_load_reports_missing_key(tmp_path):
         load_records(path, vocab)
 
 
+# A field of one record line given another JSON type than the one
+# `record_to_dict` writes: (field, value, the types it takes). Each is named,
+# with the file and the line. Unchecked, a float or string delivery day or an
+# object for the visits would drop the mother from the datasets unseen.
+@pytest.mark.parametrize("field, value, expected", [
+    ("delivery_day", 795.5, "int or null"),
+    ("delivery_day", "795", "int or null"),
+    ("delivery_day", True, "int or null"),
+    ("visits", {}, "list"),
+    ("patient_id", 5, "str"),
+    ("hospital_id", None, "str"),
+    ("role", ["mother"], "str"),
+    ("visits[0].codes", "code1", "list"),
+    ("visits[0].day", 1.0, "int"),
+    ("visits[0].t_adm", True, "int"),
+    ("visits[0].t_dis", "1530", "int"),
+])
+def test_load_names_a_field_of_the_wrong_json_type(tmp_path, field, value, expected):
+    vocab, records = build_cohort_records(3)
+    path = tmp_path / "records.jsonl"
+    save_records(records, path, vocab)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    *visit, key = field.split(".")
+    (obj["visits"][0] if visit else obj)[key] = value
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(RecordFileError) as exc:
+        load_records(path, vocab)
+    assert str(exc.value) == f"{path}: line 2: {field}: expected {expected}, got {value!r}"
+
+
 # --- the cyclic collector -----------------------------------------------------
 #
 # Cohort generation, dataset building, example loading and calibration's

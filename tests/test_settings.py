@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from pretermalc.cli import CONFIG_KEYS, build_parser, main
+from pretermalc.cli import CONFIG_SECTIONS, build_parser, main
 from pretermalc.synth import ClericalNoiseModel
 
 # A value for each config key other than the one the base runs below use
@@ -23,7 +23,7 @@ CHANGED = {
     "synth.clerical_noise.misclassified_newborn_rate": 0.3,
     "synth.clean_code_rate": 0.6,
     "synth.newborn_coded_rate": 0.6,
-    "train.n_epochs": 2,
+    "benchmark.n_epochs": 2,
     "benchmark.repeats": 2,
     "benchmark.methods": ["NoLC_noisy"],
     "benchmark.base_seed": 4,
@@ -41,7 +41,7 @@ EXEMPT = {
 BASE = {
     "synth": {"synth": {"n_mothers": 120, "n_hospitals": 2, "seed": 3}},
     "datasets": {},
-    "benchmark": {"train": {"n_epochs": 1}, "benchmark": {"methods": ["NoLC_clean"], "repeats": 1, "base_seed": 3}},
+    "benchmark": {"benchmark": {"methods": ["NoLC_clean"], "repeats": 1, "base_seed": 3, "n_epochs": 1}},
 }
 
 
@@ -75,10 +75,13 @@ def nested(flat: dict) -> dict:
 
 
 def accepted(command: str) -> set[str]:
-    """The dotted config keys that CONFIG_KEYS lists for `command` (none for
-    a subcommand that reads no config), with `synth.clerical_noise` spelled
-    out as its fields."""
-    keys = {f"{section}.{key}" for section, names in CONFIG_KEYS.get(command, {}).items() for key in names}
+    """The dotted config keys of the sections that CONFIG_SECTIONS lists for
+    `command` (none for a subcommand that reads no config), with
+    `synth.clerical_noise` spelled out as its fields."""
+    keys = {
+        f"{section}.{f.name}" for section, cls in CONFIG_SECTIONS.get(command, {}).items()
+        for f in dataclasses.fields(cls)
+    }
     if "synth.clerical_noise" in keys:
         keys.remove("synth.clerical_noise")
         keys |= {f"synth.clerical_noise.{f.name}" for f in dataclasses.fields(ClericalNoiseModel)}
@@ -171,11 +174,8 @@ def test_every_setting_changes_an_output(inputs, tmp_path, capsys, command):
 
 
 def test_pipeline_reads_what_its_stages_read():
-    union: dict = {}
-    for command in ("synth", "benchmark"):
-        for section, keys in CONFIG_KEYS[command].items():
-            union.setdefault(section, set()).update(keys)
-    assert {section: set(keys) for section, keys in CONFIG_KEYS["pipeline"].items()} == union
+    union = {**CONFIG_SECTIONS["synth"], **CONFIG_SECTIONS["benchmark"]}
+    assert CONFIG_SECTIONS["pipeline"] == union
     setting_flags = {a.dest for a in flag_of(subparsers()["pipeline"]).values() if "." in a.dest}
     assert setting_flags <= accepted("pipeline")
 
