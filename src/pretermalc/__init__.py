@@ -13,23 +13,8 @@ from .bench import (
 )
 from .linkage import LinkSet, MatchCandidate, derive_noisy_labels, link_accuracy, match_newborns
 from .metrics import auc, pr_auc
-from .net import (
-    Batch,
-    ModelParams,
-    NetDims,
-    backward,
-    forward,
-    init_params,
-    load_checkpoint,
-    predict_probs,
-    save_checkpoint,
-)
-from .noise import (
-    CorruptionMatrix,
-    apply_class_conditional_noise,
-    corruption_layer,
-    estimate_corruption_matrix,
-)
+from .net import Batch, ModelParams, NetDims, backward, forward, init_params, predict_probs
+from .noise import CorruptionMatrix, corruption_layer, estimate_corruption_matrix
 from .records import (
     CodeVocabulary,
     DatasetSplit,
@@ -65,7 +50,6 @@ __all__ = [
     "TrainConfig",
     "TrainMethod",
     "Visit",
-    "apply_class_conditional_noise",
     "auc",
     "backward",
     "build_corpus",
@@ -79,7 +63,6 @@ __all__ = [
     "generate_cohort",
     "init_params",
     "link_accuracy",
-    "load_checkpoint",
     "load_examples",
     "load_records",
     "match_newborns",
@@ -87,7 +70,6 @@ __all__ = [
     "pr_auc",
     "predict_probs",
     "repeated_benchmark",
-    "save_checkpoint",
     "save_examples",
     "save_records",
     "train",

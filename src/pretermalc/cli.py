@@ -31,8 +31,6 @@ from .bench import (
     BenchmarkReport,
     Corpus,
     calibrate_noise,
-    derive_seed,
-    load_labeled_examples,
     load_raw_csv,
     repeated_benchmark,
     summarize,
@@ -45,8 +43,7 @@ from .linkage import (
     match_newborns,
     save_links,
 )
-from .net import CHECKPOINT_MAGIC, NetDims, init_params, save_checkpoint
-from .noise import CorruptionMatrix, EstimationError, estimate_corruption_matrix, load_matrix_csv, save_matrix_csv
+from .noise import CorruptionMatrix, EstimationError, estimate_corruption_matrix, save_matrix_csv
 from .records import (
     CodeVocabulary,
     RecordFileError,
@@ -67,7 +64,6 @@ from .synth import (
     load_truth,
     save_truth,
 )
-from .train import CLEAN, CORRECTED, MIXED, NOISY, TrainConfig, TrainMethod, plan_epochs, save_loss_log, train
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -466,39 +462,6 @@ def cmd_estimate_c(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    check_outputs({"--out-checkpoint": args.out_checkpoint, "--out-log": args.out_log})
-    overrides = _flag_settings(args).get("train", {})
-    if args.method is not None:
-        overrides["method"] = TrainMethod(args.method)
-    config = _overlay(TrainConfig(), overrides)
-    used = {tag for spec in plan_epochs(config.method, config.n_epochs) for tag in (spec.dataset, spec.loss_kind)}
-    # flag -> (path given, plan tags that read it, plan tag that needs it)
-    inputs = {"--clean": (args.clean, {CLEAN, MIXED}, CLEAN), "--noisy": (args.noisy, {NOISY, MIXED}, NOISY),
-              "--c-matrix": (args.c_matrix, {CORRECTED}, CORRECTED)}
-    plan = f"method {config.method.value} in {config.n_epochs} epoch(s)"
-    unread = [flag for flag, (path, tags, _) in inputs.items() if path and not tags & used]
-    if unread:
-        raise ConfigError(f"{', '.join(unread)}: not read by {plan}")
-    missing = [flag for flag, (path, _, tag) in inputs.items() if tag in used and not path]
-    if MIXED in used and not (args.clean or args.noisy):
-        missing.append("--clean or --noisy")
-    if missing:
-        raise ConfigError(f"{', '.join(missing)}: needed by {plan}")
-    vocab = CodeVocabulary.load(args.vocab)
-    d_star = load_labeled_examples(args.clean, vocab, "clean") if args.clean else []
-    d_tilde = load_labeled_examples(args.noisy, vocab, "noisy") if args.noisy else []
-    c = load_matrix_csv(args.c_matrix) if args.c_matrix else None
-    params = init_params(NetDims(vocab_size=len(vocab)), derive_seed(config.seed, "init"))
-    model, log = train(params, d_star, d_tilde, c, config)
-    save_checkpoint(model, args.out_checkpoint)
-    if args.out_log:
-        save_loss_log(log, args.out_log)
-    print(f"trained {config.method.value} for {config.n_epochs} epochs -> {args.out_checkpoint}")
-    print(f"final epoch loss: {log[-1].mean_loss:.6f} ({log[-1].dataset}, {log[-1].loss_kind})")
-    return 0
-
-
 def cmd_benchmark(args: argparse.Namespace) -> int:
     _, config = resolve_run_settings(args, "benchmark")
     workers = _threads(args.threads)
@@ -580,8 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"pretermalc {__version__} (config schema {CONFIG_SCHEMA_VERSION}, "
-        f"checkpoint format '{CHECKPOINT_MAGIC}')",
+        version=f"pretermalc {__version__} (config schema {CONFIG_SCHEMA_VERSION})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     add_parser = partial(sub.add_parser, formatter_class=_HelpFormatter)
@@ -612,18 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate_c)
-
-    p = add_parser("train", help="train one method on prepared datasets")
-    p.add_argument("--clean", help="clean-labeled examples (JSONL)")
-    p.add_argument("--noisy", help="noisy-labeled examples (JSONL)")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--method", choices=[m.value for m in TrainMethod])
-    p.add_argument("--epochs", dest="train.n_epochs", type=int)
-    p.add_argument("--seed", dest="train.seed", type=int)
-    p.add_argument("--c-matrix", help="corruption matrix CSV (needed for corrected loss)")
-    p.add_argument("--out-checkpoint", required=True)
-    p.add_argument("--out-log", help="per-epoch loss CSV")
-    p.set_defaults(func=cmd_train)
 
     p = add_parser("benchmark", help="repeated-split benchmark over methods")
     add_config_flags(p, "benchmark")

@@ -7,8 +7,8 @@ All forward math and the full reverse-mode gradient are written out by hand
 in numpy; correctness is pinned by central finite differences in the test
 suite rather than by an autodiff framework. The math is dtype-generic: every
 array a pass allocates takes the dtype of the parameter buffer, so float64
-parameters (initialisation, scoring, the gradient check, checkpoints) run in
-float64 and float32 ones (training) in float32.
+parameters (initialisation, scoring, the gradient check) run in float64 and
+float32 ones (training) in float32.
 
 The recurrences run on packed rows: a batch is ordered longest first, so at
 each step the sequences that still have a visit are a leading slice of the
@@ -18,22 +18,18 @@ fused into one input matrix, and every parameter lives in one flat buffer.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .noise import CorruptionMatrix, corruption_layer
-from .records import LabeledExample, write_file
+from .records import LabeledExample
 
 LOSS_EPS = 1e-7  # floor added to the picked probability before log
-CHECKPOINT_MAGIC = "pretermalc-checkpoint 2"
-CHECKPOINT_FAMILY = "pretermalc-checkpoint "
 # Rows per scoring batch. One batch holds a dense visit-by-code count matrix,
 # a rows-by-visits segment matrix and both scans' float64 caches, and the
 # previous batch's trace lives on while the next one runs. At 256 rows these
@@ -84,7 +80,7 @@ class GruCellParams:
 
 
 def _layout(dims: NetDims) -> list[tuple[str, tuple[int, ...]]]:
-    """Name and shape of every tensor, in buffer (and checkpoint) order."""
+    """Name and shape of every tensor, in buffer order."""
     e, h = dims.d_emb, dims.d_h
     cell = {"w": (e, 3 * h), "u_zr": (h, 2 * h), "u_h": (h, h), "b": (3 * h,)}
     return [
@@ -482,62 +478,3 @@ def predict_probs(params: ModelParams, seqs: Sequence[Sequence[VisitCodes]]) -> 
         trace = forward(params, Batch.from_sequences(chunk))
         out[start : start + len(chunk)] = trace.probs
     return out
-
-
-def save_checkpoint(params: ModelParams, path: str | Path) -> None:
-    """Versioned container: magic line, JSON dims/tensor header, then the
-    flat parameter buffer as little-endian float64, which holds the tensors
-    in header order. Round-trips bit-exactly."""
-    header = {
-        "vocab_size": params.dims.vocab_size,
-        "d_emb": params.dims.d_emb,
-        "d_h": params.dims.d_h,
-        "tensors": [[name, list(tensor.shape)] for name, tensor in params.items()],
-    }
-    write_file(path, (
-        CHECKPOINT_MAGIC.encode("ascii") + b"\n",
-        json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n",
-        params.flat.astype("<f8").tobytes(),
-    ))
-
-
-def load_checkpoint(path: str | Path) -> ModelParams:
-    """Read a checkpoint written by ``save_checkpoint``. The header must
-    list exactly the tensors, with exactly the shapes, that its dims imply,
-    in the layout order in which the buffer holds them."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
-        if magic != CHECKPOINT_MAGIC:
-            if magic.startswith(CHECKPOINT_FAMILY):
-                raise ValueError(
-                    f"{path}: checkpoint format version {magic[len(CHECKPOINT_FAMILY):]!r} is not "
-                    f"supported; this build reads {CHECKPOINT_MAGIC!r}"
-                )
-            raise ValueError(f"{path}: not a recognized checkpoint (magic {magic!r})")
-        try:
-            header = json.loads(fh.readline().decode("ascii"))
-            params = ModelParams(NetDims(header["vocab_size"], header["d_emb"], header["d_h"]))
-            listed = [(str(name), [int(n) for n in shape]) for name, shape in header["tensors"]]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed checkpoint header ({exc})") from None
-        for name, shape in listed:
-            if name not in params:
-                raise ValueError(f"{path}: unexpected tensor {name}")
-            if tuple(shape) != params[name].shape:
-                raise ValueError(
-                    f"{path}: tensor {name} has shape {shape}, expected {list(params[name].shape)}"
-                )
-        missing = [name for name in params if name not in dict(listed)]
-        if missing:
-            raise ValueError(f"{path}: missing tensor {missing[0]}")
-        order = [name for name, _ in listed]
-        if order != list(params):
-            raise ValueError(f"{path}: tensors listed in order {', '.join(order)}; expected {', '.join(params)}")
-        for name, tensor in params.items():
-            raw = fh.read(tensor.size * 8)
-            if len(raw) != tensor.size * 8:
-                raise ValueError(f"{path}: truncated tensor {name}")
-            tensor[...] = np.frombuffer(raw, dtype="<f8").reshape(tensor.shape)
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after last tensor")
-    return params

@@ -359,19 +359,26 @@ def _json_field(obj: dict, key: str, kinds: tuple[type, ...], visit: int | None 
     return value
 
 
-def record_from_dict(obj: dict, vocab: CodeVocabulary) -> tuple[PatientRecord, Label | None, Label | None]:
-    """The record and labels of one line of a record file. Each field must
-    have the JSON type that ``record_to_dict`` writes; a ValueError names
-    the field that does not."""
-    visits = tuple(
-        Visit(
-            day=_json_field(v, "day", _INT, i),
-            codes=vocab.encode(_json_field(v, "codes", _LIST, i)),
-            t_adm=_json_field(v, "t_adm", _INT, i),
-            t_dis=_json_field(v, "t_dis", _INT, i),
-        )
-        for i, v in enumerate(_json_field(obj, "visits", _LIST))
+def _visit_from_dict(v, i: int, vocab: CodeVocabulary) -> Visit:
+    """Visit number ``i`` of a record line, which must be a JSON object."""
+    if type(v) is not dict:
+        raise ValueError(f"visits[{i}]: expected object, got {v!r}")
+    return Visit(
+        day=_json_field(v, "day", _INT, i),
+        codes=vocab.encode(_json_field(v, "codes", _LIST, i)),
+        t_adm=_json_field(v, "t_adm", _INT, i),
+        t_dis=_json_field(v, "t_dis", _INT, i),
     )
+
+
+def record_from_dict(obj: dict, vocab: CodeVocabulary) -> tuple[PatientRecord, Label | None, Label | None]:
+    """The record and labels of one line of a record file. The line and each
+    visit must be JSON objects, and each field must have the JSON type that
+    ``record_to_dict`` writes; a ValueError names the visit or field that
+    does not."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected object, got {obj!r}")
+    visits = tuple(_visit_from_dict(v, i, vocab) for i, v in enumerate(_json_field(obj, "visits", _LIST)))
     record = PatientRecord(
         patient_id=_json_field(obj, "patient_id", _STR),
         hospital_id=_json_field(obj, "hospital_id", _STR),
@@ -386,8 +393,8 @@ def _write_lines(path: str | Path, dicts: Iterable[dict]) -> None:
     write_file(path, (json.dumps(obj, separators=(",", ":")) + "\n" for obj in dicts))
 
 
-def write_file(path: str | Path, chunks: Iterable[str | bytes]) -> None:
-    """Write ``chunks`` (a str as UTF-8) to ``path`` as one whole file,
+def write_file(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path`` as one whole UTF-8 file,
     making its directory: they stream into a temporary file beside it, which
     then replaces it, so a failed or killed write never leaves a torn file
     under the name. The mode is the one ``open(path, "w")`` gives."""
@@ -395,8 +402,8 @@ def write_file(path: str | Path, chunks: Iterable[str | bytes]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
-            fh.writelines(chunk.encode("utf-8") if isinstance(chunk, str) else chunk for chunk in chunks)
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

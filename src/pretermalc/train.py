@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from .net import (
     sequence_of,
 )
 from .noise import CorruptionMatrix
-from .records import LabeledExample, write_file
+from .records import LabeledExample
 
 CLEAN = "clean"
 NOISY = "noisy"
@@ -254,8 +253,3 @@ def score_examples(params: ModelParams, examples: Sequence[LabeledExample]) -> n
     """Predicted preterm probability per example, in order."""
     seqs = [sequence_of(ex) for ex in examples]
     return predict_probs(params, seqs)[:, 0]
-
-
-def save_loss_log(log: Sequence[EpochLog], path: str | Path) -> None:
-    rows = (f"{row.epoch},{row.dataset},{row.loss_kind},{row.mean_loss:.6f}\n" for row in log)
-    write_file(path, ["epoch,dataset,loss_kind,mean_loss\n", *rows])

@@ -1,7 +1,9 @@
-"""Shared test utilities: small random network setups and a full-coordinate
-finite-difference gradient check."""
+"""Shared test utilities: class-conditional label noise, small random
+network setups and a full-coordinate finite-difference gradient check."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -15,12 +17,25 @@ from pretermalc.net import (
     loss_corrected,
 )
 from pretermalc.noise import CorruptionMatrix
+from pretermalc.records import Label
 
 REFERENCE_ENTRIES = np.array([[0.68, 0.32], [0.20, 0.80]])
 
 
 def reference_matrix() -> CorruptionMatrix:
     return CorruptionMatrix(REFERENCE_ENTRIES.copy())
+
+
+def apply_class_conditional_noise(labels: Sequence[Label], c: CorruptionMatrix, seed: int) -> list[Label]:
+    """Draw a noisy label for each clean label from the matching matrix row."""
+    rng = np.random.default_rng(seed)
+    u = rng.random(len(labels))
+    out = []
+    for k, label in enumerate(labels):
+        keep_p = c.entries[int(label), int(label)]
+        noisy = label if u[k] < keep_p else Label(1 - int(label))
+        out.append(noisy)
+    return out
 
 
 def random_small_sequences(

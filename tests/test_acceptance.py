@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import max_gradient_rel_error, random_small_setup
+from helpers import apply_class_conditional_noise, max_gradient_rel_error, random_small_setup
 from test_linkage import VOCAB as LINK_VOCAB
 from test_linkage import oracle_match, random_instance as random_link_instance
 from test_metrics import (
@@ -28,7 +28,7 @@ from pretermalc.bench import BenchmarkConfig, build_corpus, calibrate_noise, mea
 from pretermalc.cli import main, usable_cpus
 from pretermalc.metrics import auc, pr_auc
 from pretermalc.net import IDENTITY
-from pretermalc.noise import CorruptionMatrix, apply_class_conditional_noise, estimate_corruption_matrix
+from pretermalc.noise import CorruptionMatrix, estimate_corruption_matrix
 from pretermalc.records import Label
 from pretermalc.synth import SynthConfig
 from pretermalc.train import TrainMethod

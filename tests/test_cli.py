@@ -2,7 +2,6 @@
 byte-level reproducibility."""
 
 import argparse
-import hashlib
 import json
 from xml.etree import ElementTree
 
@@ -36,13 +35,21 @@ def test_version_names_the_format_versions(capsys):
     out = capsys.readouterr().out
     assert out.startswith("pretermalc ")
     assert "config schema 1" in out
-    assert "checkpoint format" in out
 
 
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_train_is_not_a_subcommand(tmp_path, capsys):
+    """Training runs inside `benchmark`, so the staged chain ends at the report."""
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--clean", str(tmp_path / "d_star.jsonl"), "--out-checkpoint", str(tmp_path / "model.ckpt")])
+    assert exc.value.code == 2
+    assert "pretermalc: error: argument command: invalid choice: 'train' (choose from " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys):
@@ -207,7 +214,6 @@ def test_bad_config_values_exit_2_before_the_pipeline_writes(tmp_path, capsys, b
 INPUTS = {
     "datasets": ["--mothers", "{0}", "--newborns", "{0}", "--links", "{0}", "--vocab", "{0}"],
     "benchmark": ["--clean", "{0}", "--noisy", "{0}", "--vocab", "{0}"],
-    "train": ["--clean", "{0}", "--vocab", "{0}", "--method", "NoLC_clean", "--out-checkpoint", "{0}.ckpt"],
 }
 
 
@@ -216,12 +222,10 @@ INPUTS = {
     ("synth", ["--time-jitter-sd", "nan"], "time_jitter_sd must be >= 0 and finite, got nan"),
     ("synth", ["--time-jitter-sd", "inf"], "time_jitter_sd must be >= 0 and finite, got inf"),
     ("pipeline", ["--seed", "-1"], "seed must be >= 0, got -1"),
-    ("train", ["--seed", "-3"], "seed must be >= 0, got -3"),
 ])
 def test_out_of_domain_flags_exit_2_before_any_file_is_touched(tmp_path, capsys, command, flags, message):
     inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
-    out = [] if command == "train" else ["--out", str(tmp_path / "out")]
-    assert main([command, *inputs, *flags, *out]) == 2
+    assert main([command, *inputs, *flags, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
@@ -256,13 +260,12 @@ def test_config_keys_a_subcommand_does_not_read_exit_2_before_any_file_is_read(
 
 @pytest.mark.parametrize("command, flag", [
     ("synth", "--prediction-period-days"), ("benchmark", "--mothers"),
-    ("train", "--lr"), ("benchmark", "--batch-size"),
+    ("pipeline", "--lr"), ("benchmark", "--batch-size"),
 ])
 def test_a_flag_a_subcommand_does_not_take_is_named_with_it(tmp_path, capsys, command, flag):
     inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
-    out = [] if command == "train" else ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
-        main([command, *inputs, flag, "30", *out])
+        main([command, *inputs, flag, "30", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"pretermalc {command}: error: unrecognized arguments: {flag} 30\n")
     assert list(tmp_path.iterdir()) == []
@@ -346,80 +349,6 @@ def test_datasets_link_errors_name_the_links_file(pipeline_dir, tmp_path, capsys
     err = capsys.readouterr().err
     assert str(links) in err and unknown in err
     assert "not present in records" in err
-
-
-# sha256 of the checkpoint and of the loss log that a 2-epoch `train` writes
-# from the pipeline_dir files. Plain epochs train through the corruption
-# layer with C = I, which must give every byte that plain cross-entropy
-# gives. Floating-point results, so the digests hold for one numpy/BLAS
-# build: another BLAS kernel may round differently.
-PINNED_TRAIN_RUNS = {
-    "ALC": (
-        "bb8684bfd3367cfef10fcffe26e0c63d1dcfbfea19616591e21c8f9309e3cb62",
-        "a00a6d3734468ba2c23750cb01698267544c4b529e6c874dbcf15bae605050df",
-    ),
-    "NoLC_clean": (
-        "9d1bba78d747f13ad9ec4ce13cc634ae5f1e4500be4537c75e4057020f45afeb",
-        "405f71028fb70c5ecf2cd0acfa697c541d55a3bc3a20a83fcc42c1eee65d5e85",
-    ),
-}
-
-
-# The input flags that each method reads in a 2-epoch run, and the file of
-# the pipeline's that each takes.
-TRAIN_READS = {
-    "ALC": ("--clean", "--noisy", "--c-matrix"),
-    "GLC_noisy_then_clean": ("--clean", "--noisy", "--c-matrix"),
-    "GLC_clean_then_noisy": ("--clean", "--noisy", "--c-matrix"),
-    "NoLC_clean": ("--clean",),
-    "NoLC_noisy": ("--noisy",),
-    "NoLC_mixed": ("--clean", "--noisy"),
-}
-TRAIN_INPUTS = {"--clean": "d_star.jsonl", "--noisy": "d_tilde.jsonl", "--c-matrix": "c_matrix.csv"}
-
-
-@pytest.mark.parametrize("method", PINNED_TRAIN_RUNS)
-def test_train_writes_the_pinned_checkpoint_and_loss_log(pipeline_dir, tmp_path, method):
-    paths = [tmp_path / "model.ckpt", tmp_path / "loss.csv"]
-    inputs = [arg for flag in TRAIN_READS[method] for arg in (flag, str(pipeline_dir / TRAIN_INPUTS[flag]))]
-    assert main([
-        "train", *inputs, "--vocab", str(pipeline_dir / "vocabulary.txt"),
-        "--method", method, "--epochs", "2", "--out-checkpoint", str(paths[0]), "--out-log", str(paths[1]),
-    ]) == 0
-    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == PINNED_TRAIN_RUNS[method]
-
-
-@pytest.mark.parametrize("method", TRAIN_READS)
-def test_train_rejects_an_input_its_method_does_not_read(tmp_path, capsys, method):
-    absent = str(tmp_path / "absent")
-    code = main([
-        "train", *(arg for flag in TRAIN_INPUTS for arg in (flag, absent)), "--vocab", absent,
-        "--method", method, "--epochs", "2", "--out-checkpoint", str(tmp_path / "x.ckpt"),
-    ])
-    err = capsys.readouterr().err
-    unread = [flag for flag in TRAIN_INPUTS if flag not in TRAIN_READS[method]]
-    if unread:
-        assert code == 2
-        assert err == f"error: {', '.join(unread)}: not read by method {method} in 2 epoch(s)\n"
-    else:  # every input is read, so the run gets as far as the absent files
-        assert code == 1 and absent in err, err
-    assert not (tmp_path / "x.ckpt").exists()
-
-
-@pytest.mark.parametrize("method, missing", [
-    *((method, flag) for method, reads in TRAIN_READS.items() if method != "NoLC_mixed" for flag in reads),
-    ("NoLC_mixed", "--clean or --noisy"),
-])
-def test_train_rejects_a_missing_input_before_reading_any_file(tmp_path, capsys, method, missing):
-    absent = str(tmp_path / "absent")
-    given = [flag for flag in TRAIN_READS[method] if flag not in missing.split(" or ")]
-    code = main([
-        "train", *(arg for flag in given for arg in (flag, absent)), "--vocab", absent,
-        "--method", method, "--epochs", "2", "--out-checkpoint", str(tmp_path / "x.ckpt"),
-    ])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {missing}: needed by method {method} in 2 epoch(s)\n"
-    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_pipeline_report_is_thread_count_independent(tmp_path):
@@ -531,7 +460,7 @@ def test_estimate_c_names_a_file_without_dual_labeled_examples(pipeline_dir, tmp
     assert not out.exists()
 
 
-FILE_OUTPUTS = [("link", "--out"), ("estimate-c", "--out"), ("train", "--out-checkpoint"), ("train", "--out-log")]
+FILE_OUTPUTS = [("link", "--out"), ("estimate-c", "--out")]
 
 
 def file_output_inputs(command, d):
@@ -539,7 +468,6 @@ def file_output_inputs(command, d):
     return {
         "link": ["--mothers", f"{d}/mothers.jsonl", "--newborns", f"{d}/newborns.jsonl"],
         "estimate-c": ["--examples", f"{d}/d_prime.jsonl"],
-        "train": ["--clean", f"{d}/d_star.jsonl", "--method", "NoLC_clean", "--epochs", "1"],
     }[command]
 
 
@@ -547,9 +475,8 @@ def file_output_inputs(command, d):
 def test_a_file_output_makes_its_directory(pipeline_dir, tmp_path, command, flag):
     d = pipeline_dir
     inputs = file_output_inputs(command, d)
-    checkpoint = ["--out-checkpoint", str(tmp_path / "x.ckpt")] if flag == "--out-log" else []
     out = tmp_path / "new" / "dir" / "file"
-    assert main([command, *inputs, "--vocab", f"{d}/vocabulary.txt", *checkpoint, flag, str(out)]) == 0
+    assert main([command, *inputs, "--vocab", f"{d}/vocabulary.txt", flag, str(out)]) == 0
     assert out.is_file()
 
 
@@ -560,7 +487,6 @@ def missing_inputs(command, missing):
         "link": ["--mothers", missing, "--newborns", missing, "--vocab", missing],
         "datasets": ["--mothers", missing, "--newborns", missing, "--links", missing, "--vocab", missing],
         "estimate-c": ["--examples", missing, "--vocab", missing],
-        "train": ["--clean", missing, "--vocab", missing, "--method", "NoLC_clean", "--epochs", "1"],
         "benchmark": ["--clean", missing, "--noisy", missing, "--vocab", missing, *BENCHMARK_FLAGS],
         "pipeline": [*COHORT_FLAGS, *BENCHMARK_FLAGS],
         "report": ["--raw", missing],
@@ -574,8 +500,6 @@ OUTPUTS = {
     ("link", "--out"): None,
     ("datasets", "--out"): "d_tilde.jsonl",
     ("estimate-c", "--out"): None,
-    ("train", "--out-checkpoint"): None,
-    ("train", "--out-log"): None,
     ("benchmark", "--out"): "report.csv",
     ("pipeline", "--out"): "curves/roc_NoLC_clean.svg",
     ("report", "--out"): "pr_auc.svg",
@@ -617,76 +541,27 @@ def test_an_output_conflict_fails_first(tmp_path, capsys, monkeypatch, command, 
     monkeypatch.setattr(cli, "generate_cohort", unreachable)
     monkeypatch.setattr(cli, "calibrate_noise", unreachable)
     out, message = make_conflict(conflict, tmp_path, OUTPUTS[command, flag])
-    checkpoint = ["--out-checkpoint", str(tmp_path / "x.ckpt")] if flag == "--out-log" else []
     before = sorted(tmp_path.rglob("*"))
-    code = main([command, *missing_inputs(command, str(tmp_path / "missing")), *checkpoint, flag, str(out)])
+    code = main([command, *missing_inputs(command, str(tmp_path / "missing")), flag, str(out)])
     assert (code, capsys.readouterr().err) == (2, f"error: {flag}: {message}\n")
     assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("log, message", [
-    ("run.out", "{log} is also the output of --out-checkpoint"),
-    ("sub/../run.out", "{log} is also the output of --out-checkpoint"),
-    ("run.out/log.csv", "{checkpoint} is not a directory"),
+# Two file outputs of one run, the second given as a path beside the first,
+# the first's path by another name, or a path inside it. No subcommand has
+# two file flags, but a symbolic link inside an --out directory can still
+# make two of its names one file.
+@pytest.mark.parametrize("second, message", [
+    ("run.out", "{second} is also the output of --first"),
+    ("sub/../run.out", "{second} is also the output of --first"),
+    ("run.out/log.csv", "{first} is not a directory"),
 ])
-def test_two_outputs_that_collide_fail_first(tmp_path, capsys, log, message):
-    checkpoint, log = tmp_path / "run.out", tmp_path / log
-    missing = str(tmp_path / "missing")
-    code = main(["train", *missing_inputs("train", missing), "--out-checkpoint", str(checkpoint), "--out-log", str(log)])
-    expected = message.format(log=log, checkpoint=checkpoint)
-    assert (code, capsys.readouterr().err) == (2, f"error: --out-log: {expected}\n")
+def test_two_outputs_that_collide_fail_first(tmp_path, second, message):
+    first, second = tmp_path / "run.out", tmp_path / second
+    with pytest.raises(ConfigError) as exc:
+        cli.check_outputs({"--first": str(first), "--second": str(second)})
+    assert str(exc.value) == "--second: " + message.format(first=first, second=second)
     assert list(tmp_path.iterdir()) == []
-
-
-def test_train_command_is_deterministic(pipeline_dir, tmp_path, capsys):
-    base = [
-        "train",
-        "--clean", str(pipeline_dir / "d_star.jsonl"),
-        "--vocab", str(pipeline_dir / "vocabulary.txt"),
-        "--method", "NoLC_clean", "--epochs", "1",
-    ]
-    for sub in ("a", "b"):
-        code = main([*base, "--out-checkpoint", str(tmp_path / f"{sub}.ckpt"),
-                     "--out-log", str(tmp_path / f"{sub}.csv")])
-        assert code == 0
-    assert "final epoch loss:" in capsys.readouterr().out
-    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
-    log = (tmp_path / "a.csv").read_text(encoding="utf-8").splitlines()
-    assert log[0] == "epoch,dataset,loss_kind,mean_loss"
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-
-def test_train_corrected_loss_needs_a_matrix(pipeline_dir, tmp_path, capsys):
-    code = main([
-        "train",
-        "--clean", str(pipeline_dir / "d_star.jsonl"),
-        "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
-        "--vocab", str(pipeline_dir / "vocabulary.txt"),
-        "--method", "ALC", "--epochs", "2",
-        "--out-checkpoint", str(tmp_path / "x.ckpt"),
-    ])
-    assert code == 2
-    assert capsys.readouterr().err == "error: --c-matrix: needed by method ALC in 2 epoch(s)\n"
-
-
-@pytest.mark.parametrize("flag, name, method", [
-    ("--clean", "d_tilde.jsonl", "NoLC_clean"),
-    ("--noisy", "d_star.jsonl", "NoLC_noisy"),
-])
-def test_train_rejects_an_example_without_the_flags_label(pipeline_dir, tmp_path, capsys, flag, name, method):
-    kind = flag[2:]
-    path = pipeline_dir / name
-    rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    first = next(row["patient_id"] for row in rows if row[f"{kind}_label"] is None)
-    code = main([
-        "train", flag, str(path), "--vocab", str(pipeline_dir / "vocabulary.txt"),
-        "--method", method, "--epochs", "1", "--out-checkpoint", str(tmp_path / "x.ckpt"),
-    ])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: example {first} lacks the {kind} label"), err
-    assert flag in err
-    assert not (tmp_path / "x.ckpt").exists()
 
 
 @pytest.mark.parametrize("flag, name", [("--clean", "d_tilde.jsonl"), ("--noisy", "d_star.jsonl")])
@@ -707,19 +582,16 @@ def test_benchmark_rejects_an_example_without_the_flags_label(pipeline_dir, tmp_
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "benchmark"])
-def test_an_example_without_visits_is_named_with_its_file(pipeline_dir, tmp_path, capsys, command):
+def test_an_example_without_visits_is_named_with_its_file(pipeline_dir, tmp_path, capsys):
     rows = [json.loads(line) for line in (pipeline_dir / "d_star.jsonl").read_text(encoding="utf-8").splitlines()]
     rows[3]["visits"] = []
     clean = tmp_path / "d_star.jsonl"
     clean.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    inputs = ["--clean", str(clean), "--vocab", str(pipeline_dir / "vocabulary.txt"), "--epochs", "1"]
-    if command == "train":
-        argv = ["train", *inputs, "--method", "NoLC_clean", "--out-checkpoint", str(tmp_path / "x.ckpt")]
-    else:
-        argv = ["benchmark", *inputs, "--noisy", str(pipeline_dir / "d_tilde.jsonl"), "--methods", "NoLC_clean",
-                "--repeats", "1", "--out", str(tmp_path / "out")]
-    assert main(argv) == 1
+    assert main([
+        "benchmark", "--clean", str(clean), "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--methods", "NoLC_clean", "--repeats", "1",
+        "--epochs", "1", "--out", str(tmp_path / "out"),
+    ]) == 1
     assert capsys.readouterr().err == f"error: {clean}: line 4: example {rows[3]['patient_id']} has no visits\n"
 
 
@@ -923,10 +795,6 @@ OPTION_STRINGS = {
     "link": ["--mothers", "--newborns", "--out", "--truth", "--vocab"],
     "datasets": ["--links", "--mothers", "--newborns", "--out", "--vocab"],
     "estimate-c": ["--examples", "--out", "--vocab"],
-    "train": [
-        "--c-matrix", "--clean", "--epochs", "--method",
-        "--noisy", "--out-checkpoint", "--out-log", "--seed", "--vocab",
-    ],
     "benchmark": [
         "--clean", "--config", "--curves", "--epochs", "--methods", "--noisy",
         "--out", "--repeats", "--seed", "--threads", "--vocab",
@@ -950,7 +818,7 @@ def test_every_subcommand_keeps_its_flags():
         for name, p in subparsers().items()
     }
     assert found == {name: sorted(opts) for name, opts in OPTION_STRINGS.items()}
-    assert sum(map(len, found.values())) == 64
+    assert sum(map(len, found.values())) == 55
 
 
 def test_synth_flags_take_the_type_of_their_field():

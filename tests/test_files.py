@@ -17,7 +17,7 @@ import pytest
 import pretermalc
 from pretermalc.bench import load_raw_csv
 from pretermalc.linkage import load_links
-from pretermalc.noise import CorruptionMatrix, load_matrix_csv
+from pretermalc.noise import CorruptionMatrix
 from pretermalc.records import (
     CodeVocabulary,
     PatientRecord,
@@ -37,7 +37,6 @@ RECORD = json.dumps({
 })
 EXAMPLE = RECORD[:-1] + ',"clean_label":"preterm","noisy_label":null}'
 EMPTY_EXAMPLE = json.dumps({**json.loads(EXAMPLE), "patient_id": "m2", "visits": []})
-MATRIX_COUNTS = "5,1\n2,8\n"
 
 # (loader, file content as text or bytes, the line at fault or None for the
 # whole file)
@@ -50,16 +49,6 @@ MALFORMED = {
     "truth_four_newborns": (load_truth, "".join(f"n{i}\tm1\tpreterm\n" for i in range(4)), None),
     "truth_conflicting_labels": (load_truth, "n1\tm1\tpreterm\n-\tm2\tfullterm\n-\tm1\tfullterm\n", 3),
     "truth_newborn_twice": (load_truth, "n1\tm1\tpreterm\n-\tm2\tfullterm\nn1\tm2\tfullterm\n", 3),
-    "matrix_entry_not_a_number": (load_matrix_csv, "0.9,0.1\nx,0.8\n" + MATRIX_COUNTS, 2),
-    "matrix_entry_out_of_range": (load_matrix_csv, "1.5,-0.5\n0.2,0.8\n" + MATRIX_COUNTS, None),
-    "matrix_row_above_one": (load_matrix_csv, "2,0\n0.2,0.8\n" + MATRIX_COUNTS, None),
-    "matrix_row_of_three": (load_matrix_csv, "2,1\n0.2,0.8\n" + MATRIX_COUNTS, None),
-    "matrix_row_off_by_1e-5": (load_matrix_csv, "0.700010,0.300000\n0.2,0.8\n" + MATRIX_COUNTS, None),
-    "matrix_one_column_row": (load_matrix_csv, "0.9,0.1\n0.2,0.8\n5\n2,8\n", 3),
-    "matrix_zero_row": (load_matrix_csv, "0,0\n0.2,0.8\n" + MATRIX_COUNTS, None),
-    "matrix_nan_row": (load_matrix_csv, "nan,nan\n0.2,0.8\n" + MATRIX_COUNTS, None),
-    "matrix_fractional_count": (load_matrix_csv, "0.9,0.1\n0.2,0.8\n5.5,1\n2,8\n", None),
-    "matrix_three_rows": (load_matrix_csv, "0.9,0.1\n0.2,0.8\n5,1\n", None),
     "vocabulary_duplicate_code": (CodeVocabulary.load, "a\nb\na\n", None),
     "records_bad_json": (lambda p: load_records(p, VOCAB), RECORD + "\n{\"patient_id\n", 2),
     "records_unknown_code": (lambda p: load_records(p, VOCAB), RECORD.replace('"a"', '"z"') + "\n", 1),
@@ -138,17 +127,10 @@ def test_corruption_matrix_rejects_non_finite_entries(entries):
         CorruptionMatrix(np.array(entries))
 
 
-def test_matrix_with_a_zero_row_fails_at_load(tmp_path):
-    path = tmp_path / "c_matrix.csv"
-    path.write_text("0.000000,0.000000\n0.200000,0.800000\n0,0\n2,8\n", encoding="utf-8")
-    with pytest.raises(RecordFileError, match=r"rows must sum to 1, got \[0\.0, 1\.0\]"):
-        load_matrix_csv(path)
-
-
 # --- one reader and one writer ----------------------------------------------------------
 
 SOURCE = Path(pretermalc.__file__).parent
-# Functions allowed to read a text file themselves: the reader, and the run
+# Functions allowed to read a file themselves: the reader, and the run
 # config, which is JSON whose faults are ConfigErrors (exit 2), not
 # RecordFileErrors.
 OWN_READERS = {("records.py", "read_lines"), ("cli.py", "load_run_config")}
@@ -171,15 +153,13 @@ def _open_mode(call: ast.Call) -> str | None:
     return mode.value if isinstance(mode, ast.Constant) else "?"
 
 
-def _opens_text_for_reading(call: ast.Call) -> bool:
-    if isinstance(call.func, ast.Attribute) and call.func.attr == "read_text":
+def _reads_a_file(call: ast.Call) -> bool:
+    if isinstance(call.func, ast.Attribute) and call.func.attr in ("read_text", "read_bytes"):
         return True
     mode = _open_mode(call)
     if mode is None:
         return False
-    if mode == "?":
-        return True  # cannot tell: count it
-    return "b" not in mode and ("r" in mode or "+" in mode)
+    return mode == "?" or "r" in mode or "+" in mode  # "?": cannot tell, so count it
 
 
 def _writes_a_file(call: ast.Call) -> bool:
@@ -214,24 +194,26 @@ def _calls_outside(functions: set, picks) -> list[str]:
 
 
 def test_only_records_reads_text_files():
-    """Every input text file is read by `records.read_lines`. Binary reads,
-    such as `net.load_checkpoint`, are not text reads."""
-    assert _calls_outside(OWN_READERS, _opens_text_for_reading) == []
+    """Every input file is a text file read by `records.read_lines`, or the
+    run config: no other code opens a file for reading, in text or binary
+    mode."""
+    assert _calls_outside(OWN_READERS, _reads_a_file) == []
 
 
 def test_the_text_read_check_sees_each_form():
+    """The read check counts binary reads as well as text reads."""
     calls = {
         'open(p, "r")': True, "open(p)": True, 'open(p, mode="r+")': True, "p.read_text()": True,
-        "p.open()": True, "open(p, m)": True, 'open(p, "rb")': False, 'open(p, "w")': False,
-        'p.open("w")': False, "p.read_bytes()": False,
+        "p.open()": True, "open(p, m)": True, 'open(p, "rb")': True, "p.read_bytes()": True,
+        'p.open("rb")': True, 'open(p, "w")': False, 'p.open("w")': False, 'open(p, "xb")': False,
     }
     for source, expected in calls.items():
-        assert _opens_text_for_reading(ast.parse(source).body[0].value) is expected, source
+        assert _reads_a_file(ast.parse(source).body[0].value) is expected, source
 
 
 def test_only_records_writes_files():
-    """Every output file, text or binary, is written by `records.write_file`,
-    which also makes every output directory."""
+    """Every output file is written by `records.write_file`, which also
+    makes every output directory."""
     assert _calls_outside(OWN_WRITERS, _writes_a_file) == []
 
 

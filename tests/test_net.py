@@ -1,7 +1,6 @@
 """Attention-based visit-sequence classifier: forward pass, losses,
-reverse-mode gradients, and checkpoint persistence."""
+reverse-mode gradients and initialization."""
 
-import json
 import math
 import tracemalloc
 
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from helpers import max_gradient_rel_error, random_small_sequences, random_small_setup, reference_matrix
 from pretermalc.net import (
-    CHECKPOINT_MAGIC,
     IDENTITY,
     LOSS_EPS,
     SCORE_BATCH_SIZE,
@@ -21,11 +19,9 @@ from pretermalc.net import (
     backward,
     forward,
     init_params,
-    load_checkpoint,
     loss_clean,
     loss_corrected,
     predict_probs,
-    save_checkpoint,
 )
 from pretermalc.noise import CorruptionMatrix
 
@@ -351,100 +347,3 @@ def test_init_forward_is_finite_across_many_seeds():
         probs = forward(init_params(TINY, seed=seed), batch).probs
         assert np.all(np.isfinite(probs))
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
-
-
-# --- checkpoints --------------------------------------------------------------
-
-
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    params, _, _ = random_small_setup(31)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
-    loaded = load_checkpoint(path)
-    assert loaded.dims == params.dims
-    for name, tensor in params.items():
-        assert np.array_equal(tensor, loaded[name]), name
-
-
-def test_checkpoint_rejects_wrong_magic(tmp_path):
-    path = tmp_path / "model.ckpt"
-    path.write_bytes(b"some other format\n")
-    with pytest.raises(ValueError, match="not a recognized checkpoint"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_truncation(tmp_path):
-    params = init_params(TINY, seed=1)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
-    path.write_bytes(path.read_bytes()[:-9])
-    with pytest.raises(ValueError, match="truncated tensor"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_trailing_bytes(tmp_path):
-    params = init_params(TINY, seed=1)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
-    path.write_bytes(path.read_bytes() + b"x")
-    with pytest.raises(ValueError, match="trailing bytes"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_starts_with_named_version_line(tmp_path):
-    params = init_params(TINY, seed=1)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(params, path)
-    assert path.read_bytes().split(b"\n", 1)[0].decode("ascii") == CHECKPOINT_MAGIC
-
-
-def _rewrite_header(path, edit):
-    magic, line, body = path.read_bytes().split(b"\n", 2)
-    header = json.loads(line)
-    edit(header)
-    path.write_bytes(magic + b"\n" + json.dumps(header).encode("ascii") + b"\n" + body)
-
-
-def test_checkpoint_rejects_format_version_1(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(init_params(TINY, seed=1), path)
-    path.write_bytes(path.read_bytes().replace(CHECKPOINT_MAGIC.encode("ascii"), b"pretermalc-checkpoint 1", 1))
-    with pytest.raises(ValueError, match=r"model\.ckpt: checkpoint format version '1' is not supported"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_missing_tensor(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(init_params(TINY, seed=1), path)
-    _rewrite_header(path, lambda h: h["tensors"].pop(3))
-    with pytest.raises(ValueError, match=r"model\.ckpt: missing tensor alpha\.u_h"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_extra_tensor(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(init_params(TINY, seed=1), path)
-    _rewrite_header(path, lambda h: h["tensors"].append(["alpha.w_z", [8, 8]]))
-    with pytest.raises(ValueError, match=r"model\.ckpt: unexpected tensor alpha\.w_z"):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("edit", [
-    lambda h: h["tensors"].reverse(),
-    lambda h: h["tensors"].insert(2, h["tensors"].pop(3)),
-    lambda h: h["tensors"].append(h["tensors"][0]),
-], ids=["reversed", "swapped", "repeated"])
-def test_checkpoint_rejects_tensors_out_of_layout_order(tmp_path, edit):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(init_params(TINY, seed=1), path)
-    _rewrite_header(path, edit)
-    with pytest.raises(ValueError, match=r"model\.ckpt: tensors listed in order .*; expected emb, alpha\.w, "):
-        load_checkpoint(path)
-
-
-def test_checkpoint_rejects_misshapen_tensor(tmp_path):
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(init_params(TINY, seed=1), path)
-    _rewrite_header(path, lambda h: h["tensors"][1].__setitem__(1, [8, 8]))
-    with pytest.raises(ValueError, match=r"model\.ckpt: tensor alpha\.w has shape \[8, 8\], expected \[8, 24\]"):
-        load_checkpoint(path)

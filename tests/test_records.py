@@ -382,7 +382,8 @@ def test_load_reports_missing_key(tmp_path):
 
 
 # A field of one record line given another JSON type than the one
-# `record_to_dict` writes: (field, value, the types it takes). Each is named,
+# `record_to_dict` writes: (field, value, the types it takes), where the
+# field "" is the line itself and `visits[0]` its first visit. Each is named,
 # with the file and the line. Unchecked, a float or string delivery day or an
 # object for the visits would drop the mother from the datasets unseen.
 @pytest.mark.parametrize("field, value, expected", [
@@ -397,6 +398,8 @@ def test_load_reports_missing_key(tmp_path):
     ("visits[0].day", 1.0, "int"),
     ("visits[0].t_adm", True, "int"),
     ("visits[0].t_dis", "1530", "int"),
+    ("", [1, 2], "object"),
+    ("visits[0]", 5, "object"),
 ])
 def test_load_names_a_field_of_the_wrong_json_type(tmp_path, field, value, expected):
     vocab, records = build_cohort_records(3)
@@ -404,13 +407,19 @@ def test_load_names_a_field_of_the_wrong_json_type(tmp_path, field, value, expec
     save_records(records, path, vocab)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
-    *visit, key = field.split(".")
-    (obj["visits"][0] if visit else obj)[key] = value
+    if field == "":
+        obj = value
+    elif field == "visits[0]":
+        obj["visits"][0] = value
+    else:
+        *visit, key = field.split(".")
+        (obj["visits"][0] if visit else obj)[key] = value
     lines[1] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RecordFileError) as exc:
         load_records(path, vocab)
-    assert str(exc.value) == f"{path}: line 2: {field}: expected {expected}, got {value!r}"
+    named = f"{field}: " if field else ""
+    assert str(exc.value) == f"{path}: line 2: {named}expected {expected}, got {value!r}"
 
 
 # --- the cyclic collector -----------------------------------------------------
