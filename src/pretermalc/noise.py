@@ -10,9 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import Label, LabeledExample, write_file
+from .records import Label, LabeledExample, read_lines, write_file
 
 ROW_SUM_TOL = 1e-12
+PRINTED_ROW_SUM_TOL = 2e-6  # two entries printed with six fractional digits
 DISTRIBUTION_TOL = 1e-9  # row-sum slack of a float64 probability input
 N_CLASSES = 2
 
@@ -92,6 +93,30 @@ def corruption_layer(p: np.ndarray, c: CorruptionMatrix) -> tuple[np.ndarray, np
 
 def save_matrix_csv(c: CorruptionMatrix, path: str | Path) -> None:
     """Four-line CSV, written for inspection and read by no stage: two entry
-    rows printed with six fractional digits, then the two count rows."""
+    rows printed with six fractional digits, then the two count rows.
+    `load_matrix_csv` reads it back."""
     rows = [[f"{x:.6f}" for x in row] for row in c.entries] + [[str(int(n)) for n in row] for row in c.counts]
     write_file(path, (",".join(row) + "\n" for row in rows))
+
+
+def _parse_pair(line: str) -> tuple[float, float]:
+    a, b = line.split(",")
+    return float(a), float(b)
+
+
+def _matrix_from_rows(rows: list[tuple[float, float]]) -> CorruptionMatrix:
+    if len(rows) != 4:
+        raise ValueError(f"corruption matrix file must have 4 rows, got {len(rows)}")
+    entries, counts = np.array(rows[:2]), np.array(rows[2:])
+    if not np.all(np.isfinite(counts) & (counts == np.round(counts))):
+        raise ValueError("corruption matrix count rows must hold whole numbers")
+    # Six-digit printing leaves each entry within 5e-7 of its value, so a row
+    # sum within PRINTED_ROW_SUM_TOL of 1; renormalize that residue only.
+    row_sums = entries.sum(axis=1, keepdims=True)
+    if not np.all(np.abs(row_sums - 1.0) <= PRINTED_ROW_SUM_TOL):  # NaN fails too
+        raise ValueError(f"corruption matrix rows must sum to 1, got {row_sums.ravel().tolist()}")
+    return CorruptionMatrix(entries=entries / row_sums, counts=counts)
+
+
+def load_matrix_csv(path: str | Path) -> CorruptionMatrix:
+    return read_lines(path, _parse_pair, _matrix_from_rows)

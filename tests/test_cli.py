@@ -551,16 +551,17 @@ def test_an_output_conflict_fails_first(tmp_path, capsys, monkeypatch, command, 
 # the first's path by another name, or a path inside it. No subcommand has
 # two file flags, but a symbolic link inside an --out directory can still
 # make two of its names one file.
-@pytest.mark.parametrize("second, message", [
-    ("run.out", "{second} is also the output of --first"),
-    ("sub/../run.out", "{second} is also the output of --first"),
-    ("run.out/log.csv", "{first} is not a directory"),
+# check_outputs takes any flag names; these two name a checkpoint and a log.
+@pytest.mark.parametrize("log, message", [
+    ("run.out", "{log} is also the output of --out-checkpoint"),
+    ("sub/../run.out", "{log} is also the output of --out-checkpoint"),
+    ("run.out/log.csv", "{checkpoint} is not a directory"),
 ])
-def test_two_outputs_that_collide_fail_first(tmp_path, second, message):
-    first, second = tmp_path / "run.out", tmp_path / second
+def test_two_outputs_that_collide_fail_first(tmp_path, log, message):
+    checkpoint, log = tmp_path / "run.out", tmp_path / log
     with pytest.raises(ConfigError) as exc:
-        cli.check_outputs({"--first": str(first), "--second": str(second)})
-    assert str(exc.value) == "--second: " + message.format(first=first, second=second)
+        cli.check_outputs({"--out-checkpoint": str(checkpoint), "--out-log": str(log)})
+    assert str(exc.value) == "--out-log: " + message.format(log=log, checkpoint=checkpoint)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -582,16 +583,19 @@ def test_benchmark_rejects_an_example_without_the_flags_label(pipeline_dir, tmp_
     assert not out.exists()
 
 
-def test_an_example_without_visits_is_named_with_its_file(pipeline_dir, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["benchmark", "estimate-c"])
+def test_an_example_without_visits_is_named_with_its_file(pipeline_dir, tmp_path, capsys, command):
     rows = [json.loads(line) for line in (pipeline_dir / "d_star.jsonl").read_text(encoding="utf-8").splitlines()]
     rows[3]["visits"] = []
     clean = tmp_path / "d_star.jsonl"
     clean.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    assert main([
-        "benchmark", "--clean", str(clean), "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
-        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--methods", "NoLC_clean", "--repeats", "1",
-        "--epochs", "1", "--out", str(tmp_path / "out"),
-    ]) == 1
+    vocab = ["--vocab", str(pipeline_dir / "vocabulary.txt")]
+    if command == "benchmark":
+        argv = ["benchmark", "--clean", str(clean), "--noisy", str(pipeline_dir / "d_tilde.jsonl"), *vocab,
+                "--methods", "NoLC_clean", "--repeats", "1", "--epochs", "1", "--out", str(tmp_path / "out")]
+    else:
+        argv = ["estimate-c", "--examples", str(clean), *vocab, "--out", str(tmp_path / "c_matrix.csv")]
+    assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {clean}: line 4: example {rows[3]['patient_id']} has no visits\n"
 
 

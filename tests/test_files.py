@@ -17,7 +17,7 @@ import pytest
 import pretermalc
 from pretermalc.bench import load_raw_csv
 from pretermalc.linkage import load_links
-from pretermalc.noise import CorruptionMatrix
+from pretermalc.noise import CorruptionMatrix, load_matrix_csv
 from pretermalc.records import (
     CodeVocabulary,
     PatientRecord,
@@ -37,6 +37,7 @@ RECORD = json.dumps({
 })
 EXAMPLE = RECORD[:-1] + ',"clean_label":"preterm","noisy_label":null}'
 EMPTY_EXAMPLE = json.dumps({**json.loads(EXAMPLE), "patient_id": "m2", "visits": []})
+MATRIX_COUNTS = "5,1\n2,8\n"
 
 # (loader, file content as text or bytes, the line at fault or None for the
 # whole file)
@@ -49,6 +50,16 @@ MALFORMED = {
     "truth_four_newborns": (load_truth, "".join(f"n{i}\tm1\tpreterm\n" for i in range(4)), None),
     "truth_conflicting_labels": (load_truth, "n1\tm1\tpreterm\n-\tm2\tfullterm\n-\tm1\tfullterm\n", 3),
     "truth_newborn_twice": (load_truth, "n1\tm1\tpreterm\n-\tm2\tfullterm\nn1\tm2\tfullterm\n", 3),
+    "matrix_entry_not_a_number": (load_matrix_csv, "0.9,0.1\nx,0.8\n" + MATRIX_COUNTS, 2),
+    "matrix_entry_out_of_range": (load_matrix_csv, "1.5,-0.5\n0.2,0.8\n" + MATRIX_COUNTS, None),
+    "matrix_row_above_one": (load_matrix_csv, "2,0\n0.2,0.8\n" + MATRIX_COUNTS, None),
+    "matrix_row_of_three": (load_matrix_csv, "2,1\n0.2,0.8\n" + MATRIX_COUNTS, None),
+    "matrix_row_off_by_1e-5": (load_matrix_csv, "0.700010,0.300000\n0.2,0.8\n" + MATRIX_COUNTS, None),
+    "matrix_one_column_row": (load_matrix_csv, "0.9,0.1\n0.2,0.8\n5\n2,8\n", 3),
+    "matrix_zero_row": (load_matrix_csv, "0,0\n0.2,0.8\n" + MATRIX_COUNTS, None),
+    "matrix_nan_row": (load_matrix_csv, "nan,nan\n0.2,0.8\n" + MATRIX_COUNTS, None),
+    "matrix_fractional_count": (load_matrix_csv, "0.9,0.1\n0.2,0.8\n5.5,1\n2,8\n", None),
+    "matrix_three_rows": (load_matrix_csv, "0.9,0.1\n0.2,0.8\n5,1\n", None),
     "vocabulary_duplicate_code": (CodeVocabulary.load, "a\nb\na\n", None),
     "records_bad_json": (lambda p: load_records(p, VOCAB), RECORD + "\n{\"patient_id\n", 2),
     "records_unknown_code": (lambda p: load_records(p, VOCAB), RECORD.replace('"a"', '"z"') + "\n", 1),
@@ -125,6 +136,13 @@ def test_truth_repeating_a_label_is_not_a_conflict(tmp_path):
 def test_corruption_matrix_rejects_non_finite_entries(entries):
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         CorruptionMatrix(np.array(entries))
+
+
+def test_matrix_with_a_zero_row_fails_at_load(tmp_path):
+    path = tmp_path / "c_matrix.csv"
+    path.write_text("0.000000,0.000000\n0.200000,0.800000\n0,0\n2,8\n", encoding="utf-8")
+    with pytest.raises(RecordFileError, match=r"rows must sum to 1, got \[0\.0, 1\.0\]"):
+        load_matrix_csv(path)
 
 
 # --- one reader and one writer ----------------------------------------------------------
