@@ -206,16 +206,13 @@ def summarize(rows: Iterable[RepeatRow]) -> dict[str, MethodSummary]:
 
 @dataclass
 class BenchmarkReport:
-    methods: list[str]
-    rows: list[RepeatRow]
-    summaries: dict[str, MethodSummary]
-    fingerprint: str
+    rows: list[RepeatRow]  # method by method, in report order
     curves: dict[str, dict[str, np.ndarray]]  # method -> grid, mean tpr, mean precision
+    fingerprint: str
 
     def report_csv(self) -> str:
         lines = ["method,auc_mean,auc_std,prauc_mean,prauc_std"]
-        for m in self.methods:
-            s = self.summaries[m]
+        for m, s in summarize(self.rows).items():
             lines.append(
                 f"{m},{s.auc_mean:.6f},{s.auc_std:.6f},{s.prauc_mean:.6f},{s.prauc_std:.6f}"
             )
@@ -419,13 +416,7 @@ def repeated_benchmark(
             "precision": np.mean(precisions, axis=0),
         }
 
-    return BenchmarkReport(
-        methods=[m.value for m in methods],
-        rows=rows,
-        summaries=summarize(rows),
-        fingerprint=_fingerprint(corpus, config),
-        curves=curves,
-    )
+    return BenchmarkReport(rows=rows, curves=curves, fingerprint=_fingerprint(corpus, config))
 
 
 # --- noise calibration -------------------------------------------------------

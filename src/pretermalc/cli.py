@@ -30,6 +30,7 @@ from .bench import (
     BenchmarkConfig,
     BenchmarkReport,
     Corpus,
+    MethodSummary,
     calibrate_noise,
     load_raw_csv,
     repeated_benchmark,
@@ -198,7 +199,6 @@ def _add_benchmark_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--repeats", dest="benchmark.repeats", type=int)
     parser.add_argument("--epochs", dest="benchmark.n_epochs", type=int)
     parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--curves", action="store_true", help="write mean ROC/PR SVGs per method")
     parser.add_argument("--out", required=True)
 
 
@@ -265,12 +265,12 @@ def _threads(value: int) -> int:
 # --- output helpers ------------------------------------------------------------
 
 
-def format_summary_table(methods, summaries) -> str:
-    """Aligned mean +/- std table, scores in percentage points."""
-    name_w = max(len("method"), max((len(m) for m in methods), default=0)) + 2
+def format_summary_table(summaries: Mapping[str, MethodSummary]) -> str:
+    """Aligned mean +/- std table, one row per method in the mapping's
+    order, scores in percentage points."""
+    name_w = max(len("method"), max((len(m) for m in summaries), default=0)) + 2
     lines = [f"{'method':<{name_w}}{'auc':<18}{'pr_auc':<18}"]
-    for m in methods:
-        s = summaries[m]
+    for m, s in summaries.items():
         auc_cell = f"{100 * s.auc_mean:.2f} +/- {100 * s.auc_std:.2f}"
         pr_cell = f"{100 * s.prauc_mean:.2f} +/- {100 * s.prauc_std:.2f}"
         lines.append(f"{m:<{name_w}}{auc_cell:<18}{pr_cell:<18}")
@@ -350,10 +350,10 @@ SUMMARY_FILES = ("auc.svg", "pr_auc.svg")
 CURVES = {"roc": ("tpr", "false positive rate", "true positive rate"), "pr": ("precision", "recall", "precision")}
 
 
-def benchmark_files(config: BenchmarkConfig, curves: bool) -> tuple[str, ...]:
+def benchmark_files(config: BenchmarkConfig) -> tuple[str, ...]:
     """The files that the benchmark stage writes in its output directory."""
-    plots = [CURVE_FILE.format(kind=kind, method=m.value) for m in config.methods for kind in CURVES]
-    return REPORT_FILES + (tuple(plots) if curves else ())
+    plots = (CURVE_FILE.format(kind=kind, method=m.value) for m in config.methods for kind in CURVES)
+    return REPORT_FILES + tuple(plots)
 
 
 def synth_stage(config: SynthConfig, out_dir: Path) -> Cohort:
@@ -400,19 +400,16 @@ def estimate_c_stage(dual, out: Path) -> CorruptionMatrix:
     return c
 
 
-def benchmark_stage(
-    corpus: Corpus, config: BenchmarkConfig, workers: int, curves: bool, out_dir: Path
-) -> BenchmarkReport:
+def benchmark_stage(corpus: Corpus, config: BenchmarkConfig, workers: int, out_dir: Path) -> BenchmarkReport:
     report = repeated_benchmark(corpus, config, workers=workers)
     report_file, raw_file = (out_dir / name for name in REPORT_FILES)
     write_file(report_file, [report.report_csv()])
     write_file(raw_file, [report.raw_csv()])
-    if curves:
-        for method, data in report.curves.items():
-            for kind, (ys, *axes) in CURVES.items():
-                svg = curve_svg(data["grid"], data[ys], f"{kind.upper()} {method} (mean over repeats)", *axes)
-                write_file(out_dir / CURVE_FILE.format(kind=kind, method=method), [svg])
-    print(format_summary_table(report.methods, report.summaries))
+    for method, data in report.curves.items():
+        for kind, (ys, *axes) in CURVES.items():
+            svg = curve_svg(data["grid"], data[ys], f"{kind.upper()} {method} (mean over repeats)", *axes)
+            write_file(out_dir / CURVE_FILE.format(kind=kind, method=method), [svg])
+    print(format_summary_table(summarize(report.rows)))
     print(f"report -> {report_file} (fingerprint {report.fingerprint})")
     return report
 
@@ -465,9 +462,9 @@ def cmd_estimate_c(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     _, config = resolve_run_settings(args, "benchmark")
     workers = _threads(args.threads)
-    check_outputs(out_dir=args.out, names=benchmark_files(config, args.curves))
+    check_outputs(out_dir=args.out, names=benchmark_files(config))
     corpus = Corpus.from_files(args.clean, args.noisy, args.vocab)
-    benchmark_stage(corpus, config, workers, args.curves, Path(args.out))
+    benchmark_stage(corpus, config, workers, Path(args.out))
     return 0
 
 
@@ -485,7 +482,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config, bench_config = resolve_run_settings(args, "pipeline")
     workers = _threads(args.threads)
     stage_files = (*COHORT_FILES, LINKS_FILE, *DATASET_FILES, C_MATRIX_FILE)
-    check_outputs(out_dir=args.out, names=stage_files + benchmark_files(bench_config, args.curves))
+    check_outputs(out_dir=args.out, names=stage_files + benchmark_files(bench_config))
     out_dir = Path(args.out)
 
     if not args.no_calibrate:
@@ -499,7 +496,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     d_star, d_tilde, d_prime = stage("datasets", datasets_stage, mothers, newborns, links, vocab, out_dir)
     stage("estimate-c", estimate_c_stage, d_prime, out_dir / C_MATRIX_FILE)
     corpus = Corpus(vocab, d_star, d_tilde, d_prime, config)
-    stage("benchmark", benchmark_stage, corpus, bench_config, workers, args.curves, out_dir)
+    stage("benchmark", benchmark_stage, corpus, bench_config, workers, out_dir)
     print(f"pipeline complete -> {out_dir}")
     return 0
 
@@ -511,7 +508,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise RecordFileError(f"{args.raw}: no data rows")
     summaries = summarize(rows)
     methods = list(summaries)
-    print(format_summary_table(methods, summaries))
+    print(format_summary_table(summaries))
     if args.out:
         s = [summaries[m] for m in methods]
         charts = (

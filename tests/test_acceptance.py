@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from helpers import apply_class_conditional_noise, max_gradient_rel_error, random_small_setup
 from test_linkage import VOCAB as LINK_VOCAB
@@ -24,7 +23,14 @@ from test_metrics import (
 )
 from test_noise import dual_example
 
-from pretermalc.bench import BenchmarkConfig, build_corpus, calibrate_noise, mean_label_accuracy, repeated_benchmark
+from pretermalc.bench import (
+    BenchmarkConfig,
+    build_corpus,
+    calibrate_noise,
+    mean_label_accuracy,
+    repeated_benchmark,
+    summarize,
+)
 from pretermalc.cli import main, usable_cpus
 from pretermalc.metrics import auc, pr_auc
 from pretermalc.net import IDENTITY
@@ -69,7 +75,7 @@ def benchmark_means() -> dict[str, float]:
         TrainMethod.NOLC_NOISY,
     ]
     report = repeated_benchmark(default_corpus(), BenchmarkConfig(methods, repeats=20), workers=BENCH_WORKERS)
-    return {name: summary.auc_mean for name, summary in report.summaries.items()}
+    return {name: summary.auc_mean for name, summary in summarize(report.rows).items()}
 
 
 def test_1_gradients_match_finite_differences():
@@ -134,7 +140,7 @@ def test_5_alternating_schedule_ranks_ahead_on_the_default_corpus():
 
 
 def test_6_pipeline_reports_are_identical_for_any_thread_count(tmp_path):
-    with verdict(6, "byte-identical pipeline reports across --threads"):
+    with verdict(6, "byte-identical pipeline files across --threads"):
         flags = [
             "pipeline", "--mothers", "300", "--hospitals", "3", "--seed", "9",
             "--no-calibrate", "--repeats", "2", "--epochs", "2",
@@ -144,9 +150,17 @@ def test_6_pipeline_reports_are_identical_for_any_thread_count(tmp_path):
         for sub, threads in runs.items():
             code = main([*flags, "--threads", threads, "--out", str(tmp_path / sub)])
             assert code == 0
-        for name in ("report.csv", "report_raw.csv"):
-            blobs = {(tmp_path / sub / name).read_bytes() for sub in runs}
-            assert len(blobs) == 1, name
+        written = {
+            sub: {p.relative_to(tmp_path / sub).as_posix(): p.read_bytes() for p in (tmp_path / sub).rglob("*")
+                  if p.is_file()}
+            for sub in runs
+        }
+        names = set(written["t1a"])
+        assert {"report.csv", "report_raw.csv", "curves/roc_ALC.svg", "curves/pr_NoLC_noisy.svg"} <= names
+        for sub in runs:
+            assert set(written[sub]) == names, sub
+        for name in sorted(names):
+            assert len({written[sub][name] for sub in runs}) == 1, name
 
 
 def test_7_ranking_metrics_match_enumeration_oracles():

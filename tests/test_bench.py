@@ -30,6 +30,7 @@ from pretermalc.bench import (
     repeat_inputs,
     repeated_benchmark,
     split_examples,
+    summarize,
 )
 from pretermalc.cli import curve_svg, summary_svg
 from pretermalc.noise import estimate_corruption_matrix
@@ -160,7 +161,7 @@ def test_pooled_run_from_an_unguarded_script_fails_instead_of_hanging(tmp_path):
 
 def test_single_repeat_reports_zero_spread(corpus):
     report = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 1, 4, FAST))
-    summary = report.summaries["NoLC_clean"]
+    summary = summarize(report.rows)["NoLC_clean"]
     assert summary.auc_std == 0.0
     assert summary.prauc_std == 0.0
     assert ",0.000000," in report.report_csv().splitlines()[1]

@@ -13,7 +13,7 @@ from pretermalc.cli import build_parser, format_summary_table, load_run_config, 
 from pretermalc.synth import ConfigError
 
 COHORT_FLAGS = ["--mothers", "200", "--hospitals", "3", "--seed", "11"]
-BENCHMARK_FLAGS = ["--repeats", "1", "--epochs", "1", "--methods", "NoLC_clean", "--curves"]
+BENCHMARK_FLAGS = ["--repeats", "1", "--epochs", "1", "--methods", "NoLC_clean"]
 PIPELINE_FLAGS = [*COHORT_FLAGS, "--no-calibrate", *BENCHMARK_FLAGS]
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -800,11 +800,11 @@ OPTION_STRINGS = {
     "datasets": ["--links", "--mothers", "--newborns", "--out", "--vocab"],
     "estimate-c": ["--examples", "--out", "--vocab"],
     "benchmark": [
-        "--clean", "--config", "--curves", "--epochs", "--methods", "--noisy",
+        "--clean", "--config", "--epochs", "--methods", "--noisy",
         "--out", "--repeats", "--seed", "--threads", "--vocab",
     ],
     "pipeline": [
-        "--curves", "--epochs", "--methods", "--no-calibrate", "--out", "--repeats",
+        "--epochs", "--methods", "--no-calibrate", "--out", "--repeats",
         "--target-accuracy", "--threads", *SYNTH_FLAGS,
     ],
     "report": ["--out", "--raw"],
@@ -822,7 +822,7 @@ def test_every_subcommand_keeps_its_flags():
         for name, p in subparsers().items()
     }
     assert found == {name: sorted(opts) for name, opts in OPTION_STRINGS.items()}
-    assert sum(map(len, found.values())) == 55
+    assert sum(map(len, found.values())) == 53
 
 
 def test_synth_flags_take_the_type_of_their_field():
@@ -843,7 +843,7 @@ def test_summary_table_is_aligned_percentage_text():
         "ALC": MethodSummary(0.8123, 0.0211, 0.7001, 0.0),
         "NoLC_clean": MethodSummary(0.795, 0.034, 0.65, 0.012),
     }
-    table = format_summary_table(["ALC", "NoLC_clean"], summaries)
+    table = format_summary_table(summaries)
     lines = table.splitlines()
     assert lines[0].split() == ["method", "auc", "pr_auc"]
     assert lines[1].split()[0] == "ALC"

@@ -11,7 +11,6 @@ from pretermalc.noise import (
     EstimationError,
     corruption_layer,
     estimate_corruption_matrix,
-    load_matrix_csv,
     save_matrix_csv,
 )
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
@@ -215,27 +214,15 @@ def test_saved_matrix_is_four_lines_of_fixed_text(tmp_path):
     assert path.read_bytes() == b"0.680000,0.320000\n0.200000,0.800000\n68,32\n20,80\n"
 
 
-def test_matrix_csv_round_trip(tmp_path):
-    examples = examples_with_counts([[68, 32], [20, 80]])
-    c = estimate_corruption_matrix(examples)
-    path = tmp_path / "c.csv"
-    save_matrix_csv(c, path)
-    again = load_matrix_csv(path)
-    assert np.allclose(again.entries, c.entries, atol=1e-6)
-    assert np.array_equal(again.counts, c.counts)
-    assert np.all(np.abs(again.entries.sum(axis=1) - 1.0) <= 1e-12)
-
-
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_every_saved_matrix_loads_back(tmp_path_factory, a, b):
+def test_every_saved_matrix_prints_its_entries(tmp_path_factory, a, b):
+    """Six fractional digits hold each entry within 5e-7 (plus the rounding
+    of the float read back), and so each row's printed sum within 2e-6 of 1."""
     c = CorruptionMatrix(np.array([[a, 1.0 - a], [b, 1.0 - b]]))
     path = tmp_path_factory.mktemp("matrix") / "c.csv"
     save_matrix_csv(c, path)
-    assert np.allclose(load_matrix_csv(path).entries, c.entries, rtol=0.0, atol=2e-6)
-
-
-def test_matrix_csv_rejects_wrong_shape(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0.5,0.5\n")
-    with pytest.raises(ValueError, match="4 rows"):
-        load_matrix_csv(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 4
+    printed = np.array([[float(x) for x in line.split(",")] for line in lines[:2]])
+    assert np.all(np.abs(printed - c.entries) <= 5e-7 + 1e-15)
+    assert np.all(np.abs(printed.sum(axis=1) - 1.0) <= 2e-6)

@@ -17,7 +17,6 @@ from pretermalc.synth import (
     PREDICTION_PERIOD_DAYS,
     VOCAB_SIZE,
     ClericalNoiseModel,
-    Cohort,
     ConfigError,
     DatasetError,
     GroundTruth,
