@@ -214,6 +214,18 @@ def test_saved_matrix_is_four_lines_of_fixed_text(tmp_path):
     assert path.read_bytes() == b"0.680000,0.320000\n0.200000,0.800000\n68,32\n20,80\n"
 
 
+def test_matrix_csv_round_trip(tmp_path):
+    examples = examples_with_counts([[68, 32], [20, 80]])
+    c = estimate_corruption_matrix(examples)
+    path = tmp_path / "c.csv"
+    save_matrix_csv(c, path)
+    table = np.loadtxt(path, delimiter=",")
+    again = CorruptionMatrix(table[:2], counts=table[2:])
+    assert np.allclose(again.entries, c.entries, atol=1e-6)
+    assert np.array_equal(again.counts, c.counts)
+    assert np.all(np.abs(again.entries.sum(axis=1) - 1.0) <= 1e-12)
+
+
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_every_saved_matrix_prints_its_entries(tmp_path_factory, a, b):
     """Six fractional digits hold each entry within 5e-7 (plus the rounding
