@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .linkage import LinkSet, link_accuracy, match_newborns
-from .metrics import auc, interp_pr, interp_roc, pr_auc, pr_points, roc_points
+from .metrics import auc, interp_pr, pr_auc, pr_points, roc_points
 from .noise import CorruptionMatrix, estimate_corruption_matrix
 from .records import (
     CodeVocabulary,
@@ -207,7 +207,7 @@ def summarize(rows: Iterable[RepeatRow]) -> dict[str, MethodSummary]:
 @dataclass
 class BenchmarkReport:
     rows: list[RepeatRow]  # method by method, in report order
-    curves: dict[str, dict[str, np.ndarray]]  # method -> grid, mean tpr, mean precision
+    curves: dict[str, dict[str, np.ndarray]]  # method -> {"roc": mean TPR, "pr": mean precision} on CURVE_GRID
     fingerprint: str
 
     def report_csv(self) -> str:
@@ -324,7 +324,7 @@ def _run_repeat(
         row = RepeatRow(method.value, repeat, auc(scores, labels), pr_auc(scores, labels))
         fpr, tpr = roc_points(scores, labels)
         rec, prec = pr_points(scores, labels)
-        results.append((row, interp_roc(fpr, tpr, CURVE_GRID), interp_pr(rec, prec, CURVE_GRID)))
+        results.append((row, np.interp(CURVE_GRID, fpr, tpr), interp_pr(rec, prec, CURVE_GRID)))
     return results
 
 
@@ -410,11 +410,7 @@ def repeated_benchmark(
     for method, per_repeat in zip(methods, zip(*results)):
         method_rows, tprs, precisions = zip(*per_repeat)
         rows.extend(method_rows)
-        curves[method.value] = {
-            "grid": CURVE_GRID.copy(),
-            "tpr": np.mean(tprs, axis=0),
-            "precision": np.mean(precisions, axis=0),
-        }
+        curves[method.value] = {"roc": np.mean(tprs, axis=0), "pr": np.mean(precisions, axis=0)}
 
     return BenchmarkReport(rows=rows, curves=curves, fingerprint=_fingerprint(corpus, config))
 

@@ -27,6 +27,7 @@ from xml.sax.saxutils import escape
 
 from . import __version__
 from .bench import (
+    CURVE_GRID,
     BenchmarkConfig,
     BenchmarkReport,
     Corpus,
@@ -279,60 +280,58 @@ def format_summary_table(summaries: Mapping[str, MethodSummary]) -> str:
 
 # --- plain SVG output ------------------------------------------------------------
 
-_SVG_W, _SVG_H, _SVG_M = 480, 360, 56
+_SVG_W, _SVG_H = 480, 360
+# The plot box's left, bottom, right and top edges, in pixels.
+_X0, _Y0, _X1, _Y1 = 56, _SVG_H - 56, _SVG_W - 16, 40
 
 
-def _svg_open(title: str) -> list[str]:
-    return [
+def _svg(title: str, xlabel: str, ylabel: str, marks: Sequence[str]) -> str:
+    """A chart: the frame, its escaped title and axis labels, then `marks`."""
+    mid_x, mid_y = f"{(_X0 + _X1) / 2:.0f}", f"{(_Y0 + _Y1) / 2:.0f}"
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
         f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
         f'<text x="{_SVG_W / 2:.0f}" y="24" text-anchor="middle" font-size="14" '
         f'font-family="sans-serif">{escape(title)}</text>',
+        f'<line x1="{_X0}" y1="{_Y0}" x2="{_X1}" y2="{_Y0}" stroke="black"/>',
+        f'<line x1="{_X0}" y1="{_Y0}" x2="{_X0}" y2="{_Y1}" stroke="black"/>',
+        f'<text x="{mid_x}" y="{_SVG_H - 16}" text-anchor="middle" '
+        f'font-size="12" font-family="sans-serif">{escape(xlabel)}</text>',
+        f'<text x="16" y="{mid_y}" text-anchor="middle" font-size="12" '
+        f'font-family="sans-serif" transform="rotate(-90 16 {mid_y})">{escape(ylabel)}</text>',
+        *marks,
+        "</svg>",
     ]
-
-
-def _svg_axes(xlabel: str, ylabel: str) -> list[str]:
-    x0, y0, x1, y1 = _SVG_M, _SVG_H - _SVG_M, _SVG_W - 16, 40
-    return [
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
-        f'<text x="{(x0 + x1) / 2:.0f}" y="{_SVG_H - 16}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">{xlabel}</text>',
-        f'<text x="16" y="{(y0 + y1) / 2:.0f}" text-anchor="middle" font-size="12" '
-        f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) / 2:.0f})">{ylabel}</text>',
-    ]
+    return "\n".join(parts) + "\n"
 
 
 def _to_px(x: float, y: float) -> tuple[float, float]:
-    x0, y0, x1, y1 = _SVG_M, _SVG_H - _SVG_M, _SVG_W - 16, 40
-    return x0 + x * (x1 - x0), y0 - y * (y0 - y1)
+    return _X0 + x * (_X1 - _X0), _Y0 - y * (_Y0 - _Y1)
 
 
 def curve_svg(xs: Sequence[float], ys: Sequence[float], title: str, xlabel: str, ylabel: str) -> str:
-    parts = _svg_open(title) + _svg_axes(xlabel, ylabel)
     pts = " ".join(f"{px:.2f},{py:.2f}" for px, py in (_to_px(float(x), float(y)) for x, y in zip(xs, ys)))
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    polyline = f'<polyline points="{pts}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>'
+    return _svg(title, xlabel, ylabel, [polyline])
 
 
-def summary_svg(names: Sequence[str], means: Sequence[float], stds: Sequence[float], title: str) -> str:
-    parts = _svg_open(title) + _svg_axes("method", "score")
-    n = len(names)
-    for k, (name, mean, std) in enumerate(zip(names, means, stds)):
-        x = (k + 0.5) / max(n, 1)
-        cx, cy = _to_px(x, float(mean))
-        _, y_hi = _to_px(x, min(1.0, float(mean + std)))
-        _, y_lo = _to_px(x, max(0.0, float(mean - std)))
-        parts.append(f'<line x1="{cx:.2f}" y1="{y_lo:.2f}" x2="{cx:.2f}" y2="{y_hi:.2f}" stroke="#444"/>')
-        parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#1f6fb2"/>')
-        parts.append(
-            f'<text x="{cx:.2f}" y="{_SVG_H - _SVG_M + 16}" text-anchor="middle" font-size="9" '
-            f'font-family="sans-serif">{escape(name)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+def summary_svg(summaries: Mapping[str, MethodSummary], metric: str, title: str) -> str:
+    """Mean +/- std of `metric` ("auc" or "prauc") for each method, in the
+    mapping's order."""
+    marks = []
+    for k, (name, s) in enumerate(summaries.items()):
+        mean, std = getattr(s, f"{metric}_mean"), getattr(s, f"{metric}_std")
+        cx, cy = _to_px((k + 0.5) / len(summaries), mean)
+        _, y_hi = _to_px(0.0, min(1.0, mean + std))
+        _, y_lo = _to_px(0.0, max(0.0, mean - std))
+        marks += [
+            f'<line x1="{cx:.2f}" y1="{y_lo:.2f}" x2="{cx:.2f}" y2="{y_hi:.2f}" stroke="#444"/>',
+            f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3.5" fill="#1f6fb2"/>',
+            f'<text x="{cx:.2f}" y="{_Y0 + 16}" text-anchor="middle" font-size="9" '
+            f'font-family="sans-serif">{escape(name)}</text>',
+        ]
+    return _svg(title, "method", "score", marks)
 
 
 # --- stages --------------------------------------------------------------------
@@ -345,9 +344,10 @@ DATASET_FILES = ("d_star.jsonl", "d_tilde.jsonl", "d_prime.jsonl")
 C_MATRIX_FILE = "c_matrix.csv"
 REPORT_FILES = ("report.csv", "report_raw.csv")
 CURVE_FILE = "curves/{kind}_{method}.svg"
-SUMMARY_FILES = ("auc.svg", "pr_auc.svg")
-# Curve kind -> (key of its y values in a report's curves, x label, y label).
-CURVES = {"roc": ("tpr", "false positive rate", "true positive rate"), "pr": ("precision", "recall", "precision")}
+# Summary chart file -> (the MethodSummary field prefix it draws, its title).
+SUMMARY_FILES = {"auc.svg": ("auc", "AUC"), "pr_auc.svg": ("prauc", "PR-AUC")}
+# Curve kind -> (x label, y label).
+CURVES = {"roc": ("false positive rate", "true positive rate"), "pr": ("recall", "precision")}
 
 
 def benchmark_files(config: BenchmarkConfig) -> tuple[str, ...]:
@@ -405,9 +405,9 @@ def benchmark_stage(corpus: Corpus, config: BenchmarkConfig, workers: int, out_d
     report_file, raw_file = (out_dir / name for name in REPORT_FILES)
     write_file(report_file, [report.report_csv()])
     write_file(raw_file, [report.raw_csv()])
-    for method, data in report.curves.items():
-        for kind, (ys, *axes) in CURVES.items():
-            svg = curve_svg(data["grid"], data[ys], f"{kind.upper()} {method} (mean over repeats)", *axes)
+    for method, curves in report.curves.items():
+        for kind, ys in curves.items():
+            svg = curve_svg(CURVE_GRID, ys, f"{kind.upper()} {method} (mean over repeats)", *CURVES[kind])
             write_file(out_dir / CURVE_FILE.format(kind=kind, method=method), [svg])
     print(format_summary_table(summarize(report.rows)))
     print(f"report -> {report_file} (fingerprint {report.fingerprint})")
@@ -507,16 +507,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not rows:
         raise RecordFileError(f"{args.raw}: no data rows")
     summaries = summarize(rows)
-    methods = list(summaries)
     print(format_summary_table(summaries))
     if args.out:
-        s = [summaries[m] for m in methods]
-        charts = (
-            ("AUC", [x.auc_mean for x in s], [x.auc_std for x in s]),
-            ("PR-AUC", [x.prauc_mean for x in s], [x.prauc_std for x in s]),
-        )
-        for name, (title, means, stds) in zip(SUMMARY_FILES, charts):
-            write_file(Path(args.out, name), [summary_svg(methods, means, stds, f"{title} by method")])
+        for name, (metric, title) in SUMMARY_FILES.items():
+            write_file(Path(args.out, name), [summary_svg(summaries, metric, f"{title} by method")])
     return 0
 
 

@@ -95,11 +95,6 @@ def pr_points(scores: Sequence[float], labels: Sequence[Label]) -> tuple[np.ndar
     return tp / n_pos, tp / (tp + fp)
 
 
-def interp_roc(fpr: np.ndarray, tpr: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """TPR sampled at fixed FPR grid points by linear interpolation."""
-    return np.interp(grid, fpr, tpr)
-
-
 def interp_pr(recall: np.ndarray, precision: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Precision sampled at fixed recall grid points (step-wise from the
     right, matching the average-precision convention): the highest

@@ -439,8 +439,23 @@ def save_records(records: Iterable[PatientRecord], path: str | Path, vocab: Code
     _write_lines(path, (record_to_dict(r, vocab) for r in records))
 
 
+def _record_lines(vocab: CodeVocabulary, make: Callable[..., T]) -> Callable[[str], T]:
+    """A line parser for ``read_lines`` over a record file: ``make`` of each
+    line's record and labels. A patient listed on an earlier line fails."""
+    seen: set[str] = set()
+
+    def parse(line: str) -> T:
+        record, clean, noisy = record_from_dict(json.loads(line), vocab)
+        if record.patient_id in seen:
+            raise ValueError(f"patient {record.patient_id} listed again")
+        seen.add(record.patient_id)
+        return make(record, clean, noisy)
+
+    return parse
+
+
 def load_records(path: str | Path, vocab: CodeVocabulary) -> list[PatientRecord]:
-    return read_lines(path, lambda line: record_from_dict(json.loads(line), vocab)[0])
+    return read_lines(path, _record_lines(vocab, lambda record, *_: record))
 
 
 def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: CodeVocabulary) -> None:
@@ -450,6 +465,6 @@ def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: C
 @collector_paused()
 def load_examples(path: str | Path, vocab: CodeVocabulary) -> list[LabeledExample]:
     """The examples of a file written by ``save_examples``. An example that
-    ``LabeledExample`` refuses, such as one without visits, is named with
-    the file and line."""
-    return read_lines(path, lambda line: LabeledExample(*record_from_dict(json.loads(line), vocab)))
+    ``LabeledExample`` refuses, such as one without visits, or a patient
+    listed again, is named with the file and line."""
+    return read_lines(path, _record_lines(vocab, LabeledExample))

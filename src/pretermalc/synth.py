@@ -125,6 +125,14 @@ class SynthConfig:
             raise ConfigError(f"n_hospitals must be >= 1, got {self.n_hospitals}")
         if self.n_mothers < 1:
             raise ConfigError(f"n_mothers must be >= 1, got {self.n_mothers}")
+        # The largest hospital draws ceil(n_mothers / n_hospitals) distinct
+        # delivery minutes from its window.
+        window = HISTORY_SPAN_DAYS * MINUTES_PER_DAY
+        if self.n_mothers > window * self.n_hospitals:
+            raise ConfigError(
+                f"n_mothers must be at most {window} per hospital (one delivery per minute of the "
+                f"delivery window), got {self.n_mothers} over {self.n_hospitals} hospital(s)"
+            )
         for name in ("clean_code_rate", "newborn_coded_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -187,9 +195,8 @@ def _mothers_per_hospital(config: SynthConfig) -> list[int]:
 
 
 def _draw_unique_ints(rng: np.random.Generator, low: int, high: int, n: int) -> np.ndarray:
-    """n distinct integers in [low, high), in draw order."""
-    if high - low < n:
-        raise ConfigError(f"cannot draw {n} distinct delivery times from a window of {high - low} minutes")
+    """n distinct integers in [low, high), in draw order; ``SynthConfig``
+    keeps n within the window."""
     seen: set[int] = set()
     out: list[int] = []
     while len(out) < n:

@@ -19,10 +19,12 @@ import pretermalc
 from pretermalc import bench
 from pretermalc.bench import (
     CALIBRATION_TOLERANCE,
+    CURVE_GRID,
     MAX_CALIBRATION_STEPS,
     BenchmarkConfig,
     BenchmarkError,
     CalibrationError,
+    MethodSummary,
     calibrate_noise,
     derive_seed,
     build_corpus,
@@ -195,10 +197,10 @@ def test_report_layout(corpus):
 def test_benchmark_can_collect_mean_curves(corpus):
     report = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN], 2, 4, FAST))
     curves = report.curves["NoLC_clean"]
-    assert set(curves) == {"grid", "tpr", "precision"}
-    assert curves["grid"].shape == curves["tpr"].shape == curves["precision"].shape == (101,)
-    assert np.all(np.diff(curves["tpr"]) >= -1e-12)
-    assert np.all((curves["precision"] >= 0) & (curves["precision"] <= 1))
+    assert set(curves) == {"roc", "pr"}
+    assert curves["roc"].shape == curves["pr"].shape == CURVE_GRID.shape
+    assert np.all(np.diff(curves["roc"]) >= -1e-12)
+    assert np.all((curves["pr"] >= 0) & (curves["pr"] <= 1))
 
 
 def test_a_methods_rows_and_curves_do_not_depend_on_the_other_methods(corpus):
@@ -445,7 +447,8 @@ def test_curve_svg_is_a_deterministic_document():
 
 
 def test_summary_svg_marks_every_method():
-    doc = summary_svg(["a", "b"], [0.8, 0.7], [0.02, 0.05], "scores")
+    summaries = {"a": MethodSummary(0.8, 0.02, 0.6, 0.01), "b": MethodSummary(0.7, 0.05, 0.5, 0.03)}
+    doc = summary_svg(summaries, "auc", "scores")
     assert doc.count("<circle") == 2
     assert ">a</text>" in doc and ">b</text>" in doc
     assert doc.endswith("</svg>\n")

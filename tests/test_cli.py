@@ -2,9 +2,11 @@
 byte-level reproducibility."""
 
 import argparse
+import hashlib
 import json
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
 from pretermalc import cli
@@ -222,6 +224,9 @@ INPUTS = {
     ("synth", ["--time-jitter-sd", "nan"], "time_jitter_sd must be >= 0 and finite, got nan"),
     ("synth", ["--time-jitter-sd", "inf"], "time_jitter_sd must be >= 0 and finite, got inf"),
     ("pipeline", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    *((command, ["--mothers", "800000", "--hospitals", "1"], "n_mothers must be at most 777600 per hospital "
+       "(one delivery per minute of the delivery window), got 800000 over 1 hospital(s)")
+      for command in ("synth", "pipeline")),
 ])
 def test_out_of_domain_flags_exit_2_before_any_file_is_touched(tmp_path, capsys, command, flags, message):
     inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
@@ -599,6 +604,22 @@ def test_an_example_without_visits_is_named_with_its_file(pipeline_dir, tmp_path
     assert capsys.readouterr().err == f"error: {clean}: line 4: example {rows[3]['patient_id']} has no visits\n"
 
 
+def test_benchmark_refuses_a_patient_listed_again_and_names_the_file(pipeline_dir, tmp_path, capsys):
+    lines = (pipeline_dir / "d_tilde.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    noisy = tmp_path / "d_tilde.jsonl"
+    noisy.write_text("".join(lines) + lines[0], encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([
+        "benchmark", "--clean", str(pipeline_dir / "d_star.jsonl"), "--noisy", str(noisy),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"),
+        "--methods", "NoLC_noisy", "--repeats", "1", "--epochs", "1", "--out", str(out),
+    ])
+    assert code == 1
+    patient = json.loads(lines[0])["patient_id"]
+    assert capsys.readouterr().err == f"error: {noisy}: line {len(lines) + 1}: patient {patient} listed again\n"
+    assert not out.exists()
+
+
 def test_benchmark_command_is_deterministic(pipeline_dir, tmp_path, capsys):
     base = [
         "benchmark",
@@ -749,8 +770,27 @@ def test_report_svgs_escape_the_text_they_show(tmp_path, capsys):
     for name in ("auc.svg", "pr_auc.svg"):
         shown = [node.text for node in ElementTree.parse(tmp_path / "svg" / name).iter(f"{SVG}text")]
         assert "A<B&C" in shown, name
-    curve = ElementTree.fromstring(cli.curve_svg([0.0, 1.0], [0.0, 1.0], "ROC A<B&C", "x", "y"))
-    assert "ROC A<B&C" in [node.text for node in curve.iter(f"{SVG}text")]
+    curve = ElementTree.fromstring(cli.curve_svg([0.0, 1.0], [0.0, 1.0], "ROC A<B&C", "x<y", "p&q"))
+    assert [node.text for node in curve.iter(f"{SVG}text")] == ["ROC A<B&C", "x<y", "p&q"]
+
+
+def test_chart_bytes_are_pinned(tmp_path, capsys):
+    """The sha256 of a curve chart and a summary chart drawn from fixed
+    inputs, so that a change to the plotting code keeps every byte."""
+    xs = np.linspace(0, 1, 11)
+    curve = cli.curve_svg(xs, xs**2, "ROC m", "false positive rate", "true positive rate")
+    raw = tmp_path / "raw.csv"
+    raw.write_text(
+        "method,repeat,auc,pr_auc\nALC,0,0.812500,0.640000\nNoLC_noisy,0,0.703125,0.512000\n"
+        "NoLC_clean,0,0.875000,0.730000\n",
+        encoding="utf-8",
+    )
+    assert main(["report", "--raw", str(raw), "--out", str(tmp_path / "svg")]) == 0
+    docs = (curve.encode("utf-8"), (tmp_path / "svg" / "auc.svg").read_bytes())
+    assert [hashlib.sha256(doc).hexdigest() for doc in docs] == [
+        "701699bb023d3782a785897d5ffc9c67c172b14d30b2a9a3066a1972788f6d0f",
+        "0574e8df0a0fa45b906e83ce0612cb436b803fee0e34e536531360c88fa9a3ad",
+    ]
 
 
 def test_report_command_rejects_malformed_input(tmp_path, capsys):

@@ -37,6 +37,7 @@ RECORD = json.dumps({
 })
 EXAMPLE = RECORD[:-1] + ',"clean_label":"preterm","noisy_label":null}'
 EMPTY_EXAMPLE = json.dumps({**json.loads(EXAMPLE), "patient_id": "m2", "visits": []})
+OTHER_RECORD = RECORD.replace('"m1"', '"m2"')
 
 # (loader, file content as text or bytes, the line at fault or None for the
 # whole file)
@@ -56,6 +57,8 @@ MALFORMED = {
     "examples_bad_json": (lambda p: load_examples(p, VOCAB), EXAMPLE + "\nnot json\n", 2),
     "examples_no_label": (lambda p: load_examples(p, VOCAB), RECORD + "\n", 1),
     "examples_no_visits": (lambda p: load_examples(p, VOCAB), f"{EXAMPLE}\n{EMPTY_EXAMPLE}\n", 2),
+    "records_repeated_patient": (lambda p: load_records(p, VOCAB), f"{RECORD}\n{OTHER_RECORD}\n{RECORD}\n", 3),
+    "examples_repeated_patient": (lambda p: load_examples(p, VOCAB), f"{EXAMPLE}\n\n{EXAMPLE}\n", 3),
     "raw_csv_bad_header": (load_raw_csv, "wrong,header\n1,2\n", 1),
     "raw_csv_bad_row": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.7\nALC,one,0.8,0.7\n", 3),
     "raw_csv_repeated_pair": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\nNoLC_clean,0,0.7,0.5\n"
@@ -103,7 +106,8 @@ def test_reader_reads_crlf_lines_as_lf_lines(tmp_path):
 
 def test_reader_names_a_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "records.jsonl"
-    path.write_bytes(f"{RECORD}\n".encode() * 3 + b'{"patient_id": "m\xe9"}\n')
+    records = "".join(RECORD.replace('"m1"', f'"m{i}"') + "\n" for i in range(3))
+    path.write_bytes(records.encode() + b'{"patient_id": "m\xe9"}\n')
     with pytest.raises(RecordFileError) as exc:
         load_records(path, VOCAB)
     assert str(exc.value) == f"{path}: line 4: not UTF-8 text"

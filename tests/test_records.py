@@ -23,6 +23,7 @@ from pretermalc.records import (
     save_examples,
     save_records,
 )
+from pretermalc import synth
 from pretermalc.bench import Corpus, build_corpus, mean_label_accuracy
 from pretermalc.linkage import LinkSet, MatchCandidate, link_accuracy, match_newborns
 from pretermalc.synth import (
@@ -432,6 +433,20 @@ def test_load_names_a_field_of_the_wrong_json_type(tmp_path, field, value, expec
 SMALL_COHORT = SynthConfig(n_mothers=120, n_hospitals=2, seed=1)
 
 
+def _draw_failing(call):
+    """`call`, run while each hospital's delivery-time draw raises."""
+
+    def fail(*args):
+        raise ConfigError("no delivery times")
+
+    def run():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(synth, "_draw_unique_ints", fail)
+            return call()
+
+    return run
+
+
 def _builder_calls(tmp_path):
     """(name, call, exception the call raises or None) for each builder."""
     cohort = generate_cohort(SMALL_COHORT)
@@ -441,17 +456,15 @@ def _builder_calls(tmp_path):
     save_examples(d_star, good, cohort.vocab)
     bad.write_text(good.read_text(encoding="utf-8").splitlines()[0] + "\n{not json\n", encoding="utf-8")
     mothers, newborns, vocab = cohort.mothers, cohort.newborns, cohort.vocab
-    # 800,000 delivery times do not fit one hospital's 777,600-minute window.
-    too_many = SynthConfig(n_mothers=800_000, n_hospitals=1)
     return [
         ("generate_cohort", lambda: generate_cohort(SMALL_COHORT), None),
-        ("generate_cohort", lambda: generate_cohort(too_many), ConfigError),
+        ("generate_cohort", _draw_failing(lambda: generate_cohort(SMALL_COHORT)), ConfigError),
         ("build_datasets", lambda: build_datasets(mothers, newborns, links, vocab), None),
         ("build_datasets", lambda: build_datasets(mothers, newborns, LinkSet(()), vocab), DatasetError),
         ("load_examples", lambda: load_examples(good, vocab), None),
         ("load_examples", lambda: load_examples(bad, vocab), RecordFileError),
         ("mean_label_accuracy", lambda: mean_label_accuracy(SMALL_COHORT), None),
-        ("mean_label_accuracy", lambda: mean_label_accuracy(too_many), ConfigError),
+        ("mean_label_accuracy", _draw_failing(lambda: mean_label_accuracy(SMALL_COHORT)), ConfigError),
     ]
 
 

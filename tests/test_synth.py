@@ -53,6 +53,10 @@ def test_config_errors_name_fields():
         SynthConfig(seed=-1)
     with pytest.raises(ConfigError, match="clean_code_rate"):
         SynthConfig(clean_code_rate=0.2, newborn_coded_rate=0.3)
+    # The largest hospital takes ceil(n_mothers / n_hospitals) of the 777,600 delivery minutes.
+    SynthConfig(n_mothers=3 * 777_600, n_hospitals=3)
+    with pytest.raises(ConfigError, match=r"n_mothers must be at most 777600 per hospital .* got 2332801 over 3"):
+        SynthConfig(n_mothers=3 * 777_600 + 1, n_hospitals=3)
 
 
 def test_vocabulary_contains_rule_codes():
