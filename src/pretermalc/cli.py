@@ -142,10 +142,19 @@ def _overlay(obj, values: dict, where: str | None = None):
 def load_run_config(path: str | Path, command: str) -> dict:
     """JSON config with a checked version tag, keys and value types, as
     {section: {key: value}}. Every section must be one that CONFIG_SECTIONS
-    lists for subcommand `command`. Any fault raises ConfigError naming the
-    file and the section and key."""
+    lists for subcommand `command`. Any fault, a key given twice in one
+    object too, raises ConfigError naming the file and the section and key."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        data: dict = {}
+        for key, value in pairs:
+            if key in data:
+                raise ConfigError(f"{path}: key {key!r} given twice in one object")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
     except UnicodeDecodeError:
@@ -225,28 +234,35 @@ def resolve_run_settings(args: argparse.Namespace, command: str) -> tuple[SynthC
     return synth, resolve("benchmark", BenchmarkConfig(base_seed=synth.seed))
 
 
-def check_outputs(files: Mapping[str, str | None] = {}, out_dir: str | None = None, names: Iterable[str] = ()) -> None:
-    """Raise ConfigError, naming the flag, unless every output file of a run
-    can be written: no two share a path, none is a directory, and every
-    ancestor of each is a directory or missing, and not another output. The
-    outputs are the file of each flag in `files` that is given and, when
-    `out_dir` (flag --out) is given, each of `names` in it. A subcommand
-    calls it before it reads any input file."""
-    outputs = [(flag, Path(path)) for flag, path in files.items() if path]
-    outputs += [("--out", Path(out_dir, name)) for name in names if out_dir]
-    claimed: dict[str, str] = {}
-    for flag, path in outputs:
+def check_outputs(args: argparse.Namespace, names: Iterable[str] | None = None, inputs: Iterable[str] = ()) -> None:
+    """Raise ConfigError, naming --out, unless every output file of a run
+    can be written: none is one of the run's input files, no two share a
+    path, none is a directory, and every ancestor of each is a directory or
+    missing, and not another output. Every output comes from --out: the file
+    it names when `names` is None, else each of `names` in the directory it
+    names, and none when it is not given. `inputs` are the argparse
+    destinations of the run's input flags, each flag its destination with a
+    leading '--'. A subcommand calls it before it reads any input file but
+    its --config."""
+    if not args.out:
+        return
+    outputs = [Path(args.out)] if names is None else [Path(args.out, name) for name in names]
+    read = {os.path.realpath(getattr(args, dest)): f"--{dest}" for dest in inputs if getattr(args, dest)}
+    claimed: dict[str, Path] = {}
+    for path in outputs:
         key = os.path.realpath(path)
+        if key in read:
+            raise ConfigError(f"--out: {path} is the {read[key]} input")
         if key in claimed:
-            raise ConfigError(f"{flag}: {path} is also the output of {claimed[key]}")
-        claimed[key] = flag
-    for flag, path in outputs:
+            raise ConfigError(f"--out: {path} is the same file as {claimed[key]}")
+        claimed[key] = path
+    for path in outputs:
         in_the_way = (p for p in path.parents if os.path.realpath(p) in claimed or p.exists() and not p.is_dir())
         blocked = next(in_the_way, None)
         if blocked is not None:
-            raise ConfigError(f"{flag}: {blocked} is not a directory")
+            raise ConfigError(f"--out: {blocked} is not a directory")
         if path.is_dir():
-            raise ConfigError(f"{flag}: {path} is a directory")
+            raise ConfigError(f"--out: {path} is a directory")
 
 
 def usable_cpus() -> int:
@@ -419,13 +435,13 @@ def benchmark_stage(corpus: Corpus, config: BenchmarkConfig, workers: int, out_d
 
 def cmd_synth(args: argparse.Namespace) -> int:
     config, _ = resolve_run_settings(args, "synth")
-    check_outputs(out_dir=args.out, names=COHORT_FILES)
+    check_outputs(args, COHORT_FILES, ("config",))
     synth_stage(config, Path(args.out))
     return 0
 
 
 def cmd_link(args: argparse.Namespace) -> int:
-    check_outputs({"--out": args.out})
+    check_outputs(args, inputs=("mothers", "newborns", "vocab", "truth"))
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
@@ -435,7 +451,7 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
-    check_outputs(out_dir=args.out, names=DATASET_FILES)
+    check_outputs(args, DATASET_FILES, ("mothers", "newborns", "links", "vocab"))
     vocab = CodeVocabulary.load(args.vocab)
     mothers = load_records(args.mothers, vocab)
     newborns = load_records(args.newborns, vocab)
@@ -448,7 +464,7 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate_c(args: argparse.Namespace) -> int:
-    check_outputs({"--out": args.out})
+    check_outputs(args, inputs=("examples", "vocab"))
     vocab = CodeVocabulary.load(args.vocab)
     examples = load_examples(args.examples, vocab)
     dual = [ex for ex in examples if ex.clean_label is not None and ex.noisy_label is not None]
@@ -462,7 +478,7 @@ def cmd_estimate_c(args: argparse.Namespace) -> int:
 def cmd_benchmark(args: argparse.Namespace) -> int:
     _, config = resolve_run_settings(args, "benchmark")
     workers = _threads(args.threads)
-    check_outputs(out_dir=args.out, names=benchmark_files(config))
+    check_outputs(args, benchmark_files(config), ("config", "clean", "noisy", "vocab"))
     corpus = Corpus.from_files(args.clean, args.noisy, args.vocab)
     benchmark_stage(corpus, config, workers, Path(args.out))
     return 0
@@ -482,7 +498,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     config, bench_config = resolve_run_settings(args, "pipeline")
     workers = _threads(args.threads)
     stage_files = (*COHORT_FILES, LINKS_FILE, *DATASET_FILES, C_MATRIX_FILE)
-    check_outputs(out_dir=args.out, names=stage_files + benchmark_files(bench_config))
+    check_outputs(args, stage_files + benchmark_files(bench_config), ("config",))
     out_dir = Path(args.out)
 
     if not args.no_calibrate:
@@ -502,7 +518,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    check_outputs(out_dir=args.out, names=SUMMARY_FILES)
+    check_outputs(args, SUMMARY_FILES, ("raw",))
     rows = load_raw_csv(args.raw)
     if not rows:
         raise RecordFileError(f"{args.raw}: no data rows")

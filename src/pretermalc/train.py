@@ -76,23 +76,20 @@ def plan_epochs(method: TrainMethod, n_epochs: int) -> list[EpochSpec]:
     """The per-epoch (dataset, loss) schedule for a method."""
     if n_epochs < 1:
         raise ValueError(f"n_epochs must be >= 1, got {n_epochs}")
+    if not isinstance(method, TrainMethod):
+        raise ValueError(f"unknown method {method!r}")
     noisy = EpochSpec(NOISY, CORRECTED)
     clean = EpochSpec(CLEAN, PLAIN)
-    if method is TrainMethod.ALC:
-        return [clean if e % 2 else noisy for e in range(n_epochs)]
-    if method is TrainMethod.GLC_NOISY_THEN_CLEAN:
-        first = math.ceil(n_epochs / 2)
-        return [noisy] * first + [clean] * (n_epochs - first)
-    if method is TrainMethod.GLC_CLEAN_THEN_NOISY:
-        first = math.ceil(n_epochs / 2)
-        return [clean] * first + [noisy] * (n_epochs - first)
-    if method is TrainMethod.NOLC_CLEAN:
-        return [clean] * n_epochs
-    if method is TrainMethod.NOLC_NOISY:
-        return [EpochSpec(NOISY, PLAIN)] * n_epochs
-    if method is TrainMethod.NOLC_MIXED:
-        return [EpochSpec(MIXED, PLAIN)] * n_epochs
-    raise ValueError(f"unknown method {method!r}")
+    first = math.ceil(n_epochs / 2)  # the first phase of a sequential schedule
+    plans = {
+        TrainMethod.ALC: [clean if e % 2 else noisy for e in range(n_epochs)],
+        TrainMethod.GLC_NOISY_THEN_CLEAN: [noisy] * first + [clean] * (n_epochs - first),
+        TrainMethod.GLC_CLEAN_THEN_NOISY: [clean] * first + [noisy] * (n_epochs - first),
+        TrainMethod.NOLC_CLEAN: [clean] * n_epochs,
+        TrainMethod.NOLC_NOISY: [EpochSpec(NOISY, PLAIN)] * n_epochs,
+        TrainMethod.NOLC_MIXED: [EpochSpec(MIXED, PLAIN)] * n_epochs,
+    }
+    return plans[method]
 
 
 @dataclass(frozen=True)
@@ -167,31 +164,33 @@ class EpochLog:
     mean_loss: float
 
 
-def _labeled_sequences(
-    examples: Sequence[LabeledExample], which: str
-) -> tuple[list, np.ndarray]:
-    seqs = []
-    labels = []
-    for ex in examples:
-        if which == CLEAN:
-            label = ex.clean_label
-        elif which == NOISY:
-            label = ex.noisy_label
-        else:  # mixed: clean label preferred when both exist
-            label = ex.clean_label if ex.clean_label is not None else ex.noisy_label
-        if label is None:
-            raise ValueError(f"example {ex.patient_id} lacks the {which} label")
-        seqs.append(sequence_of(ex))
-        labels.append(int(label))
-    return seqs, np.array(labels, dtype=np.int64)
-
-
 def mixed_examples(
     d_star: Sequence[LabeledExample], d_tilde: Sequence[LabeledExample]
 ) -> list[LabeledExample]:
     """Concatenation with dual-labeled mothers appearing once (clean side)."""
     star_ids = {ex.patient_id for ex in d_star}
     return list(d_star) + [ex for ex in d_tilde if ex.patient_id not in star_ids]
+
+
+def _pool(
+    dataset: str, d_star: Sequence[LabeledExample], d_tilde: Sequence[LabeledExample]
+) -> tuple[list, np.ndarray]:
+    """The visit sequences and labels an epoch over ``dataset`` reads: the
+    clean set with clean labels, the noisy set with noisy labels, or the
+    mixed set, where an example takes its clean label when it has one."""
+    examples = d_star if dataset == CLEAN else d_tilde if dataset == NOISY else mixed_examples(d_star, d_tilde)
+    if not examples:
+        raise ValueError(f"schedule needs {dataset} examples but none are available")
+    seqs, labels = [], []
+    for ex in examples:
+        label = ex.noisy_label if dataset == NOISY else ex.clean_label
+        if label is None and dataset == MIXED:  # a mother with only the noisy label
+            label = ex.noisy_label
+        if label is None:
+            raise ValueError(f"example {ex.patient_id} lacks the {dataset} label")
+        seqs.append(sequence_of(ex))
+        labels.append(int(label))
+    return seqs, np.array(labels, dtype=np.int64)
 
 
 def train(
@@ -209,19 +208,8 @@ def train(
     mutated; identical inputs give bit-identical outputs."""
     plan = plan_epochs(config.method, config.n_epochs)
 
-    datasets: dict[str, tuple[list, np.ndarray]] = {}
-    for spec in plan:
-        if spec.dataset in datasets:
-            continue
-        if spec.dataset == CLEAN:
-            source = list(d_star)
-        elif spec.dataset == NOISY:
-            source = list(d_tilde)
-        else:
-            source = mixed_examples(d_star, d_tilde)
-        if not source:
-            raise ValueError(f"schedule needs {spec.dataset} examples but none are available")
-        datasets[spec.dataset] = _labeled_sequences(source, spec.dataset)
+    # One pool per tag, built in the order the plan first reads it.
+    pools = {tag: _pool(tag, d_star, d_tilde) for tag in dict.fromkeys(spec.dataset for spec in plan)}
     if any(spec.loss_kind == CORRECTED for spec in plan) and c is None:
         raise ValueError("schedule contains corrected-loss epochs but no corruption matrix was given")
 
@@ -229,7 +217,7 @@ def train(
     state = OptState.for_params(params)
     log: list[EpochLog] = []
     for epoch, spec in enumerate(plan):
-        seqs, labels = datasets[spec.dataset]
+        seqs, labels = pools[spec.dataset]
         matrix = IDENTITY if spec.loss_kind == PLAIN else c
         rng = np.random.default_rng([config.seed, epoch])
         perm = rng.permutation(len(seqs))

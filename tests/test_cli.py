@@ -4,6 +4,7 @@ byte-level reproducibility."""
 import argparse
 import hashlib
 import json
+import shutil
 from xml.etree import ElementTree
 
 import numpy as np
@@ -150,6 +151,18 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     broken.write_text('{"version": 1,', encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_run_config(broken, "pipeline")
+
+
+@pytest.mark.parametrize("body, key", [
+    ('{"version": 1, "synth": {"seed": 1, "seed": 2}}', "seed"),
+    ('{"version": 1, "synth": {}, "synth": {"seed": 2}}', "synth"),
+])
+def test_config_file_refuses_a_key_given_twice(tmp_path, capsys, body, key):
+    cfg = tmp_path / "dup.json"
+    cfg.write_text(body, encoding="utf-8")
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: key {key!r} given twice in one object\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_file_that_is_not_utf8_exits_2_and_is_named(tmp_path, capsys):
@@ -552,22 +565,58 @@ def test_an_output_conflict_fails_first(tmp_path, capsys, monkeypatch, command, 
     assert sorted(tmp_path.rglob("*")) == before
 
 
-# Two file outputs of one run, the second given as a path beside the first,
-# the first's path by another name, or a path inside it. No subcommand has
-# two file flags, but a symbolic link inside an --out directory can still
-# make two of its names one file.
-# check_outputs takes any flag names; these two name a checkpoint and a log.
-@pytest.mark.parametrize("log, message", [
-    ("run.out", "{log} is also the output of --out-checkpoint"),
-    ("sub/../run.out", "{log} is also the output of --out-checkpoint"),
-    ("run.out/log.csv", "{checkpoint} is not a directory"),
-])
-def test_two_outputs_that_collide_fail_first(tmp_path, log, message):
-    checkpoint, log = tmp_path / "run.out", tmp_path / log
-    with pytest.raises(ConfigError) as exc:
-        cli.check_outputs({"--out-checkpoint": str(checkpoint), "--out-log": str(log)})
-    assert str(exc.value) == "--out-log: " + message.format(log=log, checkpoint=checkpoint)
-    assert list(tmp_path.iterdir()) == []
+# Two names under one --out that a symbolic link makes one file, or one
+# name whose parent a symbolic link makes another output.
+@pytest.mark.parametrize("command, link, target, message", [
+    ("synth", "mothers.jsonl", "newborns.jsonl", "{out}/newborns.jsonl is the same file as {out}/mothers.jsonl"),
+    ("synth", "vocabulary.txt", "sub/../truth.tsv", "{out}/truth.tsv is the same file as {out}/vocabulary.txt"),
+    ("pipeline", "curves", "report.csv", "{out}/curves is not a directory"),
+], ids=["one-file", "one-file-by-another-name", "one-inside-another"])
+def test_two_outputs_that_collide_fail_first(tmp_path, capsys, monkeypatch, command, link, target, message):
+    monkeypatch.setattr(cli, "generate_cohort", unreachable)
+    monkeypatch.setattr(cli, "calibrate_noise", unreachable)
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / link).symlink_to(out / target)
+    flags = COHORT_FLAGS if command == "synth" else [*COHORT_FLAGS, *BENCHMARK_FLAGS]
+    assert main([command, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out: {message.format(out=out)}\n"
+    assert sorted(tmp_path.rglob("*")) == sorted([out, out / link, out / "sub"])
+
+
+# For each subcommand that takes an input flag, a run over a copy s of the
+# pipeline's files whose --out names one of its inputs: the arguments, that
+# input's flag, its file in s, and the file in s that it holds a copy of
+# (None: a config file).
+STAGED = ["--mothers", "{s}/mothers.jsonl", "--newborns", "{s}/newborns.jsonl", "--vocab", "{s}/vocabulary.txt"]
+ONTO_INPUT = {
+    "synth": (["--config", "{s}/truth.tsv", "--out", "{s}"], "--config", "truth.tsv", None),
+    "link": ([*STAGED, "--out", "{s}/mothers.jsonl"], "--mothers", "mothers.jsonl", "mothers.jsonl"),
+    "datasets": ([*STAGED, "--links", "{s}/d_star.jsonl", "--out", "{s}"], "--links", "d_star.jsonl", "links.tsv"),
+    "estimate-c": (
+        ["--examples", "{s}/d_prime.jsonl", "--vocab", "{s}/vocabulary.txt", "--out", "{s}/d_prime.jsonl"],
+        "--examples", "d_prime.jsonl", "d_prime.jsonl",
+    ),
+    "benchmark": (
+        ["--clean", "{s}/report.csv", "--noisy", "{s}/d_tilde.jsonl", "--vocab", "{s}/vocabulary.txt",
+         *BENCHMARK_FLAGS, "--out", "{s}"],
+        "--clean", "report.csv", "d_star.jsonl",
+    ),
+    "pipeline": (["--config", "{s}/c_matrix.csv", *PIPELINE_FLAGS, "--out", "{s}"], "--config", "c_matrix.csv", None),
+    "report": (["--raw", "{s}/auc.svg", "--out", "{s}"], "--raw", "auc.svg", "report_raw.csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(ONTO_INPUT))
+def test_an_output_that_names_an_input_fails_first(pipeline_dir, tmp_path, capsys, command):
+    argv, flag, name, source = ONTO_INPUT[command]
+    s = tmp_path / "s"
+    shutil.copytree(pipeline_dir, s)
+    (s / name).write_bytes((s / source).read_bytes() if source else b'{"version": 1}')
+    before = {p: p.read_bytes() for p in s.rglob("*") if p.is_file()}
+    assert main([command, *(arg.format(s=s) for arg in argv)]) == 2
+    assert capsys.readouterr().err == f"error: --out: {s / name} is the {flag} input\n"
+    assert {p: p.read_bytes() for p in s.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize("flag, name", [("--clean", "d_tilde.jsonl"), ("--noisy", "d_star.jsonl")])

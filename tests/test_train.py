@@ -119,6 +119,8 @@ def test_every_schedule_has_one_spec_per_epoch(method, n_epochs):
 def test_schedule_rejects_invalid_requests():
     with pytest.raises(ValueError, match="n_epochs must be >= 1"):
         plan_epochs(TrainMethod.ALC, 0)
+    with pytest.raises(ValueError, match="unknown method 'ALC'"):
+        plan_epochs("ALC", 2)
     with pytest.raises(ValueError, match="only paired with noisy"):
         EpochSpec(CLEAN, CORRECTED)
     with pytest.raises(ValueError, match="unknown dataset tag"):
@@ -236,21 +238,40 @@ def test_training_is_bit_reproducible(small_steps):
 
 
 # sha256 of the float64 weights, and the exact per-epoch mean losses, of a
-# 2-epoch run on the cohort that the CLI tests' pipeline writes (200
-# mothers, 3 hospitals, seed 11), from the init that a default seed draws.
-# ALC corrects with the matrix estimated from the cohort's dual-labeled set.
-# Plain epochs train through the corruption layer with C = I, which must
-# give every bit that plain cross-entropy gives. Floating-point results, so
-# the pins hold for one numpy/BLAS build: another BLAS kernel may round
+# 2-epoch run of each schedule on the cohort that the CLI tests' pipeline
+# writes (200 mothers, 3 hospitals, seed 11), from the init that a default
+# seed draws. Each schedule with a corrected epoch corrects with the matrix
+# estimated from the cohort's dual-labeled set. Plain epochs train through
+# the corruption layer with C = I, which must give every bit that plain
+# cross-entropy gives. In two epochs GLC noisy-then-clean runs ALC's
+# schedule, and GLC clean-then-noisy starts with NoLC_clean's first epoch,
+# so those pins agree where their epochs do. Floating-point results, so the
+# pins hold for one numpy/BLAS build: another BLAS kernel may round
 # differently.
 PINNED_RUNS = {
     TrainMethod.NOLC_CLEAN: (
         "b81fa8058da7ea699e7263aeacc1ea252ee74202a22e1995a74dcb4ee63b91c1",
         [0.6942642589785019, 0.690259262075964],
     ),
+    TrainMethod.NOLC_NOISY: (
+        "e57702c1d38412c26ae7b9129f365bfd529bbca25e88b494df9829a33c675515",
+        [0.6936722567052017, 0.6892758519561203],
+    ),
+    TrainMethod.NOLC_MIXED: (
+        "97515bb592833c51242e6f8e4bb9662586122f39e1e77c35e3d11e81a885cc0e",
+        [0.6933698584867078, 0.6882119816403056],
+    ),
     TrainMethod.ALC: (
         "9156fb2f7d01057d629e22de59c899a38fd98560c3ca0525f795aaf971958b1c",
         [0.7204824031135182, 0.6924346741640343],
+    ),
+    TrainMethod.GLC_NOISY_THEN_CLEAN: (
+        "9156fb2f7d01057d629e22de59c899a38fd98560c3ca0525f795aaf971958b1c",
+        [0.7204824031135182, 0.6924346741640343],
+    ),
+    TrainMethod.GLC_CLEAN_THEN_NOISY: (
+        "3dcf4e60f9822941eb656d0de9da0496120812f752f49abe29d9d1524b833b8c",
+        [0.6942642589785019, 0.719044468285125],
     ),
 }
 
@@ -266,7 +287,8 @@ def test_train_gives_the_pinned_weights_and_losses(pipeline_corpus, method):
     corpus = pipeline_corpus
     config = TrainConfig(method=method, n_epochs=2)
     params = init_params(NetDims(vocab_size=len(corpus.vocab)), derive_seed(config.seed, "init"))
-    c = estimate_corruption_matrix(corpus.d_prime) if method is TrainMethod.ALC else None
+    corrects = any(spec.loss_kind == CORRECTED for spec in plan_epochs(method, config.n_epochs))
+    c = estimate_corruption_matrix(corpus.d_prime) if corrects else None
     model, log = train(params, corpus.d_star, corpus.d_tilde, c, config)
     digest, losses = PINNED_RUNS[method]
     assert hashlib.sha256(model.flat.astype("<f8").tobytes()).hexdigest() == digest
@@ -338,6 +360,15 @@ def test_train_requires_nonempty_scheduled_datasets():
     with pytest.raises(ValueError, match="needs noisy examples"):
         train(init_params(TINY, seed=10), d_star, [], None,
               TrainConfig(method=TrainMethod.NOLC_NOISY, n_epochs=1))
+
+
+@pytest.mark.parametrize(
+    "method, first_tag",
+    [(TrainMethod.GLC_NOISY_THEN_CLEAN, NOISY), (TrainMethod.GLC_CLEAN_THEN_NOISY, CLEAN)],
+)
+def test_the_pool_the_plan_reads_first_fails_first(method, first_tag):
+    with pytest.raises(ValueError, match=f"needs {first_tag} examples"):
+        train(init_params(TINY, seed=10), [], [], reference_matrix(), TrainConfig(method=method, n_epochs=2))
 
 
 def test_train_requires_the_scheduled_label():
