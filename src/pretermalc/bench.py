@@ -6,9 +6,10 @@ trained model once, on the test part; the validation part is held out
 unread. The repeat's noisy pool is the noisy set without the mothers of its
 validation and test parts, so no held-out mother is trained on under either
 label. The corruption matrix is re-estimated per repeat from the
-dual-labeled examples that landed on the training side. Every random choice
-is derived from (base_seed, repeat), so the report is reproducible run to
-run and independent of the worker count.
+dual-labeled examples that landed on the training side, and the report
+keeps each repeat's matrix. Every random choice is derived from
+(base_seed, repeat), so the report is reproducible run to run and
+independent of the worker count.
 """
 
 from __future__ import annotations
@@ -209,6 +210,7 @@ class BenchmarkReport:
     rows: list[RepeatRow]  # method by method, in report order
     curves: dict[str, dict[str, np.ndarray]]  # method -> {"roc": mean TPR, "pr": mean precision} on CURVE_GRID
     fingerprint: str
+    c_hats: list[CorruptionMatrix]  # the Ĉ each repeat trained with, in repeat order
 
     def report_csv(self) -> str:
         lines = ["method,auc_mean,auc_std,prauc_mean,prauc_std"]
@@ -222,6 +224,16 @@ class BenchmarkReport:
         lines = [RAW_CSV_HEADER]
         for row in self.rows:
             lines.append(f"{row.method},{row.repeat},{row.auc:.6f},{row.pr_auc:.6f}")
+        return "\n".join(lines) + "\n"
+
+    def c_hat_csv(self) -> str:
+        """One line per repeat: its Ĉ's entries, rows clean-class preterm
+        first, with six fractional digits, then the counts they came from."""
+        lines = ["repeat,c_pp,c_pf,c_fp,c_ff,n_pp,n_pf,n_fp,n_ff"]
+        for repeat, c in enumerate(self.c_hats):
+            entries = ",".join(f"{x:.6f}" for x in c.entries.flat)
+            counts = ",".join(str(int(n)) for n in c.counts.flat)
+            lines.append(f"{repeat},{entries},{counts}")
         return "\n".join(lines) + "\n"
 
 
@@ -311,8 +323,9 @@ def repeat_inputs(corpus: Corpus, repeat: int, base_seed: int) -> RepeatInputs:
 
 def _run_repeat(
     corpus: Corpus, config: BenchmarkConfig, repeat: int
-) -> list[tuple[RepeatRow, np.ndarray, np.ndarray]]:
-    """Each method's row and its TPR and precision on CURVE_GRID, in order."""
+) -> tuple[CorruptionMatrix, list[tuple[RepeatRow, np.ndarray, np.ndarray]]]:
+    """The repeat's Ĉ, and each method's row and its TPR and precision on
+    CURVE_GRID, in order."""
     inputs = repeat_inputs(corpus, repeat, config.base_seed)
     split = inputs.split
     labels = [ex.clean_label for ex in split.test]
@@ -325,7 +338,7 @@ def _run_repeat(
         fpr, tpr = roc_points(scores, labels)
         rec, prec = pr_points(scores, labels)
         results.append((row, np.interp(CURVE_GRID, fpr, tpr), interp_pr(rec, prec, CURVE_GRID)))
-    return results
+    return inputs.c_hat, results
 
 
 @contextmanager
@@ -386,7 +399,7 @@ def repeated_benchmark(
     workers: int = 1,
 ) -> BenchmarkReport:
     """Train every method on every repeat's split and aggregate test metrics
-    and mean ROC and PR curves.
+    and mean ROC and PR curves; keep the Ĉ that each repeat trained with.
 
     Worker processes only parallelize over repeats; results are assembled in
     repeat order, so the report is identical for any worker count.
@@ -405,14 +418,15 @@ def repeated_benchmark(
     else:
         results = [run(r) for r in range(repeats)]
 
+    c_hats, by_repeat = zip(*results)
     rows: list[RepeatRow] = []
     curves: dict[str, dict[str, np.ndarray]] = {}
-    for method, per_repeat in zip(methods, zip(*results)):
+    for method, per_repeat in zip(methods, zip(*by_repeat)):
         method_rows, tprs, precisions = zip(*per_repeat)
         rows.extend(method_rows)
         curves[method.value] = {"roc": np.mean(tprs, axis=0), "pr": np.mean(precisions, axis=0)}
 
-    return BenchmarkReport(rows=rows, curves=curves, fingerprint=_fingerprint(corpus, config))
+    return BenchmarkReport(rows=rows, curves=curves, fingerprint=_fingerprint(corpus, config), c_hats=list(c_hats))
 
 
 # --- noise calibration -------------------------------------------------------

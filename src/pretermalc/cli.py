@@ -5,10 +5,11 @@ One executable, subcommands for each pipeline stage plus an end-to-end
 memory, writes the stage's files, prints its summary and returns its outputs.
 A staged subcommand reads its input files and calls its stage; `pipeline`
 calls every stage in order, so both paths write the same bytes. A subcommand
-checks all its outputs before it reads an input file, and `records.write_file`
-writes each file whole. Exit codes: 0 success, 1 runtime failure, 2 usage or
-config validation error; with `pretermalc --debug` a failure raises with its
-traceback instead. All file outputs are bit-reproducible for identical flags
+checks all its outputs, and that each of its input files exists and is not a
+directory, before it reads one, and `records.write_file` writes each file
+whole. Exit codes: 0 success, 1 runtime failure, 2 usage or config
+validation error (a missing input file too); with `pretermalc --debug` a
+failure raises with its traceback instead. All file outputs are bit-reproducible for identical flags
 and inputs; `--threads` only caps worker processes.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import sys
@@ -45,11 +47,9 @@ from .linkage import (
     match_newborns,
     save_links,
 )
-from .noise import CorruptionMatrix, EstimationError, estimate_corruption_matrix, save_matrix_csv
 from .records import (
     CodeVocabulary,
     RecordFileError,
-    load_examples,
     load_records,
     save_examples,
     save_records,
@@ -155,6 +155,8 @@ def load_run_config(path: str | Path, command: str) -> dict:
 
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+    except OSError as exc:
+        raise ConfigError(f"--config: {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
     except UnicodeDecodeError:
@@ -240,14 +242,16 @@ def check_outputs(args: argparse.Namespace, names: Iterable[str] | None = None, 
     path, none is a directory, and every ancestor of each is a directory or
     missing, and not another output. Every output comes from --out: the file
     it names when `names` is None, else each of `names` in the directory it
-    names, and none when it is not given. `inputs` are the argparse
-    destinations of the run's input flags, each flag its destination with a
-    leading '--'. A subcommand calls it before it reads any input file but
-    its --config."""
-    if not args.out:
-        return
-    outputs = [Path(args.out)] if names is None else [Path(args.out, name) for name in names]
-    read = {os.path.realpath(getattr(args, dest)): f"--{dest}" for dest in inputs if getattr(args, dest)}
+    names, and none when it is not given. Then raise ConfigError, naming the
+    flag, if an input file given is missing or a directory, with the text
+    that reading it would raise. `inputs` are the argparse destinations
+    of the run's input flags, each flag its destination with a leading '--'.
+    A subcommand calls it before it reads any input file but its --config."""
+    given = {f"--{dest}": getattr(args, dest) for dest in inputs if getattr(args, dest)}
+    read = {os.path.realpath(path): flag for flag, path in given.items()}
+    outputs = []
+    if args.out:
+        outputs = [Path(args.out)] if names is None else [Path(args.out, name) for name in names]
     claimed: dict[str, Path] = {}
     for path in outputs:
         key = os.path.realpath(path)
@@ -263,6 +267,11 @@ def check_outputs(args: argparse.Namespace, names: Iterable[str] | None = None, 
             raise ConfigError(f"--out: {blocked} is not a directory")
         if path.is_dir():
             raise ConfigError(f"--out: {path} is a directory")
+    for flag, path in given.items():
+        if not os.path.exists(path):
+            raise ConfigError(f"{flag}: {path}: {os.strerror(errno.ENOENT)}")
+        if os.path.isdir(path):
+            raise ConfigError(f"{flag}: {path}: {os.strerror(errno.EISDIR)}")
 
 
 def usable_cpus() -> int:
@@ -356,9 +365,9 @@ def summary_svg(summaries: Mapping[str, MethodSummary], metric: str, title: str)
 # `check_outputs` checks before any input is read.
 COHORT_FILES = ("vocabulary.txt", "mothers.jsonl", "newborns.jsonl", "truth.tsv")
 LINKS_FILE = "links.tsv"
-DATASET_FILES = ("d_star.jsonl", "d_tilde.jsonl", "d_prime.jsonl")
-C_MATRIX_FILE = "c_matrix.csv"
+DATASET_FILES = ("d_star.jsonl", "d_tilde.jsonl")
 REPORT_FILES = ("report.csv", "report_raw.csv")
+C_HAT_FILE = "c_hat.csv"
 CURVE_FILE = "curves/{kind}_{method}.svg"
 # Summary chart file -> (the MethodSummary field prefix it draws, its title).
 SUMMARY_FILES = {"auc.svg": ("auc", "AUC"), "pr_auc.svg": ("prauc", "PR-AUC")}
@@ -369,7 +378,7 @@ CURVES = {"roc": ("false positive rate", "true positive rate"), "pr": ("recall",
 def benchmark_files(config: BenchmarkConfig) -> tuple[str, ...]:
     """The files that the benchmark stage writes in its output directory."""
     plots = (CURVE_FILE.format(kind=kind, method=m.value) for m in config.methods for kind in CURVES)
-    return REPORT_FILES + tuple(plots)
+    return (*REPORT_FILES, C_HAT_FILE, *plots)
 
 
 def synth_stage(config: SynthConfig, out_dir: Path) -> Cohort:
@@ -399,21 +408,14 @@ def link_stage(mothers, newborns, vocab: CodeVocabulary, out: Path, truth: Groun
 
 
 def datasets_stage(mothers, newborns, links, vocab: CodeVocabulary, out_dir: Path):
-    """The clean (d_star), noisy (d_tilde) and dual-labeled (d_prime) sets."""
+    """The clean (d_star), noisy (d_tilde) and dual-labeled (d_prime) sets.
+    Only the first two are written: d_prime is the d_star examples that
+    carry a noisy label."""
     d_star, d_tilde, d_prime = build_datasets(mothers, newborns, links, vocab)
-    for name, examples in zip(DATASET_FILES, (d_star, d_tilde, d_prime)):
+    for name, examples in zip(DATASET_FILES, (d_star, d_tilde)):
         save_examples(examples, out_dir / name, vocab)
     print(f"datasets: clean={len(d_star)} noisy={len(d_tilde)} dual={len(d_prime)} -> {out_dir}")
     return d_star, d_tilde, d_prime
-
-
-def estimate_c_stage(dual, out: Path) -> CorruptionMatrix:
-    c = estimate_corruption_matrix(dual)
-    save_matrix_csv(c, out)
-    print(f"estimated corruption matrix from {len(dual)} dual-labeled examples -> {out}")
-    for i in range(2):
-        print(f"  [{c.entries[i, 0]:.6f}, {c.entries[i, 1]:.6f}]  (n={c.counts[i].sum()})")
-    return c
 
 
 def benchmark_stage(corpus: Corpus, config: BenchmarkConfig, workers: int, out_dir: Path) -> BenchmarkReport:
@@ -421,11 +423,18 @@ def benchmark_stage(corpus: Corpus, config: BenchmarkConfig, workers: int, out_d
     report_file, raw_file = (out_dir / name for name in REPORT_FILES)
     write_file(report_file, [report.report_csv()])
     write_file(raw_file, [report.raw_csv()])
+    c_hat_file = out_dir / C_HAT_FILE
+    write_file(c_hat_file, [report.c_hat_csv()])
     for method, curves in report.curves.items():
         for kind, ys in curves.items():
             svg = curve_svg(CURVE_GRID, ys, f"{kind.upper()} {method} (mean over repeats)", *CURVES[kind])
             write_file(out_dir / CURVE_FILE.format(kind=kind, method=method), [svg])
     print(format_summary_table(summarize(report.rows)))
+    preterm, full_term = zip(*(c.entries.diagonal() for c in report.c_hats))
+    print(
+        f"c_hat -> {c_hat_file} (diagonal over {len(report.c_hats)} repeats: preterm "
+        f"{min(preterm):.4f}-{max(preterm):.4f}, full-term {min(full_term):.4f}-{max(full_term):.4f})"
+    )
     print(f"report -> {report_file} (fingerprint {report.fingerprint})")
     return report
 
@@ -463,18 +472,6 @@ def cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_estimate_c(args: argparse.Namespace) -> int:
-    check_outputs(args, inputs=("examples", "vocab"))
-    vocab = CodeVocabulary.load(args.vocab)
-    examples = load_examples(args.examples, vocab)
-    dual = [ex for ex in examples if ex.clean_label is not None and ex.noisy_label is not None]
-    try:
-        estimate_c_stage(dual, Path(args.out))
-    except EstimationError as exc:
-        raise EstimationError(f"{args.examples}: {exc}") from None
-    return 0
-
-
 def cmd_benchmark(args: argparse.Namespace) -> int:
     _, config = resolve_run_settings(args, "benchmark")
     workers = _threads(args.threads)
@@ -497,7 +494,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ConfigError("--target-accuracy has no effect with --no-calibrate")
     config, bench_config = resolve_run_settings(args, "pipeline")
     workers = _threads(args.threads)
-    stage_files = (*COHORT_FILES, LINKS_FILE, *DATASET_FILES, C_MATRIX_FILE)
+    stage_files = (*COHORT_FILES, LINKS_FILE, *DATASET_FILES)
     check_outputs(args, stage_files + benchmark_files(bench_config), ("config",))
     out_dir = Path(args.out)
 
@@ -510,7 +507,6 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     mothers, newborns, vocab = cohort.mothers, cohort.newborns, cohort.vocab
     links = stage("link", link_stage, mothers, newborns, vocab, out_dir / LINKS_FILE, cohort.truth)
     d_star, d_tilde, d_prime = stage("datasets", datasets_stage, mothers, newborns, links, vocab, out_dir)
-    stage("estimate-c", estimate_c_stage, d_prime, out_dir / C_MATRIX_FILE)
     corpus = Corpus(vocab, d_star, d_tilde, d_prime, config)
     stage("benchmark", benchmark_stage, corpus, bench_config, workers, out_dir)
     print(f"pipeline complete -> {out_dir}")
@@ -568,19 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="ground-truth TSV for accuracy reporting")
     p.set_defaults(func=cmd_link)
 
-    p = add_parser("datasets", help="build the clean, noisy and dual-labeled example sets")
+    p = add_parser("datasets", help="build the clean and noisy example sets")
     p.add_argument("--mothers", required=True)
     p.add_argument("--newborns", required=True)
     p.add_argument("--links", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_datasets)
-
-    p = add_parser("estimate-c", help="estimate the label corruption matrix")
-    p.add_argument("--examples", required=True, help="dual-labeled examples (JSONL)")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_estimate_c)
 
     p = add_parser("benchmark", help="repeated-split benchmark over methods")
     add_config_flags(p, "benchmark")
@@ -591,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_benchmark_flags(p)
     p.set_defaults(func=cmd_benchmark)
 
-    p = add_parser("pipeline", help="synth -> link -> datasets -> estimate-c -> benchmark")
+    p = add_parser("pipeline", help="synth -> link -> datasets -> benchmark")
     add_config_flags(p, "pipeline")
     _add_benchmark_flags(p)
     p.add_argument("--no-calibrate", action="store_true", help="skip noise calibration")

@@ -5,12 +5,11 @@ clean probabilities through it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .records import Label, LabeledExample, write_file
+from .records import Label, LabeledExample
 
 ROW_SUM_TOL = 1e-12
 DISTRIBUTION_TOL = 1e-9  # row-sum slack of a float64 probability input
@@ -88,11 +87,3 @@ def corruption_layer(p: np.ndarray, c: CorruptionMatrix) -> tuple[np.ndarray, np
         raise ValueError("input must be a probability distribution over classes")
     entries = c.entries.astype(p.dtype, copy=False)
     return p @ entries, entries
-
-
-def save_matrix_csv(c: CorruptionMatrix, path: str | Path) -> None:
-    """Four-line CSV, written for inspection and read by no stage: two entry
-    rows printed with six fractional digits, then the two count rows."""
-    rows = [[f"{x:.6f}" for x in row] for row in c.entries] + [[str(int(n)) for n in row] for row in c.counts]
-    write_file(path, (",".join(row) + "\n" for row in rows))
-

@@ -156,7 +156,7 @@ def test_6_pipeline_reports_are_identical_for_any_thread_count(tmp_path):
             for sub in runs
         }
         names = set(written["t1a"])
-        assert {"report.csv", "report_raw.csv", "curves/roc_ALC.svg", "curves/pr_NoLC_noisy.svg"} <= names
+        assert {"report.csv", "report_raw.csv", "c_hat.csv", "curves/roc_ALC.svg", "curves/pr_NoLC_noisy.svg"} <= names
         for sub in runs:
             assert set(written[sub]) == names, sub
         for name in sorted(names):

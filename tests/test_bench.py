@@ -233,6 +233,20 @@ def test_repeat_estimates_c_from_the_dual_labeled_part_of_its_training_split(cor
         assert np.array_equal(inputs.c_hat.entries, expected.entries), repeat
 
 
+def test_c_hat_csv_holds_the_matrix_each_repeat_trained_with(corpus):
+    report = repeated_benchmark(corpus, BenchmarkConfig([TrainMethod.ALC], 3, 4, 1))
+    lines = report.c_hat_csv().splitlines()
+    assert lines[0] == "repeat,c_pp,c_pf,c_fp,c_ff,n_pp,n_pf,n_fp,n_ff"
+    assert len(lines) == 1 + 3
+    for repeat, line in enumerate(lines[1:]):
+        c_hat = repeat_inputs(corpus, repeat, base_seed=4).c_hat
+        cells = line.split(",")
+        assert int(cells[0]) == repeat
+        assert [float(x) for x in cells[1:5]] == pytest.approx(c_hat.entries.ravel().tolist(), abs=5e-7)
+        assert [int(n) for n in cells[5:]] == c_hat.counts.ravel().tolist()
+        assert np.array_equal(report.c_hats[repeat].entries, c_hat.entries), repeat
+
+
 def test_no_validation_or_test_mother_reaches_a_training_pool(corpus, monkeypatch):
     pools, tested = [], []
 

@@ -2,8 +2,10 @@
 byte-level reproducibility."""
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import shutil
 from xml.etree import ElementTree
 
@@ -11,8 +13,9 @@ import numpy as np
 import pytest
 
 from pretermalc import cli
-from pretermalc.bench import BenchmarkConfig, MethodSummary
+from pretermalc.bench import BenchmarkConfig, Corpus, MethodSummary, repeat_inputs
 from pretermalc.cli import build_parser, format_summary_table, load_run_config, main, resolve_run_settings
+from pretermalc.linkage import LinkageError
 from pretermalc.synth import ConfigError
 
 COHORT_FLAGS = ["--mothers", "200", "--hospitals", "3", "--seed", "11"]
@@ -55,6 +58,16 @@ def test_train_is_not_a_subcommand(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_no_subcommand_estimates_c_from_the_whole_dual_labeled_set(tmp_path, capsys):
+    """Each benchmark repeat estimates the Ĉ it trains with, and `benchmark`
+    writes it, so no stage estimates one from the whole dual-labeled set."""
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate-c", "--examples", str(tmp_path / "d_prime.jsonl"), "--out", str(tmp_path / "c_matrix.csv")])
+    assert exc.value.code == 2
+    assert "pretermalc: error: argument command: invalid choice: 'estimate-c' (choose from " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys):
     code = main(["synth", "--mothers", "0", "--out", str(tmp_path / "x")])
     assert code == 2
@@ -63,20 +76,33 @@ def test_config_errors_exit_2_and_name_the_field(tmp_path, capsys):
     assert "n_mothers" in err
 
 
-def link_absent_files(tmp_path) -> list[str]:
-    absent = str(tmp_path / "absent")
-    return ["link", "--mothers", absent, "--newborns", absent, "--vocab", absent, "--out", str(tmp_path / "links.tsv")]
+def datasets_with_an_unknown_mother(tmp_path) -> list[str]:
+    """A `datasets` run whose links file names a mother that no record holds."""
+    visit = {"day": 400, "codes": ["650"], "t_adm": 400 * 1440, "t_dis": 400 * 1440 + 60}
+    texts = {
+        "vocab": "650\n",
+        "mothers": json.dumps({"patient_id": "m0", "hospital_id": "h00", "role": "mother",
+                               "delivery_day": 400, "visits": [visit]}) + "\n",
+        "newborns": json.dumps({"patient_id": "n0", "hospital_id": "h00", "role": "newborn",
+                                "delivery_day": 400, "visits": [visit]}) + "\n",
+        "links": "n0\tm9\t0\n",
+    }
+    argv = ["datasets", "--out", str(tmp_path / "out")]
+    for flag, text in texts.items():
+        (tmp_path / flag).write_text(text, encoding="utf-8")
+        argv += [f"--{flag}", str(tmp_path / flag)]
+    return argv
 
 
 def test_runtime_errors_exit_1(tmp_path, capsys):
-    code = main(link_absent_files(tmp_path))
+    code = main(datasets_with_an_unknown_mother(tmp_path))
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("argv, error", [
     (lambda tmp_path: ["synth", "--mothers", "0", "--out", str(tmp_path / "x")], ConfigError),
-    (link_absent_files, FileNotFoundError),
+    pytest.param(datasets_with_an_unknown_mother, LinkageError, id="unknown-mother"),
 ])
 def test_debug_re_raises_the_failure_that_would_print_one_line(tmp_path, capsys, argv, error):
     with pytest.raises(error) as raised:
@@ -225,7 +251,8 @@ def test_bad_config_values_exit_2_before_the_pipeline_writes(tmp_path, capsys, b
 
 
 # The input flags of the subcommands whose settings a test rejects: the
-# files are absent, so a run that got as far as reading one would exit 1.
+# files are absent, so a run that got past its settings would fail naming
+# the first of them.
 INPUTS = {
     "datasets": ["--mothers", "{0}", "--newborns", "{0}", "--links", "{0}", "--vocab", "{0}"],
     "benchmark": ["--clean", "{0}", "--noisy", "{0}", "--vocab", "{0}"],
@@ -310,8 +337,7 @@ def test_a_calibrating_pipeline_rejects_a_misclassification_rate(tmp_path, capsy
 def test_pipeline_writes_every_artifact(pipeline_dir):
     for name in (
         "vocabulary.txt", "mothers.jsonl", "newborns.jsonl", "truth.tsv", "links.tsv",
-        "d_star.jsonl", "d_tilde.jsonl", "d_prime.jsonl", "c_matrix.csv",
-        "report.csv", "report_raw.csv",
+        "d_star.jsonl", "d_tilde.jsonl", "report.csv", "report_raw.csv", "c_hat.csv",
         "curves/roc_NoLC_clean.svg", "curves/pr_NoLC_clean.svg",
     ):
         assert (pipeline_dir / name).exists(), name
@@ -327,15 +353,13 @@ def test_staged_commands_write_the_pipeline_files(tmp_path, capsys):
         ["synth", *COHORT_FLAGS, "--out", d],
         ["link", *cohort, "--truth", f"{d}/truth.tsv", "--out", f"{d}/links.tsv"],
         ["datasets", *cohort, "--links", f"{d}/links.tsv", "--out", d],
-        ["estimate-c", "--examples", f"{d}/d_prime.jsonl", "--vocab", f"{d}/vocabulary.txt",
-         "--out", f"{d}/c_matrix.csv"],
         ["benchmark", "--seed", "11", *BENCHMARK_FLAGS, "--clean", f"{d}/d_star.jsonl",
          "--noisy", f"{d}/d_tilde.jsonl", "--vocab", f"{d}/vocabulary.txt", "--out", d],
     ):
         assert main(argv) == 0, argv[0]
     assert fingerprint_of(capsys) == piped_fingerprint
     written = sorted(p.relative_to(piped) for p in piped.rglob("*") if p.is_file())
-    assert len(written) == 13
+    assert len(written) == 12
     assert written == sorted(p.relative_to(staged) for p in staged.rglob("*") if p.is_file())
     for name in written:
         assert (staged / name).read_bytes() == (piped / name).read_bytes(), name
@@ -374,7 +398,7 @@ def test_pipeline_report_is_thread_count_independent(tmp_path):
     flags[flags.index("--repeats") + 1] = "2"
     for threads, sub in (("1", "t1"), ("2", "t2")):
         assert main(["pipeline", *flags, "--threads", threads, "--out", str(tmp_path / sub)]) == 0
-    for name in ("report.csv", "report_raw.csv", "d_star.jsonl", "c_matrix.csv"):
+    for name in ("report.csv", "report_raw.csv", "d_star.jsonl", "c_hat.csv"):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes(), name
 
 
@@ -446,55 +470,18 @@ def test_link_and_datasets_read_one_delivery_encounter(tmp_path):
     assert main(["link", *cohort, "--out", str(links)]) == 0
     assert links.read_text(encoding="utf-8") == "n0\tm0\t140\n"
     assert main(["datasets", *cohort, "--links", str(links), "--out", str(tmp_path)]) == 0
-    rows = [json.loads(line) for line in (tmp_path / "d_prime.jsonl").read_text(encoding="utf-8").splitlines()]
+    rows = [json.loads(line) for line in (tmp_path / "d_star.jsonl").read_text(encoding="utf-8").splitlines()]
     assert [(row["patient_id"], row["clean_label"], row["noisy_label"]) for row in rows] == [
         ("m0", "fullterm", "fullterm")
     ]
 
 
-def test_estimate_c_matches_the_pipeline_matrix(pipeline_dir, tmp_path, capsys):
-    code = main([
-        "estimate-c",
-        "--examples", str(pipeline_dir / "d_prime.jsonl"),
-        "--vocab", str(pipeline_dir / "vocabulary.txt"),
-        "--out", str(tmp_path / "c.csv"),
-    ])
-    assert code == 0
-    assert "dual-labeled examples" in capsys.readouterr().out
-    assert (tmp_path / "c.csv").read_bytes() == (pipeline_dir / "c_matrix.csv").read_bytes()
-
-
-def test_estimate_c_names_a_file_without_dual_labeled_examples(pipeline_dir, tmp_path, capsys):
-    rows = [json.loads(line) for line in (pipeline_dir / "d_star.jsonl").read_text(encoding="utf-8").splitlines()]
-    clean = tmp_path / "clean_only.jsonl"
-    clean.write_text("".join(json.dumps({**row, "noisy_label": None}) + "\n" for row in rows), encoding="utf-8")
-    out = tmp_path / "c.csv"
-    code = main(["estimate-c", "--examples", str(clean), "--vocab", str(pipeline_dir / "vocabulary.txt"),
-                 "--out", str(out)])
-    assert code == 1
-    assert capsys.readouterr().err == (
-        f"error: {clean}: no dual-labeled examples with clean label PRETERM; cannot estimate row\n"
-    )
-    assert not out.exists()
-
-
-FILE_OUTPUTS = [("link", "--out"), ("estimate-c", "--out")]
-
-
-def file_output_inputs(command, d):
-    """The input flags of a subcommand with a file output, read from d."""
-    return {
-        "link": ["--mothers", f"{d}/mothers.jsonl", "--newborns", f"{d}/newborns.jsonl"],
-        "estimate-c": ["--examples", f"{d}/d_prime.jsonl"],
-    }[command]
-
-
-@pytest.mark.parametrize("command, flag", FILE_OUTPUTS)
+@pytest.mark.parametrize("command, flag", [("link", "--out")])
 def test_a_file_output_makes_its_directory(pipeline_dir, tmp_path, command, flag):
     d = pipeline_dir
-    inputs = file_output_inputs(command, d)
+    inputs = ["--mothers", f"{d}/mothers.jsonl", "--newborns", f"{d}/newborns.jsonl", "--vocab", f"{d}/vocabulary.txt"]
     out = tmp_path / "new" / "dir" / "file"
-    assert main([command, *inputs, "--vocab", f"{d}/vocabulary.txt", flag, str(out)]) == 0
+    assert main([command, *inputs, flag, str(out)]) == 0
     assert out.is_file()
 
 
@@ -504,7 +491,6 @@ def missing_inputs(command, missing):
         "synth": COHORT_FLAGS,
         "link": ["--mothers", missing, "--newborns", missing, "--vocab", missing],
         "datasets": ["--mothers", missing, "--newborns", missing, "--links", missing, "--vocab", missing],
-        "estimate-c": ["--examples", missing, "--vocab", missing],
         "benchmark": ["--clean", missing, "--noisy", missing, "--vocab", missing, *BENCHMARK_FLAGS],
         "pipeline": [*COHORT_FLAGS, *BENCHMARK_FLAGS],
         "report": ["--raw", missing],
@@ -517,7 +503,6 @@ OUTPUTS = {
     ("synth", "--out"): "truth.tsv",
     ("link", "--out"): None,
     ("datasets", "--out"): "d_tilde.jsonl",
-    ("estimate-c", "--out"): None,
     ("benchmark", "--out"): "report.csv",
     ("pipeline", "--out"): "curves/roc_NoLC_clean.svg",
     ("report", "--out"): "pr_auc.svg",
@@ -593,16 +578,12 @@ ONTO_INPUT = {
     "synth": (["--config", "{s}/truth.tsv", "--out", "{s}"], "--config", "truth.tsv", None),
     "link": ([*STAGED, "--out", "{s}/mothers.jsonl"], "--mothers", "mothers.jsonl", "mothers.jsonl"),
     "datasets": ([*STAGED, "--links", "{s}/d_star.jsonl", "--out", "{s}"], "--links", "d_star.jsonl", "links.tsv"),
-    "estimate-c": (
-        ["--examples", "{s}/d_prime.jsonl", "--vocab", "{s}/vocabulary.txt", "--out", "{s}/d_prime.jsonl"],
-        "--examples", "d_prime.jsonl", "d_prime.jsonl",
-    ),
     "benchmark": (
         ["--clean", "{s}/report.csv", "--noisy", "{s}/d_tilde.jsonl", "--vocab", "{s}/vocabulary.txt",
          *BENCHMARK_FLAGS, "--out", "{s}"],
         "--clean", "report.csv", "d_star.jsonl",
     ),
-    "pipeline": (["--config", "{s}/c_matrix.csv", *PIPELINE_FLAGS, "--out", "{s}"], "--config", "c_matrix.csv", None),
+    "pipeline": (["--config", "{s}/c_hat.csv", *PIPELINE_FLAGS, "--out", "{s}"], "--config", "c_hat.csv", None),
     "report": (["--raw", "{s}/auc.svg", "--out", "{s}"], "--raw", "auc.svg", "report_raw.csv"),
 }
 
@@ -617,6 +598,41 @@ def test_an_output_that_names_an_input_fails_first(pipeline_dir, tmp_path, capsy
     assert main([command, *(arg.format(s=s) for arg in argv)]) == 2
     assert capsys.readouterr().err == f"error: --out: {s / name} is the {flag} input\n"
     assert {p: p.read_bytes() for p in s.rglob("*") if p.is_file()} == before
+
+
+# Each subcommand's arguments and its input flags. The inputs are the files
+# of a pipeline run in s, or a config file t/run.json that sets nothing.
+INPUT_RUNS = {
+    "synth": (["--config", "{t}/run.json", "--out", "{t}/out"], ["--config"]),
+    "link": ([*STAGED, "--truth", "{s}/truth.tsv", "--out", "{t}/out/links.tsv"],
+             ["--mothers", "--newborns", "--vocab", "--truth"]),
+    "datasets": ([*STAGED, "--links", "{s}/links.tsv", "--out", "{t}/out"],
+                 ["--mothers", "--newborns", "--links", "--vocab"]),
+    "benchmark": (["--config", "{t}/run.json", "--clean", "{s}/d_star.jsonl", "--noisy", "{s}/d_tilde.jsonl",
+                   "--vocab", "{s}/vocabulary.txt", *BENCHMARK_FLAGS, "--out", "{t}/out"],
+                  ["--config", "--clean", "--noisy", "--vocab"]),
+    "pipeline": (["--config", "{t}/run.json", *PIPELINE_FLAGS, "--out", "{t}/out"], ["--config"]),
+    "report": (["--raw", "{s}/report_raw.csv"], ["--raw"]),
+}
+
+
+@pytest.mark.parametrize("command, flag, fault", [
+    (command, flag, fault)
+    for command, (_, flags) in INPUT_RUNS.items() for flag in flags for fault in ("missing", "directory")
+])
+def test_a_missing_or_directory_input_exits_2_and_names_its_flag(pipeline_dir, tmp_path, capsys, command, flag, fault):
+    argv, _ = INPUT_RUNS[command]
+    argv = [arg.format(s=pipeline_dir, t=tmp_path) for arg in argv]
+    write_config(tmp_path / "run.json", {"version": 1})
+    bad = tmp_path / "bad"
+    if fault == "directory":
+        bad.mkdir()
+    argv[argv.index(flag) + 1] = str(bad)
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, *argv]) == 2
+    reason = os.strerror(errno.ENOENT if fault == "missing" else errno.EISDIR)
+    assert capsys.readouterr() == ("", f"error: {flag}: {bad}: {reason}\n")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("flag, name", [("--clean", "d_tilde.jsonl"), ("--noisy", "d_star.jsonl")])
@@ -637,18 +653,15 @@ def test_benchmark_rejects_an_example_without_the_flags_label(pipeline_dir, tmp_
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["benchmark", "estimate-c"])
+@pytest.mark.parametrize("command", ["benchmark"])
 def test_an_example_without_visits_is_named_with_its_file(pipeline_dir, tmp_path, capsys, command):
     rows = [json.loads(line) for line in (pipeline_dir / "d_star.jsonl").read_text(encoding="utf-8").splitlines()]
     rows[3]["visits"] = []
     clean = tmp_path / "d_star.jsonl"
     clean.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-    vocab = ["--vocab", str(pipeline_dir / "vocabulary.txt")]
-    if command == "benchmark":
-        argv = ["benchmark", "--clean", str(clean), "--noisy", str(pipeline_dir / "d_tilde.jsonl"), *vocab,
-                "--methods", "NoLC_clean", "--repeats", "1", "--epochs", "1", "--out", str(tmp_path / "out")]
-    else:
-        argv = ["estimate-c", "--examples", str(clean), *vocab, "--out", str(tmp_path / "c_matrix.csv")]
+    argv = [command, "--clean", str(clean), "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
+            "--vocab", str(pipeline_dir / "vocabulary.txt"),
+            "--methods", "NoLC_clean", "--repeats", "1", "--epochs", "1", "--out", str(tmp_path / "out")]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {clean}: line 4: example {rows[3]['patient_id']} has no visits\n"
 
@@ -684,6 +697,23 @@ def test_benchmark_command_is_deterministic(pipeline_dir, tmp_path, capsys):
     assert "method" in out and "+/-" in out
     for name in ("report.csv", "report_raw.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_benchmark_prints_the_range_of_the_c_hat_diagonals(pipeline_dir, tmp_path, capsys):
+    clean, noisy, vocab = (pipeline_dir / name for name in ("d_star.jsonl", "d_tilde.jsonl", "vocabulary.txt"))
+    out = tmp_path / "out"
+    assert main([
+        "benchmark", "--clean", str(clean), "--noisy", str(noisy), "--vocab", str(vocab),
+        "--methods", "NoLC_clean", "--repeats", "3", "--epochs", "1", "--seed", "6", "--out", str(out),
+    ]) == 0
+    corpus = Corpus.from_files(clean, noisy, vocab)
+    preterm, full_term = zip(*(repeat_inputs(corpus, r, 6).c_hat.entries.diagonal() for r in range(3)))
+    c_hat_line, report_line = capsys.readouterr().out.splitlines()[-2:]
+    assert c_hat_line == (
+        f"c_hat -> {out / 'c_hat.csv'} (diagonal over 3 repeats: preterm {min(preterm):.4f}-{max(preterm):.4f}, "
+        f"full-term {min(full_term):.4f}-{max(full_term):.4f})"
+    )
+    assert report_line.startswith(f"report -> {out / 'report.csv'} (fingerprint ")
 
 
 def fingerprint_of(capsys) -> str:
@@ -887,7 +917,6 @@ OPTION_STRINGS = {
     "synth": ["--out", *SYNTH_FLAGS],
     "link": ["--mothers", "--newborns", "--out", "--truth", "--vocab"],
     "datasets": ["--links", "--mothers", "--newborns", "--out", "--vocab"],
-    "estimate-c": ["--examples", "--out", "--vocab"],
     "benchmark": [
         "--clean", "--config", "--epochs", "--methods", "--noisy",
         "--out", "--repeats", "--seed", "--threads", "--vocab",
@@ -911,7 +940,7 @@ def test_every_subcommand_keeps_its_flags():
         for name, p in subparsers().items()
     }
     assert found == {name: sorted(opts) for name, opts in OPTION_STRINGS.items()}
-    assert sum(map(len, found.values())) == 53
+    assert sum(map(len, found.values())) == 50
 
 
 def test_synth_flags_take_the_type_of_their_field():

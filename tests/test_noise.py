@@ -6,13 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import apply_class_conditional_noise
-from pretermalc.noise import (
-    CorruptionMatrix,
-    EstimationError,
-    corruption_layer,
-    estimate_corruption_matrix,
-    save_matrix_csv,
-)
+from pretermalc.bench import BenchmarkReport
+from pretermalc.noise import CorruptionMatrix, EstimationError, corruption_layer, estimate_corruption_matrix
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
 
 REFERENCE_ENTRIES = np.array([[0.68, 0.32], [0.20, 0.80]])
@@ -204,37 +199,42 @@ def test_corrected_preserves_distribution(p0, a, b):
     assert np.all(q >= -1e-15) and np.all(q <= 1.0 + 1e-15)
 
 
-# --- persistence --------------------------------------------------------------------
+# --- persistence: each benchmark repeat's Ĉ, as c_hat.csv holds it -------------------
 
 
-def test_saved_matrix_is_four_lines_of_fixed_text(tmp_path):
+def c_hat_csv(*matrices: CorruptionMatrix) -> str:
+    return BenchmarkReport(rows=[], curves={}, fingerprint="", c_hats=list(matrices)).c_hat_csv()
+
+
+def test_saved_matrix_is_one_line_of_fixed_text():
     c = estimate_corruption_matrix(examples_with_counts([[68, 32], [20, 80]]))
-    path = tmp_path / "c.csv"
-    save_matrix_csv(c, path)
-    assert path.read_bytes() == b"0.680000,0.320000\n0.200000,0.800000\n68,32\n20,80\n"
+    assert c_hat_csv(c) == (
+        "repeat,c_pp,c_pf,c_fp,c_ff,n_pp,n_pf,n_fp,n_ff\n"
+        "0,0.680000,0.320000,0.200000,0.800000,68,32,20,80\n"
+    )
 
 
 def test_matrix_csv_round_trip(tmp_path):
-    examples = examples_with_counts([[68, 32], [20, 80]])
-    c = estimate_corruption_matrix(examples)
-    path = tmp_path / "c.csv"
-    save_matrix_csv(c, path)
-    table = np.loadtxt(path, delimiter=",")
-    again = CorruptionMatrix(table[:2], counts=table[2:])
-    assert np.allclose(again.entries, c.entries, atol=1e-6)
-    assert np.array_equal(again.counts, c.counts)
-    assert np.all(np.abs(again.entries.sum(axis=1) - 1.0) <= 1e-12)
+    matrices = [estimate_corruption_matrix(examples_with_counts(counts)) for counts in
+                ([[68, 32], [20, 80]], [[3, 1], [2, 5]])]
+    path = tmp_path / "c_hat.csv"
+    path.write_text(c_hat_csv(*matrices), encoding="utf-8")
+    table = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert table[:, 0].tolist() == [0, 1]
+    for row, c in zip(table, matrices):
+        again = CorruptionMatrix(row[1:5].reshape(2, 2), counts=row[5:].reshape(2, 2))
+        assert np.allclose(again.entries, c.entries, atol=1e-6)
+        assert np.array_equal(again.counts, c.counts)
+        assert np.all(np.abs(again.entries.sum(axis=1) - 1.0) <= 1e-12)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_every_saved_matrix_prints_its_entries(tmp_path_factory, a, b):
+def test_every_saved_matrix_prints_its_entries(a, b):
     """Six fractional digits hold each entry within 5e-7 (plus the rounding
     of the float read back), and so each row's printed sum within 2e-6 of 1."""
     c = CorruptionMatrix(np.array([[a, 1.0 - a], [b, 1.0 - b]]))
-    path = tmp_path_factory.mktemp("matrix") / "c.csv"
-    save_matrix_csv(c, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 4
-    printed = np.array([[float(x) for x in line.split(",")] for line in lines[:2]])
+    lines = c_hat_csv(c).splitlines()
+    assert len(lines) == 2
+    printed = np.array([float(x) for x in lines[1].split(",")[1:5]]).reshape(2, 2)
     assert np.all(np.abs(printed - c.entries) <= 5e-7 + 1e-15)
     assert np.all(np.abs(printed.sum(axis=1) - 1.0) <= 2e-6)
