@@ -50,6 +50,7 @@ from .linkage import (
 from .records import (
     CodeVocabulary,
     RecordFileError,
+    Role,
     load_records,
     save_examples,
     save_records,
@@ -397,12 +398,15 @@ def synth_stage(config: SynthConfig, out_dir: Path) -> Cohort:
 
 
 def link_stage(mothers, newborns, vocab: CodeVocabulary, out: Path, truth: GroundTruth | None = None) -> LinkSet:
-    """Link newborns to mothers; with `truth`, also print the link accuracy."""
+    """Link newborns to mothers; with `truth`, also print the link accuracy.
+    The links are scored before they are saved, so a run that cannot score
+    them writes nothing."""
     links = match_newborns(mothers, newborns, vocab)
+    if truth is not None:
+        pair_acc, label_acc = link_accuracy(links, truth, newborns, vocab)
     save_links(links, out)
     print(f"linked {len(links)} newborns -> {out}")
     if truth is not None:
-        pair_acc, label_acc = link_accuracy(links, truth, newborns, vocab)
         print(f"pair_accuracy={pair_acc:.4f} label_accuracy={label_acc:.4f}")
     return links
 
@@ -452,8 +456,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_link(args: argparse.Namespace) -> int:
     check_outputs(args, inputs=("mothers", "newborns", "vocab", "truth"))
     vocab = CodeVocabulary.load(args.vocab)
-    mothers = load_records(args.mothers, vocab)
-    newborns = load_records(args.newborns, vocab)
+    mothers = load_records(args.mothers, vocab, Role.MOTHER)
+    newborns = load_records(args.newborns, vocab, Role.NEWBORN)
     truth = load_truth(args.truth) if args.truth else None
     link_stage(mothers, newborns, vocab, Path(args.out), truth)
     return 0
@@ -462,8 +466,8 @@ def cmd_link(args: argparse.Namespace) -> int:
 def cmd_datasets(args: argparse.Namespace) -> int:
     check_outputs(args, DATASET_FILES, ("mothers", "newborns", "links", "vocab"))
     vocab = CodeVocabulary.load(args.vocab)
-    mothers = load_records(args.mothers, vocab)
-    newborns = load_records(args.newborns, vocab)
+    mothers = load_records(args.mothers, vocab, Role.MOTHER)
+    newborns = load_records(args.newborns, vocab, Role.NEWBORN)
     links = load_links(args.links)
     try:
         datasets_stage(mothers, newborns, links, vocab, Path(args.out))

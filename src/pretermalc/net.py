@@ -39,7 +39,7 @@ LOSS_EPS = 1e-7  # floor added to the picked probability before log
 SCORE_BATCH_SIZE = 64
 
 # The corruption layer of plain cross-entropy: clean labels are not corrupted.
-IDENTITY = CorruptionMatrix.identity()
+IDENTITY = CorruptionMatrix(np.eye(2, dtype=np.int64))
 
 VisitCodes = Collection[int]  # one visit's code indices, in any order
 

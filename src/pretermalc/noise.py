@@ -1,6 +1,6 @@
-"""Class-conditional label corruption: the 2x2 row-stochastic matrix, its
-frequency estimator over dual-labeled examples, and the layer that pushes
-clean probabilities through it."""
+"""Class-conditional label corruption: the 2x2 row-stochastic matrix, built
+from the count table it normalises, its estimator over dual-labeled
+examples, and the layer that pushes clean probabilities through it."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import numpy as np
 
 from .records import Label, LabeledExample
 
-ROW_SUM_TOL = 1e-12
 DISTRIBUTION_TOL = 1e-9  # row-sum slack of a float64 probability input
 N_CLASSES = 2
 
@@ -22,38 +21,31 @@ class EstimationError(ValueError):
 
 @dataclass(frozen=True)
 class CorruptionMatrix:
-    """entries[i, j] = p(noisy == j | clean == i), rows indexed preterm-first.
-
-    counts holds the supporting contingency table when the matrix came from
-    data; synthetic matrices may carry zero counts.
+    """The 2x2 contingency table counts[i, j] = #(clean == i, noisy == j),
+    rows indexed preterm-first, and the matrix it determines:
+    entries[i, j] = counts[i, j] / counts[i].sum() = p(noisy == j | clean == i).
     """
 
-    entries: np.ndarray
-    counts: np.ndarray = field(default=None)  # type: ignore[assignment]
+    counts: np.ndarray
+    entries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=np.float64)
-        if entries.shape != (N_CLASSES, N_CLASSES):
-            raise ValueError(f"corruption matrix must be 2x2, got shape {entries.shape}")
-        if not np.all((entries >= 0.0) & (entries <= 1.0)):  # NaN fails both comparisons
-            raise ValueError(f"corruption matrix entries must lie in [0, 1], got {entries.tolist()}")
-        row_sums = entries.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
-            raise ValueError(f"corruption matrix rows must sum to 1, got {row_sums}")
-        counts = self.counts
-        if counts is None:
-            counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.asarray(self.counts)
         if counts.shape != (N_CLASSES, N_CLASSES):
             raise ValueError(f"count table must be 2x2, got shape {counts.shape}")
+        if not np.issubdtype(counts.dtype, np.integer):
+            raise ValueError(f"count table entries must be integers, got dtype {counts.dtype}")
         if np.any(counts < 0):
             raise ValueError("count table entries must be non-negative")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def identity(cls) -> "CorruptionMatrix":
-        return cls(entries=np.eye(N_CLASSES))
+        counts = counts.astype(np.int64)
+        row_sums = counts.sum(axis=1)
+        for i in range(N_CLASSES):
+            if row_sums[i] == 0:
+                raise EstimationError(f"no dual-labeled examples with clean label {Label(i).name}; cannot estimate row")
+        entries = counts / row_sums[:, None]
+        for name, array in (("counts", counts), ("entries", entries)):
+            array.flags.writeable = False  # so the two cannot drift apart
+            object.__setattr__(self, name, array)
 
 
 def estimate_corruption_matrix(d_prime: Sequence[LabeledExample]) -> CorruptionMatrix:
@@ -64,12 +56,7 @@ def estimate_corruption_matrix(d_prime: Sequence[LabeledExample]) -> CorruptionM
         if ex.clean_label is None or ex.noisy_label is None:
             raise EstimationError(f"example {ex.patient_id} lacks one of the two labels")
         counts[int(ex.clean_label), int(ex.noisy_label)] += 1
-    row_sums = counts.sum(axis=1)
-    for i in range(N_CLASSES):
-        if row_sums[i] == 0:
-            raise EstimationError(f"no dual-labeled examples with clean label {Label(i).name}; cannot estimate row")
-    entries = counts / row_sums[:, None]
-    return CorruptionMatrix(entries=entries, counts=counts)
+    return CorruptionMatrix(counts)
 
 
 def corruption_layer(p: np.ndarray, c: CorruptionMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -439,13 +439,16 @@ def save_records(records: Iterable[PatientRecord], path: str | Path, vocab: Code
     _write_lines(path, (record_to_dict(r, vocab) for r in records))
 
 
-def _record_lines(vocab: CodeVocabulary, make: Callable[..., T]) -> Callable[[str], T]:
-    """A line parser for ``read_lines`` over a record file: ``make`` of each
-    line's record and labels. A patient listed on an earlier line fails."""
+def _record_lines(vocab: CodeVocabulary, role: Role, make: Callable[..., T]) -> Callable[[str], T]:
+    """A line parser for ``read_lines`` over a record file of ``role``
+    records: ``make`` of each line's record and labels. A record of the
+    other role, or a patient listed on an earlier line, fails."""
     seen: set[str] = set()
 
     def parse(line: str) -> T:
         record, clean, noisy = record_from_dict(json.loads(line), vocab)
+        if record.role is not role:
+            raise ValueError(f"patient {record.patient_id} is a {record.role.value} record, not a {role.value} record")
         if record.patient_id in seen:
             raise ValueError(f"patient {record.patient_id} listed again")
         seen.add(record.patient_id)
@@ -454,8 +457,8 @@ def _record_lines(vocab: CodeVocabulary, make: Callable[..., T]) -> Callable[[st
     return parse
 
 
-def load_records(path: str | Path, vocab: CodeVocabulary) -> list[PatientRecord]:
-    return read_lines(path, _record_lines(vocab, lambda record, *_: record))
+def load_records(path: str | Path, vocab: CodeVocabulary, role: Role) -> list[PatientRecord]:
+    return read_lines(path, _record_lines(vocab, role, lambda record, *_: record))
 
 
 def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: CodeVocabulary) -> None:
@@ -465,6 +468,6 @@ def save_examples(examples: Iterable[LabeledExample], path: str | Path, vocab: C
 @collector_paused()
 def load_examples(path: str | Path, vocab: CodeVocabulary) -> list[LabeledExample]:
     """The examples of a file written by ``save_examples``. An example that
-    ``LabeledExample`` refuses, such as one without visits, or a patient
-    listed again, is named with the file and line."""
-    return read_lines(path, _record_lines(vocab, LabeledExample))
+    ``LabeledExample`` refuses, such as one without visits, a newborn
+    record, or a patient listed again, is named with the file and line."""
+    return read_lines(path, _record_lines(vocab, Role.MOTHER, LabeledExample))

@@ -67,6 +67,7 @@ N_RISK_CODES = 20
 RISK_LIFT = 4.0  # odds ratio of each risk code for preterm mothers
 VISITS_PER_MOTHER = 6.0  # Poisson mean of prenatal visits
 HISTORY_SPAN_DAYS = 540  # prenatal visits fall within this many days before delivery
+DELIVERY_WINDOW_MINUTES = HISTORY_SPAN_DAYS * MINUTES_PER_DAY  # each hospital's span of delivery minutes
 PREDICTION_PERIOD_DAYS = 90  # examples keep the visits at least this many days before delivery
 MIN_VISITS = 2  # an example keeps a mother only with this many visits left
 RISK_CODE_BASE_RATE = 0.008  # per risk code per visit, full-term mothers
@@ -91,6 +92,11 @@ class ClericalNoiseModel:
     def __post_init__(self) -> None:
         if not 0 <= self.time_jitter_sd < math.inf:
             raise ConfigError(f"time_jitter_sd must be >= 0 and finite, got {self.time_jitter_sd}")
+        if self.time_jitter_sd > DELIVERY_WINDOW_MINUTES:
+            raise ConfigError(
+                f"time_jitter_sd must be at most {DELIVERY_WINDOW_MINUTES} (the delivery window in minutes), "
+                f"got {self.time_jitter_sd}"
+            )
         for name in ("missing_newborn_rate", "misclassified_newborn_rate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -127,10 +133,9 @@ class SynthConfig:
             raise ConfigError(f"n_mothers must be >= 1, got {self.n_mothers}")
         # The largest hospital draws ceil(n_mothers / n_hospitals) distinct
         # delivery minutes from its window.
-        window = HISTORY_SPAN_DAYS * MINUTES_PER_DAY
-        if self.n_mothers > window * self.n_hospitals:
+        if self.n_mothers > DELIVERY_WINDOW_MINUTES * self.n_hospitals:
             raise ConfigError(
-                f"n_mothers must be at most {window} per hospital (one delivery per minute of the "
+                f"n_mothers must be at most {DELIVERY_WINDOW_MINUTES} per hospital (one delivery per minute of the "
                 f"delivery window), got {self.n_mothers} over {self.n_hospitals} hospital(s)"
             )
         for name in ("clean_code_rate", "newborn_coded_rate"):
@@ -276,8 +281,7 @@ def generate_cohort(config: SynthConfig) -> Cohort:
     bg_lo = risk_lo + N_RISK_CODES
 
     noise = config.clerical_noise
-    span_minutes = HISTORY_SPAN_DAYS * MINUTES_PER_DAY
-    delivery_window = (span_minutes, 2 * span_minutes)
+    delivery_window = (DELIVERY_WINDOW_MINUTES, 2 * DELIVERY_WINDOW_MINUTES)
 
     mothers: list[PatientRecord] = []
     newborns: list[PatientRecord] = []

@@ -19,11 +19,12 @@ from pretermalc.net import (
 from pretermalc.noise import CorruptionMatrix
 from pretermalc.records import Label
 
-REFERENCE_ENTRIES = np.array([[0.68, 0.32], [0.20, 0.80]])
+# Each row sums to 100, so in float64 the entries are exactly 0.68, 0.32, 0.2, 0.8.
+REFERENCE_COUNTS = np.array([[68, 32], [20, 80]])
 
 
 def reference_matrix() -> CorruptionMatrix:
-    return CorruptionMatrix(REFERENCE_ENTRIES.copy())
+    return CorruptionMatrix(REFERENCE_COUNTS)
 
 
 def apply_class_conditional_noise(labels: Sequence[Label], c: CorruptionMatrix, seed: int) -> list[Label]:

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from helpers import apply_class_conditional_noise, max_gradient_rel_error, random_small_setup
+from helpers import apply_class_conditional_noise, max_gradient_rel_error, random_small_setup, reference_matrix
 from test_linkage import VOCAB as LINK_VOCAB
 from test_linkage import oracle_match, random_instance as random_link_instance
 from test_metrics import (
@@ -34,7 +34,7 @@ from pretermalc.bench import (
 from pretermalc.cli import main, usable_cpus
 from pretermalc.metrics import auc, pr_auc
 from pretermalc.net import IDENTITY
-from pretermalc.noise import CorruptionMatrix, estimate_corruption_matrix
+from pretermalc.noise import estimate_corruption_matrix
 from pretermalc.records import Label
 from pretermalc.synth import SynthConfig
 from pretermalc.train import TrainMethod
@@ -83,7 +83,7 @@ def test_1_gradients_match_finite_differences():
         started = time.perf_counter()
         for seed in range(5):
             params, batch, labels = random_small_setup(seed, vocab_size=20, d=8)
-            for c in (IDENTITY, CorruptionMatrix(REFERENCE_ENTRIES.copy())):
+            for c in (IDENTITY, reference_matrix()):
                 worst = max_gradient_rel_error(params, batch, labels, c, h=1e-5)
                 assert worst < 1e-4, (seed, c.entries.tolist(), worst)
         assert time.perf_counter() - started < 60.0
@@ -93,7 +93,7 @@ def test_2_corruption_estimate_recovers_known_flip_rates():
     with verdict(2, "corruption matrix estimate on 2,133 flipped labels"):
         rng = np.random.default_rng(2133)
         clean = [Label(int(v)) for v in rng.integers(0, 2, size=2133)]
-        noisy = apply_class_conditional_noise(clean, CorruptionMatrix(REFERENCE_ENTRIES.copy()), seed=1)
+        noisy = apply_class_conditional_noise(clean, reference_matrix(), seed=1)
         examples = [dual_example(i, y, t) for i, (y, t) in enumerate(zip(clean, noisy))]
         estimated = estimate_corruption_matrix(examples)
         assert np.max(np.abs(estimated.entries - REFERENCE_ENTRIES)) <= 0.04

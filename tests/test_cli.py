@@ -267,6 +267,8 @@ INPUTS = {
     *((command, ["--mothers", "800000", "--hospitals", "1"], "n_mothers must be at most 777600 per hospital "
        "(one delivery per minute of the delivery window), got 800000 over 1 hospital(s)")
       for command in ("synth", "pipeline")),
+    ("synth", ["--time-jitter-sd", "1e308"],
+     "time_jitter_sd must be at most 777600 (the delivery window in minutes), got 1e+308"),
 ])
 def test_out_of_domain_flags_exit_2_before_any_file_is_touched(tmp_path, capsys, command, flags, message):
     inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
@@ -444,6 +446,46 @@ def test_link_command_reports_accuracy(pipeline_dir, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "pair_accuracy=" in out and "label_accuracy=" in out
     assert (tmp_path / "links.tsv").read_bytes() == (pipeline_dir / "links.tsv").read_bytes()
+
+
+def test_link_that_cannot_score_its_links_writes_nothing(tmp_path, capsys):
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--mothers", "60", "--hospitals", "1", "--missing-newborn-rate", "1.0",
+                 "--out", str(cohort)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "links.tsv"
+    code = main([
+        "link", "--mothers", str(cohort / "mothers.jsonl"), "--newborns", str(cohort / "newborns.jsonl"),
+        "--vocab", str(cohort / "vocabulary.txt"), "--truth", str(cohort / "truth.tsv"), "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: cannot score an empty link set\n")
+    assert not out.exists()
+
+
+# Which cohort file each record flag gets: the other role's file on one
+# flag, or the two files swapped.
+@pytest.mark.parametrize("command", ["link", "datasets"])
+@pytest.mark.parametrize("given, wrong, role, expected", [
+    ({"mothers": "newborns", "newborns": "newborns"}, "newborns", "newborn", "mother"),
+    ({"mothers": "mothers", "newborns": "mothers"}, "mothers", "mother", "newborn"),
+    ({"mothers": "newborns", "newborns": "mothers"}, "newborns", "newborn", "mother"),
+])
+def test_a_record_file_of_the_other_role_exits_1_before_any_stage_runs(
+    pipeline_dir, tmp_path, capsys, command, given, wrong, role, expected
+):
+    out = tmp_path / ("links.tsv" if command == "link" else "out")
+    argv = [command, "--vocab", str(pipeline_dir / "vocabulary.txt"), "--out", str(out)]
+    argv += [arg for flag, name in given.items() for arg in (f"--{flag}", str(pipeline_dir / f"{name}.jsonl"))]
+    if command == "datasets":
+        argv += ["--links", str(pipeline_dir / "links.tsv")]
+    assert main(argv) == 1
+    wrong_file = pipeline_dir / f"{wrong}.jsonl"
+    patient = json.loads(wrong_file.read_text(encoding="utf-8").splitlines()[0])["patient_id"]
+    assert capsys.readouterr() == (
+        "", f"error: {wrong_file}: line 1: patient {patient} is a {role} record, not a {expected} record\n"
+    )
+    assert not out.exists()
 
 
 def test_link_and_datasets_read_one_delivery_encounter(tmp_path):

@@ -38,6 +38,12 @@ RECORD = json.dumps({
 EXAMPLE = RECORD[:-1] + ',"clean_label":"preterm","noisy_label":null}'
 EMPTY_EXAMPLE = json.dumps({**json.loads(EXAMPLE), "patient_id": "m2", "visits": []})
 OTHER_RECORD = RECORD.replace('"m1"', '"m2"')
+NEWBORN_RECORD = OTHER_RECORD.replace('"mother"', '"newborn"')
+
+
+def load_mothers(path):
+    return load_records(path, VOCAB, Role.MOTHER)
+
 
 # (loader, file content as text or bytes, the line at fault or None for the
 # whole file)
@@ -51,14 +57,17 @@ MALFORMED = {
     "truth_conflicting_labels": (load_truth, "n1\tm1\tpreterm\n-\tm2\tfullterm\n-\tm1\tfullterm\n", 3),
     "truth_newborn_twice": (load_truth, "n1\tm1\tpreterm\n-\tm2\tfullterm\nn1\tm2\tfullterm\n", 3),
     "vocabulary_duplicate_code": (CodeVocabulary.load, "a\nb\na\n", None),
-    "records_bad_json": (lambda p: load_records(p, VOCAB), RECORD + "\n{\"patient_id\n", 2),
-    "records_unknown_code": (lambda p: load_records(p, VOCAB), RECORD.replace('"a"', '"z"') + "\n", 1),
-    "records_missing_key": (lambda p: load_records(p, VOCAB), RECORD.replace('"t_dis"', '"t_out"') + "\n", 1),
+    "records_bad_json": (load_mothers, RECORD + "\n{\"patient_id\n", 2),
+    "records_unknown_code": (load_mothers, RECORD.replace('"a"', '"z"') + "\n", 1),
+    "records_missing_key": (load_mothers, RECORD.replace('"t_dis"', '"t_out"') + "\n", 1),
     "examples_bad_json": (lambda p: load_examples(p, VOCAB), EXAMPLE + "\nnot json\n", 2),
     "examples_no_label": (lambda p: load_examples(p, VOCAB), RECORD + "\n", 1),
     "examples_no_visits": (lambda p: load_examples(p, VOCAB), f"{EXAMPLE}\n{EMPTY_EXAMPLE}\n", 2),
-    "records_repeated_patient": (lambda p: load_records(p, VOCAB), f"{RECORD}\n{OTHER_RECORD}\n{RECORD}\n", 3),
+    "records_repeated_patient": (load_mothers, f"{RECORD}\n{OTHER_RECORD}\n{RECORD}\n", 3),
     "examples_repeated_patient": (lambda p: load_examples(p, VOCAB), f"{EXAMPLE}\n\n{EXAMPLE}\n", 3),
+    "records_other_role": (load_mothers, f"{RECORD}\n{NEWBORN_RECORD}\n", 2),
+    "examples_newborn_record": (lambda p: load_examples(p, VOCAB),
+                                NEWBORN_RECORD[:-1] + ',"clean_label":"preterm"}\n', 1),
     "raw_csv_bad_header": (load_raw_csv, "wrong,header\n1,2\n", 1),
     "raw_csv_bad_row": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.7\nALC,one,0.8,0.7\n", 3),
     "raw_csv_repeated_pair": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\nNoLC_clean,0,0.7,0.5\n"
@@ -109,7 +118,7 @@ def test_reader_names_a_line_that_is_not_utf8(tmp_path):
     records = "".join(RECORD.replace('"m1"', f'"m{i}"') + "\n" for i in range(3))
     path.write_bytes(records.encode() + b'{"patient_id": "m\xe9"}\n')
     with pytest.raises(RecordFileError) as exc:
-        load_records(path, VOCAB)
+        load_records(path, VOCAB, Role.MOTHER)
     assert str(exc.value) == f"{path}: line 4: not UTF-8 text"
 
 
@@ -122,12 +131,12 @@ def test_truth_repeating_a_label_is_not_a_conflict(tmp_path):
 
 
 @pytest.mark.parametrize("entries", [
-    [[math.nan, math.nan], [0.5, 0.5]],
-    [[0.5, 0.5], [math.nan, 1.0]],
-    [[math.inf, 0.0], [0.5, 0.5]],
+    [[math.nan, math.nan], [5, 5]],
+    [[5, 5], [math.nan, 1]],
+    [[math.inf, 0], [5, 5]],
 ])
 def test_corruption_matrix_rejects_non_finite_entries(entries):
-    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+    with pytest.raises(ValueError, match="must be integers, got dtype float64"):
         CorruptionMatrix(np.array(entries))
 
 

@@ -264,7 +264,7 @@ def test_loss_corrected_pushes_probs_through_matrix():
 def test_loss_corrected_with_identity_matches_clean_exactly():
     params, batch, labels = random_small_setup(15)
     trace = forward(params, batch)
-    assert loss_corrected(trace, labels, CorruptionMatrix(np.eye(2))) == loss_clean(trace, labels)
+    assert loss_corrected(trace, labels, CorruptionMatrix(np.array([[3, 0], [0, 5]]))) == loss_clean(trace, labels)
 
 
 def test_batch_loss_is_mean_of_single_losses():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import apply_class_conditional_noise
+from helpers import apply_class_conditional_noise, reference_matrix
 from pretermalc.bench import BenchmarkReport
+from pretermalc.net import IDENTITY
 from pretermalc.noise import CorruptionMatrix, EstimationError, corruption_layer, estimate_corruption_matrix
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
 
@@ -36,19 +37,38 @@ def examples_with_counts(counts):
 # --- matrix invariants ----------------------------------------------------------
 
 
+# A row of a count table: n >= 1 clean-class examples, k of them kept.
+count_rows = st.integers(1, 2**40).flatmap(lambda n: st.integers(0, n).map(lambda k: (k, n - k)))
+
+
 def test_matrix_validation():
-    with pytest.raises(ValueError, match="2x2"):
-        CorruptionMatrix(np.eye(3))
-    with pytest.raises(ValueError, match="sum to 1"):
-        CorruptionMatrix(np.array([[0.6, 0.3], [0.2, 0.8]]))
-    with pytest.raises(ValueError, match="\\[0, 1\\]"):
-        CorruptionMatrix(np.array([[1.2, -0.2], [0.2, 0.8]]))
-    with pytest.raises(ValueError, match="non-negative"):
-        CorruptionMatrix(np.eye(2), counts=np.array([[-1, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="must be 2x2, got shape \\(3, 3\\)"):
+        CorruptionMatrix(np.eye(3, dtype=np.int64))
+    with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+        CorruptionMatrix(np.array([[6.0, 4.0], [2.0, 8.0]]))
+    with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+        CorruptionMatrix(np.array([[6, 4], [np.nan, 8]]))
+    with pytest.raises(ValueError, match="must be non-negative"):
+        CorruptionMatrix(np.array([[-1, 2], [0, 1]]))
+    with pytest.raises(EstimationError, match="^no dual-labeled examples with clean label FULL_TERM; cannot estimate"):
+        CorruptionMatrix(np.array([[3, 1], [0, 0]]))
 
 
 def test_identity():
-    assert np.array_equal(CorruptionMatrix.identity().entries, np.eye(2))
+    assert np.array_equal(IDENTITY.entries, np.eye(2))
+    assert np.array_equal(IDENTITY.counts, np.eye(2))
+    for array in (IDENTITY.counts, IDENTITY.entries):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 7
+
+
+@given(count_rows, count_rows)
+def test_entries_are_counts_over_row_sums(preterm, full_term):
+    counts = np.array([preterm, full_term])
+    c = CorruptionMatrix(counts)
+    assert np.array_equal(c.counts, counts)
+    assert np.array_equal(c.entries, counts / counts.sum(axis=1)[:, None])
+    assert np.all(np.abs(c.entries.sum(axis=1) - 1.0) <= 1e-12)
 
 
 # --- estimator ------------------------------------------------------------------
@@ -119,18 +139,18 @@ def test_estimator_rejects_single_label_example():
 
 def test_apply_identity_keeps_labels():
     labels = [Label.PRETERM, Label.FULL_TERM] * 10
-    assert apply_class_conditional_noise(labels, CorruptionMatrix.identity(), seed=3) == labels
+    assert apply_class_conditional_noise(labels, IDENTITY, seed=3) == labels
 
 
 def test_apply_antidiagonal_flips_all():
-    flip = CorruptionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    flip = CorruptionMatrix(np.array([[0, 1], [1, 0]]))
     labels = [Label.PRETERM, Label.FULL_TERM] * 10
     flipped = apply_class_conditional_noise(labels, flip, seed=3)
     assert all(a != b for a, b in zip(labels, flipped))
 
 
 def test_apply_matches_binomial_rate():
-    c = CorruptionMatrix(REFERENCE_ENTRIES)
+    c = reference_matrix()
     labels = [Label.PRETERM] * 10_000
     noisy = apply_class_conditional_noise(labels, c, seed=11)
     flipped = sum(1 for y in noisy if y is Label.FULL_TERM) / len(labels)
@@ -138,7 +158,7 @@ def test_apply_matches_binomial_rate():
 
 
 def test_apply_deterministic_given_seed():
-    c = CorruptionMatrix(REFERENCE_ENTRIES)
+    c = reference_matrix()
     labels = [Label.PRETERM, Label.FULL_TERM] * 50
     assert apply_class_conditional_noise(labels, c, 7) == apply_class_conditional_noise(labels, c, 7)
 
@@ -146,7 +166,7 @@ def test_apply_deterministic_given_seed():
 def test_estimate_then_apply_reproduces_joint_distribution():
     rng = np.random.default_rng(5)
     clean = [Label(int(v)) for v in rng.integers(0, 2, size=10_000)]
-    c_true = CorruptionMatrix(REFERENCE_ENTRIES)
+    c_true = reference_matrix()
     noisy = apply_class_conditional_noise(clean, c_true, seed=17)
     examples = [dual_example(k, y, t) for k, (y, t) in enumerate(zip(clean, noisy))]
     c_hat = estimate_corruption_matrix(examples)
@@ -161,18 +181,18 @@ def test_estimate_then_apply_reproduces_joint_distribution():
 
 def test_corrected_identity_is_exact():
     p = np.array([0.3, 0.7])
-    q, _ = corruption_layer(p, CorruptionMatrix.identity())
+    q, _ = corruption_layer(p, IDENTITY)
     assert np.array_equal(q, p)
 
 
 def test_corrected_reference_rows():
-    c = CorruptionMatrix(REFERENCE_ENTRIES)
+    c = reference_matrix()
     assert np.allclose(corruption_layer(np.array([1.0, 0.0]), c)[0], [0.68, 0.32])
     assert np.allclose(corruption_layer(np.array([0.5, 0.5]), c)[0], [0.44, 0.56])
 
 
 def test_corrected_batch_shape():
-    c = CorruptionMatrix(REFERENCE_ENTRIES)
+    c = reference_matrix()
     p = np.array([[1.0, 0.0], [0.0, 1.0], [0.25, 0.75]])
     q, _ = corruption_layer(p, c)
     assert q.shape == (3, 2)
@@ -181,19 +201,15 @@ def test_corrected_batch_shape():
 
 
 def test_corrected_rejects_non_distribution():
-    c = CorruptionMatrix(REFERENCE_ENTRIES)
+    c = reference_matrix()
     with pytest.raises(ValueError):
         corruption_layer(np.array([0.9, 0.9]), c)
 
 
-@given(
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-    st.floats(0.0, 1.0),
-)
-def test_corrected_preserves_distribution(p0, a, b):
+@given(st.floats(0.0, 1.0), count_rows, count_rows)
+def test_corrected_preserves_distribution(p0, preterm, full_term):
     p = np.array([p0, 1.0 - p0])
-    c = CorruptionMatrix(np.array([[a, 1.0 - a], [b, 1.0 - b]]))
+    c = CorruptionMatrix(np.array([preterm, full_term]))
     q, _ = corruption_layer(p, c)
     assert abs(q.sum() - 1.0) < 1e-12
     assert np.all(q >= -1e-15) and np.all(q <= 1.0 + 1e-15)
@@ -222,19 +238,24 @@ def test_matrix_csv_round_trip(tmp_path):
     table = np.loadtxt(path, delimiter=",", skiprows=1)
     assert table[:, 0].tolist() == [0, 1]
     for row, c in zip(table, matrices):
-        again = CorruptionMatrix(row[1:5].reshape(2, 2), counts=row[5:].reshape(2, 2))
-        assert np.allclose(again.entries, c.entries, atol=1e-6)
+        counts = row[5:].astype(np.int64)
+        assert np.array_equal(counts, row[5:])  # printed as whole numbers
+        again = CorruptionMatrix(counts.reshape(2, 2))
         assert np.array_equal(again.counts, c.counts)
-        assert np.all(np.abs(again.entries.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.array_equal(again.entries, c.entries)
+        assert np.all(np.abs(row[1:5].reshape(2, 2) - c.entries) <= 5e-7 + 1e-15)
 
 
-@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_every_saved_matrix_prints_its_entries(a, b):
+@given(count_rows, count_rows)
+def test_every_saved_matrix_prints_its_entries(preterm, full_term):
     """Six fractional digits hold each entry within 5e-7 (plus the rounding
-    of the float read back), and so each row's printed sum within 2e-6 of 1."""
-    c = CorruptionMatrix(np.array([[a, 1.0 - a], [b, 1.0 - b]]))
+    of the float read back), and so each row's printed sum within 2e-6 of 1;
+    the counts print exactly."""
+    c = CorruptionMatrix(np.array([preterm, full_term]))
     lines = c_hat_csv(c).splitlines()
     assert len(lines) == 2
-    printed = np.array([float(x) for x in lines[1].split(",")[1:5]]).reshape(2, 2)
+    fields = lines[1].split(",")
+    printed = np.array([float(x) for x in fields[1:5]]).reshape(2, 2)
     assert np.all(np.abs(printed - c.entries) <= 5e-7 + 1e-15)
     assert np.all(np.abs(printed.sum(axis=1) - 1.0) <= 2e-6)
+    assert [int(n) for n in fields[5:]] == [*preterm, *full_term]

@@ -327,7 +327,7 @@ def test_record_round_trip(tmp_path):
     vocab, records = build_cohort_records()
     path = tmp_path / "records.jsonl"
     save_records(records, path, vocab)
-    assert load_records(path, vocab) == records
+    assert load_records(path, vocab, Role.MOTHER) == records
 
 
 def test_example_round_trip(tmp_path):
@@ -350,7 +350,7 @@ def test_load_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     vocab = CodeVocabulary(["a"])
-    assert load_records(path, vocab) == []
+    assert load_records(path, vocab, Role.MOTHER) == []
 
 
 def test_load_reports_bad_line_number(tmp_path):
@@ -361,7 +361,7 @@ def test_load_reports_bad_line_number(tmp_path):
     text[1] = text[1][: len(text[1]) // 2]
     path.write_text("\n".join(text) + "\n")
     with pytest.raises(RecordFileError, match="line 2"):
-        load_records(path, vocab)
+        load_records(path, vocab, Role.MOTHER)
 
 
 def test_load_reports_unknown_code(tmp_path):
@@ -370,7 +370,7 @@ def test_load_reports_unknown_code(tmp_path):
     save_records(records, path, vocab)
     smaller = CodeVocabulary(["code0", "code1"])
     with pytest.raises(RecordFileError, match="code"):
-        load_records(path, smaller)
+        load_records(path, smaller, Role.MOTHER)
 
 
 def test_load_reports_missing_key(tmp_path):
@@ -379,7 +379,7 @@ def test_load_reports_missing_key(tmp_path):
     obj = {"patient_id": "p", "hospital_id": "h", "role": "mother", "delivery_day": None}
     path.write_text(json.dumps(obj) + "\n")
     with pytest.raises(RecordFileError, match="visits"):
-        load_records(path, vocab)
+        load_records(path, vocab, Role.MOTHER)
 
 
 # A field of one record line given another JSON type than the one
@@ -418,7 +418,7 @@ def test_load_names_a_field_of_the_wrong_json_type(tmp_path, field, value, expec
     lines[1] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(RecordFileError) as exc:
-        load_records(path, vocab)
+        load_records(path, vocab, Role.MOTHER)
     named = f"{field}: " if field else ""
     assert str(exc.value) == f"{path}: line 2: {named}expected {expected}, got {value!r}"
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,11 @@ def test_config_errors_name_fields():
         ClericalNoiseModel(time_jitter_sd=-1.0)
     for sd in (float("nan"), float("inf")):
         with pytest.raises(ConfigError, match=f"time_jitter_sd must be >= 0 and finite, got {sd}"):
+            ClericalNoiseModel(time_jitter_sd=sd)
+    ClericalNoiseModel(time_jitter_sd=777_600)
+    for sd in (777_600.5, 1e308):
+        message = rf"time_jitter_sd must be at most 777600 \(.*\), got {re.escape(str(sd))}$"
+        with pytest.raises(ConfigError, match=message):
             ClericalNoiseModel(time_jitter_sd=sd)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         SynthConfig(seed=-1)
