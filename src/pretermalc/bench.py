@@ -34,6 +34,7 @@ from .noise import CorruptionMatrix, estimate_corruption_matrix
 from .records import (
     CodeVocabulary,
     DatasetSplit,
+    Label,
     LabeledExample,
     RecordFileError,
     collector_paused,
@@ -205,12 +206,45 @@ def summarize(rows: Iterable[RepeatRow]) -> dict[str, MethodSummary]:
     return summaries
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class RepeatResult:
+    """What one repeat yields: the Ĉ it trained with, its test part's clean
+    labels, and each method's float64 test scores, keyed in request order."""
+
+    repeat: int
+    c_hat: CorruptionMatrix
+    labels: tuple[Label, ...]
+    scores: dict[str, np.ndarray]
+
+
+@dataclass(frozen=True, eq=False)
 class BenchmarkReport:
-    rows: list[RepeatRow]  # method by method, in report order
-    curves: dict[str, dict[str, np.ndarray]]  # method -> {"roc": mean TPR, "pr": mean precision} on CURVE_GRID
+    results: list[RepeatResult]  # in repeat order; every row, curve, Ĉ and text derives from them
     fingerprint: str
-    c_hats: list[CorruptionMatrix]  # the Ĉ each repeat trained with, in repeat order
+
+    @property
+    def rows(self) -> list[RepeatRow]:
+        """Method by method, in report order."""
+        return [
+            RepeatRow(m, r.repeat, auc(r.scores[m], r.labels), pr_auc(r.scores[m], r.labels))
+            for m in self.results[0].scores
+            for r in self.results
+        ]
+
+    @property
+    def curves(self) -> dict[str, dict[str, np.ndarray]]:
+        """Method -> {"roc": mean TPR, "pr": mean precision} on CURVE_GRID."""
+        curves = {}
+        for m in self.results[0].scores:
+            roc = [np.interp(CURVE_GRID, *roc_points(r.scores[m], r.labels)) for r in self.results]
+            pr = [interp_pr(*pr_points(r.scores[m], r.labels), CURVE_GRID) for r in self.results]
+            curves[m] = {"roc": np.mean(roc, axis=0), "pr": np.mean(pr, axis=0)}
+        return curves
+
+    @property
+    def c_hats(self) -> list[CorruptionMatrix]:
+        """The Ĉ each repeat trained with, in repeat order."""
+        return [r.c_hat for r in self.results]
 
     def report_csv(self) -> str:
         lines = ["method,auc_mean,auc_std,prauc_mean,prauc_std"]
@@ -230,10 +264,10 @@ class BenchmarkReport:
         """One line per repeat: its Ĉ's entries, rows clean-class preterm
         first, with six fractional digits, then the counts they came from."""
         lines = ["repeat,c_pp,c_pf,c_fp,c_ff,n_pp,n_pf,n_fp,n_ff"]
-        for repeat, c in enumerate(self.c_hats):
-            entries = ",".join(f"{x:.6f}" for x in c.entries.flat)
-            counts = ",".join(str(int(n)) for n in c.counts.flat)
-            lines.append(f"{repeat},{entries},{counts}")
+        for r in self.results:
+            entries = ",".join(f"{x:.6f}" for x in r.c_hat.entries.flat)
+            counts = ",".join(str(int(n)) for n in r.c_hat.counts.flat)
+            lines.append(f"{r.repeat},{entries},{counts}")
         return "\n".join(lines) + "\n"
 
 
@@ -321,24 +355,15 @@ def repeat_inputs(corpus: Corpus, repeat: int, base_seed: int) -> RepeatInputs:
     )
 
 
-def _run_repeat(
-    corpus: Corpus, config: BenchmarkConfig, repeat: int
-) -> tuple[CorruptionMatrix, list[tuple[RepeatRow, np.ndarray, np.ndarray]]]:
-    """The repeat's Ĉ, and each method's row and its TPR and precision on
-    CURVE_GRID, in order."""
+def _run_repeat(corpus: Corpus, config: BenchmarkConfig, repeat: int) -> RepeatResult:
     inputs = repeat_inputs(corpus, repeat, config.base_seed)
     split = inputs.split
-    labels = [ex.clean_label for ex in split.test]
-    results = []
+    scores = {}
     for method in config.methods:
         cfg = TrainConfig(method, config.n_epochs, inputs.train_seed)
         model, _ = train(inputs.init, split.train, inputs.noisy, inputs.c_hat, cfg)
-        scores = score_examples(model, split.test)
-        row = RepeatRow(method.value, repeat, auc(scores, labels), pr_auc(scores, labels))
-        fpr, tpr = roc_points(scores, labels)
-        rec, prec = pr_points(scores, labels)
-        results.append((row, np.interp(CURVE_GRID, fpr, tpr), interp_pr(rec, prec, CURVE_GRID)))
-    return inputs.c_hat, results
+        scores[method.value] = score_examples(model, split.test)
+    return RepeatResult(repeat, inputs.c_hat, tuple(ex.clean_label for ex in split.test), scores)
 
 
 @contextmanager
@@ -398,13 +423,12 @@ def repeated_benchmark(
     *,
     workers: int = 1,
 ) -> BenchmarkReport:
-    """Train every method on every repeat's split and aggregate test metrics
-    and mean ROC and PR curves; keep the Ĉ that each repeat trained with.
+    """Train every method on every repeat's split and score it on the
+    repeat's test part; keep the Ĉ that each repeat trained with.
 
     Worker processes only parallelize over repeats; results are assembled in
     repeat order, so the report is identical for any worker count.
     """
-    methods, repeats = config.methods, config.repeats
     run = partial(_run_repeat, corpus, config)
     if workers > 1:
         # One chunk of repeats per worker, so the corpus is pickled once per
@@ -414,19 +438,11 @@ def repeated_benchmark(
         with _single_blas_thread_env(), ProcessPoolExecutor(
             max_workers=workers, mp_context=multiprocessing.get_context("spawn")
         ) as pool:
-            results = list(pool.map(run, range(repeats), chunksize=math.ceil(repeats / workers)))
+            results = list(pool.map(run, range(config.repeats), chunksize=math.ceil(config.repeats / workers)))
     else:
-        results = [run(r) for r in range(repeats)]
+        results = [run(r) for r in range(config.repeats)]
 
-    c_hats, by_repeat = zip(*results)
-    rows: list[RepeatRow] = []
-    curves: dict[str, dict[str, np.ndarray]] = {}
-    for method, per_repeat in zip(methods, zip(*by_repeat)):
-        method_rows, tprs, precisions = zip(*per_repeat)
-        rows.extend(method_rows)
-        curves[method.value] = {"roc": np.mean(tprs, axis=0), "pr": np.mean(precisions, axis=0)}
-
-    return BenchmarkReport(rows=rows, curves=curves, fingerprint=_fingerprint(corpus, config), c_hats=list(c_hats))
+    return BenchmarkReport(results, _fingerprint(corpus, config))
 
 
 # --- noise calibration -------------------------------------------------------

@@ -424,22 +424,21 @@ def datasets_stage(mothers, newborns, links, vocab: CodeVocabulary, out_dir: Pat
 
 def benchmark_stage(corpus: Corpus, config: BenchmarkConfig, workers: int, out_dir: Path) -> BenchmarkReport:
     report = repeated_benchmark(corpus, config, workers=workers)
-    report_file, raw_file = (out_dir / name for name in REPORT_FILES)
-    write_file(report_file, [report.report_csv()])
-    write_file(raw_file, [report.raw_csv()])
-    c_hat_file = out_dir / C_HAT_FILE
-    write_file(c_hat_file, [report.c_hat_csv()])
+    report_file, raw_file = REPORT_FILES
+    files = {report_file: report.report_csv(), raw_file: report.raw_csv(), C_HAT_FILE: report.c_hat_csv()}
     for method, curves in report.curves.items():
         for kind, ys in curves.items():
             svg = curve_svg(CURVE_GRID, ys, f"{kind.upper()} {method} (mean over repeats)", *CURVES[kind])
-            write_file(out_dir / CURVE_FILE.format(kind=kind, method=method), [svg])
+            files[CURVE_FILE.format(kind=kind, method=method)] = svg
+    for name, text in files.items():
+        write_file(out_dir / name, [text])
     print(format_summary_table(summarize(report.rows)))
     preterm, full_term = zip(*(c.entries.diagonal() for c in report.c_hats))
     print(
-        f"c_hat -> {c_hat_file} (diagonal over {len(report.c_hats)} repeats: preterm "
+        f"c_hat -> {out_dir / C_HAT_FILE} (diagonal over {len(report.c_hats)} repeats: preterm "
         f"{min(preterm):.4f}-{max(preterm):.4f}, full-term {min(full_term):.4f}-{max(full_term):.4f})"
     )
-    print(f"report -> {report_file} (fingerprint {report.fingerprint})")
+    print(f"report -> {out_dir / report_file} (fingerprint {report.fingerprint})")
     return report
 
 

@@ -19,7 +19,7 @@ class EstimationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorruptionMatrix:
     """The 2x2 contingency table counts[i, j] = #(clean == i, noisy == j),
     rows indexed preterm-first, and the matrix it determines:

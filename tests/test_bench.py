@@ -25,6 +25,7 @@ from pretermalc.bench import (
     BenchmarkError,
     CalibrationError,
     MethodSummary,
+    RepeatRow,
     calibrate_noise,
     derive_seed,
     build_corpus,
@@ -35,6 +36,7 @@ from pretermalc.bench import (
     summarize,
 )
 from pretermalc.cli import curve_svg, summary_svg
+from pretermalc.metrics import auc, pr_auc
 from pretermalc.noise import estimate_corruption_matrix
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
 from pretermalc.synth import ClericalNoiseModel, SynthConfig
@@ -245,6 +247,32 @@ def test_c_hat_csv_holds_the_matrix_each_repeat_trained_with(corpus):
         assert [float(x) for x in cells[1:5]] == pytest.approx(c_hat.entries.ravel().tolist(), abs=5e-7)
         assert [int(n) for n in cells[5:]] == c_hat.counts.ravel().tolist()
         assert np.array_equal(report.c_hats[repeat].entries, c_hat.entries), repeat
+
+
+def test_a_result_holds_each_methods_test_scores_and_the_rows_derive_from_them(corpus, monkeypatch):
+    returned = []
+
+    def recording_score(model, examples):
+        returned.append(score_examples(model, examples))
+        return returned[-1]
+
+    monkeypatch.setattr(bench, "score_examples", recording_score)
+    methods = [TrainMethod.NOLC_MIXED, TrainMethod.ALC]  # not in TrainMethod order
+    report = repeated_benchmark(corpus, BenchmarkConfig(methods, 2, 4, n_epochs=1))
+    assert [r.repeat for r in report.results] == [0, 1]
+    for r in report.results:
+        test_part = repeat_inputs(corpus, r.repeat, base_seed=4).split.test
+        assert r.labels == tuple(ex.clean_label for ex in test_part)
+        assert list(r.scores) == ["NoLC_mixed", "ALC"]
+        for method, scores in r.scores.items():
+            expected = returned.pop(0)
+            assert scores.dtype == np.float64 and scores.tobytes() == expected.tobytes(), (r.repeat, method)
+    assert not returned
+    assert report.rows == [
+        RepeatRow(m, r.repeat, auc(r.scores[m], r.labels), pr_auc(r.scores[m], r.labels))
+        for m in ("NoLC_mixed", "ALC")
+        for r in report.results
+    ]
 
 
 def test_no_validation_or_test_mother_reaches_a_training_pool(corpus, monkeypatch):

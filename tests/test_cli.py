@@ -741,6 +741,18 @@ def test_benchmark_command_is_deterministic(pipeline_dir, tmp_path, capsys):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_benchmark_writes_exactly_the_files_it_names(pipeline_dir, tmp_path):
+    out = tmp_path / "out"
+    assert main([
+        "benchmark", "--clean", str(pipeline_dir / "d_star.jsonl"), "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--methods", "NoLC_mixed,ALC", "--repeats", "2",
+        "--epochs", "1", "--out", str(out),
+    ]) == 0
+    named = cli.benchmark_files(BenchmarkConfig(["NoLC_mixed", "ALC"], repeats=2, n_epochs=1))
+    assert len(named) == 3 + 2 * 2
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()) == sorted(named)
+
+
 def test_benchmark_prints_the_range_of_the_c_hat_diagonals(pipeline_dir, tmp_path, capsys):
     clean, noisy, vocab = (pipeline_dir / name for name in ("d_star.jsonl", "d_tilde.jsonl", "vocabulary.txt"))
     out = tmp_path / "out"

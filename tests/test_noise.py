@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import apply_class_conditional_noise, reference_matrix
-from pretermalc.bench import BenchmarkReport
+from pretermalc.bench import BenchmarkReport, RepeatResult
 from pretermalc.net import IDENTITY
 from pretermalc.noise import CorruptionMatrix, EstimationError, corruption_layer, estimate_corruption_matrix
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
@@ -60,6 +60,16 @@ def test_identity():
     for array in (IDENTITY.counts, IDENTITY.entries):
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 7
+    # The matrix, and the benchmark types that hold one, compare and hash by identity.
+    result = RepeatResult(0, IDENTITY, (Label.PRETERM,), {"ALC": np.array([0.5])})
+    report = BenchmarkReport([result], "")
+    for a, b in (
+        (IDENTITY, CorruptionMatrix(np.eye(2, dtype=int))),
+        (result, RepeatResult(0, IDENTITY, (Label.PRETERM,), {"ALC": np.array([0.5])})),
+        (report, BenchmarkReport([result], "")),
+    ):
+        assert a == a and a != b
+        assert hash(a) == hash(a)
 
 
 @given(count_rows, count_rows)
@@ -219,7 +229,7 @@ def test_corrected_preserves_distribution(p0, preterm, full_term):
 
 
 def c_hat_csv(*matrices: CorruptionMatrix) -> str:
-    return BenchmarkReport(rows=[], curves={}, fingerprint="", c_hats=list(matrices)).c_hat_csv()
+    return BenchmarkReport([RepeatResult(r, c, (), {}) for r, c in enumerate(matrices)], "").c_hat_csv()
 
 
 def test_saved_matrix_is_one_line_of_fixed_text():
