@@ -91,9 +91,6 @@ class CodeVocabulary:
     def __contains__(self, code: str) -> bool:
         return code in self._index
 
-    def decode(self, indices: Iterable[int]) -> set[str]:
-        return {self.code(i) for i in indices}
-
     def encode(self, codes: Iterable[str]) -> frozenset[int]:
         return frozenset(self.index_of(c) for c in codes)
 

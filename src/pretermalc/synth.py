@@ -14,6 +14,7 @@ hospitals might be scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -167,6 +168,11 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class Cohort:
+    """A generated cohort. Each mother's record holds her prenatal visits
+    and her delivery visit, except in a calibration cohort (see
+    ``generate_cohort``'s ``prenatal_visits``), where it holds only the
+    delivery visit."""
+
     vocab: CodeVocabulary
     mothers: tuple[PatientRecord, ...]
     newborns: tuple[PatientRecord, ...]
@@ -239,15 +245,31 @@ def _place_deliveries(
     return adm
 
 
+@functools.cache
+def _visit_bounds(n_visits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element bounds of the one ``integers`` call that draws a mother's
+    n_visits prenatal days before delivery, then their admission minutes,
+    then their stays: the stream of three sized calls in that order."""
+    lows = (1, VISIT_ADM_HOUR_RANGE[0], VISIT_LOS_RANGE[0])
+    highs = (HISTORY_SPAN_DAYS + 1, VISIT_ADM_HOUR_RANGE[1] + 1, VISIT_LOS_RANGE[1] + 1)
+    bounds = np.repeat(lows, n_visits), np.repeat(highs, n_visits)
+    for array in bounds:
+        array.setflags(write=False)  # cached, so shared by every call
+    return bounds
+
+
 def _visit_codes(
     rng: np.random.Generator,
     n_visits: int,
     is_preterm: bool,
     risk_lo: int,
     bg_lo: int,
+    first: int = 0,
 ) -> list[set[int]]:
-    """Code-index sets for n_visits encounters: background draws plus risk
-    codes whose per-visit odds are lifted for true-preterm mothers."""
+    """Code-index sets for encounters first..n_visits-1 of n_visits:
+    background draws plus risk codes whose per-visit odds are lifted for
+    true-preterm mothers. The draws of all n_visits encounters are made
+    whatever ``first`` is, so the stream does not depend on it."""
     p = RISK_CODE_BASE_RATE
     if is_preterm:
         odds = RISK_LIFT * p / (1.0 - p)
@@ -256,19 +278,27 @@ def _visit_codes(
     n_bg = (1 + rng.poisson(BACKGROUND_CODES_MEAN, size=n_visits)).tolist()
     bg = rng.integers(bg_lo, VOCAB_SIZE, size=sum(n_bg)).tolist()
     sets: list[set[int]] = []
-    start = 0
-    for n in n_bg:
+    start = sum(n_bg[:first])
+    for n in n_bg[first:]:
         sets.append(set(bg[start : start + n]))
         start += n
-    visits, risks = risk_hits.nonzero()
+    visits, risks = risk_hits[first:].nonzero()
     for v, r in zip(visits.tolist(), risks.tolist()):
         sets[v].add(risk_lo + r)
     return sets
 
 
 @collector_paused()
-def generate_cohort(config: SynthConfig) -> Cohort:
-    """Generate mothers, newborns, and ground truth for one configuration."""
+def generate_cohort(config: SynthConfig, *, prenatal_visits: bool = True) -> Cohort:
+    """Generate mothers, newborns, and ground truth for one configuration.
+
+    With ``prenatal_visits=False`` every draw of the full cohort is still
+    made, in the same order, but each mother's record holds only her
+    delivery visit: the newborns, the truth and each mother's id, hospital,
+    delivery day and delivery visit are the full cohort's, bit for bit.
+    That is all that linkage and its scoring read, so noise calibration
+    (``bench.mean_label_accuracy``) asks for it; every cohort that becomes
+    a corpus or a file keeps the default."""
     vocab = build_vocabulary()
     idx = {c: i for i, c in enumerate(vocab)}
     ft_pool = [idx[c] for c in MOTHER_FULLTERM_CODES]
@@ -310,26 +340,29 @@ def generate_cohort(config: SynthConfig) -> Cohort:
             delivery_day = adm[i] // MINUTES_PER_DAY
 
             n_vis = int(poisson(VISITS_PER_MOTHER))
-            days = (delivery_day - integers(1, HISTORY_SPAN_DAYS + 1, size=n_vis)).tolist()
-            minutes = integers(VISIT_ADM_HOUR_RANGE[0], VISIT_ADM_HOUR_RANGE[1] + 1, size=n_vis).tolist()
-            stay_los = integers(VISIT_LOS_RANGE[0], VISIT_LOS_RANGE[1] + 1, size=n_vis).tolist()
-            code_sets = _visit_codes(rng, n_vis + 1, is_preterm[i], risk_lo, bg_lo)
+            drawn = integers(*_visit_bounds(n_vis))
+            first = 0 if prenatal_visits else n_vis
+            code_sets = _visit_codes(rng, n_vis + 1, is_preterm[i], risk_lo, bg_lo, first)
             if clean_coded[i]:
                 pool = pt_pool if is_preterm[i] else ft_pool
                 outcome = pool[int(integers(0, len(pool)))]
             else:
                 outcome = ambiguous
                 integers(0, 4)  # keep the stream aligned across coding choices
-            code_sets[n_vis].add(outcome)
-            # Admission minutes fall within the day, so admission order is
-            # (day, t_adm) order; every prenatal day precedes the delivery
-            # day. PatientRecord merges prenatal visits that share a day.
-            t_adm = [day * MINUTES_PER_DAY + minute for day, minute in zip(days, minutes)]
-            visits = [
-                Visit(day=days[k], codes=frozenset(code_sets[k]), t_adm=t_adm[k], t_dis=t_adm[k] + stay_los[k])
-                for k in sorted(range(n_vis), key=t_adm.__getitem__)
-            ]
-            visits.append(Visit(day=delivery_day, codes=frozenset(code_sets[n_vis]), t_adm=adm[i], t_dis=dis[i]))
+            code_sets[-1].add(outcome)
+            visits = []
+            if prenatal_visits:
+                back, minutes, stay_los = drawn.reshape(3, n_vis).tolist()
+                days = [delivery_day - b for b in back]
+                # Admission minutes fall within the day, so admission order is
+                # (day, t_adm) order; every prenatal day precedes the delivery
+                # day. PatientRecord merges prenatal visits that share a day.
+                t_adm = [day * MINUTES_PER_DAY + minute for day, minute in zip(days, minutes)]
+                visits = [
+                    Visit(day=days[k], codes=frozenset(code_sets[k]), t_adm=t_adm[k], t_dis=t_adm[k] + stay_los[k])
+                    for k in sorted(range(n_vis), key=t_adm.__getitem__)
+                ]
+            visits.append(Visit(day=delivery_day, codes=frozenset(code_sets[-1]), t_adm=adm[i], t_dis=dis[i]))
             mothers.append(
                 PatientRecord(
                     patient_id=mother_id,

@@ -1,12 +1,16 @@
 """Shared test utilities: class-conditional label noise, small random
-network setups and a full-coordinate finite-difference gradient check."""
+network setups, a full-coordinate finite-difference gradient check and an
+oracle of the calibration's label accuracy."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
+from pretermalc import bench
+from pretermalc.linkage import link_accuracy, match_newborns
 from pretermalc.net import (
     Batch,
     ModelParams,
@@ -18,6 +22,7 @@ from pretermalc.net import (
 )
 from pretermalc.noise import CorruptionMatrix
 from pretermalc.records import Label
+from pretermalc.synth import SynthConfig, generate_cohort
 
 # Each row sums to 100, so in float64 the entries are exactly 0.68, 0.32, 0.2, 0.8.
 REFERENCE_COUNTS = np.array([[68, 32], [20, 80]])
@@ -107,3 +112,15 @@ def max_gradient_rel_error(
             err = abs(numeric - analytic[idx]) / max(abs(numeric), abs(analytic[idx]), 1e-6)
             worst = max(worst, err)
     return worst
+
+
+def full_cohort_label_accuracy(config: SynthConfig) -> float:
+    """``bench.mean_label_accuracy`` the plain way: the linked label
+    accuracy averaged over the same seeded cohorts, each generated with its
+    prenatal visits."""
+    total = 0.0
+    for i in range(bench.CALIBRATION_SEEDS):
+        cohort = generate_cohort(replace(config, seed=bench.derive_seed(config.seed, "calibration", i)))
+        links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
+        total += link_accuracy(links, cohort.truth, cohort.newborns, cohort.vocab)[1]
+    return total / bench.CALIBRATION_SEEDS

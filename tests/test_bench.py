@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import full_cohort_label_accuracy
 import pretermalc
 
 from pretermalc import bench
@@ -373,6 +374,16 @@ def test_mean_label_accuracy_is_deterministic(two_cohorts_per_rate):
     a = mean_label_accuracy(config)
     assert a == mean_label_accuracy(config)
     assert 0.0 <= a <= 1.0
+
+
+@pytest.mark.parametrize("noise", [
+    ClericalNoiseModel(),
+    ClericalNoiseModel(time_jitter_sd=1440.0, missing_newborn_rate=0.4, swap_window_minutes=720,
+                       misclassified_newborn_rate=0.3),
+])
+def test_mean_label_accuracy_equals_the_full_cohort_oracle(two_cohorts_per_rate, noise):
+    config = replace(SMALL, n_mothers=600, clerical_noise=noise)
+    assert mean_label_accuracy(config) == full_cohort_label_accuracy(config)
 
 
 def eager_calibration(accuracy, target):

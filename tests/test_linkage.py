@@ -57,7 +57,7 @@ def oracle_match(mothers, newborns, vocab):
     for baby in newborns:
         if baby.role is not Role.NEWBORN:
             continue
-        if classify_newborn(vocab.decode(baby.visits[0].codes)) is None:
+        if classify_newborn({vocab.code(i) for i in baby.visits[0].codes}) is None:
             continue
         bv = baby.visits[0]
         best = None

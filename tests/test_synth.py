@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pretermalc.linkage import LinkageError, LinkSet, link_accuracy, match_newborns
 from pretermalc.noise import estimate_corruption_matrix
@@ -138,6 +140,33 @@ def test_generated_files_match_pinned_digests(tmp_path, name):
     assert tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths) == expected
 
 
+noise_models = st.builds(
+    ClericalNoiseModel,
+    time_jitter_sd=st.floats(0.0, 2880.0),
+    missing_newborn_rate=st.floats(0.0, 1.0),
+    swap_window_minutes=st.integers(0, 1440),
+    misclassified_newborn_rate=st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(noise=noise_models, seed=st.integers(0, 2**32 - 1))
+def test_a_calibration_cohort_is_the_full_cohort_without_prenatal_visits(noise, seed):
+    config = SynthConfig(n_mothers=400, n_hospitals=2, seed=seed, clerical_noise=noise)
+    full = generate_cohort(config)
+    calibration = generate_cohort(config, prenatal_visits=False)
+    assert calibration.newborns == full.newborns
+    assert calibration.truth == full.truth
+    for mother, whole in zip(calibration.mothers, full.mothers, strict=True):
+        assert (mother.patient_id, mother.hospital_id, mother.delivery_day) == (
+            whole.patient_id, whole.hospital_id, whole.delivery_day
+        )
+        assert mother.visits == (whole.visit_on(whole.delivery_day),)
+    assert match_newborns(calibration.mothers, calibration.newborns, calibration.vocab) == match_newborns(
+        full.mothers, full.newborns, full.vocab
+    )
+
+
 def test_different_seeds_differ():
     other = generate_cohort(SynthConfig(n_mothers=300, n_hospitals=3, seed=6))
     base = generate_cohort(SMALL)
@@ -189,7 +218,7 @@ def test_preterm_mothers_have_preterm_codes_when_coded(small_cohort):
     checked = 0
     for m in small_cohort.mothers:
         visit = m.visit_on(m.delivery_day)
-        label = classify_delivery(vocab.decode(visit.codes))
+        label = classify_delivery({vocab.code(i) for i in visit.codes})
         if label is None:
             continue
         assert label is small_cohort.truth.labels[m.patient_id]
@@ -282,7 +311,7 @@ def test_build_datasets_noisy_label_matches_linked_baby(small_cohort):
         linked_by_mother.setdefault(l.mother_id, []).append(babies_by_id[l.newborn_id])
     for ex in d_tilde:
         labels = {
-            classify_newborn(vocab.decode(b.visits[0].codes))
+            classify_newborn({vocab.code(i) for i in b.visits[0].codes})
             for b in linked_by_mother[ex.patient_id]
         }
         expected = Label.PRETERM if Label.PRETERM in labels else Label.FULL_TERM
