@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -165,15 +165,6 @@ def split_examples(
     return DatasetSplit(train=train_part, validation=val_part, test=test_part)
 
 
-def _has_both_classes(examples: Iterable[LabeledExample]) -> bool:
-    seen = set()
-    for ex in examples:
-        seen.add(ex.clean_label)
-        if len(seen) == 2:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class RepeatRow:
     method: str
@@ -222,7 +213,7 @@ class BenchmarkReport:
     results: list[RepeatResult]  # in repeat order; every row, curve, Ĉ and text derives from them
     fingerprint: str
 
-    @property
+    @cached_property
     def rows(self) -> list[RepeatRow]:
         """Method by method, in report order."""
         return [
@@ -231,7 +222,7 @@ class BenchmarkReport:
             for r in self.results
         ]
 
-    @property
+    @cached_property
     def curves(self) -> dict[str, dict[str, np.ndarray]]:
         """Method -> {"roc": mean TPR, "pr": mean precision} on CURVE_GRID."""
         curves = {}
@@ -335,7 +326,7 @@ def repeat_inputs(corpus: Corpus, repeat: int, base_seed: int) -> RepeatInputs:
             corpus.d_star, DEFAULT_SPLIT, derive_seed(base_seed, "split", repeat, attempt)
         )
         dual_train = [ex for ex in split.train if ex.noisy_label is not None]
-        if all(map(_has_both_classes, (split.validation, split.test, dual_train))):
+        if all(len({ex.clean_label for ex in part}) == 2 for part in (split.validation, split.test, dual_train)):
             break
     else:
         raise BenchmarkError(

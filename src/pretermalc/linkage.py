@@ -1,12 +1,14 @@
 """Heuristic mother-newborn linkage on encounter timestamps.
 
 Within each hospital a newborn is matched to the mother whose delivery
-encounter minimizes |delta t_adm| + |delta t_dis|. Matching runs in three
-stages: nearest mother per newborn (ties to the lexicographically smaller
+encounter minimizes |delta t_adm| + |delta t_dis|. Matching follows three
+rules: nearest mother per newborn (ties to the lexicographically smaller
 mother_id), a distance threshold of MAX_L1_MINUTES, then a cap of
 MAX_PER_MOTHER newborns per mother keeping only the nearest. Thresholding
 happens before capping, so a newborn whose sole nearest mother is too far
-away stays unmatched rather than being reassigned.
+away stays unmatched rather than being reassigned. Only mothers admitted
+within MAX_L1_MINUTES of the newborn are searched, which is exact: L1 >=
+|delta t_adm|, so no other mother can be within the threshold.
 """
 
 from __future__ import annotations
@@ -87,32 +89,18 @@ def _eligible_mothers(mothers: Iterable[PatientRecord]) -> dict[str, list[_Mothe
     return by_hospital
 
 
-def _nearest_mother(points: list[_MotherPoint], adms: list[int], b_adm: int, b_dis: int) -> tuple[int, str]:
-    """Scan outward from the admission-time insertion point of a non-empty
-    `points`. Any mother not visited has |delta t_adm| greater than the best
-    L1 found so far and thus cannot win or tie."""
-    n = len(points)
-    left = bisect.bisect_left(adms, b_adm) - 1
-    right = left + 1
-    best_l1: int | None = None
-    best_id: str | None = None
-    while left >= 0 or right < n:
-        dl = b_adm - adms[left] if left >= 0 else None
-        dr = adms[right] - b_adm if right < n else None
-        if dr is None or (dl is not None and dl <= dr):
-            idx, gap = left, dl
-            left -= 1
-        else:
-            idx, gap = right, dr
-            right += 1
-        if best_l1 is not None and gap > best_l1:
-            break
-        t_adm, mother_id, t_dis = points[idx]
+def _nearest_mother(points: list[_MotherPoint], adms: list[int], b_adm: int, b_dis: int) -> tuple[int, str] | None:
+    """(L1, mother_id) of the nearest mother within MAX_L1_MINUTES, ties to the
+    smaller mother_id, or None. Only the window of `points` admitted within
+    MAX_L1_MINUTES of `b_adm` is scanned."""
+    lo = bisect.bisect_left(adms, b_adm - MAX_L1_MINUTES)
+    hi = bisect.bisect_right(adms, b_adm + MAX_L1_MINUTES)
+    best_l1, best_id = MAX_L1_MINUTES, None
+    for t_adm, mother_id, t_dis in points[lo:hi]:
         l1 = abs(t_adm - b_adm) + abs(t_dis - b_dis)
-        if best_l1 is None or l1 < best_l1 or (l1 == best_l1 and mother_id < best_id):
+        if l1 < best_l1 or (l1 == best_l1 and (best_id is None or mother_id < best_id)):
             best_l1, best_id = l1, mother_id
-    assert best_l1 is not None and best_id is not None
-    return best_l1, best_id
+    return None if best_id is None else (best_l1, best_id)
 
 
 def match_newborns(
@@ -130,24 +118,18 @@ def match_newborns(
     adms_by_hospital = {h: [t_adm for t_adm, _, _ in pts] for h, pts in by_hospital.items()}
     classify = outcome_classifier(vocab, classify_newborn)
 
-    # stage 1: nearest mother per classifiable newborn
+    # nearest mother within the threshold, per classifiable newborn
     assigned: list[MatchCandidate] = []
     for baby in newborns:
-        if baby.role is not Role.NEWBORN:
+        if baby.role is not Role.NEWBORN or classify(baby.visits[0].codes) is None:
             continue
-        if classify(baby.visits[0].codes) is None:
-            continue
-        points = by_hospital.get(baby.hospital_id)
-        if not points:
-            continue
-        bv = baby.visits[0]
-        l1, mother_id = _nearest_mother(points, adms_by_hospital[baby.hospital_id], bv.t_adm, bv.t_dis)
-        assigned.append(MatchCandidate(baby.patient_id, mother_id, l1))
+        bv, h = baby.visits[0], baby.hospital_id
+        nearest = _nearest_mother(by_hospital.get(h, []), adms_by_hospital.get(h, []), bv.t_adm, bv.t_dis)
+        if nearest is not None:
+            l1, mother_id = nearest
+            assigned.append(MatchCandidate(baby.patient_id, mother_id, l1))
 
-    # stage 2: distance threshold
-    assigned = [c for c in assigned if c.l1_minutes <= MAX_L1_MINUTES]
-
-    # stage 3: per-mother capacity, nearest newborns first
+    # per-mother capacity, nearest newborns first
     per_mother: dict[str, list[MatchCandidate]] = {}
     for cand in assigned:
         per_mother.setdefault(cand.mother_id, []).append(cand)

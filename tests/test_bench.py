@@ -36,7 +36,7 @@ from pretermalc.bench import (
     split_examples,
     summarize,
 )
-from pretermalc.cli import curve_svg, summary_svg
+from pretermalc.cli import benchmark_stage, curve_svg, summary_svg
 from pretermalc.metrics import auc, pr_auc
 from pretermalc.noise import estimate_corruption_matrix
 from pretermalc.records import Label, LabeledExample, PatientRecord, Role, Visit
@@ -248,6 +248,18 @@ def test_c_hat_csv_holds_the_matrix_each_repeat_trained_with(corpus):
         assert [float(x) for x in cells[1:5]] == pytest.approx(c_hat.entries.ravel().tolist(), abs=5e-7)
         assert [int(n) for n in cells[5:]] == c_hat.counts.ravel().tolist()
         assert np.array_equal(report.c_hats[repeat].entries, c_hat.entries), repeat
+
+
+def test_a_benchmark_stage_computes_each_methods_auc_once_per_repeat(corpus, monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def counting_auc(scores, labels):
+        calls.append(len(labels))
+        return auc(scores, labels)
+
+    monkeypatch.setattr(bench, "auc", counting_auc)
+    benchmark_stage(corpus, BenchmarkConfig([TrainMethod.NOLC_CLEAN, TrainMethod.ALC], 2, 4, 1), 1, tmp_path)
+    assert len(calls) == 2 * 2
 
 
 def test_a_result_holds_each_methods_test_scores_and_the_rows_derive_from_them(corpus, monkeypatch):

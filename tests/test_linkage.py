@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pretermalc.linkage import (
     MAX_L1_MINUTES,
@@ -188,6 +190,62 @@ def test_unclassifiable_newborns_ignored():
     assert len(match_newborns(mothers, babies, VOCAB)) == 0
 
 
+# --- the one-day window ------------------------------------------------------------
+
+
+def test_a_link_of_exactly_the_threshold_is_kept():
+    mothers = [mother_at(10_000, 12_000, "m0")]
+    links = match_newborns(mothers, [newborn_at(10_720, 12_720, "n0")], VOCAB)
+    assert list(links) == [MatchCandidate("n0", "m0", MAX_L1_MINUTES)]
+
+
+def test_a_link_one_minute_over_the_threshold_stays_unmatched():
+    mothers = [mother_at(10_000, 12_000, "m0")]
+    assert len(match_newborns(mothers, [newborn_at(10_720, 12_721, "n0")], VOCAB)) == 0
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_a_mother_admitted_exactly_a_day_away_with_the_same_discharge_is_kept(side):
+    b_adm = 20_000
+    mothers = [mother_at(b_adm + side * MAX_L1_MINUTES, 23_000, "m0")]
+    links = match_newborns(mothers, [newborn_at(b_adm, 23_000, "n0")], VOCAB)
+    assert list(links) == [MatchCandidate("n0", "m0", MAX_L1_MINUTES)]
+
+
+def test_the_nearest_by_admission_can_lose_on_l1_inside_the_window():
+    # mA is 10 minutes away by admission but 600 in L1; mB is 290 in L1
+    mothers = [mother_at(10_000, 12_600, "mA"), mother_at(10_300, 12_010, "mB")]
+    links = match_newborns(mothers, [newborn_at(10_010, 12_010, "n0")], VOCAB)
+    assert list(links) == [MatchCandidate("n0", "mB", 290)]
+
+
+def test_an_equal_l1_tie_across_the_insertion_point_at_the_window_edges():
+    # mB and mA sit on the two edges of the window at L1 = MAX_L1_MINUTES;
+    # m0 and m1 sit one minute outside it, and m0 has the smallest id
+    b_adm, b_dis = 20_000, 23_000
+    mothers = [
+        mother_at(b_adm - MAX_L1_MINUTES - 1, b_dis, "m0"),
+        mother_at(b_adm - MAX_L1_MINUTES, b_dis, "mB"),
+        mother_at(b_adm + MAX_L1_MINUTES, b_dis, "mA"),
+        mother_at(b_adm + MAX_L1_MINUTES + 1, b_dis, "m1"),
+    ]
+    links = match_newborns(mothers, [newborn_at(b_adm, b_dis, "n0")], VOCAB)
+    assert list(links) == [MatchCandidate("n0", "mA", MAX_L1_MINUTES)]
+
+
+def test_a_hospital_without_an_eligible_mother_links_none_of_its_newborns():
+    mothers = [
+        mother_at(10_000, 12_000, "m0", hospital="h00"),
+        mother_at(10_000, 12_000, "m1", hospital="h01", with_delivery=False),
+    ]
+    babies = [
+        newborn_at(10_010, 12_010, "n0", hospital="h00"),
+        newborn_at(10_010, 12_010, "n1", hospital="h01"),
+        newborn_at(10_010, 12_010, "n2", hospital="h02"),
+    ]
+    assert match_newborns(mothers, babies, VOCAB).as_map() == {"n0": "m0"}
+
+
 # --- oracle equivalence and determinism -------------------------------------------
 
 
@@ -198,6 +256,41 @@ def test_oracle_equivalence_random_instances():
         fast = match_newborns(mothers, newborns, VOCAB)
         slow = oracle_match(mothers, newborns, VOCAB)
         assert fast == slow
+
+
+# Offsets from a newborn-scale centre, in minutes: the edges of the window and
+# the minutes either side of them come up often, so do exact ties.
+EDGE_OFFSETS = st.one_of(
+    st.sampled_from([-MAX_L1_MINUTES - 1, -MAX_L1_MINUTES, -1, 0, 1, MAX_L1_MINUTES, MAX_L1_MINUTES + 1]),
+    st.integers(-MAX_L1_MINUTES - 2, MAX_L1_MINUTES + 2),
+)
+# Discharges centre three days after admissions, so none precedes its admission.
+ADM_CENTRE, DIS_CENTRE = 100 * MIN_DAY, 100 * MIN_DAY + 3 * MAX_L1_MINUTES
+
+
+@st.composite
+def dense_instances(draw):
+    """Up to three hospitals whose mothers and newborns are all admitted and
+    discharged within about a day of two shared centres, at minute
+    resolution, so links fall on both sides of MAX_L1_MINUTES."""
+    mothers, newborns = [], []
+    for h in range(draw(st.integers(1, 3))):
+        hospital = f"h{h:02d}"
+        for i in range(draw(st.integers(0, 8))):
+            t_adm, t_dis = ADM_CENTRE + draw(EDGE_OFFSETS), DIS_CENTRE + draw(EDGE_OFFSETS)
+            mothers.append(mother_at(t_adm, t_dis, f"m{h}x{i}", hospital, with_delivery=draw(st.booleans())))
+        for b in range(draw(st.integers(0, 8))):
+            t_adm, t_dis = ADM_CENTRE + draw(EDGE_OFFSETS), DIS_CENTRE + draw(EDGE_OFFSETS)
+            code = draw(st.sampled_from(["765.29", "765.21", "V30.00"]))
+            newborns.append(newborn_at(t_adm, t_dis, f"n{h}x{b}", hospital, code))
+    return mothers, newborns
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_instances())
+def test_oracle_equivalence_on_dense_minute_resolution_instances(instance):
+    mothers, newborns = instance
+    assert match_newborns(mothers, newborns, VOCAB) == oracle_match(mothers, newborns, VOCAB)
 
 
 def test_input_permutation_invariance():
