@@ -447,7 +447,10 @@ def mean_label_accuracy(config: SynthConfig) -> float:
     evaluates on exactly the cohorts the calibration saw. Each cohort is
     generated without prenatal visits: linkage reads only the mothers'
     delivery visits and scoring only the truth and the newborns, which are
-    the full cohort's bit for bit."""
+    the full cohort's bit for bit. Their draws are kept (see
+    ``generate_cohort``), so calling this again at another
+    misclassification rate, jitter or missing rate rebuilds the same
+    cohorts without drawing them again."""
     total = 0.0
     for i in range(CALIBRATION_SEEDS):
         seeded = replace(config, seed=derive_seed(config.seed, "calibration", i))

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,7 +171,8 @@ class Cohort:
     """A generated cohort. Each mother's record holds her prenatal visits
     and her delivery visit, except in a calibration cohort (see
     ``generate_cohort``'s ``prenatal_visits``), where it holds only the
-    delivery visit."""
+    delivery visit. A calibration cohort's records may be built from kept
+    draws, but no cohort is kept: each call builds new records."""
 
     vocab: CodeVocabulary
     mothers: tuple[PatientRecord, ...]
@@ -189,8 +190,10 @@ def _special_codes() -> list[str]:
     )
 
 
+@functools.cache
 def build_vocabulary() -> CodeVocabulary:
-    """Fixed layout: outcome codes, then risk codes, then background filler."""
+    """Fixed layout: outcome codes, then risk codes, then background filler.
+    The vocabulary is immutable, so every cohort shares one instance."""
     codes = _special_codes()
     codes += [f"648.{i:02d}" for i in range(N_RISK_CODES)]
     k = 0
@@ -198,6 +201,14 @@ def build_vocabulary() -> CodeVocabulary:
         codes.append(f"{300 + k // 10}.{k % 10}")
         k += 1
     return CodeVocabulary(codes)
+
+
+# Index of each outcome code: build_vocabulary puts them first, in this order.
+_CODE_INDEX = {c: i for i, c in enumerate(_special_codes())}
+_MOTHER_FULLTERM = [_CODE_INDEX[c] for c in MOTHER_FULLTERM_CODES]
+_MOTHER_PRETERM = [_CODE_INDEX[c] for c in MOTHER_PRETERM_CODES]
+_NEWBORN_PRETERM = [_CODE_INDEX[c] for c in NEWBORN_PRETERM_CODES]
+_RISK_LO = len(_CODE_INDEX)
 
 
 def _mothers_per_hospital(config: SynthConfig) -> list[int]:
@@ -258,14 +269,7 @@ def _visit_bounds(n_visits: int) -> tuple[np.ndarray, np.ndarray]:
     return bounds
 
 
-def _visit_codes(
-    rng: np.random.Generator,
-    n_visits: int,
-    is_preterm: bool,
-    risk_lo: int,
-    bg_lo: int,
-    first: int = 0,
-) -> list[set[int]]:
+def _visit_codes(rng: np.random.Generator, n_visits: int, is_preterm: bool, first: int) -> list[set[int]]:
     """Code-index sets for encounters first..n_visits-1 of n_visits:
     background draws plus risk codes whose per-visit odds are lifted for
     true-preterm mothers. The draws of all n_visits encounters are made
@@ -276,7 +280,7 @@ def _visit_codes(
         p = odds / (1.0 + odds)
     risk_hits = rng.random((n_visits, N_RISK_CODES)) < p
     n_bg = (1 + rng.poisson(BACKGROUND_CODES_MEAN, size=n_visits)).tolist()
-    bg = rng.integers(bg_lo, VOCAB_SIZE, size=sum(n_bg)).tolist()
+    bg = rng.integers(_RISK_LO + N_RISK_CODES, VOCAB_SIZE, size=sum(n_bg)).tolist()
     sets: list[set[int]] = []
     start = sum(n_bg[:first])
     for n in n_bg[first:]:
@@ -284,132 +288,239 @@ def _visit_codes(
         start += n
     visits, risks = risk_hits[first:].nonzero()
     for v, r in zip(visits.tolist(), risks.tolist()):
-        sets[v].add(risk_lo + r)
+        sets[v].add(_RISK_LO + r)
     return sets
+
+
+class _HospitalDraws(NamedTuple):
+    """One hospital's draws that its mothers' delivery encounters and their
+    newborns are built from, as read-only arrays: per mother, her delivery
+    admission and discharge minutes, true class, baby-coded flag and her
+    delivery visit's codes (``codes[code_ends[i]:code_ends[i + 1]]``); per
+    baby, its mother, its index among her babies, its two uniforms, its
+    preterm-code pick and its two standard normals (one row of ``normals``)."""
+
+    adm: np.ndarray
+    dis: np.ndarray
+    preterm: np.ndarray
+    baby_coded: np.ndarray
+    codes: np.ndarray
+    code_ends: np.ndarray
+    baby_mother: np.ndarray
+    baby_index: np.ndarray
+    u_missing: np.ndarray
+    u_flip: np.ndarray
+    pick: np.ndarray
+    normals: np.ndarray
+
+
+def _draw_hospital(
+    config: SynthConfig, h: int, n_m: int, prenatal: Callable[[int, np.ndarray, list[set[int]]], None] | None = None
+) -> _HospitalDraws:
+    """The draw pass: every draw of hospital h's n_m mothers and their
+    babies, in stream order. It is the only code that touches a generator,
+    and it reads only the seed, the coding rates and the swap window, so
+    the other noise channels leave its draws unchanged.
+
+    Each mother's prenatal draws are made whether or not ``prenatal`` is
+    given, so the stream does not depend on it. With it, they go to it as
+    they are made, as (delivery day, the ``_visit_bounds`` draw of her
+    visits' days back, admission minutes and stays, their code sets);
+    without it they are dropped. So no more than one mother's prenatal
+    draws are alive at a time."""
+    rng = np.random.default_rng([config.seed, h])
+    integers, random, poisson, normal = rng.integers, rng.random, rng.poisson, rng.normal
+    delivery_window = (DELIVERY_WINDOW_MINUTES, 2 * DELIVERY_WINDOW_MINUTES)
+    adm = _place_deliveries(rng, n_m, delivery_window, config.clerical_noise.swap_window_minutes)
+    dis = adm + integers(DELIVERY_LOS_RANGE[0], DELIVERY_LOS_RANGE[1] + 1, size=n_m)
+    preterm = random(n_m) < PRETERM_PREVALENCE
+    # One uniform drives both coding decisions, maximally anti-correlated,
+    # so the dual-labeled overlap is only the excess of the two rates over 1.
+    code_u = random(n_m)
+    clean_coded = (code_u < config.clean_code_rate).tolist()
+    baby_coded = code_u >= 1.0 - config.newborn_coded_rate
+
+    codes: list[int] = []
+    code_ends = [0]
+    baby_mother: list[int] = []
+    baby_index: list[int] = []
+    uniforms: list[float] = []
+    pick: list[int] = []
+    normals: list[float] = []
+    for i, (adm_i, is_preterm) in enumerate(zip(adm.tolist(), preterm.tolist())):
+        n_vis = int(poisson(VISITS_PER_MOTHER))
+        drawn = integers(*_visit_bounds(n_vis))
+        code_sets = _visit_codes(rng, n_vis + 1, is_preterm, n_vis if prenatal is None else 0)
+        if clean_coded[i]:
+            pool = _MOTHER_PRETERM if is_preterm else _MOTHER_FULLTERM
+            outcome = pool[int(integers(0, len(pool)))]
+        else:
+            outcome = _CODE_INDEX[MOTHER_AMBIGUOUS_CODE]
+            integers(0, 4)  # keep the stream aligned across coding choices
+        delivery = code_sets.pop()
+        delivery.add(outcome)
+        codes += delivery
+        code_ends.append(len(codes))
+        if prenatal is not None:
+            prenatal(adm_i // MINUTES_PER_DAY, drawn, code_sets)
+
+        u_multi = random()
+        n_babies = 3 if u_multi < TRIPLET_RATE else (2 if u_multi < TRIPLET_RATE + TWIN_RATE else 1)
+        for b in range(n_babies):
+            # Fixed draw count per baby keeps hospital streams aligned
+            # when only noise thresholds change between configs.
+            baby_mother.append(i)
+            baby_index.append(b)
+            uniforms += random(2).tolist()
+            pick.append(int(integers(0, len(_NEWBORN_PRETERM))))
+            normals += normal(0.0, 1.0, size=2).tolist()
+
+    # The narrowest integer types that hold the values: calibration keeps these.
+    u = np.array(uniforms).reshape(-1, 2)
+    draws = _HospitalDraws(
+        adm.astype(np.int32), dis.astype(np.int32), preterm, baby_coded,
+        np.array(codes, dtype=np.int16), np.array(code_ends, dtype=np.int32),
+        np.array(baby_mother, dtype=np.int32), np.array(baby_index, dtype=np.int8), u[:, 0], u[:, 1],
+        np.array(pick, dtype=np.int8), np.array(normals).reshape(-1, 2),
+    )
+    for array in draws:
+        array.setflags(write=False)
+    return draws
+
+
+@functools.lru_cache(maxsize=8)
+def _delivery_draws(key: SynthConfig) -> tuple[_HospitalDraws, ...]:
+    """Each hospital's draws for ``generate_cohort(..., prenatal_visits=False)``,
+    kept for the last 8 keys, more than the cohorts one calibration
+    evaluation generates (``bench.CALIBRATION_SEEDS``). The key is the config
+    with its jitter, missing and misclassification channels at 0, since the
+    draws do not depend on them: every evaluation of a calibration draws
+    its cohorts once. Only these arrays are kept, never records."""
+    return tuple(_draw_hospital(key, h, n_m) for h, n_m in enumerate(_mothers_per_hospital(key)))
+
+
+def _prenatal_visits(delivery_day: int, drawn: np.ndarray, code_sets: list[set[int]]) -> list[Visit]:
+    """A mother's prenatal visits, in admission order, from her prenatal draws."""
+    back, minutes, stay_los = drawn.reshape(3, len(code_sets)).tolist()
+    days = [delivery_day - b for b in back]
+    # Admission minutes fall within the day, so admission order is
+    # (day, t_adm) order; every prenatal day precedes the delivery
+    # day. PatientRecord merges prenatal visits that share a day.
+    t_adm = [day * MINUTES_PER_DAY + minute for day, minute in zip(days, minutes)]
+    return [
+        Visit(day=days[k], codes=frozenset(code_sets[k]), t_adm=t_adm[k], t_dis=t_adm[k] + stay_los[k])
+        for k in sorted(range(len(code_sets)), key=t_adm.__getitem__)
+    ]
+
+
+def _build_hospital(
+    h: int,
+    draws: _HospitalDraws,
+    noise: ClericalNoiseModel,
+    prenatal: Sequence[list[Visit]] | None,
+    cohort: tuple[list[PatientRecord], list[PatientRecord], dict[str, str], dict[str, Label]],
+) -> None:
+    """The build pass: hospital h's records from its draws under ``noise``,
+    appended to ``cohort``'s mothers, newborns, links and labels. It makes
+    no draw. Each mother's record holds her ``prenatal`` visits, if given,
+    then her delivery visit."""
+    mothers, newborns, links, labels = cohort
+    hospital_id = f"h{h:02d}"
+    adm, dis = draws.adm.tolist(), draws.dis.tolist()
+    mother_labels = [Label.PRETERM if p else Label.FULL_TERM for p in draws.preterm.tolist()]
+    mother_ids = [f"m{h:02d}x{i:04d}" for i in range(len(mother_labels))]
+    codes, code_ends = draws.codes.tolist(), draws.code_ends.tolist()
+    for i, (mother_id, label) in enumerate(zip(mother_ids, mother_labels)):
+        labels[mother_id] = label
+        delivery_day = adm[i] // MINUTES_PER_DAY
+        visits = prenatal[i] if prenatal is not None else []
+        # Via a set: a frozenset copied from a set gets the set's compact
+        # table, one grown from a list of 5-7 codes is half again as large.
+        delivery_codes = frozenset(set(codes[code_ends[i] : code_ends[i + 1]]))
+        visits.append(Visit(day=delivery_day, codes=delivery_codes, t_adm=adm[i], t_dis=dis[i]))
+        mothers.append(
+            PatientRecord(
+                patient_id=mother_id,
+                hospital_id=hospital_id,
+                role=Role.MOTHER,
+                visits=tuple(visits),
+                delivery_day=delivery_day,
+            )
+        )
+
+    baby_birth = _CODE_INDEX[NEWBORN_BIRTH_CODE]
+    baby_ft = _CODE_INDEX[NEWBORN_FULLTERM_CODE]
+    baby_coded = draws.baby_coded.tolist()
+    for i, b, u_missing, u_flip, pick, (jitter_adm, jitter_dis) in zip(
+        draws.baby_mother.tolist(),
+        draws.baby_index.tolist(),
+        draws.u_missing.tolist(),
+        draws.u_flip.tolist(),
+        draws.pick.tolist(),
+        draws.normals.tolist(),
+    ):
+        if u_missing < noise.missing_newborn_rate:
+            continue
+        newborn_id = f"n{h:02d}x{i:04d}{b}"
+        baby_label = mother_labels[i]
+        if u_flip < noise.misclassified_newborn_rate:
+            baby_label = Label(1 - int(baby_label))
+        baby_codes = {baby_birth}
+        if baby_coded[i]:
+            baby_codes.add(_NEWBORN_PRETERM[pick] if baby_label is Label.PRETERM else baby_ft)
+        t_adm_b = max(0, adm[i] + round(jitter_adm * noise.time_jitter_sd))
+        t_dis_b = max(dis[i] + round(jitter_dis * noise.time_jitter_sd), t_adm_b)
+        newborns.append(
+            PatientRecord(
+                patient_id=newborn_id,
+                hospital_id=hospital_id,
+                role=Role.NEWBORN,
+                visits=(
+                    Visit(
+                        day=t_adm_b // MINUTES_PER_DAY,
+                        codes=frozenset(baby_codes),
+                        t_adm=t_adm_b,
+                        t_dis=t_dis_b,
+                    ),
+                ),
+                delivery_day=t_adm_b // MINUTES_PER_DAY,
+            )
+        )
+        links[newborn_id] = mother_ids[i]
 
 
 @collector_paused()
 def generate_cohort(config: SynthConfig, *, prenatal_visits: bool = True) -> Cohort:
-    """Generate mothers, newborns, and ground truth for one configuration.
+    """Generate mothers, newborns, and ground truth for one configuration:
+    each hospital's draw pass (``_draw_hospital``), then its build pass
+    (``_build_hospital``) under ``config.clerical_noise``.
 
-    With ``prenatal_visits=False`` every draw of the full cohort is still
-    made, in the same order, but each mother's record holds only her
+    With ``prenatal_visits=False`` each mother's record holds only her
     delivery visit: the newborns, the truth and each mother's id, hospital,
     delivery day and delivery visit are the full cohort's, bit for bit.
     That is all that linkage and its scoring read, so noise calibration
     (``bench.mean_label_accuracy``) asks for it; every cohort that becomes
-    a corpus or a file keeps the default."""
+    a corpus or a file keeps the default. Its draws come from a bounded
+    cache of per-hospital arrays (``_delivery_draws``) keyed by every
+    setting except the jitter, missing and misclassification channels, so
+    a calibration that evaluates several rates draws each cohort once. A
+    full cohort's draws are never kept: each mother's prenatal draws become
+    her visits as they are made."""
+    # Before any record: the cached vocabulary outlives the cohort, and
+    # allocated among its records it would pin their memory once freed.
     vocab = build_vocabulary()
-    idx = {c: i for i, c in enumerate(vocab)}
-    ft_pool = [idx[c] for c in MOTHER_FULLTERM_CODES]
-    pt_pool = [idx[c] for c in MOTHER_PRETERM_CODES]
-    ambiguous = idx[MOTHER_AMBIGUOUS_CODE]
-    baby_pt_pool = [idx[c] for c in NEWBORN_PRETERM_CODES]
-    baby_ft = idx[NEWBORN_FULLTERM_CODE]
-    baby_birth = idx[NEWBORN_BIRTH_CODE]
-    risk_lo = len(_special_codes())
-    bg_lo = risk_lo + N_RISK_CODES
-
     noise = config.clerical_noise
-    delivery_window = (DELIVERY_WINDOW_MINUTES, 2 * DELIVERY_WINDOW_MINUTES)
-
-    mothers: list[PatientRecord] = []
-    newborns: list[PatientRecord] = []
-    links: dict[str, str] = {}
-    labels: dict[str, Label] = {}
-
-    for h, n_m in enumerate(_mothers_per_hospital(config)):
-        rng = np.random.default_rng([config.seed, h])
-        integers, random, poisson, normal = rng.integers, rng.random, rng.poisson, rng.normal
-        hospital_id = f"h{h:02d}"
-        adm = _place_deliveries(rng, n_m, delivery_window, noise.swap_window_minutes)
-        los = integers(DELIVERY_LOS_RANGE[0], DELIVERY_LOS_RANGE[1] + 1, size=n_m)
-        dis = (adm + los).tolist()
-        adm = adm.tolist()
-        is_preterm = (random(n_m) < PRETERM_PREVALENCE).tolist()
-        # One uniform drives both coding decisions, maximally anti-correlated,
-        # so the dual-labeled overlap is only the excess of the two rates over 1.
-        code_u = random(n_m)
-        clean_coded = (code_u < config.clean_code_rate).tolist()
-        baby_coded = (code_u >= 1.0 - config.newborn_coded_rate).tolist()
-
-        for i in range(n_m):
-            mother_id = f"m{h:02d}x{i:04d}"
-            label = Label.PRETERM if is_preterm[i] else Label.FULL_TERM
-            labels[mother_id] = label
-            delivery_day = adm[i] // MINUTES_PER_DAY
-
-            n_vis = int(poisson(VISITS_PER_MOTHER))
-            drawn = integers(*_visit_bounds(n_vis))
-            first = 0 if prenatal_visits else n_vis
-            code_sets = _visit_codes(rng, n_vis + 1, is_preterm[i], risk_lo, bg_lo, first)
-            if clean_coded[i]:
-                pool = pt_pool if is_preterm[i] else ft_pool
-                outcome = pool[int(integers(0, len(pool)))]
-            else:
-                outcome = ambiguous
-                integers(0, 4)  # keep the stream aligned across coding choices
-            code_sets[-1].add(outcome)
-            visits = []
-            if prenatal_visits:
-                back, minutes, stay_los = drawn.reshape(3, n_vis).tolist()
-                days = [delivery_day - b for b in back]
-                # Admission minutes fall within the day, so admission order is
-                # (day, t_adm) order; every prenatal day precedes the delivery
-                # day. PatientRecord merges prenatal visits that share a day.
-                t_adm = [day * MINUTES_PER_DAY + minute for day, minute in zip(days, minutes)]
-                visits = [
-                    Visit(day=days[k], codes=frozenset(code_sets[k]), t_adm=t_adm[k], t_dis=t_adm[k] + stay_los[k])
-                    for k in sorted(range(n_vis), key=t_adm.__getitem__)
-                ]
-            visits.append(Visit(day=delivery_day, codes=frozenset(code_sets[-1]), t_adm=adm[i], t_dis=dis[i]))
-            mothers.append(
-                PatientRecord(
-                    patient_id=mother_id,
-                    hospital_id=hospital_id,
-                    role=Role.MOTHER,
-                    visits=tuple(visits),
-                    delivery_day=delivery_day,
-                )
-            )
-
-            u_multi = random()
-            n_babies = 3 if u_multi < TRIPLET_RATE else (2 if u_multi < TRIPLET_RATE + TWIN_RATE else 1)
-            for b in range(n_babies):
-                # Fixed draw count per baby keeps hospital streams aligned
-                # when only noise thresholds change between configs.
-                u_missing, u_flip = random(2).tolist()
-                pick = int(integers(0, len(baby_pt_pool)))
-                jitter_adm, jitter_dis = normal(0.0, 1.0, size=2).tolist()
-                if u_missing < noise.missing_newborn_rate:
-                    continue
-                newborn_id = f"n{h:02d}x{i:04d}{b}"
-                baby_label = label
-                if u_flip < noise.misclassified_newborn_rate:
-                    baby_label = Label(1 - int(label))
-                codes = {baby_birth}
-                if baby_coded[i]:
-                    codes.add(baby_pt_pool[pick] if baby_label is Label.PRETERM else baby_ft)
-                t_adm_b = max(0, adm[i] + round(jitter_adm * noise.time_jitter_sd))
-                t_dis_b = max(dis[i] + round(jitter_dis * noise.time_jitter_sd), t_adm_b)
-                newborns.append(
-                    PatientRecord(
-                        patient_id=newborn_id,
-                        hospital_id=hospital_id,
-                        role=Role.NEWBORN,
-                        visits=(
-                            Visit(
-                                day=t_adm_b // MINUTES_PER_DAY,
-                                codes=frozenset(codes),
-                                t_adm=t_adm_b,
-                                t_dis=t_dis_b,
-                            ),
-                        ),
-                        delivery_day=t_adm_b // MINUTES_PER_DAY,
-                    )
-                )
-                links[newborn_id] = mother_id
-
+    cohort: tuple = ([], [], {}, {})
+    if prenatal_visits:
+        for h, n_m in enumerate(_mothers_per_hospital(config)):
+            prenatal: list[list[Visit]] = []
+            draws = _draw_hospital(config, h, n_m, lambda *drawn: prenatal.append(_prenatal_visits(*drawn)))
+            _build_hospital(h, draws, noise, prenatal, cohort)
+    else:
+        key = replace(noise, time_jitter_sd=0.0, missing_newborn_rate=0.0, misclassified_newborn_rate=0.0)
+        for h, draws in enumerate(_delivery_draws(replace(config, clerical_noise=key))):
+            _build_hospital(h, draws, noise, None, cohort)
+    mothers, newborns, links, labels = cohort
     return Cohort(
         vocab=vocab,
         mothers=tuple(mothers),

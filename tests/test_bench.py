@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from helpers import full_cohort_label_accuracy
 import pretermalc
 
-from pretermalc import bench
+from pretermalc import bench, synth
 from pretermalc.bench import (
     CALIBRATION_TOLERANCE,
     CURVE_GRID,
@@ -396,6 +396,22 @@ def test_mean_label_accuracy_is_deterministic(two_cohorts_per_rate):
 def test_mean_label_accuracy_equals_the_full_cohort_oracle(two_cohorts_per_rate, noise):
     config = replace(SMALL, n_mothers=600, clerical_noise=noise)
     assert mean_label_accuracy(config) == full_cohort_label_accuracy(config)
+
+
+def test_a_warm_calibration_equals_the_full_cohort_oracle(two_cohorts_per_rate):
+    """The rates of a default calibration, in its order: the 2nd and 3rd
+    evaluations build their cohorts from the kept draws of the 1st."""
+    info = synth._delivery_draws.cache_info
+    for k, rate in enumerate((0.0, 0.5, 0.25)):
+        config = replace(SMALL, n_mothers=600, clerical_noise=ClericalNoiseModel(misclassified_newborn_rate=rate))
+        hits = info().hits
+        assert mean_label_accuracy(config) == full_cohort_label_accuracy(config)
+        if k:
+            assert info().hits == hits + bench.CALIBRATION_SEEDS
+
+
+def test_the_draw_cache_holds_an_evaluations_cohorts():
+    assert synth._delivery_draws.cache_info().maxsize >= bench.CALIBRATION_SEEDS
 
 
 def eager_calibration(accuracy, target):

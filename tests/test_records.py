@@ -433,12 +433,14 @@ SMALL_COHORT = SynthConfig(n_mothers=120, n_hospitals=2, seed=1)
 
 
 def _draw_failing(call):
-    """`call`, run while each hospital's delivery-time draw raises."""
+    """`call`, run while each hospital's delivery-time draw raises. The
+    kept calibration draws are cleared first, so the call draws again."""
 
     def fail(*args):
         raise ConfigError("no delivery times")
 
     def run():
+        synth._delivery_draws.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(synth, "_draw_unique_ints", fail)
             return call()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pretermalc import synth
 from pretermalc.linkage import LinkageError, LinkSet, link_accuracy, match_newborns
 from pretermalc.noise import estimate_corruption_matrix
 from pretermalc.records import (
@@ -149,12 +150,7 @@ noise_models = st.builds(
 )
 
 
-@settings(max_examples=25, deadline=None)
-@given(noise=noise_models, seed=st.integers(0, 2**32 - 1))
-def test_a_calibration_cohort_is_the_full_cohort_without_prenatal_visits(noise, seed):
-    config = SynthConfig(n_mothers=400, n_hospitals=2, seed=seed, clerical_noise=noise)
-    full = generate_cohort(config)
-    calibration = generate_cohort(config, prenatal_visits=False)
+def assert_is_the_full_cohort_without_prenatal_visits(calibration, full):
     assert calibration.newborns == full.newborns
     assert calibration.truth == full.truth
     for mother, whole in zip(calibration.mothers, full.mothers, strict=True):
@@ -165,6 +161,65 @@ def test_a_calibration_cohort_is_the_full_cohort_without_prenatal_visits(noise, 
     assert match_newborns(calibration.mothers, calibration.newborns, calibration.vocab) == match_newborns(
         full.mothers, full.newborns, full.vocab
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(noise=noise_models, seed=st.integers(0, 2**32 - 1))
+def test_a_calibration_cohort_is_the_full_cohort_without_prenatal_visits(noise, seed):
+    config = SynthConfig(n_mothers=400, n_hospitals=2, seed=seed, clerical_noise=noise)
+    calibration = generate_cohort(config, prenatal_visits=False)
+    assert_is_the_full_cohort_without_prenatal_visits(calibration, generate_cohort(config))
+
+
+@settings(max_examples=25, deadline=None)
+@given(noise=noise_models, other=noise_models, seed=st.integers(0, 2**32 - 1))
+def test_a_calibration_cohort_from_kept_draws_is_the_cold_one(noise, other, seed):
+    config = SynthConfig(n_mothers=400, n_hospitals=2, seed=seed, clerical_noise=other)
+    first = replace(noise, swap_window_minutes=other.swap_window_minutes)
+    generate_cohort(replace(config, clerical_noise=first), prenatal_visits=False)
+    hits = synth._delivery_draws.cache_info().hits
+    warm = generate_cohort(config, prenatal_visits=False)
+    assert synth._delivery_draws.cache_info().hits == hits + 1
+    synth._delivery_draws.cache_clear()
+    assert warm == generate_cohort(config, prenatal_visits=False)
+    assert_is_the_full_cohort_without_prenatal_visits(warm, generate_cohort(config))
+
+
+def test_every_setting_that_moves_the_draws_keys_them():
+    base = SynthConfig(n_mothers=40, n_hospitals=2, seed=4)
+    synth._delivery_draws.cache_clear()
+    generate_cohort(base, prenatal_visits=False)
+    info = synth._delivery_draws.cache_info
+    for changed in (
+        replace(base, seed=5),
+        replace(base, n_mothers=41),
+        replace(base, n_hospitals=3),
+        replace(base, clerical_noise=ClericalNoiseModel(swap_window_minutes=0)),
+        replace(base, clean_code_rate=0.6),
+        replace(base, newborn_coded_rate=0.6),
+    ):
+        misses = info().misses
+        generate_cohort(changed, prenatal_visits=False)
+        assert info().misses == misses + 1, changed
+    hits = info().hits
+    generate_cohort(replace(base, clerical_noise=ClericalNoiseModel(0.0, 0.5, 360, 0.5)), prenatal_visits=False)
+    assert info().hits == hits + 1
+
+
+def test_kept_draws_refuse_a_write():
+    for draws in synth._delivery_draws(SynthConfig(n_mothers=40, n_hospitals=2, seed=4)):
+        for name, array in draws._asdict().items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+            assert array.size, name
+
+
+def test_the_draw_cache_keeps_its_bound():
+    synth._delivery_draws.cache_clear()
+    bound = synth._delivery_draws.cache_info().maxsize
+    for seed in range(bound + 2):
+        generate_cohort(SynthConfig(n_mothers=10, n_hospitals=1, seed=seed), prenatal_visits=False)
+    assert synth._delivery_draws.cache_info().currsize == bound
 
 
 def test_different_seeds_differ():
