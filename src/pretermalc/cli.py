@@ -165,7 +165,7 @@ def load_run_config(path: str | Path, command: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     version = data.pop("version", None)
-    if version != CONFIG_SCHEMA_VERSION:
+    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"{path}: config version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
     sections = CONFIG_SECTIONS[command]
     _check_keys(data, sections, path, "", command)

@@ -78,12 +78,9 @@ def _eligible_mothers(mothers: Iterable[PatientRecord]) -> dict[str, list[_Mothe
     mother id (unique, so the sort never compares further)."""
     by_hospital: dict[str, list[_MotherPoint]] = {}
     for m in mothers:
-        if m.role is not Role.MOTHER or m.delivery_day is None:
-            continue
-        visit = m.visit_on(m.delivery_day)
-        if visit is None:
-            continue
-        by_hospital.setdefault(m.hospital_id, []).append((visit.t_adm, m.patient_id, visit.t_dis))
+        visit = m.delivery_visit
+        if m.role is Role.MOTHER and visit is not None:
+            by_hospital.setdefault(m.hospital_id, []).append((visit.t_adm, m.patient_id, visit.t_dis))
     for points in by_hospital.values():
         points.sort()
     return by_hospital

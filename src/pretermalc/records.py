@@ -145,9 +145,10 @@ class PatientRecord:
             visits = merge_stays((v.day, v.t_adm, v.t_dis, v.codes) for v in visits)
         object.__setattr__(self, "visits", visits)
 
-    def visit_on(self, day: int) -> Visit | None:
+    @property
+    def delivery_visit(self) -> Visit | None:
         for v in self.visits:
-            if v.day == day:
+            if v.day == self.delivery_day:
                 return v
         return None
 
@@ -197,22 +198,23 @@ class DatasetSplit:
 
 # --- cohort code rules ------------------------------------------------------
 #
-# Wildcard patterns ("644.2*") match any code sharing the prefix; exact
-# patterns match only themselves.
+# One table per record role, of (label, prefixes, exact codes) rows, preterm first.
 
-PRETERM_DELIVERY_PREFIXES = ("644.2",)
-PRETERM_DELIVERY_EXACT = frozenset({"640.01"})
-FULLTERM_DELIVERY_PREFIXES = ("645",)
-FULLTERM_DELIVERY_EXACT = frozenset({"650", "649.8", "652.5"})
-
-NEWBORN_PRETERM_PREFIXES = ("765.0", "765.1")
+DELIVERY_OUTCOMES = ((Label.PRETERM, ("644.2",), {"640.01"}), (Label.FULL_TERM, ("645",), {"650", "649.8", "652.5"}))
 # 765.21 through 765.28; 765.20 (unspecified weeks) stays unknown.
-NEWBORN_PRETERM_EXACT = frozenset(f"765.2{d}" for d in range(1, 9))
-NEWBORN_FULLTERM_EXACT = "765.29"
+NEWBORN_OUTCOMES = (
+    (Label.PRETERM, ("765.0", "765.1"), {f"765.2{d}" for d in range(1, 9)}),
+    (Label.FULL_TERM, (), {"765.29"}),
+)
 
 
-def _matches_any(code: str, prefixes: tuple[str, ...], exact: frozenset[str]) -> bool:
-    return code in exact or any(code.startswith(p) for p in prefixes)
+def _classify(codes: Iterable[str], table: tuple) -> Label | None:
+    """The label of the first row of ``table`` that any code matches, or None."""
+    codes = set(codes)
+    for label, prefixes, exact in table:
+        if any(c in exact or c.startswith(prefixes) for c in codes):
+            return label
+    return None
 
 
 def classify_delivery(codes: Iterable[str]) -> Label | None:
@@ -221,23 +223,13 @@ def classify_delivery(codes: Iterable[str]) -> Label | None:
     Preterm indicators take precedence over full-term ones; anything matching
     neither list is ambiguous (None).
     """
-    codes = set(codes)
-    if any(_matches_any(c, PRETERM_DELIVERY_PREFIXES, PRETERM_DELIVERY_EXACT) for c in codes):
-        return Label.PRETERM
-    if any(_matches_any(c, FULLTERM_DELIVERY_PREFIXES, FULLTERM_DELIVERY_EXACT) for c in codes):
-        return Label.FULL_TERM
-    return None
+    return _classify(codes, DELIVERY_OUTCOMES)
 
 
 def classify_newborn(codes: Iterable[str]) -> Label | None:
     """Label of a newborn's birth encounter from its code strings; None when
     no prematurity code classifies it."""
-    codes = set(codes)
-    if any(_matches_any(c, NEWBORN_PRETERM_PREFIXES, NEWBORN_PRETERM_EXACT) for c in codes):
-        return Label.PRETERM
-    if NEWBORN_FULLTERM_EXACT in codes:
-        return Label.FULL_TERM
-    return None
+    return _classify(codes, NEWBORN_OUTCOMES)
 
 
 def outcome_classifier(
@@ -416,9 +408,9 @@ def read_lines(path: str | Path, parse: Callable[[str], T], build: Callable[[lis
     items = []
     lineno = 0
     try:
-        # Each byte that is not UTF-8 reads as a lone surrogate, so the line
-        # that holds it can be named; lines split as a strict read splits them.
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        # A leading byte-order mark is dropped. Each byte that is not UTF-8 reads
+        # as a lone surrogate, so its line can be named; lines split as a strict read splits them.
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.isascii() and any("\udc80" <= ch <= "\udcff" for ch in line):
                     raise ValueError("not UTF-8 text")

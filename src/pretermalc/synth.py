@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -314,20 +314,16 @@ class _HospitalDraws(NamedTuple):
     normals: np.ndarray
 
 
-def _draw_hospital(
-    config: SynthConfig, h: int, n_m: int, prenatal: Callable[[int, np.ndarray, list[set[int]]], None] | None = None
-) -> _HospitalDraws:
+def _draw_hospital(config: SynthConfig, h: int, n_m: int, prenatal: list[list[Visit]] | None = None) -> _HospitalDraws:
     """The draw pass: every draw of hospital h's n_m mothers and their
     babies, in stream order. It is the only code that touches a generator,
     and it reads only the seed, the coding rates and the swap window, so
     the other noise channels leave its draws unchanged.
 
     Each mother's prenatal draws are made whether or not ``prenatal`` is
-    given, so the stream does not depend on it. With it, they go to it as
-    they are made, as (delivery day, the ``_visit_bounds`` draw of her
-    visits' days back, admission minutes and stays, their code sets);
-    without it they are dropped. So no more than one mother's prenatal
-    draws are alive at a time."""
+    given, so the stream does not depend on it. With it, her
+    ``_prenatal_visits`` are appended to it as they are drawn, so at most
+    one mother's prenatal draws are alive at a time."""
     rng = np.random.default_rng([config.seed, h])
     integers, random, poisson, normal = rng.integers, rng.random, rng.poisson, rng.normal
     delivery_window = (DELIVERY_WINDOW_MINUTES, 2 * DELIVERY_WINDOW_MINUTES)
@@ -362,7 +358,7 @@ def _draw_hospital(
         codes += delivery
         code_ends.append(len(codes))
         if prenatal is not None:
-            prenatal(adm_i // MINUTES_PER_DAY, drawn, code_sets)
+            prenatal.append(_prenatal_visits(adm_i // MINUTES_PER_DAY, drawn, code_sets))
 
         u_multi = random()
         n_babies = 3 if u_multi < TRIPLET_RATE else (2 if u_multi < TRIPLET_RATE + TWIN_RATE else 1)
@@ -514,8 +510,7 @@ def generate_cohort(config: SynthConfig, *, prenatal_visits: bool = True) -> Coh
     if prenatal_visits:
         for h, n_m in enumerate(_mothers_per_hospital(config)):
             prenatal: list[list[Visit]] = []
-            draws = _draw_hospital(config, h, n_m, lambda *drawn: prenatal.append(_prenatal_visits(*drawn)))
-            _build_hospital(h, draws, noise, prenatal, cohort)
+            _build_hospital(h, _draw_hospital(config, h, n_m, prenatal), noise, prenatal, cohort)
     else:
         key = replace(noise, time_jitter_sd=0.0, missing_newborn_rate=0.0, misclassified_newborn_rate=0.0)
         for h, draws in enumerate(_delivery_draws(replace(config, clerical_noise=key))):
@@ -556,7 +551,7 @@ def build_datasets(
     for record in mothers:
         if record.role is not Role.MOTHER or record.delivery_day is None:
             continue
-        dv = record.visit_on(record.delivery_day)
+        dv = record.delivery_visit
         clean = None if dv is None else classify(dv.codes)
         noisy = noisy_by_mother.get(record.patient_id)
         if clean is None and noisy is None:

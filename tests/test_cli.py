@@ -158,10 +158,11 @@ def test_flags_override_the_config_file(tmp_path):
     assert a == (tmp_path / "direct" / "mothers.jsonl").read_bytes()
 
 
-def test_config_file_version_is_checked(tmp_path, capsys):
-    cfg = write_config(tmp_path / "run.json", {"version": 99, "synth": {}})
+@pytest.mark.parametrize("version", [99, True, 1.0, "1"])
+def test_config_file_version_is_checked(tmp_path, capsys, version):
+    cfg = write_config(tmp_path / "run.json", {"version": version, "synth": {}})
     assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert "config version must be 1" in capsys.readouterr().err
+    assert f"config version must be 1, got {version!r}" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -445,6 +446,20 @@ def test_link_command_reports_accuracy(pipeline_dir, tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "pair_accuracy=" in out and "label_accuracy=" in out
+    assert (tmp_path / "links.tsv").read_bytes() == (pipeline_dir / "links.tsv").read_bytes()
+
+
+def test_link_reads_a_vocabulary_with_a_byte_order_mark_as_the_plain_one(pipeline_dir, tmp_path, capsys):
+    vocab = tmp_path / "vocabulary.txt"
+    vocab.write_bytes(b"\xef\xbb\xbf" + (pipeline_dir / "vocabulary.txt").read_bytes())
+    code = main([
+        "link",
+        "--mothers", str(pipeline_dir / "mothers.jsonl"),
+        "--newborns", str(pipeline_dir / "newborns.jsonl"),
+        "--vocab", str(vocab),
+        "--out", str(tmp_path / "links.tsv"),
+    ])
+    assert code == 0, capsys.readouterr().err
     assert (tmp_path / "links.tsv").read_bytes() == (pipeline_dir / "links.tsv").read_bytes()
 
 

@@ -99,6 +99,26 @@ def test_malformed_file_error_names_the_file_and_line(tmp_path, case):
         assert message.startswith(f"{path}: line {line}: "), message
 
 
+# (loader, a valid file's text), for each loader
+VALID = {
+    "links": (load_links, "n1\tm1\t30\nn2\tm1\t45\n"),
+    "truth": (load_truth, "n1\tm1\tpreterm\n-\tm2\tfullterm\n"),
+    "vocabulary": (lambda p: list(CodeVocabulary.load(p)), "a\nb\n"),
+    "records": (load_mothers, f"{RECORD}\n{OTHER_RECORD}\n"),
+    "examples": (lambda p: load_examples(p, VOCAB), EXAMPLE + "\n"),
+    "raw_csv": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,0,0.8,0.5\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALID))
+def test_a_leading_byte_order_mark_is_not_part_of_line_1(tmp_path, case):
+    load, text = VALID[case]
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load(marked) == load(plain)
+
+
 def test_reader_skips_blank_lines_and_keeps_the_rest(tmp_path):
     path = tmp_path / "vocabulary.txt"
     path.write_text("a\n\n  \nb c\n", encoding="utf-8")

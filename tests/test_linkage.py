@@ -53,7 +53,7 @@ def oracle_match(mothers, newborns, vocab):
     eligible = [
         m for m in mothers
         if m.role is Role.MOTHER and m.delivery_day is not None
-        and m.visit_on(m.delivery_day) is not None
+        and m.delivery_visit is not None
     ]
     candidates = []
     for baby in newborns:
@@ -66,7 +66,7 @@ def oracle_match(mothers, newborns, vocab):
         for m in eligible:
             if m.hospital_id != baby.hospital_id:
                 continue
-            mv = m.visit_on(m.delivery_day)
+            mv = m.delivery_visit
             l1 = abs(mv.t_adm - bv.t_adm) + abs(mv.t_dis - bv.t_dis)
             if best is None or (l1, m.patient_id) < best:
                 best = (l1, m.patient_id)
@@ -181,6 +181,39 @@ def test_a_triage_visit_on_the_delivery_day_is_part_of_the_delivery_encounter():
     _, _, d_prime = build_datasets([mother], [newborn], links, vocab)
     assert [(ex.patient_id, ex.clean_label, ex.noisy_label) for ex in d_prime] == [
         ("m0", Label.FULL_TERM, Label.FULL_TERM)
+    ]
+
+
+@pytest.mark.parametrize("delivery_day", [None, 450], ids=["no_delivery_day", "no_visit_on_it"])
+def test_a_mother_without_a_delivery_visit_is_neither_linked_nor_labeled(delivery_day):
+    """Mother m1's coded visit on day 400 sits 20 minutes from newborn n1,
+    but it is not on her delivery day, so linkage and the dataset builder
+    both pass it over. Mother m0, in another hospital, has her delivery
+    visit on day 400 and is linked and labeled."""
+    vocab = CodeVocabulary(["650", "765.29", "V22.0"])
+    t0 = 400 * MIN_DAY
+    visits = (
+        *(Visit(d, {2}, d * MIN_DAY + 60, d * MIN_DAY + 120) for d in (100, 200)),
+        Visit(400, {0}, t0 + 600, t0 + 600 + 2 * MIN_DAY),
+    )
+    m0 = PatientRecord("m0", "h00", Role.MOTHER, visits=visits, delivery_day=400)
+    m1 = PatientRecord("m1", "h01", Role.MOTHER, visits=visits, delivery_day=delivery_day)
+    n0, n1 = (
+        PatientRecord(f"n{h}", f"h0{h}", Role.NEWBORN, visits=(Visit(400, {1}, t0 + 620, t0 + 600 + 2 * MIN_DAY),))
+        for h in (0, 1)
+    )
+    assert m0.delivery_visit is visits[-1]
+    assert m1.delivery_visit is None
+    links = match_newborns([m0, m1], [n0, n1], vocab)
+    assert list(links) == [MatchCandidate("n0", "m0", 20)]
+    # A link to m1 from elsewhere gives her a noisy label, never a clean one.
+    given_links = LinkSet([*links, MatchCandidate("n1", "m1", 20)])
+    d_star, d_tilde, _ = build_datasets([m0, m1], [n0, n1], given_links, vocab)
+    assert [(ex.patient_id, ex.clean_label) for ex in d_star] == [("m0", Label.FULL_TERM)]
+    # Without a delivery day she has no prediction cutoff either, so no example.
+    noisy_m1 = [] if delivery_day is None else [("m1", None, Label.FULL_TERM)]
+    assert [(ex.patient_id, ex.clean_label, ex.noisy_label) for ex in d_tilde] == [
+        ("m0", Label.FULL_TERM, Label.FULL_TERM), *noisy_m1
     ]
 
 

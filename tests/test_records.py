@@ -171,6 +171,58 @@ def test_classifiers_pure_and_order_insensitive(codes):
 
 
 _SYNTH_VOCAB = build_vocabulary()
+
+# The two rules as separate scans over seven constants, kept here as the
+# oracle of the rule tables.
+_PRETERM_DELIVERY_PREFIXES = ("644.2",)
+_PRETERM_DELIVERY_EXACT = frozenset({"640.01"})
+_FULLTERM_DELIVERY_PREFIXES = ("645",)
+_FULLTERM_DELIVERY_EXACT = frozenset({"650", "649.8", "652.5"})
+_NEWBORN_PRETERM_PREFIXES = ("765.0", "765.1")
+_NEWBORN_PRETERM_EXACT = frozenset(f"765.2{d}" for d in range(1, 9))
+_NEWBORN_FULLTERM_EXACT = "765.29"
+
+
+def _matches_any(code, prefixes, exact):
+    return code in exact or any(code.startswith(p) for p in prefixes)
+
+
+def _oracle_delivery(codes):
+    codes = set(codes)
+    if any(_matches_any(c, _PRETERM_DELIVERY_PREFIXES, _PRETERM_DELIVERY_EXACT) for c in codes):
+        return Label.PRETERM
+    if any(_matches_any(c, _FULLTERM_DELIVERY_PREFIXES, _FULLTERM_DELIVERY_EXACT) for c in codes):
+        return Label.FULL_TERM
+    return None
+
+
+def _oracle_newborn(codes):
+    codes = set(codes)
+    if any(_matches_any(c, _NEWBORN_PRETERM_PREFIXES, _NEWBORN_PRETERM_EXACT) for c in codes):
+        return Label.PRETERM
+    if _NEWBORN_FULLTERM_EXACT in codes:
+        return Label.FULL_TERM
+    return None
+
+
+# Codes on either side of each prefix and exact code of the two rules.
+_BOUNDARY_CODES = [
+    "644.2", "644.20", "6442", "640.0", "640.01", "640.010", "645", "6451", "649.8", "650", "650.0", "652.5",
+    "765.0", "765.09", "765.1", "765.2", "765.20", "765.21", "765.28", "765.29", "765.290", "V27.0", "V30.00",
+]
+
+
+@given(st.sets(st.sampled_from(sorted(set(_BOUNDARY_CODES) | set(_SYNTH_VOCAB))), max_size=6))
+@example({"765.20"})
+@example({"765.29", "765.28"})
+@example({"650", "644.20"})
+def test_rule_tables_classify_as_the_separate_scans(codes):
+    assert classify_delivery(codes) is _oracle_delivery(codes)
+    assert classify_newborn(codes) is _oracle_newborn(codes)
+    assert classify_delivery(iter(codes)) is _oracle_delivery(codes)
+    assert classify_newborn(iter(codes)) is _oracle_newborn(codes)
+
+
 # Each rule set with the vocabulary codes it is about.
 _RULE_CODES = {
     classify_newborn: [i for i, code in enumerate(_SYNTH_VOCAB) if code.startswith(("765", "V30"))],

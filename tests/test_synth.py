@@ -157,7 +157,7 @@ def assert_is_the_full_cohort_without_prenatal_visits(calibration, full):
         assert (mother.patient_id, mother.hospital_id, mother.delivery_day) == (
             whole.patient_id, whole.hospital_id, whole.delivery_day
         )
-        assert mother.visits == (whole.visit_on(whole.delivery_day),)
+        assert mother.visits == (whole.delivery_visit,)
     assert match_newborns(calibration.mothers, calibration.newborns, calibration.vocab) == match_newborns(
         full.mothers, full.newborns, full.vocab
     )
@@ -272,7 +272,7 @@ def test_preterm_mothers_have_preterm_codes_when_coded(small_cohort):
     vocab = small_cohort.vocab
     checked = 0
     for m in small_cohort.mothers:
-        visit = m.visit_on(m.delivery_day)
+        visit = m.delivery_visit
         label = classify_delivery({vocab.code(i) for i in visit.codes})
         if label is None:
             continue
@@ -291,7 +291,7 @@ def test_zero_noise_recovers_all_links_exactly():
     by_id = {m.patient_id: m for m in cohort.mothers}
     for baby in cohort.newborns:
         mother = by_id[cohort.truth.links[baby.patient_id]]
-        mv = mother.visit_on(mother.delivery_day)
+        mv = mother.delivery_visit
         assert baby.visits[0].t_adm == mv.t_adm
         assert baby.visits[0].t_dis == mv.t_dis
     links = match_newborns(cohort.mothers, cohort.newborns, cohort.vocab)
