@@ -264,8 +264,9 @@ class BenchmarkReport:
 
 def load_raw_csv(path: str | Path) -> list[RepeatRow]:
     """The rows of a file written from `BenchmarkReport.raw_csv`: one per
-    (method, repeat) pair, each with a named method, a repeat >= 0 and
-    scores in [0, 1], and every method on the same set of repeats."""
+    (method, repeat) pair, each with a named method, a repeat in ASCII
+    decimal digits and scores in [0, 1], and every method on the same set
+    of repeats."""
     header = [RAW_CSV_HEADER]  # popped by the first line, which must equal it
     seen: set[tuple[str, int]] = set()
 
@@ -277,9 +278,9 @@ def load_raw_csv(path: str | Path) -> list[RepeatRow]:
         method, repeat, auc_, pr_auc_ = line.split(",")
         if not method:
             raise ValueError("empty method name")
+        if not (repeat.isascii() and repeat.isdigit()):
+            raise ValueError(f"repeat: expected decimal digits, got {repeat!r}")
         row = RepeatRow(method, int(repeat), float(auc_), float(pr_auc_))
-        if row.repeat < 0:
-            raise ValueError(f"repeat must be >= 0, got {row.repeat}")
         for name, score in (("auc", row.auc), ("pr_auc", row.pr_auc)):
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {score}")

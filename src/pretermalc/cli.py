@@ -42,6 +42,7 @@ from .bench import (
 from .linkage import (
     LinkageError,
     LinkSet,
+    TruthError,
     link_accuracy,
     load_links,
     match_newborns,
@@ -458,7 +459,10 @@ def cmd_link(args: argparse.Namespace) -> int:
     mothers = load_records(args.mothers, vocab, Role.MOTHER)
     newborns = load_records(args.newborns, vocab, Role.NEWBORN)
     truth = load_truth(args.truth) if args.truth else None
-    link_stage(mothers, newborns, vocab, Path(args.out), truth)
+    try:
+        link_stage(mothers, newborns, vocab, Path(args.out), truth)
+    except TruthError as exc:
+        raise TruthError(f"{args.truth}: {exc}") from None
     return 0
 
 

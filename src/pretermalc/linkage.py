@@ -37,6 +37,10 @@ class LinkageError(ValueError):
     pass
 
 
+class TruthError(LinkageError):
+    """A linked mother that the ground truth gives no label."""
+
+
 @dataclass(frozen=True)
 class MatchCandidate:
     newborn_id: str
@@ -185,7 +189,7 @@ def link_accuracy(
     for mother_id, label in noisy.items():
         true_label = truth.labels.get(mother_id)
         if true_label is None:
-            raise LinkageError(f"mother {mother_id} missing from ground-truth labels")
+            raise TruthError(f"mother {mother_id} missing from ground-truth labels")
         hits += int(label == true_label)
     return pair_accuracy, hits / len(noisy)
 
@@ -196,6 +200,8 @@ def save_links(links: LinkSet, path: str | Path) -> None:
 
 def _parse_link(line: str) -> MatchCandidate:
     newborn_id, mother_id, l1_minutes = line.split("\t")
+    if not (l1_minutes.isascii() and l1_minutes.isdigit()):
+        raise ValueError(f"l1_minutes: expected decimal digits, got {l1_minutes!r}")
     return MatchCandidate(newborn_id, mother_id, int(l1_minutes))
 
 

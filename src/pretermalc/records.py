@@ -56,8 +56,8 @@ class RecordFileError(ValueError):
 
 
 class CodeVocabulary:
-    """Immutable code-string <-> index mapping. Index i is line i of the
-    vocabulary file."""
+    """Immutable code-string <-> index mapping. Index i is the code on the
+    non-blank line i of the vocabulary file, counting from 0."""
 
     def __init__(self, codes: Sequence[str]):
         codes = list(codes)
@@ -295,8 +295,15 @@ def collector_paused() -> Iterator[None]:
 
 # --- persistence ------------------------------------------------------------
 #
-# Record files are line-delimited JSON, one patient per line, with codes
-# stored as strings and resolved through the vocabulary on load.
+# Record files are line-delimited JSON, one patient per line, with codes stored as strings
+# and resolved through the vocabulary on load. The tables hold each key that ``record_to_dict``
+# writes for a line and a visit, in the writer's order, with the JSON types it writes (a bool or a
+# whole float is no int). Any other key is refused; a label may be absent, as null; the rest are required.
+
+_NULL = type(None)
+LINE_KEYS = {"patient_id": (str,), "hospital_id": (str,), "role": (str,), "delivery_day": (int, _NULL),
+             "visits": (list,), "clean_label": (str, _NULL), "noisy_label": (str, _NULL)}
+VISIT_KEYS = {"day": (int,), "codes": (list,), "t_adm": (int,), "t_dis": (int,)}
 
 
 def _visit_to_dict(visit: Visit, vocab: CodeVocabulary) -> dict:
@@ -310,10 +317,6 @@ def _visit_to_dict(visit: Visit, vocab: CodeVocabulary) -> dict:
 
 def _label_to_json(label: Label | None) -> str | None:
     return None if label is None else label.to_json()
-
-
-def _label_from_json(value: str | None) -> Label | None:
-    return None if value is None else Label.from_json(value)
 
 
 def record_to_dict(
@@ -333,49 +336,44 @@ def record_to_dict(
     }
 
 
-_INT, _STR, _LIST, _INT_OR_NULL = (int,), (str,), (list,), (int, type(None))
+def _misfit(where: Callable[[], str], key: str, detail: str) -> ValueError:
+    path = ".".join(filter(None, (where(), key)))
+    return ValueError(f"{path}: {detail}" if path else detail)
 
 
-def _json_field(obj: dict, key: str, kinds: tuple[type, ...], visit: int | None = None):
-    """``obj[key]``, of a record or of its visit number ``visit``, whose
-    JSON type must be one of ``kinds``. A bool is not an int here, and a
-    float that holds a whole number is not one either."""
-    value = obj[key]
-    if type(value) not in kinds:
-        names = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
-        where = "" if visit is None else f"visits[{visit}]."
-        raise ValueError(f"{where}{key}: expected {names}, got {value!r}")
-    return value
-
-
-def _visit_from_dict(v, i: int, vocab: CodeVocabulary) -> Visit:
-    """Visit number ``i`` of a record line, which must be a JSON object."""
-    if type(v) is not dict:
-        raise ValueError(f"visits[{i}]: expected object, got {v!r}")
-    return Visit(
-        day=_json_field(v, "day", _INT, i),
-        codes=vocab.encode(_json_field(v, "codes", _LIST, i)),
-        t_adm=_json_field(v, "t_adm", _INT, i),
-        t_dis=_json_field(v, "t_dis", _INT, i),
-    )
-
-
-def record_from_dict(obj: dict, vocab: CodeVocabulary) -> tuple[PatientRecord, Label | None, Label | None]:
-    """The record and labels of one line of a record file. The line and each
-    visit must be JSON objects, and each field must have the JSON type that
-    ``record_to_dict`` writes; a ValueError names the visit or field that
-    does not."""
+def _check(obj, table: dict, name: str, where: Callable[[], str] = str) -> None:
+    """Raise a ValueError naming the key at fault under ``where()``, the path of ``obj`` in its
+    line, unless ``obj`` is a JSON object of keys in ``table`` with a JSON type listed there."""
     if type(obj) is not dict:
-        raise ValueError(f"expected object, got {obj!r}")
-    visits = tuple(_visit_from_dict(v, i, vocab) for i, v in enumerate(_json_field(obj, "visits", _LIST)))
-    record = PatientRecord(
-        patient_id=_json_field(obj, "patient_id", _STR),
-        hospital_id=_json_field(obj, "hospital_id", _STR),
-        role=Role(_json_field(obj, "role", _STR)),
-        visits=visits,
-        delivery_day=_json_field(obj, "delivery_day", _INT_OR_NULL),
-    )
-    return record, _label_from_json(obj.get("clean_label")), _label_from_json(obj.get("noisy_label"))
+        raise _misfit(where, "", f"expected object, got {obj!r}")
+    for key, value in obj.items():
+        kinds = table.get(key)
+        if kinds is None:
+            raise _misfit(where, key, f"not a key of a {name}")
+        if type(value) not in kinds:
+            names = " or ".join("null" if kind is _NULL else kind.__name__ for kind in kinds)
+            raise _misfit(where, key, f"expected {names}, got {value!r}")
+
+
+def _label_from_json(obj: dict, key: str) -> Label | None:
+    try:
+        return None if obj.get(key) is None else Label.from_json(obj[key])
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def record_from_dict(obj, vocab: CodeVocabulary) -> tuple[PatientRecord, Label | None, Label | None]:
+    """The record and labels of one line of a record file. The line and each
+    visit must fit their key tables, and a label must be "preterm", "fullterm"
+    or null; a ValueError names the visit and the key that do not."""
+    _check(obj, LINE_KEYS, "record line")
+    visits: list[Visit] = []
+    where = lambda: f"visits[{len(visits)}]"  # the visit being read, named only on a fault
+    for v in obj["visits"]:
+        _check(v, VISIT_KEYS, "visit", where)
+        visits.append(Visit(day=v["day"], codes=vocab.encode(v["codes"]), t_adm=v["t_adm"], t_dis=v["t_dis"]))
+    record = PatientRecord(obj["patient_id"], obj["hospital_id"], Role(obj["role"]), tuple(visits), obj["delivery_day"])
+    return record, _label_from_json(obj, "clean_label"), _label_from_json(obj, "noisy_label")
 
 
 def _write_lines(path: str | Path, dicts: Iterable[dict]) -> None:

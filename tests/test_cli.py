@@ -478,6 +478,20 @@ def test_link_that_cannot_score_its_links_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_link_names_a_truth_file_that_lacks_a_linked_mother(pipeline_dir, tmp_path, capsys):
+    truth = tmp_path / "truth.tsv"
+    lines = (pipeline_dir / "truth.tsv").read_text().splitlines(keepends=True)
+    truth.write_text("".join(line for line in lines if line.split("\t")[1] != "m00x0000"))
+    out = tmp_path / "links.tsv"
+    code = main([
+        "link", "--mothers", str(pipeline_dir / "mothers.jsonl"), "--newborns", str(pipeline_dir / "newborns.jsonl"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"), "--truth", str(truth), "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {truth}: mother m00x0000 missing from ground-truth labels\n"
+    assert not out.exists()
+
+
 # Which cohort file each record flag gets: the other role's file on one
 # flag, or the two files swapped.
 @pytest.mark.parametrize("command", ["link", "datasets"])
@@ -736,6 +750,23 @@ def test_benchmark_refuses_a_patient_listed_again_and_names_the_file(pipeline_di
     assert code == 1
     patient = json.loads(lines[0])["patient_id"]
     assert capsys.readouterr().err == f"error: {noisy}: line {len(lines) + 1}: patient {patient} listed again\n"
+    assert not out.exists()
+
+
+def test_benchmark_refuses_a_misspelt_label_key_and_names_the_file_and_line(pipeline_dir, tmp_path, capsys):
+    lines = (pipeline_dir / "d_star.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    n = next(i for i, line in enumerate(lines) if json.loads(line)["noisy_label"] is not None)
+    lines[n] = lines[n].replace('"noisy_label"', '"noisy_lable"')
+    clean = tmp_path / "d_star.jsonl"
+    clean.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main([
+        "benchmark", "--clean", str(clean), "--noisy", str(pipeline_dir / "d_tilde.jsonl"),
+        "--vocab", str(pipeline_dir / "vocabulary.txt"),
+        "--methods", "NoLC_mixed,ALC", "--repeats", "1", "--epochs", "1", "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {clean}: line {n + 1}: noisy_lable: not a key of a record line\n"
     assert not out.exists()
 
 

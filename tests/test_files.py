@@ -82,6 +82,11 @@ MALFORMED = {
                                "NoLC_clean,1,0.7,0.3\n", None),
     "vocabulary_utf16": (CodeVocabulary.load, b"\xff\xfe" + "a\nb\n".encode("utf-16-le"), 1),
     "truth_crlf_latin1_line": (load_truth, b"n1\tm1\tpreterm\r\n\r\nn2\tm\xe9\tpreterm\r\n", 3),
+    "links_distance_with_underscore": (load_links, "n1\tm1\t30\nn2\tm1\t1_0\n", 2),
+    "raw_csv_repeat_with_sign": (load_raw_csv, "method,repeat,auc,pr_auc\nALC,+0,0.8,0.5\n", 2),
+    "records_unknown_key": (load_mothers, f"{OTHER_RECORD}\n{RECORD[:-1]},\"note\":\"x\"}}\n", 2),
+    "examples_misspelt_label_key": (lambda p: load_examples(p, VOCAB),
+                                    EXAMPLE.replace('"noisy_label"', '"noisy_lable"') + "\n", 1),
 }
 
 

@@ -1,11 +1,14 @@
 import gc
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pretermalc.records import (
+    LINE_KEYS,
+    VISIT_KEYS,
     CodeVocabulary,
     Label,
     LabeledExample,
@@ -20,6 +23,7 @@ from pretermalc.records import (
     load_records,
     merge_stays,
     outcome_classifier,
+    record_to_dict,
     save_examples,
     save_records,
 )
@@ -437,7 +441,10 @@ def test_load_reports_missing_key(tmp_path):
 # `record_to_dict` writes: (field, value, the types it takes), where the
 # field "" is the line itself and `visits[0]` its first visit. Each is named,
 # with the file and the line. Unchecked, a float or string delivery day or an
-# object for the visits would drop the mother from the datasets unseen.
+# object for the visits would drop the mother from the datasets unseen. The
+# last cases give a key that the writer never writes, or a label value it
+# never writes, and their third item is the message; a misspelt label key
+# unchecked would read as an absent label.
 @pytest.mark.parametrize("field, value, expected", [
     ("delivery_day", 795.5, "int or null"),
     ("delivery_day", "795", "int or null"),
@@ -452,6 +459,10 @@ def test_load_reports_missing_key(tmp_path):
     ("visits[0].t_dis", "1530", "int"),
     ("", [1, 2], "object"),
     ("visits[0]", 5, "object"),
+    ("noisy_lable", None, "not a key of a record line"),
+    ("visits[0].cods", ["code1"], "not a key of a visit"),
+    ("clean_label", 5, "str or null"),
+    ("noisy_label", "Preterm", "unknown label value 'Preterm'"),
 ])
 def test_load_names_a_field_of_the_wrong_json_type(tmp_path, field, value, expected):
     vocab, records = build_cohort_records(3)
@@ -471,7 +482,25 @@ def test_load_names_a_field_of_the_wrong_json_type(tmp_path, field, value, expec
     with pytest.raises(RecordFileError) as exc:
         load_records(path, vocab, Role.MOTHER)
     named = f"{field}: " if field else ""
+    if expected.startswith(("not a key", "unknown label")):  # a fault of the key or the label value
+        assert str(exc.value) == f"{path}: line 2: {named}{expected}"
+        return
     assert str(exc.value) == f"{path}: line 2: {named}expected {expected}, got {value!r}"
+
+
+def test_key_tables_are_what_the_writer_writes():
+    vocab, records = build_cohort_records(2)
+    lines = [
+        record_to_dict(records[0], vocab),
+        record_to_dict(replace(records[0], delivery_day=None), vocab),
+        record_to_dict(records[1], vocab, Label.PRETERM, Label.FULL_TERM),
+    ]
+    for line in lines:
+        assert list(line) == list(LINE_KEYS)
+        assert all(type(line[key]) in kinds for key, kinds in LINE_KEYS.items())
+        for visit in line["visits"]:
+            assert list(visit) == list(VISIT_KEYS)
+            assert all(type(visit[key]) in kinds for key, kinds in VISIT_KEYS.items())
 
 
 # --- the cyclic collector -----------------------------------------------------
