@@ -385,7 +385,7 @@ def _corpus_digest(corpus: Corpus) -> str:
         h.update(b"\x00")
         for ex in part:
             labels = tuple(None if label is None else int(label) for label in (ex.clean_label, ex.noisy_label))
-            visits = tuple(tuple(sorted(v.codes)) for v in ex.record.visits)
+            visits = tuple(v.codes for v in ex.record.visits)
             h.update(repr((ex.patient_id, labels, visits)).encode("utf-8"))
     return h.hexdigest()
 

@@ -41,7 +41,7 @@ SCORE_BATCH_SIZE = 64
 # The corruption layer of plain cross-entropy: clean labels are not corrupted.
 IDENTITY = CorruptionMatrix(np.eye(2, dtype=np.int64))
 
-VisitCodes = Collection[int]  # one visit's code indices, in any order
+VisitCodes = Collection[int]  # one visit's code indices, in any order; a Visit's are an ascending tuple
 
 
 def _sigmoid_(x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from pathlib import Path
-from typing import AbstractSet, Callable, Collection, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
 MINUTES_PER_DAY = 1440
 
@@ -85,14 +85,21 @@ class CodeVocabulary:
     def index_of(self, code: str) -> int:
         try:
             return self._index[code]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable value such as a list, never a code
             raise VocabularyError(f"unknown code {code!r}") from None
 
     def __contains__(self, code: str) -> bool:
         return code in self._index
 
-    def encode(self, codes: Iterable[str]) -> frozenset[int]:
-        return frozenset(self.index_of(c) for c in codes)
+    def encode(self, codes: Sequence[str]) -> tuple[int, ...]:
+        """The index of each code, in the order given."""
+        index = self._index
+        try:
+            return tuple([index[c] for c in codes])
+        except (KeyError, TypeError):  # a fault: name the first code that is not in the vocabulary
+            for c in codes:
+                self.index_of(c)
+            raise
 
     def save(self, path: str | Path) -> None:
         write_file(path, (c + "\n" for c in self._codes))
@@ -102,18 +109,20 @@ class CodeVocabulary:
         return read_lines(path, str, cls)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Visit:
     """One encounter: admission/discharge minutes plus the set of code indices
-    recorded during the stay."""
+    recorded during the stay. Given as any iterable, the set is kept as its
+    distinct indices in ascending order, so equal sets compare equal; a
+    tuple of 3-7 ints is 64-96 bytes, a frozenset of them 216-728."""
 
     day: int
-    codes: frozenset[int]
+    codes: tuple[int, ...]
     t_adm: int
     t_dis: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", frozenset(self.codes))
+        object.__setattr__(self, "codes", tuple(sorted(set(self.codes))))
         if not self.codes:
             raise ValueError("visit with empty code set")
         if self.t_dis < self.t_adm:
@@ -122,7 +131,7 @@ class Visit:
             raise ValueError(f"visit day {self.day} inconsistent with t_adm {self.t_adm}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatientRecord:
     """A patient's visits in time order, one per calendar day: visits given
     on one day are one encounter, merged as ``merge_stays`` merges them. A
@@ -153,7 +162,7 @@ class PatientRecord:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledExample:
     """A truncated mother record with its clean and/or noisy outcome label.
     The record holds a visit: the dataset builder keeps only records with
@@ -260,7 +269,7 @@ def outcome_classifier(
 # --- record transforms ------------------------------------------------------
 
 
-def merge_stays(stays: Iterable[tuple[int, int, int, AbstractSet[int]]]) -> tuple[Visit, ...]:
+def merge_stays(stays: Iterable[tuple[int, int, int, Collection[int]]]) -> tuple[Visit, ...]:
     """Visits from (day, t_adm, t_dis, codes) stays, one per calendar day in
     day order: union of codes, earliest admission, latest discharge."""
     by_day: dict[int, list] = {}
@@ -271,9 +280,9 @@ def merge_stays(stays: Iterable[tuple[int, int, int, AbstractSet[int]]]) -> tupl
         else:
             stay[0] = min(stay[0], t_adm)
             stay[1] = max(stay[1], t_dis)
-            stay[2] = stay[2] | codes  # a new set; the caller's sets stay as they are
+            stay[2] = (*stay[2], *codes)  # Visit keeps each code once; the caller's codes stay as they are
     return tuple(
-        Visit(day=day, codes=frozenset(codes), t_adm=t_adm, t_dis=t_dis)
+        Visit(day=day, codes=codes, t_adm=t_adm, t_dis=t_dis)
         for day, (t_adm, t_dis, codes) in sorted(by_day.items())
     )
 
@@ -355,25 +364,37 @@ def _check(obj, table: dict, name: str, where: Callable[[], str] = str) -> None:
             raise _misfit(where, key, f"expected {names}, got {value!r}")
 
 
-def _label_from_json(obj: dict, key: str) -> Label | None:
+def _parse(parse: Callable[[object], T], value: object, key: str, where: Callable[[], str] = str) -> T:
+    """``parse(value)``, with a ValueError or VocabularyError from it named by ``key`` under ``where()``."""
     try:
-        return None if obj.get(key) is None else Label.from_json(obj[key])
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
+        return parse(value)
+    except (ValueError, VocabularyError) as exc:
+        raise _misfit(where, key, exc.args[0]) from None
+
+
+def _label_from_json(value: str | None) -> Label | None:
+    return None if value is None else Label.from_json(value)
 
 
 def record_from_dict(obj, vocab: CodeVocabulary) -> tuple[PatientRecord, Label | None, Label | None]:
     """The record and labels of one line of a record file. The line and each
-    visit must fit their key tables, and a label must be "preterm", "fullterm"
-    or null; a ValueError names the visit and the key that do not."""
+    visit must fit their key tables, the role and every code must be known, a
+    visit must hold a code, and a label must be "preterm", "fullterm" or null;
+    a ValueError names the visit and the key that do not."""
     _check(obj, LINE_KEYS, "record line")
     visits: list[Visit] = []
     where = lambda: f"visits[{len(visits)}]"  # the visit being read, named only on a fault
     for v in obj["visits"]:
         _check(v, VISIT_KEYS, "visit", where)
-        visits.append(Visit(day=v["day"], codes=vocab.encode(v["codes"]), t_adm=v["t_adm"], t_dis=v["t_dis"]))
-    record = PatientRecord(obj["patient_id"], obj["hospital_id"], Role(obj["role"]), tuple(visits), obj["delivery_day"])
-    return record, _label_from_json(obj, "clean_label"), _label_from_json(obj, "noisy_label")
+        codes = _parse(vocab.encode, v["codes"], "codes", where)
+        if not codes:
+            raise _misfit(where, "codes", "empty code set")
+        visits.append(Visit(day=v["day"], codes=codes, t_adm=v["t_adm"], t_dis=v["t_dis"]))
+    role = _parse(Role, obj["role"], "role")
+    record = PatientRecord(obj["patient_id"], obj["hospital_id"], role, tuple(visits), obj["delivery_day"])
+    clean = _parse(_label_from_json, obj.get("clean_label"), "clean_label")
+    noisy = _parse(_label_from_json, obj.get("noisy_label"), "noisy_label")
+    return record, clean, noisy
 
 
 def _write_lines(path: str | Path, dicts: Iterable[dict]) -> None:

@@ -404,7 +404,7 @@ def _prenatal_visits(delivery_day: int, drawn: np.ndarray, code_sets: list[set[i
     # day. PatientRecord merges prenatal visits that share a day.
     t_adm = [day * MINUTES_PER_DAY + minute for day, minute in zip(days, minutes)]
     return [
-        Visit(day=days[k], codes=frozenset(code_sets[k]), t_adm=t_adm[k], t_dis=t_adm[k] + stay_los[k])
+        Visit(day=days[k], codes=code_sets[k], t_adm=t_adm[k], t_dis=t_adm[k] + stay_los[k])
         for k in sorted(range(len(code_sets)), key=t_adm.__getitem__)
     ]
 
@@ -430,10 +430,7 @@ def _build_hospital(
         labels[mother_id] = label
         delivery_day = adm[i] // MINUTES_PER_DAY
         visits = prenatal[i] if prenatal is not None else []
-        # Via a set: a frozenset copied from a set gets the set's compact
-        # table, one grown from a list of 5-7 codes is half again as large.
-        delivery_codes = frozenset(set(codes[code_ends[i] : code_ends[i + 1]]))
-        visits.append(Visit(day=delivery_day, codes=delivery_codes, t_adm=adm[i], t_dis=dis[i]))
+        visits.append(Visit(day=delivery_day, codes=codes[code_ends[i] : code_ends[i + 1]], t_adm=adm[i], t_dis=dis[i]))
         mothers.append(
             PatientRecord(
                 patient_id=mother_id,
@@ -474,7 +471,7 @@ def _build_hospital(
                 visits=(
                     Visit(
                         day=t_adm_b // MINUTES_PER_DAY,
-                        codes=frozenset(baby_codes),
+                        codes=baby_codes,
                         t_adm=t_adm_b,
                         t_dis=t_dis_b,
                     ),
