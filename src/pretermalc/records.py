@@ -112,11 +112,10 @@ class CodeVocabulary:
 @dataclass(frozen=True, slots=True)
 class Visit:
     """One encounter: admission/discharge minutes plus the set of code indices
-    recorded during the stay. Given as any iterable, the set is kept as its
-    distinct indices in ascending order, so equal sets compare equal; a
-    tuple of 3-7 ints is 64-96 bytes, a frozenset of them 216-728."""
+    recorded during the stay; its day is the day of t_adm, not stored apart.
+    Given as any iterable, the set is kept as its distinct indices in ascending
+    order, so equal sets compare equal; a tuple of 3-7 ints is 64-96 bytes, a frozenset 216-728."""
 
-    day: int
     codes: tuple[int, ...]
     t_adm: int
     t_dis: int
@@ -126,9 +125,11 @@ class Visit:
         if not self.codes:
             raise ValueError("visit with empty code set")
         if self.t_dis < self.t_adm:
-            raise ValueError(f"visit discharged before admission ({self.t_dis} < {self.t_adm})")
-        if self.day != self.t_adm // MINUTES_PER_DAY:
-            raise ValueError(f"visit day {self.day} inconsistent with t_adm {self.t_adm}")
+            raise ValueError(f"discharged before admission ({self.t_dis} < {self.t_adm})")
+
+    @property
+    def day(self) -> int:
+        return self.t_adm // MINUTES_PER_DAY
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,18 +146,18 @@ class PatientRecord:
 
     def __post_init__(self) -> None:
         visits = tuple(self.visits)
-        keys = [(v.day, v.t_adm) for v in visits]
-        if keys != sorted(keys):
+        times = [v.t_adm for v in visits]
+        if times != sorted(times):
             raise ValueError(f"visits of {self.patient_id} not time-ordered")
         if self.role is Role.NEWBORN and len(visits) != 1:
             raise ValueError(f"newborn {self.patient_id} must have exactly one visit, got {len(visits)}")
-        if any(a.day == b.day for a, b in zip(visits, visits[1:])):
-            visits = merge_stays((v.day, v.t_adm, v.t_dis, v.codes) for v in visits)
+        if len({t // MINUTES_PER_DAY for t in times}) < len(times):  # two visits share a day
+            visits = merge_stays(visits)
         object.__setattr__(self, "visits", visits)
 
     @property
     def delivery_visit(self) -> Visit | None:
-        for v in self.visits:
+        for v in reversed(self.visits):  # one visit per day, and a mother's delivery visit is her last
             if v.day == self.delivery_day:
                 return v
         return None
@@ -269,21 +270,17 @@ def outcome_classifier(
 # --- record transforms ------------------------------------------------------
 
 
-def merge_stays(stays: Iterable[tuple[int, int, int, Collection[int]]]) -> tuple[Visit, ...]:
-    """Visits from (day, t_adm, t_dis, codes) stays, one per calendar day in
-    day order: union of codes, earliest admission, latest discharge."""
-    by_day: dict[int, list] = {}
-    for day, t_adm, t_dis, codes in stays:
-        stay = by_day.get(day)
-        if stay is None:
-            by_day[day] = [t_adm, t_dis, codes]
-        else:
-            stay[0] = min(stay[0], t_adm)
-            stay[1] = max(stay[1], t_dis)
-            stay[2] = (*stay[2], *codes)  # Visit keeps each code once; the caller's codes stay as they are
+def merge_stays(visits: Iterable[Visit]) -> tuple[Visit, ...]:
+    """One visit per calendar day, in day order: a day's only visit as it
+    is, several as one stay with the union of their codes, the earliest
+    admission and the latest discharge."""
+    by_day: dict[int, list[Visit]] = {}
+    for v in visits:
+        by_day.setdefault(v.day, []).append(v)
     return tuple(
-        Visit(day=day, codes=codes, t_adm=t_adm, t_dis=t_dis)
-        for day, (t_adm, t_dis, codes) in sorted(by_day.items())
+        stays[0] if len(stays) == 1
+        else Visit([c for v in stays for c in v.codes], min(v.t_adm for v in stays), max(v.t_dis for v in stays))
+        for _, stays in sorted(by_day.items())
     )
 
 
@@ -379,8 +376,9 @@ def _label_from_json(value: str | None) -> Label | None:
 def record_from_dict(obj, vocab: CodeVocabulary) -> tuple[PatientRecord, Label | None, Label | None]:
     """The record and labels of one line of a record file. The line and each
     visit must fit their key tables, the role and every code must be known, a
-    visit must hold a code, and a label must be "preterm", "fullterm" or null;
-    a ValueError names the visit and the key that do not."""
+    visit must hold a code, end no earlier than it starts and give the day of
+    its t_adm, and a label must be "preterm", "fullterm" or null; a
+    ValueError names the visit and the key that do not."""
     _check(obj, LINE_KEYS, "record line")
     visits: list[Visit] = []
     where = lambda: f"visits[{len(visits)}]"  # the visit being read, named only on a fault
@@ -389,7 +387,10 @@ def record_from_dict(obj, vocab: CodeVocabulary) -> tuple[PatientRecord, Label |
         codes = _parse(vocab.encode, v["codes"], "codes", where)
         if not codes:
             raise _misfit(where, "codes", "empty code set")
-        visits.append(Visit(day=v["day"], codes=codes, t_adm=v["t_adm"], t_dis=v["t_dis"]))
+        visit = _parse(lambda t_dis: Visit(codes, v["t_adm"], t_dis), v["t_dis"], "t_dis", where)
+        if v["day"] != visit.day:
+            raise _misfit(where, "day", f"{v['day']} is not the day of t_adm {visit.t_adm}")
+        visits.append(visit)
     role = _parse(Role, obj["role"], "role")
     record = PatientRecord(obj["patient_id"], obj["hospital_id"], role, tuple(visits), obj["delivery_day"])
     clean = _parse(_label_from_json, obj.get("clean_label"), "clean_label")
@@ -447,14 +448,22 @@ def save_records(records: Iterable[PatientRecord], path: str | Path, vocab: Code
     _write_lines(path, (record_to_dict(r, vocab) for r in records))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``, refusing a key given twice, whose last value ``json`` would keep."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"{next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))}: given twice")
+    return obj
+
+
 def _record_lines(vocab: CodeVocabulary, role: Role, make: Callable[..., T]) -> Callable[[str], T]:
     """A line parser for ``read_lines`` over a record file of ``role``
-    records: ``make`` of each line's record and labels. A record of the
-    other role, or a patient listed on an earlier line, fails."""
+    records: ``make`` of each line's record and labels. A key given twice, a
+    record of the other role, or a patient listed on an earlier line, fails."""
     seen: set[str] = set()
 
     def parse(line: str) -> T:
-        record, clean, noisy = record_from_dict(json.loads(line), vocab)
+        record, clean, noisy = record_from_dict(json.loads(line, object_pairs_hook=_unique_keys), vocab)
         if record.role is not role:
             raise ValueError(f"patient {record.patient_id} is a {record.role.value} record, not a {role.value} record")
         if record.patient_id in seen:

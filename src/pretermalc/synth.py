@@ -398,13 +398,11 @@ def _delivery_draws(key: SynthConfig) -> tuple[_HospitalDraws, ...]:
 def _prenatal_visits(delivery_day: int, drawn: np.ndarray, code_sets: list[set[int]]) -> list[Visit]:
     """A mother's prenatal visits, in admission order, from her prenatal draws."""
     back, minutes, stay_los = drawn.reshape(3, len(code_sets)).tolist()
-    days = [delivery_day - b for b in back]
-    # Admission minutes fall within the day, so admission order is
-    # (day, t_adm) order; every prenatal day precedes the delivery
-    # day. PatientRecord merges prenatal visits that share a day.
-    t_adm = [day * MINUTES_PER_DAY + minute for day, minute in zip(days, minutes)]
+    # Each prenatal visit is admitted within its day, which precedes the
+    # delivery day. PatientRecord merges prenatal visits that share a day.
+    t_adm = [(delivery_day - b) * MINUTES_PER_DAY + minute for b, minute in zip(back, minutes)]
     return [
-        Visit(day=days[k], codes=code_sets[k], t_adm=t_adm[k], t_dis=t_adm[k] + stay_los[k])
+        Visit(codes=code_sets[k], t_adm=t_adm[k], t_dis=t_adm[k] + stay_los[k])
         for k in sorted(range(len(code_sets)), key=t_adm.__getitem__)
     ]
 
@@ -430,7 +428,7 @@ def _build_hospital(
         labels[mother_id] = label
         delivery_day = adm[i] // MINUTES_PER_DAY
         visits = prenatal[i] if prenatal is not None else []
-        visits.append(Visit(day=delivery_day, codes=codes[code_ends[i] : code_ends[i + 1]], t_adm=adm[i], t_dis=dis[i]))
+        visits.append(Visit(codes=codes[code_ends[i] : code_ends[i + 1]], t_adm=adm[i], t_dis=dis[i]))
         mothers.append(
             PatientRecord(
                 patient_id=mother_id,
@@ -468,14 +466,7 @@ def _build_hospital(
                 patient_id=newborn_id,
                 hospital_id=hospital_id,
                 role=Role.NEWBORN,
-                visits=(
-                    Visit(
-                        day=t_adm_b // MINUTES_PER_DAY,
-                        codes=baby_codes,
-                        t_adm=t_adm_b,
-                        t_dis=t_dis_b,
-                    ),
-                ),
+                visits=(Visit(codes=baby_codes, t_adm=t_adm_b, t_dis=t_dis_b),),
                 delivery_day=t_adm_b // MINUTES_PER_DAY,
             )
         )
@@ -553,8 +544,8 @@ def build_datasets(
         noisy = noisy_by_mother.get(record.patient_id)
         if clean is None and noisy is None:
             continue
-        cutoff = record.delivery_day - PREDICTION_PERIOD_DAYS
-        visits = tuple(v for v in record.visits if v.day <= cutoff)
+        end = (record.delivery_day - PREDICTION_PERIOD_DAYS + 1) * MINUTES_PER_DAY  # first minute past the cutoff day
+        visits = tuple(v for v in record.visits if v.t_adm < end)
         if len(visits) >= MIN_VISITS:
             examples.append(LabeledExample(replace(record, visits=visits), clean, noisy))
 

@@ -65,7 +65,7 @@ def corpus():
 def mk_examples(n):
     out = []
     for i in range(n):
-        visit = Visit(day=0, codes=frozenset({i % 7}), t_adm=60, t_dis=120)
+        visit = Visit(codes=frozenset({i % 7}), t_adm=60, t_dis=120)
         rec = PatientRecord(patient_id=f"p{i:04d}", hospital_id="h00", role=Role.MOTHER, visits=(visit,))
         out.append(LabeledExample(rec, clean_label=Label.PRETERM if i % 3 == 0 else Label.FULL_TERM))
     return out

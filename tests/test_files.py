@@ -87,6 +87,9 @@ MALFORMED = {
     "records_unknown_key": (load_mothers, f"{OTHER_RECORD}\n{RECORD[:-1]},\"note\":\"x\"}}\n", 2),
     "examples_misspelt_label_key": (lambda p: load_examples(p, VOCAB),
                                     EXAMPLE.replace('"noisy_label"', '"noisy_lable"') + "\n", 1),
+    "examples_label_given_twice": (lambda p: load_examples(p, VOCAB), EXAMPLE[:-1] + ',"noisy_label":"fullterm"}\n', 1),
+    "records_visit_key_given_twice": (load_mothers,
+                                      OTHER_RECORD + "\n" + RECORD.replace('"t_dis": 10', '"t_dis": 10, "t_dis": 10') + "\n", 2),
 }
 
 
@@ -346,7 +349,7 @@ def test_the_import_use_check_sees_each_form():
 def records_then_failure(n):
     """A record stream that raises after `n` records."""
     for i in range(n):
-        yield PatientRecord(f"m{i}", "h0", Role.MOTHER, (Visit(0, frozenset({0}), 0, 10),))
+        yield PatientRecord(f"m{i}", "h0", Role.MOTHER, (Visit(frozenset({0}), 0, 10),))
     raise RuntimeError("stream broke")
 
 

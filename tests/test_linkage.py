@@ -31,7 +31,7 @@ MIN_DAY = 1440
 
 def mother_at(t_adm, t_dis, mother_id, hospital="h00", with_delivery=True):
     day = t_adm // MIN_DAY
-    visits = (Visit(day=day, codes=frozenset({VOCAB.index_of("650")}), t_adm=t_adm, t_dis=t_dis),)
+    visits = (Visit(codes=frozenset({VOCAB.index_of("650")}), t_adm=t_adm, t_dis=t_dis),)
     return PatientRecord(
         patient_id=mother_id, hospital_id=hospital, role=Role.MOTHER,
         visits=visits, delivery_day=day if with_delivery else None,
@@ -40,7 +40,7 @@ def mother_at(t_adm, t_dis, mother_id, hospital="h00", with_delivery=True):
 
 def newborn_at(t_adm, t_dis, newborn_id, hospital="h00", code="765.29"):
     day = t_adm // MIN_DAY
-    visits = (Visit(day=day, codes=frozenset({VOCAB.index_of(code)}), t_adm=t_adm, t_dis=t_dis),)
+    visits = (Visit(codes=frozenset({VOCAB.index_of(code)}), t_adm=t_adm, t_dis=t_dis),)
     return PatientRecord(
         patient_id=newborn_id, hospital_id=hospital, role=Role.NEWBORN,
         visits=visits, delivery_day=day,
@@ -167,14 +167,14 @@ def test_a_triage_visit_on_the_delivery_day_is_part_of_the_delivery_encounter():
     vocab = CodeVocabulary(["650", "765.29", "V22.0"])
     day = 400
     t0 = day * MIN_DAY
-    prenatal = [Visit(d, {2}, d * MIN_DAY + 60, d * MIN_DAY + 120) for d in (100, 200)]
+    prenatal = [Visit({2}, d * MIN_DAY + 60, d * MIN_DAY + 120) for d in (100, 200)]
     mother = PatientRecord("m0", "h00", Role.MOTHER, visits=(
         *prenatal,
-        Visit(day, {2}, t0 + 8 * 60, t0 + 9 * 60),
-        Visit(day, {0}, t0 + 10 * 60, t0 + 10 * 60 + 2 * MIN_DAY),
+        Visit({2}, t0 + 8 * 60, t0 + 9 * 60),
+        Visit({0}, t0 + 10 * 60, t0 + 10 * 60 + 2 * MIN_DAY),
     ), delivery_day=day)
     newborn = PatientRecord("n0", "h00", Role.NEWBORN, visits=(
-        Visit(day, {1}, t0 + 10 * 60 + 20, t0 + 10 * 60 + 2 * MIN_DAY),
+        Visit({1}, t0 + 10 * 60 + 20, t0 + 10 * 60 + 2 * MIN_DAY),
     ), delivery_day=day)
     links = match_newborns([mother], [newborn], vocab)
     assert list(links) == [MatchCandidate("n0", "m0", 140)]
@@ -193,13 +193,13 @@ def test_a_mother_without_a_delivery_visit_is_neither_linked_nor_labeled(deliver
     vocab = CodeVocabulary(["650", "765.29", "V22.0"])
     t0 = 400 * MIN_DAY
     visits = (
-        *(Visit(d, {2}, d * MIN_DAY + 60, d * MIN_DAY + 120) for d in (100, 200)),
-        Visit(400, {0}, t0 + 600, t0 + 600 + 2 * MIN_DAY),
+        *(Visit({2}, d * MIN_DAY + 60, d * MIN_DAY + 120) for d in (100, 200)),
+        Visit({0}, t0 + 600, t0 + 600 + 2 * MIN_DAY),
     )
     m0 = PatientRecord("m0", "h00", Role.MOTHER, visits=visits, delivery_day=400)
     m1 = PatientRecord("m1", "h01", Role.MOTHER, visits=visits, delivery_day=delivery_day)
     n0, n1 = (
-        PatientRecord(f"n{h}", f"h0{h}", Role.NEWBORN, visits=(Visit(400, {1}, t0 + 620, t0 + 600 + 2 * MIN_DAY),))
+        PatientRecord(f"n{h}", f"h0{h}", Role.NEWBORN, visits=(Visit({1}, t0 + 620, t0 + 600 + 2 * MIN_DAY),))
         for h in (0, 1)
     )
     assert m0.delivery_visit is visits[-1]

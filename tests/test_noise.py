@@ -15,7 +15,7 @@ REFERENCE_ENTRIES = np.array([[0.68, 0.32], [0.20, 0.80]])
 
 
 def dual_example(i, clean, noisy):
-    visit = Visit(day=1, codes=frozenset({0}), t_adm=1500, t_dis=1600)
+    visit = Visit(codes=frozenset({0}), t_adm=1500, t_dis=1600)
     rec = PatientRecord(
         patient_id=f"p{i:05d}", hospital_id="h00", role=Role.MOTHER,
         visits=(visit,), delivery_day=1,

@@ -64,7 +64,7 @@ def mk_example(rng, pid, clean=None, noisy=None, forced_code=None):
         if forced_code is not None and day == 0:
             codes.add(forced_code)
         t_adm = day * 1440 + 60
-        visits.append(Visit(day=day, codes=frozenset(codes), t_adm=t_adm, t_dis=t_adm + 60))
+        visits.append(Visit(codes=frozenset(codes), t_adm=t_adm, t_dis=t_adm + 60))
     rec = PatientRecord(patient_id=pid, hospital_id="h00", role=Role.MOTHER, visits=tuple(visits))
     return LabeledExample(rec, clean_label=clean, noisy_label=noisy)
 
