@@ -52,9 +52,11 @@ from .records import (
     CodeVocabulary,
     RecordFileError,
     Role,
+    check_object,
     load_records,
     save_examples,
     save_records,
+    unique_keys,
     write_file,
 )
 from .synth import (
@@ -86,44 +88,33 @@ CONFIG_SECTIONS = {
 # --- run settings --------------------------------------------------------------
 
 
-def _check_keys(data, known, path, dotted: str, command: str) -> None:
-    """Raise ConfigError unless `data`, at key `dotted` of config file
-    `path` (the top level when empty), is an object with keys in `known`."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: {dotted}: expected an object, got {data!r}")
-    unread = sorted(set(data) - set(known))
-    if unread:
-        names = ", ".join(f"{dotted}.{key}" if dotted else key for key in unread)
-        raise ConfigError(f"{path}: {names} not read by the {command} subcommand")
+# The JSON types that a config value takes, by the type of its field's default.
+_JSON_TYPES = {int: (int,), float: (float, int), tuple: (list,)}
 
 
-def _typed(value, expected: type, where: str):
-    """`value` if it has type `expected`; an int also stands for a float,
-    and a list of strings for a tuple."""
-    if expected is float and type(value) is int:
-        return float(value)
-    if expected is tuple and type(value) is list and all(type(item) is str for item in value):
-        return tuple(value)
-    if type(value) is not expected:
-        name = "list of strings" if expected is tuple else expected.__name__
-        raise ConfigError(f"{where}: expected {name}, got {value!r}")
-    return value
-
-
-def _values(cls, data, path, dotted: str, command: str) -> dict:
-    """The values of config object `data`, at key `dotted` of file `path`,
-    for fields of dataclass `cls`. Each value must have the type of its
-    field's default; a field whose default is a dataclass takes an object of
-    that dataclass's fields."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    _check_keys(data, fields, path, dotted, command)
+def _values(kinds: dict, data, where: str, name: str) -> dict:
+    """The values of config object `data`, whose path is `where` with a
+    trailing dot (empty at the top level), checked by `check_object` against
+    `kinds`, the type of each key's value: a dataclass takes an object of its
+    fields, typed as their defaults. An int for a float becomes a float, and a
+    list of strings for a tuple a tuple. `name` is what a message calls
+    the object, as in a key that is not a key of a `name`."""
+    table = {key: (dict,) if dataclasses.is_dataclass(kind) else _JSON_TYPES[kind] for key, kind in kinds.items()}
+    check_object(data, table, name, where=lambda: where)
     values = {}
     for key, value in data.items():
-        f, at = fields[key], f"{dotted}.{key}"
-        if f.default is dataclasses.MISSING:
-            values[key] = _values(f.default_factory, value, path, at, command)
+        kind, at = kinds[key], f"{where}{key}"
+        if dataclasses.is_dataclass(kind):
+            fields = {f.name: f.default_factory if f.default is dataclasses.MISSING else type(f.default)
+                      for f in dataclasses.fields(kind)}
+            values[key] = _values(fields, value, f"{at}.", name)
+        elif kind is tuple:
+            bad = next((i for i, item in enumerate(value) if type(item) is not str), None)
+            if bad is not None:
+                raise ValueError(f"{at}[{bad}]: expected str, got {value[bad]!r}")
+            values[key] = tuple(value)
         else:
-            values[key] = _typed(value, type(f.default), f"{path}: {at}")
+            values[key] = kind(value)
     return values
 
 
@@ -146,31 +137,21 @@ def load_run_config(path: str | Path, command: str) -> dict:
     {section: {key: value}}. Every section must be one that CONFIG_SECTIONS
     lists for subcommand `command`. Any fault, a key given twice in one
     object too, raises ConfigError naming the file and the section and key."""
-
-    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
-        data: dict = {}
-        for key, value in pairs:
-            if key in data:
-                raise ConfigError(f"{path}: key {key!r} given twice in one object")
-            data[key] = value
-        return data
-
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
+        # A top level that is not an object is named by `_values`.
+        version = data.pop("version", None) if type(data) is dict else CONFIG_SCHEMA_VERSION
+        if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
+            raise ValueError(f"config version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
+        return _values(CONFIG_SECTIONS[command], data, "", f"{command} config")
     except OSError as exc:
         raise ConfigError(f"--config: {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc.msg})") from None
     except UnicodeDecodeError:
         raise ConfigError(f"{path}: not UTF-8 text") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    version = data.pop("version", None)
-    if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(f"{path}: config version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
-    sections = CONFIG_SECTIONS[command]
-    _check_keys(data, sections, path, "", command)
-    return {section: _values(sections[section], value, path, section, command) for section, value in data.items()}
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _flag_settings(args: argparse.Namespace) -> dict:

@@ -305,10 +305,12 @@ def collector_paused() -> Iterator[None]:
 # and resolved through the vocabulary on load. The tables hold each key that ``record_to_dict``
 # writes for a line and a visit, in the writer's order, with the JSON types it writes (a bool or a
 # whole float is no int). Any other key is refused; a label may be absent, as null; the rest are required.
+# ``check_object`` checks an object against such a table, for the run config too.
 
 _NULL = type(None)
 LINE_KEYS = {"patient_id": (str,), "hospital_id": (str,), "role": (str,), "delivery_day": (int, _NULL),
              "visits": (list,), "clean_label": (str, _NULL), "noisy_label": (str, _NULL)}
+LINE_REQUIRED = tuple(key for key in LINE_KEYS if not key.endswith("_label"))
 VISIT_KEYS = {"day": (int,), "codes": (list,), "t_adm": (int,), "t_dis": (int,)}
 
 
@@ -342,23 +344,42 @@ def record_to_dict(
     }
 
 
-def _misfit(where: Callable[[], str], key: str, detail: str) -> ValueError:
-    path = ".".join(filter(None, (where(), key)))
-    return ValueError(f"{path}: {detail}" if path else detail)
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``, refusing a key given twice, whose last value ``json`` would
+    keep: the ``object_pairs_hook`` of every JSON read."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError(f"{next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))}: given twice")
+    return obj
 
 
-def _check(obj, table: dict, name: str, where: Callable[[], str] = str) -> None:
-    """Raise a ValueError naming the key at fault under ``where()``, the path of ``obj`` in its
-    line, unless ``obj`` is a JSON object of keys in ``table`` with a JSON type listed there."""
+_JSON_NAMES = {dict: "object", _NULL: "null"}
+
+
+def check_object(obj, table: dict, name: str, required: Iterable[str] = (), where: Callable[[], str] = str) -> None:
+    """Raise a ValueError naming the key at fault, as ``where()`` (the path of ``obj`` with a trailing
+    dot, or empty) and the key, unless ``obj`` is a JSON object that holds each ``required`` key
+    and only keys of ``table``, each with a JSON type that ``table`` lists for it. ``name`` is what
+    such an object is called in the message of a key it may not hold."""
     if type(obj) is not dict:
-        raise _misfit(where, "", f"expected object, got {obj!r}")
-    for key, value in obj.items():
+        raise ValueError(f"{where()[:-1]}: expected object, got {obj!r}".removeprefix(": "))
+    for key, value in obj.items():  # one pass over an object that holds the table's keys and types
         kinds = table.get(key)
-        if kinds is None:
-            raise _misfit(where, key, f"not a key of a {name}")
-        if type(value) not in kinds:
-            names = " or ".join("null" if kind is _NULL else kind.__name__ for kind in kinds)
-            raise _misfit(where, key, f"expected {names}, got {value!r}")
+        if kinds is None or type(value) not in kinds:
+            break
+    else:
+        if len(obj) == len(table):
+            return
+    for key in obj:  # else a key that the table lacks is named first, then a missing key, then a type
+        if key not in table:
+            raise ValueError(f"{where()}{key}: not a key of a {name}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{where()}{key}: missing")
+    for key, value in obj.items():
+        if type(value) not in table[key]:
+            names = " or ".join(_JSON_NAMES.get(kind, kind.__name__) for kind in table[key])
+            raise ValueError(f"{where()}{key}: expected {names}, got {value!r}")
 
 
 def _parse(parse: Callable[[object], T], value: object, key: str, where: Callable[[], str] = str) -> T:
@@ -366,7 +387,7 @@ def _parse(parse: Callable[[object], T], value: object, key: str, where: Callabl
     try:
         return parse(value)
     except (ValueError, VocabularyError) as exc:
-        raise _misfit(where, key, exc.args[0]) from None
+        raise ValueError(f"{where()}{key}: {exc.args[0]}") from None
 
 
 def _label_from_json(value: str | None) -> Label | None:
@@ -375,21 +396,22 @@ def _label_from_json(value: str | None) -> Label | None:
 
 def record_from_dict(obj, vocab: CodeVocabulary) -> tuple[PatientRecord, Label | None, Label | None]:
     """The record and labels of one line of a record file. The line and each
-    visit must fit their key tables, the role and every code must be known, a
-    visit must hold a code, end no earlier than it starts and give the day of
-    its t_adm, and a label must be "preterm", "fullterm" or null; a
-    ValueError names the visit and the key that do not."""
-    _check(obj, LINE_KEYS, "record line")
+    visit must fit their key tables and hold every key but the labels, the
+    role and every code must be known, a visit must hold a code, end no
+    earlier than it starts and give the day of its t_adm, and a label must be
+    "preterm", "fullterm" or null; a ValueError names the visit and the key
+    that do not."""
+    check_object(obj, LINE_KEYS, "record line", LINE_REQUIRED)
     visits: list[Visit] = []
-    where = lambda: f"visits[{len(visits)}]"  # the visit being read, named only on a fault
+    where = lambda: f"visits[{len(visits)}]."  # the visit being read, named only on a fault
     for v in obj["visits"]:
-        _check(v, VISIT_KEYS, "visit", where)
+        check_object(v, VISIT_KEYS, "visit", VISIT_KEYS, where)
         codes = _parse(vocab.encode, v["codes"], "codes", where)
         if not codes:
-            raise _misfit(where, "codes", "empty code set")
+            raise ValueError(f"{where()}codes: empty code set")
         visit = _parse(lambda t_dis: Visit(codes, v["t_adm"], t_dis), v["t_dis"], "t_dis", where)
         if v["day"] != visit.day:
-            raise _misfit(where, "day", f"{v['day']} is not the day of t_adm {visit.t_adm}")
+            raise ValueError(f"{where()}day: {v['day']} is not the day of t_adm {visit.t_adm}")
         visits.append(visit)
     role = _parse(Role, obj["role"], "role")
     record = PatientRecord(obj["patient_id"], obj["hospital_id"], role, tuple(visits), obj["delivery_day"])
@@ -422,7 +444,7 @@ def write_file(path: str | Path, chunks: Iterable[str]) -> None:
 def read_lines(path: str | Path, parse: Callable[[str], T], build: Callable[[list[T]], R] = list) -> R:
     """``build`` of ``parse`` applied to each non-blank line of a UTF-8 text
     file, read one line at a time. A line that is not UTF-8, or a
-    ValueError, KeyError or TypeError from either function, becomes a
+    ValueError or TypeError from either function, becomes a
     RecordFileError naming the file, and the line when the line is at
     fault."""
     items = []
@@ -438,22 +460,13 @@ def read_lines(path: str | Path, parse: Callable[[str], T], build: Callable[[lis
                     items.append(parse(line.rstrip("\n")))
         lineno = 0
         return build(items)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         where = f"line {lineno}: " if lineno else ""
-        detail = f"missing key {exc}" if type(exc) is KeyError else exc.args[0] if exc.args else exc
-        raise RecordFileError(f"{path}: {where}{detail}") from None
+        raise RecordFileError(f"{path}: {where}{exc.args[0] if exc.args else exc}") from None
 
 
 def save_records(records: Iterable[PatientRecord], path: str | Path, vocab: CodeVocabulary) -> None:
     _write_lines(path, (record_to_dict(r, vocab) for r in records))
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """The JSON object of ``pairs``, refusing a key given twice, whose last value ``json`` would keep."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        raise ValueError(f"{next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))}: given twice")
-    return obj
 
 
 def _record_lines(vocab: CodeVocabulary, role: Role, make: Callable[..., T]) -> Callable[[str], T]:
@@ -463,7 +476,7 @@ def _record_lines(vocab: CodeVocabulary, role: Role, make: Callable[..., T]) -> 
     seen: set[str] = set()
 
     def parse(line: str) -> T:
-        record, clean, noisy = record_from_dict(json.loads(line, object_pairs_hook=_unique_keys), vocab)
+        record, clean, noisy = record_from_dict(json.loads(line, object_pairs_hook=unique_keys), vocab)
         if record.role is not role:
             raise ValueError(f"patient {record.patient_id} is a {record.role.value} record, not a {role.value} record")
         if record.patient_id in seen:

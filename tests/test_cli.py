@@ -167,12 +167,12 @@ def test_config_file_version_is_checked(tmp_path, capsys, version):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path / "a.json", {"version": 1, "synth": {"n_motherz": 5}})
-    with pytest.raises(ConfigError, match=r"a\.json: synth\.n_motherz not read by the pipeline subcommand"):
+    with pytest.raises(ConfigError, match=r"a\.json: synth\.n_motherz: not a key of a pipeline config"):
         load_run_config(path, "pipeline")
     path = write_config(tmp_path / "b.json", {"version": 1, "synth": {"clerical_noise": {"jitter": 5.0}}})
-    with pytest.raises(ConfigError, match=r"synth\.clerical_noise\.jitter not read by the pipeline subcommand"):
+    with pytest.raises(ConfigError, match=r"synth\.clerical_noise\.jitter: not a key of a pipeline config"):
         load_run_config(path, "pipeline")
-    with pytest.raises(ConfigError, match="extras not read by the pipeline subcommand"):
+    with pytest.raises(ConfigError, match="extras: not a key of a pipeline config"):
         load_run_config(write_config(tmp_path / "c.json", {"version": 1, "extras": {}}), "pipeline")
     broken = tmp_path / "d.json"
     broken.write_text('{"version": 1,', encoding="utf-8")
@@ -188,7 +188,7 @@ def test_config_file_refuses_a_key_given_twice(tmp_path, capsys, body, key):
     cfg = tmp_path / "dup.json"
     cfg.write_text(body, encoding="utf-8")
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
-    assert capsys.readouterr().err == f"error: {cfg}: key {key!r} given twice in one object\n"
+    assert capsys.readouterr().err == f"error: {cfg}: {key}: given twice\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -198,6 +198,12 @@ def test_config_file_that_is_not_utf8_exits_2_and_is_named(tmp_path, capsys):
     assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text\n"
     assert not (tmp_path / "x").exists()
+
+
+def test_config_file_that_is_not_an_object_exits_2_and_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.json", [{"version": 1}])
+    assert main(["synth", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: expected object, got [{{'version': 1}}]\n"
 
 
 def test_config_file_builds_nested_noise_model(tmp_path):
@@ -224,7 +230,7 @@ def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value)
     cfg = write_config(tmp_path / "run.json", {"version": 1, section: {key: value}})
     assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     named = f"{section}.{key}" if section in cli.CONFIG_SECTIONS["pipeline"] else section
-    assert capsys.readouterr().err == f"error: {cfg}: {named} not read by the pipeline subcommand\n"
+    assert capsys.readouterr().err == f"error: {cfg}: {named}: not a key of a pipeline config\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -236,11 +242,12 @@ def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value)
     ({"benchmark": {"n_epochs": 2.5}}, "benchmark.n_epochs: expected int, got 2.5"),
     ({"benchmark": {"repeats": 0}}, "benchmark: repeats must be >= 1, got 0"),
     ({"benchmark": {"methods": ["NoLC_clean", "Magic"]}}, "benchmark: methods: unknown method 'Magic'"),
-    ({"benchmark": {"methods": "ALC"}}, "benchmark.methods: expected list of strings, got 'ALC'"),
-    ({"benchmark": []}, "benchmark: expected an object"),
+    ({"benchmark": {"methods": "ALC"}}, "benchmark.methods: expected list, got 'ALC'"),
+    ({"benchmark": []}, "benchmark: expected object, got []"),
     ({"synth": {"clerical_noise": {"time_jitter_sd": float("nan")}}},
      "synth.clerical_noise: time_jitter_sd must be >= 0 and finite, got nan"),
     ({"synth": {"seed": -1}}, "synth: seed must be >= 0, got -1"),
+    ({"benchmark": {"methods": ["ALC", 3]}}, "benchmark.methods[1]: expected str, got 3"),
 ])
 def test_bad_config_values_exit_2_before_the_pipeline_writes(tmp_path, capsys, body, expected):
     cfg = write_config(tmp_path / "run.json", {"version": 1, **body})
@@ -278,10 +285,11 @@ def test_out_of_domain_flags_exit_2_before_any_file_is_touched(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-# An `unread` of None marks a subcommand that reads no key: it takes no
+# `unread` is the first key, in file order, that the subcommand does not
+# read. An `unread` of None marks a subcommand that reads no key: it takes no
 # --config at all, so the parser refuses the flag itself.
 @pytest.mark.parametrize("command, body, unread", [
-    ("synth", {"train": {"n_epochs": 2}, "benchmark": {"repeats": 2}}, "benchmark, train"),
+    ("synth", {"train": {"n_epochs": 2}, "benchmark": {"repeats": 2}}, "train"),
     ("datasets", {"synth": {"n_mothers": 999}, "benchmark": {"n_epochs": 2}}, None),
     ("benchmark", {"synth": {"seed": 6}}, "synth"),
     ("benchmark", {"benchmark": {"n_epochs": 2}, "train": {"n_epochs": 2}}, "train"),
@@ -302,7 +310,7 @@ def test_config_keys_a_subcommand_does_not_read_exit_2_before_any_file_is_read(
         )
     else:
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {cfg}: {unread} not read by the {command} subcommand\n"
+        assert capsys.readouterr().err == f"error: {cfg}: {unread}: not a key of a {command} config\n"
     assert not out.exists()
 
 

@@ -269,6 +269,24 @@ def test_the_write_check_sees_each_form():
         assert _writes_a_file(ast.parse(source).body[0].value) is expected, source
 
 
+def test_every_json_read_passes_the_one_duplicate_key_hook():
+    """Every `json.load` or `json.loads` call passes
+    `object_pairs_hook=unique_keys`, and the one function of that name is
+    `records.unique_keys`, at module level: so the run config and the record
+    files refuse a key given twice alike."""
+    reads, hooks = {}, []
+    for name, tree in _parsed(SOURCE):
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr in ("load", "loads") and getattr(func.value, "id", None) == "json":
+                hook = next((kw.value for kw in node.keywords if kw.arg == "object_pairs_hook"), None)
+                reads[f"{name}:{node.lineno}"] = getattr(hook, "id", None)
+            if isinstance(node, ast.FunctionDef) and node.name == "unique_keys":
+                hooks.append((name, node in tree.body))
+    assert reads and set(reads.values()) == {"unique_keys"}, reads
+    assert hooks == [("records.py", True)]
+
+
 # --- imports ---------------------------------------------------------------------------
 
 STANDARD_LIBRARY = set(sys.stdlib_module_names)

@@ -18,6 +18,7 @@ from pretermalc.records import (
     Role,
     Visit,
     VocabularyError,
+    check_object,
     classify_delivery,
     classify_newborn,
     load_examples,
@@ -568,6 +569,33 @@ def test_load_reports_missing_key(tmp_path):
         load_records(path, vocab, Role.MOTHER)
 
 
+# A key that a record line or a visit must hold, removed from line 2 or
+# from its second visit, is named with its path, as every other fault of a
+# line is; a label removed reads as null.
+@pytest.mark.parametrize("field", [
+    *(f"visits[1].{key}" for key in VISIT_KEYS),
+    *LINE_KEYS,
+])
+def test_load_names_a_missing_key_with_its_path(tmp_path, field):
+    vocab, records = build_cohort_records(3)
+    examples = [LabeledExample(r, Label.PRETERM, Label.FULL_TERM) for r in records]
+    path = tmp_path / "examples.jsonl"
+    save_examples(examples, path, vocab)
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[1])
+    *visit, key = field.split(".")
+    del (obj["visits"][1] if visit else obj)[key]
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    if key in ("clean_label", "noisy_label"):
+        examples[1] = replace(examples[1], **{key: None})
+        assert load_examples(path, vocab) == examples
+        return
+    with pytest.raises(RecordFileError) as exc:
+        load_examples(path, vocab)
+    assert str(exc.value) == f"{path}: line 2: {field}: missing"
+
+
 # A field of one record line given another JSON type than the one
 # `record_to_dict` writes: (field, value, the types it takes), where the
 # field "" is the line itself and `visits[0]` its first visit. Each is named,
@@ -675,6 +703,67 @@ def test_key_tables_are_what_the_writer_writes():
         for visit in line["visits"]:
             assert list(visit) == list(VISIT_KEYS)
             assert all(type(visit[key]) in kinds for key, kinds in VISIT_KEYS.items())
+
+
+# --- the key-table check -----------------------------------------------------
+#
+# `check_object` against a plain oracle: tables drawn over every JSON type,
+# objects drawn with every key of the table or some (mostly of a type it
+# lists), stray keys and absent keys, in any order, and values that are not
+# objects.
+
+JSON_TYPES = {"null": type(None), "bool": bool, "int": int, "float": float, "str": str, "list": list, "object": dict}
+VALUES_OF = {
+    "null": st.none(), "bool": st.booleans(), "int": st.integers(), "float": st.floats(), "str": st.text(max_size=3),
+    "list": st.lists(st.integers(), max_size=2), "object": st.dictionaries(st.sampled_from("abef"), st.integers(), max_size=2),
+}
+JSON_VALUES = st.one_of(*VALUES_OF.values())
+
+
+def _json_type(value) -> str:
+    """The name of the JSON type that `json` reads `value` as: the first
+    of JSON_TYPES that it is an instance of, so a bool is no int."""
+    return next(name for name, kind in JSON_TYPES.items() if isinstance(value, kind))
+
+
+def _faults(obj: dict, table: dict, required: set) -> set:
+    """The keys at fault in `obj`: one that `table` lacks, a required one
+    that is absent, or one whose value's JSON type `table` does not list."""
+    return ({key for key in obj if key not in table} | (required - obj.keys())
+            | {key for key, value in obj.items() if key in table and _json_type(value) not in table[key]})
+
+
+@given(st.data())
+def test_check_object_passes_exactly_the_objects_that_fit_the_table(data):
+    table = data.draw(st.dictionaries(st.sampled_from("abcd"), st.sets(st.sampled_from(list(JSON_TYPES)), min_size=1)))
+    keys = sorted(table)
+    required = data.draw(st.sets(st.sampled_from(keys))) if keys else set()
+    present = data.draw(st.one_of(st.just(set(keys)), st.sets(st.sampled_from(keys)))) if keys else set()
+    items = [(key, data.draw(st.one_of(st.sampled_from(sorted(table[key])).flatmap(VALUES_OF.get), JSON_VALUES)))
+             for key in sorted(present)]
+    items += data.draw(st.dictionaries(st.sampled_from("ef"), JSON_VALUES, max_size=2)).items()
+    obj = data.draw(st.one_of(st.permutations(items).map(dict), JSON_VALUES))
+    where = data.draw(st.sampled_from(["", "visits[3]."]))
+    kinds = {key: tuple(JSON_TYPES[name] for name in sorted(names)) for key, names in table.items()}
+    try:
+        check_object(obj, kinds, "thing", sorted(required), lambda: where)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        assert _json_type(obj) == "object" and not _faults(obj, table, required)
+        return
+    if _json_type(obj) != "object":
+        assert message == (f"{where[:-1]}: " if where else "") + f"expected object, got {obj!r}"
+        return
+    path, _, detail = message.partition(": ")
+    key = path.removeprefix(where)
+    assert path.startswith(where) and key in _faults(obj, table, required)
+    if key not in table:
+        assert detail == "not a key of a thing"
+    elif key not in obj:
+        assert detail == "missing"
+    else:
+        assert detail == f"expected {' or '.join(sorted(table[key]))}, got {obj[key]!r}"
 
 
 # --- the cyclic collector -----------------------------------------------------
