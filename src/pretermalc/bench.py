@@ -90,7 +90,7 @@ class BenchmarkConfig:
         valid = {m.value: m for m in TrainMethod}
         names = [m.value if isinstance(m, TrainMethod) else m for m in self.methods]
         for name in names:
-            if name not in valid:
+            if not isinstance(name, str) or name not in valid:
                 raise ValueError(f"methods: unknown method {name!r}; valid: {', '.join(valid)}")
         if not names:
             raise ValueError("methods: no methods given")

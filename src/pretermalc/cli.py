@@ -92,30 +92,18 @@ CONFIG_SECTIONS = {
 _JSON_TYPES = {int: (int,), float: (float, int), tuple: (list,)}
 
 
-def _values(kinds: dict, data, where: str, name: str) -> dict:
-    """The values of config object `data`, whose path is `where` with a
-    trailing dot (empty at the top level), checked by `check_object` against
-    `kinds`, the type of each key's value: a dataclass takes an object of its
-    fields, typed as their defaults. An int for a float becomes a float, and a
-    list of strings for a tuple a tuple. `name` is what a message calls
-    the object, as in a key that is not a key of a `name`."""
+def _check_values(kinds: dict, data, where: str, name: str) -> None:
+    """Check config object `data`, whose path is `where` with a trailing dot
+    (empty at the top level), with `check_object` against `kinds`, the type
+    of each key's value: a dataclass takes an object of its fields, typed as
+    their defaults. A value's range and items are its dataclass's to check.
+    `name` is what a message calls the object."""
     table = {key: (dict,) if dataclasses.is_dataclass(kind) else _JSON_TYPES[kind] for key, kind in kinds.items()}
     check_object(data, table, name, where=lambda: where)
-    values = {}
     for key, value in data.items():
-        kind, at = kinds[key], f"{where}{key}"
-        if dataclasses.is_dataclass(kind):
-            fields = {f.name: f.default_factory if f.default is dataclasses.MISSING else type(f.default)
-                      for f in dataclasses.fields(kind)}
-            values[key] = _values(fields, value, f"{at}.", name)
-        elif kind is tuple:
-            bad = next((i for i, item in enumerate(value) if type(item) is not str), None)
-            if bad is not None:
-                raise ValueError(f"{at}[{bad}]: expected str, got {value[bad]!r}")
-            values[key] = tuple(value)
-        else:
-            values[key] = kind(value)
-    return values
+        if dataclasses.is_dataclass(kinds[key]):
+            fields = {field: type(default) for field, default in vars(kinds[key]()).items()}
+            _check_values(fields, value, f"{where}{key}.", name)
 
 
 def _overlay(obj, values: dict, where: str | None = None):
@@ -134,16 +122,17 @@ def _overlay(obj, values: dict, where: str | None = None):
 
 def load_run_config(path: str | Path, command: str) -> dict:
     """JSON config with a checked version tag, keys and value types, as
-    {section: {key: value}}. Every section must be one that CONFIG_SECTIONS
-    lists for subcommand `command`. Any fault, a key given twice in one
-    object too, raises ConfigError naming the file and the section and key."""
+    {section: {key: value}}, each value as JSON gave it. Every section must
+    be one that CONFIG_SECTIONS lists for subcommand `command`. Any fault,
+    a key given twice too, raises ConfigError naming the file and the key."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique_keys)
-        # A top level that is not an object is named by `_values`.
+        # A top level that is not an object is named by `_check_values`.
         version = data.pop("version", None) if type(data) is dict else CONFIG_SCHEMA_VERSION
         if type(version) is not int or version != CONFIG_SCHEMA_VERSION:
             raise ValueError(f"config version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
-        return _values(CONFIG_SECTIONS[command], data, "", f"{command} config")
+        _check_values(CONFIG_SECTIONS[command], data, "", f"{command} config")
+        return data
     except OSError as exc:
         raise ConfigError(f"--config: {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:

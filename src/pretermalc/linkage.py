@@ -183,8 +183,6 @@ def link_accuracy(
     correct = sum(1 for l in links if truth.links.get(l.newborn_id) == l.mother_id)
     pair_accuracy = correct / len(links)
     noisy = derive_noisy_labels(links, newborns, vocab)
-    if not noisy:
-        raise LinkageError("no labeled mothers among the links")
     hits = 0
     for mother_id, label in noisy.items():
         true_label = truth.labels.get(mother_id)

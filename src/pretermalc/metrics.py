@@ -16,43 +16,38 @@ import numpy as np
 from .records import Label
 
 
-def _as_arrays(scores: Sequence[float], labels: Sequence[Label]) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(
+    scores: Sequence[float], labels: Sequence[Label], both_classes: bool
+) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Cumulative true- and false-positive counts (int64) at each distinct
+    threshold, scores descending: entry k counts every example scoring at
+    least the k-th highest distinct score. Then the numbers of positives and
+    negatives, of which there must be some, and when `both_classes` both."""
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray([int(l) for l in labels], dtype=np.int64)
-    if s.ndim != 1 or s.shape != y.shape:
-        raise ValueError(f"scores and labels must be equal-length 1-d sequences, got {s.shape} vs {y.shape}")
+    pos = np.asarray([int(l) for l in labels], dtype=np.int64) == int(Label.PRETERM)
+    if s.ndim != 1 or s.shape != pos.shape:
+        raise ValueError(f"scores and labels must be equal-length 1-d sequences, got {s.shape} vs {pos.shape}")
     if s.size == 0:
         raise ValueError("no examples to score")
     if not np.all(np.isfinite(s)):
         raise ValueError("non-finite score")
-    return s, y == int(Label.PRETERM)
-
-
-def _require_both_classes(pos: np.ndarray) -> tuple[int, int]:
     n_pos = int(pos.sum())
     n_neg = int(pos.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
+    if both_classes and (n_pos == 0 or n_neg == 0):
         raise ValueError(f"metric undefined with a single class (pos={n_pos}, neg={n_neg})")
-    return n_pos, n_neg
-
-
-def _sweep(s: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative true- and false-positive counts (int64) at each distinct
-    threshold, scores descending: entry k counts every example scoring at
-    least the k-th highest distinct score."""
+    if n_pos == 0:
+        raise ValueError("metric undefined without positive examples")
     order = np.argsort(-s, kind="stable")
     s_desc = s[order]
     last = np.append(np.flatnonzero(s_desc[1:] != s_desc[:-1]), s.size - 1)
     tp = np.cumsum(pos[order], dtype=np.int64)[last]
-    return tp, last + 1 - tp
+    return tp, last + 1 - tp, n_pos, n_neg
 
 
 def auc(scores: Sequence[float], labels: Sequence[Label]) -> float:
     """Probability a random positive outscores a random negative, ties worth
     one half. Equals exhaustive pair counting."""
-    s, pos = _as_arrays(scores, labels)
-    n_pos, n_neg = _require_both_classes(pos)
-    tp, fp = _sweep(s, pos)
+    tp, fp, n_pos, n_neg = _sweep(scores, labels, both_classes=True)
     # Each positive at a threshold counts the negatives below it, plus half
     # of those tied with it: twice the pair count is an integer.
     fp_before = np.append(0, fp[:-1])
@@ -60,19 +55,10 @@ def auc(scores: Sequence[float], labels: Sequence[Label]) -> float:
     return twice_pairs / (2 * n_pos * n_neg)
 
 
-def _require_positives(pos: np.ndarray) -> int:
-    n_pos = int(pos.sum())
-    if n_pos == 0:
-        raise ValueError("metric undefined without positive examples")
-    return n_pos
-
-
 def pr_auc(scores: Sequence[float], labels: Sequence[Label]) -> float:
     """Average precision: sum over distinct descending thresholds of
     precision * recall increment."""
-    s, pos = _as_arrays(scores, labels)
-    n_pos = _require_positives(pos)
-    tp, fp = _sweep(s, pos)
+    tp, fp, n_pos, _ = _sweep(scores, labels, both_classes=False)
     # Summed left to right, in threshold order, then divided once.
     total = np.cumsum(tp / (tp + fp) * np.diff(tp, prepend=0))[-1]
     return float(total) / n_pos
@@ -81,17 +67,13 @@ def pr_auc(scores: Sequence[float], labels: Sequence[Label]) -> float:
 def roc_points(scores: Sequence[float], labels: Sequence[Label]) -> tuple[np.ndarray, np.ndarray]:
     """ROC polyline vertices (fpr, tpr), one vertex per distinct threshold,
     starting at (0, 0) and ending at (1, 1)."""
-    s, pos = _as_arrays(scores, labels)
-    n_pos, n_neg = _require_both_classes(pos)
-    tp, fp = _sweep(s, pos)
+    tp, fp, n_pos, n_neg = _sweep(scores, labels, both_classes=True)
     return np.append(0.0, fp / n_neg), np.append(0.0, tp / n_pos)
 
 
 def pr_points(scores: Sequence[float], labels: Sequence[Label]) -> tuple[np.ndarray, np.ndarray]:
     """Precision-recall vertices per distinct threshold, recall ascending."""
-    s, pos = _as_arrays(scores, labels)
-    n_pos = _require_positives(pos)
-    tp, fp = _sweep(s, pos)
+    tp, fp, n_pos, _ = _sweep(scores, labels, both_classes=False)
     return tp / n_pos, tp / (tp + fp)
 
 

@@ -102,8 +102,9 @@ class ClericalNoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.swap_window_minutes < 0:
-            raise ConfigError(f"swap_window_minutes must be >= 0, got {self.swap_window_minutes}")
+        if not 0 <= self.swap_window_minutes <= DELIVERY_WINDOW_MINUTES:
+            window = f"[0, {DELIVERY_WINDOW_MINUTES}] (the delivery window in minutes)"
+            raise ConfigError(f"swap_window_minutes must be in {window}, got {self.swap_window_minutes}")
 
     @classmethod
     def none(cls) -> "ClericalNoiseModel":

@@ -3,6 +3,7 @@ SVG report helpers."""
 
 import functools
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -350,6 +351,21 @@ def test_benchmark_rejects_bad_requests():
         BenchmarkConfig(repeats=0)
     with pytest.raises(ValueError, match="methods: no methods given"):
         BenchmarkConfig(methods=[], repeats=1)
+    # Each item is checked before any is hashed or counted.
+    for item in (["ALC"], {"ALC": 1}, 3, None):
+        with pytest.raises(ValueError, match=rf"^methods: unknown method {re.escape(repr(item))}; valid: ALC, "):
+            BenchmarkConfig(methods=("ALC", item))
+
+
+def test_single_blas_thread_env_restores_the_environment(monkeypatch):
+    first, *others = bench.BLAS_THREAD_VARIABLES
+    monkeypatch.setenv(first, "7")
+    for name in others:
+        monkeypatch.delenv(name, raising=False)
+    with bench._single_blas_thread_env():
+        assert [os.environ[name] for name in bench.BLAS_THREAD_VARIABLES] == ["1"] * len(bench.BLAS_THREAD_VARIABLES)
+    assert os.environ[first] == "7"
+    assert not any(name in os.environ for name in others)
 
 
 def test_benchmark_rejects_repeated_methods():

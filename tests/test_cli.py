@@ -146,6 +146,22 @@ def test_config_file_and_flags_agree(tmp_path):
     assert a == (tmp_path / "from_flags" / "mothers.jsonl").read_bytes()
 
 
+def test_an_int_for_a_float_setting_writes_what_the_float_and_the_flag_write(tmp_path):
+    cohort = ["--mothers", "120", "--hospitals", "2", "--seed", "3"]
+    ints = {"clean_code_rate": 1, "clerical_noise": {"time_jitter_sd": 180, "missing_newborn_rate": 0}}
+    floats = {"clean_code_rate": 1.0, "clerical_noise": {"time_jitter_sd": 180.0, "missing_newborn_rate": 0.0}}
+    runs = {
+        "ints": ["--config", write_config(tmp_path / "ints.json", {"version": 1, "synth": ints})],
+        "floats": ["--config", write_config(tmp_path / "floats.json", {"version": 1, "synth": floats})],
+        "flags": ["--clean-code-rate", "1", "--time-jitter-sd", "180", "--missing-newborn-rate", "0"],
+    }
+    for name, given in runs.items():
+        assert main(["synth", *cohort, *given, "--out", str(tmp_path / name)]) == 0
+    for name in cli.COHORT_FILES:
+        written = {(tmp_path / run / name).read_bytes() for run in runs}
+        assert len(written) == 1, name
+
+
 def test_flags_override_the_config_file(tmp_path):
     cfg = write_config(tmp_path / "run.json", {
         "version": 1,
@@ -247,7 +263,10 @@ def test_config_file_rejects_removed_keys(tmp_path, capsys, section, key, value)
     ({"synth": {"clerical_noise": {"time_jitter_sd": float("nan")}}},
      "synth.clerical_noise: time_jitter_sd must be >= 0 and finite, got nan"),
     ({"synth": {"seed": -1}}, "synth: seed must be >= 0, got -1"),
-    ({"benchmark": {"methods": ["ALC", 3]}}, "benchmark.methods[1]: expected str, got 3"),
+    ({"benchmark": {"methods": ["ALC", 3]}}, "benchmark: methods: unknown method 3; valid: "),
+    ({"synth": {"clerical_noise": {"time_jitter_sd": 10**400}}},
+     "synth.clerical_noise: time_jitter_sd must be at most 777600 (the delivery window in minutes), got 1000"),
+    ({"benchmark": {"methods": [["ALC"]]}}, "benchmark: methods: unknown method ['ALC']; valid: "),
 ])
 def test_bad_config_values_exit_2_before_the_pipeline_writes(tmp_path, capsys, body, expected):
     cfg = write_config(tmp_path / "run.json", {"version": 1, **body})
@@ -277,6 +296,9 @@ INPUTS = {
       for command in ("synth", "pipeline")),
     ("synth", ["--time-jitter-sd", "1e308"],
      "time_jitter_sd must be at most 777600 (the delivery window in minutes), got 1e+308"),
+    *((command, ["--swap-window-minutes", window], "swap_window_minutes must be in [0, 777600] "
+       f"(the delivery window in minutes), got {window}")
+      for command in ("synth", "pipeline") for window in ("777601", "100000000000000000000")),
 ])
 def test_out_of_domain_flags_exit_2_before_any_file_is_touched(tmp_path, capsys, command, flags, message):
     inputs = [arg.format(tmp_path / "absent") for arg in INPUTS.get(command, [])]
@@ -426,6 +448,19 @@ def test_threads_are_capped_at_the_cpus_this_process_may_use(monkeypatch):
     assert cli._threads(1) == 1
     with pytest.raises(ConfigError, match="--threads must be >= 1, got 0"):
         cli._threads(0)
+
+
+def test_a_failing_pipeline_stage_is_named(tmp_path, capsys):
+    flags = [*PIPELINE_FLAGS, "--missing-newborn-rate", "1", "--out", str(tmp_path / "x")]
+    assert main(["pipeline", *flags]) == 1
+    assert capsys.readouterr().err == "error: pipeline stage 'link' failed: cannot score an empty link set\n"
+
+
+def test_a_pipeline_calibrates_the_misclassification_rate_first(tmp_path, capsys):
+    noiseless = ["--time-jitter-sd", "0", "--missing-newborn-rate", "0", "--swap-window-minutes", "0"]
+    flags = [*COHORT_FLAGS, *noiseless, "--target-accuracy", "1.0", *BENCHMARK_FLAGS, "--out", str(tmp_path / "x")]
+    assert main(["pipeline", *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "calibrated misclassified_newborn_rate=0.000000"
 
 
 def test_pipeline_target_accuracy_is_checked_before_calibration(tmp_path, capsys):

@@ -451,6 +451,12 @@ def test_links_file_round_trip(tmp_path):
     assert load_links(path) == links
 
 
+def test_a_link_distance_is_never_negative():
+    assert MatchCandidate("n", "m", 0).l1_minutes == 0
+    with pytest.raises(ValueError, match="negative link distance"):
+        MatchCandidate("n", "m", -1)
+
+
 def test_linkset_rejects_duplicate_newborn():
     with pytest.raises(ValueError, match="linked more than once"):
         LinkSet(links=(

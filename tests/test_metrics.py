@@ -123,6 +123,8 @@ def test_empty_and_nonfinite_rejected():
         auc([], [])
     with pytest.raises(ValueError, match="non-finite"):
         auc([0.5, float("nan")], [P, F])
+    with pytest.raises(ValueError, match=r"equal-length 1-d sequences, got \(2,\) vs \(1,\)"):
+        auc([0.5, 0.7], [P])
 
 
 # --- oracle equivalence ------------------------------------------------------------

@@ -322,6 +322,12 @@ def test_unused_embedding_rows_get_zero_gradient():
 # --- initialization -----------------------------------------------------------
 
 
+def test_dims_must_be_positive():
+    for name in ("vocab_size", "d_emb", "d_h"):
+        with pytest.raises(ValueError, match=f"{name} must be >= 1, got 0"):
+            NetDims(**{"vocab_size": 20, name: 0})
+
+
 def test_init_is_seed_deterministic():
     a = init_params(TINY, seed=42)
     b = init_params(TINY, seed=42)

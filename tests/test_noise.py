@@ -214,6 +214,8 @@ def test_corrected_rejects_non_distribution():
     c = reference_matrix()
     with pytest.raises(ValueError):
         corruption_layer(np.array([0.9, 0.9]), c)
+    with pytest.raises(ValueError, match=r"must have 2 entries, got shape \(2, 3\)"):
+        corruption_layer(np.full((2, 3), 1 / 3), c)
 
 
 @given(st.floats(0.0, 1.0), count_rows, count_rows)

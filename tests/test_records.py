@@ -11,6 +11,7 @@ from pretermalc.records import (
     LINE_KEYS,
     VISIT_KEYS,
     CodeVocabulary,
+    DatasetSplit,
     Label,
     LabeledExample,
     PatientRecord,
@@ -126,6 +127,19 @@ def test_labeled_example_requires_some_label():
     with pytest.raises(ValueError, match="no label"):
         LabeledExample(record=rec)
     assert LabeledExample(record=rec, noisy_label=Label.PRETERM).patient_id == "p0"
+
+
+def test_dataset_split_refuses_a_shared_patient_and_an_unscorable_held_out_example():
+    def example(pid, clean_label=Label.PRETERM):
+        return LabeledExample(record=mk_record([mk_visit(1, {0})], pid=pid), clean_label=clean_label,
+                              noisy_label=Label.FULL_TERM)
+
+    with pytest.raises(ValueError, match="patient p0 appears in more than one split part"):
+        DatasetSplit(train=[example("p0")], validation=[], test=[example("p0")])
+    for part in ("validation", "test"):
+        parts = {"train": [example("p0")], "validation": [], "test": [], part: [example("p1", None)]}
+        with pytest.raises(ValueError, match=f"{part} example p1 lacks a clean label"):
+            DatasetSplit(**parts)
 
 
 @given(

@@ -60,6 +60,17 @@ def test_config_errors_name_fields():
             ClericalNoiseModel(time_jitter_sd=sd)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
         SynthConfig(seed=-1)
+    with pytest.raises(ConfigError, match="n_hospitals must be >= 1, got 0"):
+        SynthConfig(n_hospitals=0)
+    with pytest.raises(ConfigError, match=r"newborn_coded_rate must be in \[0, 1\], got 1.5"):
+        SynthConfig(newborn_coded_rate=1.5)
+    with pytest.raises(ConfigError, match="swap_window_minutes must be .*, got -1$"):
+        ClericalNoiseModel(swap_window_minutes=-1)
+    ClericalNoiseModel(swap_window_minutes=777_600)
+    for window in (777_601, 10**20):
+        message = rf"swap_window_minutes must be in \[0, 777600\] \(the delivery window in minutes\), got {window}$"
+        with pytest.raises(ConfigError, match=message):
+            ClericalNoiseModel(swap_window_minutes=window)
     with pytest.raises(ConfigError, match="clean_code_rate"):
         SynthConfig(clean_code_rate=0.2, newborn_coded_rate=0.3)
     # The largest hospital takes ceil(n_mothers / n_hospitals) of the 777,600 delivery minutes.
@@ -403,6 +414,11 @@ def test_truth_round_trip(tmp_path, small_cohort):
     save_truth(small_cohort.truth, path)
     again = load_truth(path)
     assert again == small_cohort.truth
+
+
+def test_truth_refuses_a_linked_mother_without_a_label():
+    with pytest.raises(ValueError, match="linked mother m1 has no true label"):
+        GroundTruth(links={"n0": "m0", "n1": "m1"}, labels={"m0": Label.PRETERM})
 
 
 def test_truth_validates_cap():

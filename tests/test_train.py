@@ -125,6 +125,8 @@ def test_schedule_rejects_invalid_requests():
         EpochSpec(CLEAN, CORRECTED)
     with pytest.raises(ValueError, match="unknown dataset tag"):
         EpochSpec("validation", PLAIN)
+    with pytest.raises(ValueError, match="unknown loss kind 'bogus'"):
+        EpochSpec(NOISY, "bogus")
 
 
 # --- optimizer ------------------------------------------------------------------
